@@ -2,7 +2,9 @@
 
 Work is split into fixed-size chunks, each driven by its own substream
 derived from the batch's root stream, so merged results are identical for
-any worker count (the kernels release the GIL, so threads scale).
+any worker count.  Threads scale only where the work releases the GIL: the
+numba kernels and numpy's vectorised draws do, the pure-Python kernel
+build does not, so there ``workers > 1`` gives no speed-up.
 """
 
 from __future__ import annotations

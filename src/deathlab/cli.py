@@ -2,6 +2,7 @@
 emit CSV/JSON reports.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error.
+Every domain error of the package subclasses ``ValueError`` and exits 2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import click
 import numpy as np
 
 from . import kernels
-from .analytics import AnalyticReport, AnalyticsError
+from .analytics import AnalyticReport
 from .experiments import (
     build_extinct_report,
     build_implode_outputs,
@@ -24,23 +25,10 @@ from .experiments import (
     build_verify_report,
     report_meta,
 )
-from .oracle import OracleError, state_distribution_history
-from .process import ProcessError, simulate_trajectory
+from .oracle import MAX_STATE, MAX_TIME, state_distribution_history
+from .process import simulate_trajectory
 from .regimes import MortalityRegime, RegimeError, from_dict, from_json, parse_inline, to_json
-from .rng import RngError, make_stream
-from .samplers import SamplerError
-from .stats import StatsError
-
-_DOMAIN_ERRORS = (
-    RegimeError,
-    ProcessError,
-    SamplerError,
-    AnalyticsError,
-    OracleError,
-    StatsError,
-    RngError,
-    ValueError,
-)
+from .rng import make_stream
 
 
 def _load_config(path: str | None, allowed: set[str]) -> dict:
@@ -176,7 +164,7 @@ def simulate(n, regime_spec, samples, t_max, seed, out, config_path):
                 }
             )
             csv_rows.extend(traj.to_csv_rows(run_id))
-    except _DOMAIN_ERRORS as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     summary = {
         "meta": report_meta(
@@ -238,7 +226,7 @@ def extinct(n, regime_spec, t_grid, samples, ratio_n, ratio_c, ratio_samples, se
             ratio_n=params["ratio_n"] or None, ratio_c=params["ratio_c"],
             ratio_samples=params["ratio_samples"],
         )
-    except _DOMAIN_ERRORS as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     if out_path is not None:
         _write_csv(
@@ -246,7 +234,7 @@ def extinct(n, regime_spec, t_grid, samples, ratio_n, ratio_c, ratio_samples, se
             ["t", "closed_form", "oracle", "monte_carlo"],
             [(t, cf, "" if dp is None else dp, mc) for t, cf, dp, mc in csv_rows],
         )
-        if params["n"] <= 30 and max(grid) <= 200:
+        if params["n"] <= MAX_STATE and max(grid) <= MAX_TIME:
             history = state_distribution_history(params["n"], regime, max(grid))
             _write_csv(
                 out_path / "state_distribution.csv",
@@ -292,7 +280,7 @@ def path(n, regime_spec, samples, sweep, seed, workers, tolerance, out, config_p
             params["n"], regime, params["samples"], params["seed"],
             workers=params["workers"], tolerance=params["tolerance"], sweep=sweep_list,
         )
-    except _DOMAIN_ERRORS as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     if out_path is not None and sweep_rows:
         _write_csv(out_path / "path_bound_sweep.csv", ["n", "lower_bound"], sweep_rows)
@@ -338,7 +326,7 @@ def passage(k, regime_spec, n, samples, j_max, limit_n, limit_samples, lam, seed
             workers=params["workers"], tolerance=params["tolerance"], j_max=params["j_max"],
             limit_n=params["limit_n"], limit_samples=params["limit_samples"], lam=params["lam"],
         )
-    except _DOMAIN_ERRORS as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     if out_path is not None and scaled is not None:
         _write_csv(out_path / "scaled_passage_times.csv", ["scaled_time"], [(float(v),) for v in scaled])
@@ -373,7 +361,7 @@ def implode(alpha, k_max, runs, sweep, seed, workers, out, config_path):
             params["alpha"], params["k_max"], params["runs"], params["seed"],
             sweep=sweep_list, workers=params["workers"],
         )
-    except _DOMAIN_ERRORS as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     if out_path is not None:
         if sweep_rows:
@@ -414,7 +402,7 @@ def verify(seed, workers, tolerance, samples, out, config_path):
             params["seed"], workers=params["workers"], tolerance=params["tolerance"],
             samples=params["samples"],
         )
-    except _DOMAIN_ERRORS as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     click.echo(report.render_text())
     if params["out"] is not None:

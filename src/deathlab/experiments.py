@@ -36,6 +36,8 @@ from .analytics import (
 )
 from .limits import implosion_batch, implosion_truncation_sweep, scaled_passage_batch
 from .oracle import (
+    MAX_STATE,
+    MAX_TIME,
     exact_extinction_curve,
     exact_jump_law,
     exact_passage_law,
@@ -62,7 +64,6 @@ from .stats import SampleSummary, ks_critical_value, ks_statistic, ks_two_sample
 
 MC_LEVEL = 0.9999
 KS_LEVEL = 0.0005
-ORACLE_CAP = 30
 
 # apery's constant, reference value for the alpha=2 implosion series
 ZETA_3 = 1.2020569031595943
@@ -145,17 +146,23 @@ def build_extinct_report(
         "ratio_samples": ratio_samples,
         "ratio_eps": ratio_eps,
     }
+    if not isinstance(regime, (Constant, InitialPower)):
+        raise ValueError(
+            "closed-form extinction CDF needs state-independent mortality; "
+            f"got {type(regime).__name__}"
+        )
+    c = mortality(regime, 1, n)
     report = AnalyticReport(meta=report_meta("extinct", config, seed))
     t_max = max(t_grid)
     oracle_curve = None
-    if n <= ORACLE_CAP and t_max <= 200:
+    if n <= MAX_STATE and t_max <= MAX_TIME:
         oracle_curve = exact_extinction_curve(n, regime, t_max)
     times = extinction_time_batch(n, regime, make_stream(seed, 0), samples, workers=workers)
     censored = int(np.count_nonzero(times < 0))
     csv_rows = []
     tag = describe(regime)
     for t in t_grid:
-        closed = _extinction_closed(n, regime, t)
+        closed = extinction_cdf(n, c, t)
         dp = None if oracle_curve is None else float(oracle_curve[t])
         hits = int(np.count_nonzero((times >= 0) & (times <= t)))
         row = ReportRow.wilson(
@@ -204,17 +211,6 @@ def build_extinct_report(
     return report, csv_rows
 
 
-def _extinction_closed(n: int, regime: MortalityRegime, t: int) -> float:
-    if isinstance(regime, Constant):
-        return extinction_cdf(n, regime.c, t)
-    if isinstance(regime, InitialPower):
-        return extinction_cdf(n, mortality(regime, 1, n), t)
-    raise ValueError(
-        "closed-form extinction CDF needs state-independent mortality; "
-        f"got {type(regime).__name__}"
-    )
-
-
 def build_path_report(
     n: int,
     regime: MortalityRegime,
@@ -233,13 +229,15 @@ def build_path_report(
         "tolerance": tolerance,
         "sweep": sweep,
     }
+    if sweep and not isinstance(regime, JointPower):
+        raise ValueError("bound sweep applies to the joint-power regime only")
     report = AnalyticReport(meta=report_meta("path", config, seed))
     tag = describe(regime)
     mortalities = mortality_vector(regime, n)
     for idx, k in enumerate(range(1, n + 1)):
         c_k = mortalities[k - 1]
         closed = single_drop_prob(k, c_k)
-        orac = float(exact_jump_law(k, c_k)[0]) if k <= ORACLE_CAP else None
+        orac = float(exact_jump_law(k, c_k)[0]) if k <= MAX_STATE else None
         _, codes = first_passage_batch(
             k, regime, make_stream(seed, idx), samples, t_max=None, n=n, workers=workers
         )
@@ -258,7 +256,7 @@ def build_path_report(
         samples,
         MC_LEVEL,
     )
-    if n <= ORACLE_CAP:
+    if n <= MAX_STATE:
         orac_path = exact_single_drop_path_prob(n, regime)
         row.oracle = orac_path
         row.passed = row.passed and abs(closed_path - orac_path) <= tolerance
@@ -274,8 +272,6 @@ def build_path_report(
         )
     sweep_rows = []
     if sweep:
-        if not isinstance(regime, JointPower):
-            raise ValueError("bound sweep applies to the joint-power regime only")
         values = [path_prob_lower_bound_joint(m, regime.alpha, regime.beta) for m in sweep]
         increasing = all(b > a for a, b in zip(values, values[1:]))
         report.add(
@@ -352,7 +348,7 @@ def build_passage_report(
         k, regime, make_stream(seed, 0), samples, t_max=None, n=n_ctx, workers=workers
     )
     finite_mask = codes == kernels.FINITE
-    pmf_oracle = exact_passage_law(k, c, j_max)[0] if k <= ORACLE_CAP else None
+    pmf_oracle = exact_passage_law(k, c, j_max)[0] if k <= MAX_STATE else None
     for j in range(1, j_max + 1):
         closed = passage_pmf(k, c, j)
         hits = int(np.count_nonzero(finite_mask & (times == j)))
@@ -365,7 +361,7 @@ def build_passage_report(
     row = ReportRow.wilson(
         f"P(T finite) [{tag}]", closed_mass, int(np.count_nonzero(finite_mask)), samples, MC_LEVEL
     )
-    if k <= ORACLE_CAP:
+    if k <= MAX_STATE:
         law, law_tail = exact_passage_law(k, c, 400)
         cum = float(law.sum())
         row.oracle = cum + law_tail / 2.0
@@ -376,7 +372,7 @@ def build_passage_report(
         s = frac * passage_mgf_domain(k, c)
         closed = passage_mgf(k, c, s)
         tol = tolerance if frac <= 0.9 else tolerance * 1e3  # slow series near the boundary
-        if k <= ORACLE_CAP and mgf_series_cost(k, c, s, tol / 10.0) <= 3 * 10**7:
+        if k <= MAX_STATE and mgf_series_cost(k, c, s, tol / 10.0) <= 3 * 10**7:
             series = mgf_by_summation(k, c, s, tol=tol / 10.0)
             report.add(
                 ReportRow.compare(

@@ -3,9 +3,15 @@
 Every kernel exists in two builds sharing one source: a numba ``@njit``
 build (default) and a pure-Python build.  Both consume the same uniform
 stream from a ``numpy.random.Generator``, so for a given stream they
-produce bit-identical draws; ``benchmarks/bench_kernels.py`` compares
-their speed.  Set ``DEATHLAB_NO_NUMBA=1`` to force the Python build (it
-is also selected automatically when numba cannot be imported).
+produce bit-identical draws.  Set ``DEATHLAB_NO_NUMBA=1`` to force the
+Python build (it is also selected automatically when numba cannot be
+imported).  ``perfbench/run.py --trace 1`` measures the kernel layer of
+the active build; run it with and without ``DEATHLAB_NO_NUMBA=1`` to
+compare the two.
+
+The process kernels take the mortality as an array ``cs`` prepared by
+``regimes.prepare``: ``cs[k]`` is the per-individual death probability at
+state k, and its last entry holds for every state above it.
 
 All samplers here are exact: the binomial draw uses a Bernoulli sum for
 tiny x, CDF inversion by the pmf recurrence while x*min(c,1-c) is small,
@@ -29,12 +35,6 @@ except ImportError:  # pragma: no cover - exercised via the env flag instead
     _HAVE_NUMBA = False
 
 _ENV_FLAG = "DEATHLAB_NO_NUMBA"
-
-# regime codes understood by the kernels (Table regimes take a Python path)
-CONSTANT = 0
-INITIAL_POWER = 1
-STATE_POWER = 2
-JOINT_POWER = 3
 
 # first-passage outcome codes
 FINITE = 0
@@ -72,18 +72,6 @@ def _build_backend(jit: bool) -> SimpleNamespace:
             return f
 
     stirling_table = _STIRLING_TAIL
-
-    @wrap
-    def mortality_at(kind, p1, p2, k, n):
-        # per-individual death probability at state k, initial state n
-        if kind == CONSTANT:
-            return p1
-        elif kind == INITIAL_POWER:
-            return p1 * float(n) ** (-p2)
-        elif kind == STATE_POWER:
-            return p1 * float(k) ** (-p2)
-        else:
-            return float(k) ** p1 / float(n) ** p2
 
     @wrap
     def _stirling_tail(k):
@@ -202,31 +190,27 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         return np.int64(tf)
 
     @wrap
-    def step_draw(gen, x, c):
-        return np.int64(x - binomial_draw(gen, x, c))
-
-    @wrap
-    def extinction_time_draw(gen, n, kind, p1, p2, t_max):
+    def extinction_time_draw(gen, cs, n, t_max):
         # first hitting time of 0 from n; -1 when censored at t_max
+        last = cs.shape[0] - 1
         k = n
         t = np.int64(0)
         while k > 0 and t < t_max:
-            c = mortality_at(kind, p1, p2, k, n)
-            k -= binomial_draw(gen, k, c)
+            k -= binomial_draw(gen, k, cs[min(k, last)])
             t += 1
         if k == 0:
             return t
         return np.int64(-1)
 
     @wrap
-    def trajectory_fill(gen, n, kind, p1, p2, t_max, out):
+    def trajectory_fill(gen, out, cs, n, t_max):
         # writes the path into out (out[0] = n); returns extinction index or -1
+        last = cs.shape[0] - 1
         out[0] = n
         k = n
         t = np.int64(0)
         while k > 0 and t < t_max:
-            c = mortality_at(kind, p1, p2, k, n)
-            k -= binomial_draw(gen, k, c)
+            k -= binomial_draw(gen, k, cs[min(k, last)])
             t += 1
             out[t] = k
         if k == 0:
@@ -234,12 +218,12 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         return np.int64(-1)
 
     @wrap
-    def single_drop_draw(gen, n, kind, p1, p2):
+    def single_drop_draw(gen, cs, n):
         # True iff the realized path loses exactly one individual per drop
+        last = cs.shape[0] - 1
         k = n
         while k > 0:
-            c = mortality_at(kind, p1, p2, k, n)
-            d = binomial_draw(gen, k, c)
+            d = binomial_draw(gen, k, cs[min(k, last)])
             if d > 1:
                 return False
             k -= d
@@ -318,14 +302,14 @@ def _build_backend(jit: bool) -> SimpleNamespace:
             out[i] = max_geometric_draw(gen, n, c)
 
     @wrap
-    def extinction_batch(gen, n, kind, p1, p2, t_max, out):
+    def extinction_batch(gen, out, cs, n, t_max):
         for i in range(out.shape[0]):
-            out[i] = extinction_time_draw(gen, n, kind, p1, p2, t_max)
+            out[i] = extinction_time_draw(gen, cs, n, t_max)
 
     @wrap
-    def single_drop_batch(gen, n, kind, p1, p2, out):
+    def single_drop_batch(gen, out, cs, n):
         for i in range(out.shape[0]):
-            out[i] = 1 if single_drop_draw(gen, n, kind, p1, p2) else 0
+            out[i] = 1 if single_drop_draw(gen, cs, n) else 0
 
     @wrap
     def first_passage_batch(gen, k, c, t_max, out_j, out_code):
@@ -343,11 +327,9 @@ def _build_backend(jit: bool) -> SimpleNamespace:
 
     return SimpleNamespace(
         name="numba" if jit else "python",
-        mortality_at=mortality_at,
         binomial_draw=binomial_draw,
         geometric_draw=geometric_draw,
         max_geometric_draw=max_geometric_draw,
-        step_draw=step_draw,
         extinction_time_draw=extinction_time_draw,
         trajectory_fill=trajectory_fill,
         single_drop_draw=single_drop_draw,
@@ -379,11 +361,9 @@ _active = get_backend(_HAVE_NUMBA and not numba_disabled())
 
 BACKEND = _active.name
 
-mortality_at = _active.mortality_at
 binomial_draw = _active.binomial_draw
 geometric_draw = _active.geometric_draw
 max_geometric_draw = _active.max_geometric_draw
-step_draw = _active.step_draw
 extinction_time_draw = _active.extinction_time_draw
 trajectory_fill = _active.trajectory_fill
 single_drop_draw = _active.single_drop_draw
@@ -404,21 +384,21 @@ def warmup() -> None:
     out_i = np.empty(2, dtype=np.int64)
     out_b = np.empty(2, dtype=np.uint8)
     out_c = np.empty(2, dtype=np.int64)
+    cs = np.array([0.5, 0.5])
     binomial_draw(gen, 10, 0.3)
     binomial_draw(gen, 100, 0.3)
     binomial_draw(gen, 5, 0.9)
     geometric_draw(gen, 0.5)
     max_geometric_draw(gen, 10, 0.5)
-    step_draw(gen, 5, 0.5)
-    extinction_time_draw(gen, 5, CONSTANT, 0.5, 0.0, 1000)
-    trajectory_fill(gen, 5, CONSTANT, 0.5, 0.0, 1000, np.empty(1001, dtype=np.int64))
-    single_drop_draw(gen, 5, CONSTANT, 0.5, 0.0)
+    extinction_time_draw(gen, cs, 5, 1000)
+    trajectory_fill(gen, np.empty(1001, dtype=np.int64), cs, 5, 1000)
+    single_drop_draw(gen, cs, 5)
     first_passage_draw(gen, 3, 0.3, 0)
     first_passage_stepped_draw(gen, 3, 0.3, 10**6)
     binomial_batch(gen, 10, 0.3, out_i)
     geometric_batch(gen, 0.5, out_i)
     max_geometric_batch(gen, 10, 0.5, out_i)
-    extinction_batch(gen, 5, CONSTANT, 0.5, 0.0, 1000, out_i)
-    single_drop_batch(gen, 5, CONSTANT, 0.5, 0.0, out_b)
+    extinction_batch(gen, out_i, cs, 5, 1000)
+    single_drop_batch(gen, out_b, cs, 5)
     first_passage_batch(gen, 3, 0.3, 0, out_i, out_c)
     first_passage_stepped_batch(gen, 3, 0.3, 10**6, out_i, out_c)

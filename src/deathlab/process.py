@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from ._parallel import run_chunked
-from .regimes import MortalityRegime, Table, kernel_code, min_mortality, mortality
+from .regimes import MortalityRegime, mortality, prepare
 from .rng import RngStream
 from .samplers import MAX_EXACT_COUNT, sample_binomial
 
@@ -99,7 +99,11 @@ def default_t_max(regime: MortalityRegime, n: int, target: float = CENSOR_TARGET
     P(alive at t) <= n * (1 - c_min)**t, with c_min the smallest mortality
     on the way down; invert that bound.
     """
-    c_min = min_mortality(regime, n)
+    return _censor_horizon(prepare(regime, n), n, target)
+
+
+def _censor_horizon(cs: np.ndarray, n: int, target: float = CENSOR_TARGET) -> int:
+    c_min = float(cs.min())
     if c_min >= 1.0:
         return max(n, 1)
     t = (math.log(target) - math.log(n)) / math.log1p(-c_min)
@@ -112,12 +116,14 @@ def step(x: int, c: float, rng: RngStream) -> int:
     return x - sample_binomial(rng, x, c)
 
 
-def _resolve_t_max(regime: MortalityRegime, n: int, t_max: int | None) -> int:
+def _prepare_run(regime: MortalityRegime, n: int, t_max: int | None) -> tuple[np.ndarray, int]:
+    """Mortality array and censoring horizon of a run from n, before any draw."""
+    cs = prepare(regime, n)
     if t_max is None:
-        return default_t_max(regime, n)
+        return cs, _censor_horizon(cs, n)
     if t_max < 1:
         raise ProcessError(f"t_max must be >= 1, got {t_max}")
-    return int(t_max)
+    return cs, int(t_max)
 
 
 def simulate_trajectory(
@@ -128,23 +134,13 @@ def simulate_trajectory(
 ) -> Trajectory:
     """Run the process from n until absorption at 0 or censoring at t_max."""
     n = _check_n(n)
-    t_max = _resolve_t_max(regime, n, t_max)
+    cs, t_max = _prepare_run(regime, n, t_max)
     if t_max > MAX_RECORDED_STEPS:
         raise ProcessError(
             f"recording {t_max} steps would need too much memory; lower t_max"
         )
     buf = np.empty(t_max + 1, dtype=np.int64)
-    if isinstance(regime, Table):
-        buf[0] = n
-        k, t = n, 0
-        while k > 0 and t < t_max:
-            k = step(k, mortality(regime, k, n), rng)
-            t += 1
-            buf[t] = k
-        ext = t if k == 0 else -1
-    else:
-        kind, p1, p2 = kernel_code(regime)
-        ext = int(kernels.trajectory_fill(rng.generator, n, kind, p1, p2, t_max, buf))
+    ext = int(kernels.trajectory_fill(rng.generator, buf, cs, n, t_max))
     if ext >= 0:
         return Trajectory(n, buf[: ext + 1].copy(), ext, t_max)
     return Trajectory(n, buf.copy(), None, t_max)
@@ -158,15 +154,8 @@ def extinction_time_sample(
 ) -> int | None:
     """Absorption time of one run; None when censored at t_max."""
     n = _check_n(n)
-    t_max = _resolve_t_max(regime, n, t_max)
-    if isinstance(regime, Table):
-        k, t = n, 0
-        while k > 0 and t < t_max:
-            k = step(k, mortality(regime, k, n), rng)
-            t += 1
-        return t if k == 0 else None
-    kind, p1, p2 = kernel_code(regime)
-    ext = int(kernels.extinction_time_draw(rng.generator, n, kind, p1, p2, t_max))
+    cs, t_max = _prepare_run(regime, n, t_max)
+    ext = int(kernels.extinction_time_draw(rng.generator, cs, n, t_max))
     return ext if ext >= 0 else None
 
 
@@ -180,22 +169,14 @@ def extinction_time_batch(
 ) -> np.ndarray:
     """Extinction times for ``samples`` independent runs (-1 = censored)."""
     n = _check_n(n)
-    t_max = _resolve_t_max(regime, n, t_max)
+    cs, t_max = _prepare_run(regime, n, t_max)
     if samples == 0:
         return np.empty(0, dtype=np.int64)
-    if isinstance(regime, Table):
 
-        def task(stream: RngStream, m: int) -> np.ndarray:
-            draws = [extinction_time_sample(n, regime, stream, t_max) for _ in range(m)]
-            return np.array([-1 if d is None else d for d in draws], dtype=np.int64)
-
-    else:
-        kind, p1, p2 = kernel_code(regime)
-
-        def task(stream: RngStream, m: int) -> np.ndarray:
-            out = np.empty(m, dtype=np.int64)
-            kernels.extinction_batch(stream.generator, n, kind, p1, p2, t_max, out)
-            return out
+    def task(stream: RngStream, m: int) -> np.ndarray:
+        out = np.empty(m, dtype=np.int64)
+        kernels.extinction_batch(stream.generator, out, cs, n, t_max)
+        return out
 
     return np.concatenate(run_chunked(rng, samples, task, workers))
 
@@ -209,16 +190,7 @@ def observe_single_drop_path(n: int, regime: MortalityRegime, rng: RngStream) ->
     n = _check_n(n, minimum=0)
     if n == 0:
         return True
-    if isinstance(regime, Table):
-        k = n
-        while k > 0:
-            nxt = step(k, mortality(regime, k, n), rng)
-            if k - nxt > 1:
-                return False
-            k = nxt
-        return True
-    kind, p1, p2 = kernel_code(regime)
-    return bool(kernels.single_drop_draw(rng.generator, n, kind, p1, p2))
+    return bool(kernels.single_drop_draw(rng.generator, prepare(regime, n), n))
 
 
 def single_drop_batch(
@@ -230,24 +202,16 @@ def single_drop_batch(
 ) -> np.ndarray:
     """Boolean single-drop outcomes for ``samples`` independent runs."""
     n = _check_n(n, minimum=0)
-    if samples == 0:
-        return np.empty(0, dtype=bool)
     if n == 0:
         return np.ones(samples, dtype=bool)
-    if isinstance(regime, Table):
+    cs = prepare(regime, n)
+    if samples == 0:
+        return np.empty(0, dtype=bool)
 
-        def task(stream: RngStream, m: int) -> np.ndarray:
-            return np.array(
-                [observe_single_drop_path(n, regime, stream) for _ in range(m)], dtype=np.uint8
-            )
-
-    else:
-        kind, p1, p2 = kernel_code(regime)
-
-        def task(stream: RngStream, m: int) -> np.ndarray:
-            out = np.empty(m, dtype=np.uint8)
-            kernels.single_drop_batch(stream.generator, n, kind, p1, p2, out)
-            return out
+    def task(stream: RngStream, m: int) -> np.ndarray:
+        out = np.empty(m, dtype=np.uint8)
+        kernels.single_drop_batch(stream.generator, out, cs, n)
+        return out
 
     return np.concatenate(run_chunked(rng, samples, task, workers)).astype(bool)
 

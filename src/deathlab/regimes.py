@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from . import kernels
+import numpy as np
 
 
 class RegimeError(ValueError):
@@ -113,7 +113,10 @@ def mortality(regime: MortalityRegime, k: int, n: int) -> float:
     elif isinstance(regime, StatePower):
         value = regime.a * float(k) ** (-regime.gamma)
     elif isinstance(regime, JointPower):
-        value = float(k) ** regime.alpha / float(n) ** regime.beta
+        try:
+            value = float(k) ** regime.alpha / float(n) ** regime.beta
+        except OverflowError:
+            raise RegimeError(f"{regime} overflows a double at (k={k}, n={n})") from None
     elif isinstance(regime, Table):
         try:
             return regime.values[(k, n)]
@@ -133,27 +136,19 @@ def mortality_vector(regime: MortalityRegime, n: int) -> list[float]:
     return [mortality(regime, k, n) for k in range(1, n + 1)]
 
 
-def min_mortality(regime: MortalityRegime, n: int) -> float:
-    """Smallest mortality met on the way from n to 0 (sets censoring bounds)."""
-    if isinstance(regime, Table):
-        return min(p for (k, m), p in regime.values.items() if m == n and k <= n)
-    if isinstance(regime, (Constant, InitialPower)):
-        return mortality(regime, 1, n)
-    # power-in-k families are monotone in k, so an endpoint attains the min
-    return min(mortality(regime, 1, n), mortality(regime, n, n))
+def prepare(regime: MortalityRegime, n: int) -> np.ndarray:
+    """The mortality array every process kernel reads, validated up front.
 
-
-def kernel_code(regime: MortalityRegime) -> tuple[int, float, float]:
-    """Encode a parametric regime for the numeric kernels."""
-    if isinstance(regime, Constant):
-        return kernels.CONSTANT, regime.c, 0.0
-    if isinstance(regime, InitialPower):
-        return kernels.INITIAL_POWER, regime.a, regime.gamma
-    if isinstance(regime, StatePower):
-        return kernels.STATE_POWER, regime.a, regime.gamma
-    if isinstance(regime, JointPower):
-        return kernels.JOINT_POWER, regime.alpha, regime.beta
-    raise RegimeError(f"{type(regime).__name__} regimes have no kernel encoding")
+    Entry k is ``mortality(regime, k, n)``, so every entry lies in (0, 1]
+    and an incomplete ``Table`` fails here, before any draw.  The last
+    entry holds for every state above it: ``Constant`` and
+    ``InitialPower`` do not depend on k and get two entries, so a huge n
+    costs O(1) memory; the other regimes get n+1.  Entry 0 repeats entry
+    1 (state 0 is absorbing, so no kernel reads it).
+    """
+    top = 1 if isinstance(regime, (Constant, InitialPower)) else n
+    values = [mortality(regime, k, n) for k in range(1, top + 1)]
+    return np.array(values[:1] + values, dtype=np.float64)
 
 
 def to_json(regime: MortalityRegime) -> str:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from deathlab import kernels
+from deathlab.regimes import Constant, JointPower, StatePower, prepare
 from deathlab.rng import make_stream
 
 pytestmark = pytest.mark.skipif(
@@ -59,15 +60,17 @@ def test_process_kernels_identical(backends):
     g1, g2 = _pair_of_generators(20)
     a = np.empty(2000, dtype=np.int64)
     b = np.empty(2000, dtype=np.int64)
-    nb.extinction_batch(g1, 50, kernels.CONSTANT, 0.2, 0.0, 10**6, a)
-    py.extinction_batch(g2, 50, kernels.CONSTANT, 0.2, 0.0, 10**6, b)
+    cs = prepare(Constant(0.2), 50)
+    nb.extinction_batch(g1, a, cs, 50, 10**6)
+    py.extinction_batch(g2, b, cs, 50, 10**6)
     assert np.array_equal(a, b)
 
     g1, g2 = _pair_of_generators(21)
     ab = np.empty(1000, dtype=np.uint8)
     bb = np.empty(1000, dtype=np.uint8)
-    nb.single_drop_batch(g1, 10, kernels.JOINT_POWER, 1.0, 2.0, ab)
-    py.single_drop_batch(g2, 10, kernels.JOINT_POWER, 1.0, 2.0, bb)
+    cs = prepare(JointPower(1.0, 2.0), 10)
+    nb.single_drop_batch(g1, ab, cs, 10)
+    py.single_drop_batch(g2, bb, cs, 10)
     assert np.array_equal(ab, bb)
 
     g1, g2 = _pair_of_generators(22)
@@ -92,8 +95,9 @@ def test_trajectory_fill_identical(backends):
     g1, g2 = _pair_of_generators(30)
     a = np.zeros(1001, dtype=np.int64)
     b = np.zeros(1001, dtype=np.int64)
-    ea = nb.trajectory_fill(g1, 30, kernels.STATE_POWER, 0.5, 1.0, 1000, a)
-    eb = py.trajectory_fill(g2, 30, kernels.STATE_POWER, 0.5, 1.0, 1000, b)
+    cs = prepare(StatePower(0.5, 1.0), 30)
+    ea = nb.trajectory_fill(g1, a, cs, 30, 1000)
+    eb = py.trajectory_fill(g2, b, cs, 30, 1000)
     assert ea == eb
     assert np.array_equal(a, b)
 
@@ -114,14 +118,3 @@ def test_env_flag_selects_python_backend():
 def test_default_backend_is_numba_here():
     assert kernels.BACKEND == "numba"
 
-
-def test_mortality_at_matches_regime_module(backends):
-    from deathlab.regimes import JointPower, StatePower, kernel_code, mortality
-
-    nb, _ = backends
-    for regime in (StatePower(0.5, 1.5), JointPower(1.0, 4.0)):
-        kind, p1, p2 = kernel_code(regime)
-        for k, n in [(1, 10), (5, 10), (10, 10)]:
-            assert nb.mortality_at(kind, p1, p2, k, n) == pytest.approx(
-                mortality(regime, k, n), rel=1e-15
-            )

@@ -9,9 +9,11 @@ from deathlab import (
     Censored,
     Constant,
     Finite,
+    InitialPower,
     JointPower,
     JumpedOver,
     ProcessError,
+    RegimeError,
     StatePower,
     Table,
     default_t_max,
@@ -86,13 +88,45 @@ def test_censoring_rare_at_default_t_max():
 
 
 def test_mortality_uses_current_state():
-    # a Table clone of the joint regime must replay the identical path
+    # a Table clone of the joint regime must replay the identical draws
     n = 3
     joint = JointPower(1.0, 4.0)
     table = Table({(k, n): k / n**4 for k in range(1, n + 1)})
     a = simulate_trajectory(n, joint, make_stream(4, 0), t_max=10**6)
     b = simulate_trajectory(n, table, make_stream(4, 0), t_max=10**6)
     assert a.states.tolist() == b.states.tolist()
+    a = extinction_time_batch(n, joint, make_stream(4, 1), 200)
+    b = extinction_time_batch(n, table, make_stream(4, 1), 200)
+    assert np.array_equal(a, b)
+    a = single_drop_batch(n, joint, make_stream(4, 2), 200)
+    b = single_drop_batch(n, table, make_stream(4, 2), 200)
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: single_drop_batch(5, StatePower(2.0, 0.5), s, 8),  # c_1 = 2
+        lambda s: extinction_time_batch(5, StatePower(2.0, 0.5), s, 8, t_max=10),
+        lambda s: simulate_trajectory(2, InitialPower(5.0, 1.0), s),  # c_2 = 2.5
+        lambda s: simulate_trajectory(3, Table({(1, 3): 0.5, (3, 3): 0.5}), s, t_max=10),
+    ],
+    ids=["single_drop_c_above_one", "extinction_c_above_one", "trajectory_c_above_one",
+         "table_missing_a_state"],
+)
+def test_invalid_mortality_rejected_before_any_draw(call):
+    s = make_stream(4, 3)
+    before = s.serialize()
+    with pytest.raises(RegimeError):
+        call(s)
+    assert s.serialize() == before
+
+
+def test_run_constant_regime_at_huge_n():
+    # two mortality entries whatever n is, so 10**12 individuals cost O(1) memory
+    times = extinction_time_batch(10**12, Constant(0.5), make_stream(4, 4), 10)
+    assert times.shape == (10,)
+    assert np.all(times > 0)
 
 
 def test_extinction_matches_geometric_at_n1():

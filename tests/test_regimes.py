@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deathlab.process import default_t_max
 from deathlab.regimes import (
     Constant,
     InitialPower,
@@ -14,11 +16,10 @@ from deathlab.regimes import (
     Table,
     describe,
     from_json,
-    kernel_code,
-    min_mortality,
     mortality,
     mortality_vector,
     parse_inline,
+    prepare,
     to_json,
 )
 
@@ -90,6 +91,10 @@ def test_table_allows_certain_death():
 def test_table_miss_raises():
     with pytest.raises(RegimeError):
         mortality(Table({(1, 1): 0.5}), 1, 2)
+    with pytest.raises(RegimeError):
+        prepare(Table({(1, 1): 0.5}), 2)
+    with pytest.raises(RegimeError, match="k=2, n=3"):
+        prepare(Table({(1, 3): 0.5, (3, 3): 0.5}), 3)  # one state missing
 
 
 def test_out_of_range_states():
@@ -102,24 +107,74 @@ def test_out_of_range_states():
 def test_power_regime_rejects_value_above_one():
     with pytest.raises(RegimeError):
         mortality(StatePower(2.0, 1.0), 1, 5)  # c_1 = 2
+    with pytest.raises(RegimeError):
+        prepare(StatePower(2.0, 0.5), 5)
+    with pytest.raises(RegimeError):
+        prepare(InitialPower(5.0, 1.0), 2)  # c_2 = 2.5
 
 
 def test_mortality_vector_and_min():
     regime = StatePower(0.5, 1.0)
     vec = mortality_vector(regime, 4)
     assert vec == [0.5, 0.25, 0.5 / 3, 0.125]
-    assert min_mortality(regime, 4) == 0.125
-    assert min_mortality(Constant(0.3), 9) == 0.3
-    assert min_mortality(JointPower(1.0, 4.0), 4) == mortality(JointPower(1.0, 4.0), 1, 4)
+    assert prepare(regime, 4).min() == 0.125
+    assert prepare(Constant(0.3), 9).min() == 0.3
+    assert prepare(JointPower(1.0, 4.0), 4).min() == mortality(JointPower(1.0, 4.0), 1, 4)
+    # the censoring horizon depends on the regime only through that minimum
+    assert default_t_max(regime, 4) == default_t_max(Constant(0.125), 4)
+    assert default_t_max(regime, 4) == math.ceil((math.log(1e-9) - math.log(4)) / math.log1p(-0.125))
 
 
-def test_kernel_code_roundtrip():
-    from deathlab import kernels
+def test_prepare_encodes_every_regime():
+    # entry k is c at state k; entry 0 repeats entry 1; the last entry holds above it
+    assert prepare(Constant(0.3), 10).tolist() == [0.3, 0.3]
+    c_n = mortality(InitialPower(1.0, 3.0), 1, 10)
+    assert prepare(InitialPower(1.0, 3.0), 10).tolist() == [c_n, c_n]
+    joint = JointPower(1.0, 4.0)
+    assert prepare(joint, 4).tolist() == [mortality(joint, k, 4) for k in (1, 1, 2, 3, 4)]
+    table = Table({(1, 2): 0.25, (2, 2): 0.75})
+    assert prepare(table, 2).tolist() == [0.25, 0.25, 0.75]
+    assert prepare(Constant(0.5), 10**12).size == 2  # O(1) memory for run-constant regimes
 
-    assert kernel_code(Constant(0.3)) == (kernels.CONSTANT, 0.3, 0.0)
-    assert kernel_code(JointPower(1.0, 4.0)) == (kernels.JOINT_POWER, 1.0, 4.0)
+
+def test_joint_power_overflow_is_a_domain_error():
+    # 40**193 overflows a double; the regime must fail as a domain error
     with pytest.raises(RegimeError):
-        kernel_code(Table({(1, 1): 0.5}))
+        mortality(JointPower(1.0, 193.0), 1, 40)
+
+
+@st.composite
+def _start_and_regime_args(draw):
+    """A start n and a family with arguments that may or may not construct."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    family = draw(st.sampled_from([Constant, InitialPower, StatePower, JointPower, Table]))
+    if family is Constant:
+        return n, Constant, (draw(st.floats(min_value=-0.5, max_value=1.5)),)
+    if family is Table:
+        probs = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n))
+        missing = draw(st.sets(st.integers(min_value=1, max_value=n), max_size=1))
+        return n, Table, ({(k, n): p for k, p in enumerate(probs, 1) if k not in missing},)
+    scale = draw(st.floats(min_value=1e-6, max_value=20.0))
+    return n, family, (scale, draw(st.floats(min_value=1e-3, max_value=500.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=_start_and_regime_args())
+def test_prepare_validates_every_constructible_regime_property(args):
+    n, build, params = args
+    try:
+        regime = build(*params)
+    except RegimeError:
+        return  # not constructible
+    try:
+        cs = prepare(regime, n)
+    except RegimeError:
+        return  # rejected before any draw
+    assert cs.dtype == np.float64
+    assert np.all((cs > 0.0) & (cs <= 1.0))
+    last = cs.size - 1
+    for k in range(1, n + 1):
+        assert cs[min(k, last)] == mortality(regime, k, n)
 
 
 @pytest.mark.parametrize(
