@@ -28,25 +28,19 @@ from .analytics import (
 )
 from .kernels import BACKEND, warmup
 from .limits import (
-    ImplosionRun,
     ScaledPassageBatch,
     SweepRow,
-    TrendPoint,
-    finite_probability_trend,
     implosion_batch,
     implosion_truncation_sweep,
     scaled_passage_batch,
     scaling_constant,
-    simulate_implosion,
 )
 from .oracle import (
     OracleError,
-    StateDistribution,
     exact_extinction_curve,
     exact_jump_law,
     exact_passage_law,
     exact_single_drop_path_prob,
-    exact_state_distribution,
     mgf_by_summation,
     state_distribution_history,
 )
@@ -62,7 +56,6 @@ from .process import (
     extinction_time_batch,
     extinction_time_sample,
     first_passage_batch,
-    first_passage_from_trajectory,
     first_passage_sample,
     first_passage_sample_stepped,
     observe_single_drop_path,

@@ -58,7 +58,7 @@ from .regimes import (
     mortality_vector,
     to_json,
 )
-from .rng import make_stream
+from .rng import RngStream, make_stream
 from .samplers import sample_geometric_batch, sample_max_geometric_batch
 from .stats import SampleSummary, ks_critical_value, ks_statistic, ks_two_sample, ks_two_sample_critical
 
@@ -120,6 +120,60 @@ def _ks_row(label: str, distance: float, critical: float, note: str = "") -> Rep
     )
 
 
+def _grid_row(label: str, points, tol: float, note: str = "") -> ReportRow:
+    """Closed form vs oracle at the first grid point where they differ most;
+    ``points`` yields ``(closed, oracle, where)``."""
+    worst = (0.0, None, None, "")
+    for closed, oracle, where in points:
+        diff = abs(closed - oracle)
+        if diff > worst[0]:
+            worst = (diff, closed, oracle, where)
+    return ReportRow.compare(
+        f"{label} (grid worst: {worst[3]})", worst[1], oracle=worst[2], tol=tol, note=note
+    )
+
+
+def _with_oracle(row: ReportRow, oracle: float | None, tol: float) -> ReportRow:
+    # a Monte Carlo row with an oracle also needs the closed form to match it
+    if oracle is not None:
+        row.oracle = oracle
+        row.passed = row.passed and abs(row.closed_form - oracle) <= tol
+    return row
+
+
+def _exponential_ks_row(label: str, scaled_times: np.ndarray, rate: float) -> ReportRow:
+    dist = ks_statistic(SampleSummary.from_samples(scaled_times), exponential_cdf_callable(rate))
+    return _ks_row(label, dist, ks_critical_value(scaled_times.size, KS_LEVEL))
+
+
+def _ratio_rows(
+    report: AnalyticReport, n: int, c: float, eps: float, samples: int, stream: RngStream, tag: str
+) -> None:
+    """The tau/d_n ratio experiment by max-of-geometrics inversion: the
+    mean ratio and the fraction beyond eps, each against its exact value."""
+    d = typical_extinction_time(n, c)
+    ratios = sample_max_geometric_batch(stream, n, c, samples) / d
+    summary = SampleSummary.from_samples(ratios)
+    report.add(
+        ReportRow.compare(
+            f"mean tau/d_n [{tag}]",
+            expected_extinction_time(n, c) / d,
+            monte_carlo=(summary.mean, 4 * summary.stderr),
+            note="exact mean by survival-function summation",
+        )
+    )
+    report.add(
+        ReportRow.wilson(
+            f"P(|tau/d_n - 1| > {eps:g}) [{tag}]",
+            exceedance_probability(n, c, eps),
+            int(np.count_nonzero(np.abs(ratios - 1.0) > eps)),
+            samples,
+            MC_LEVEL,
+            note="exact value from the CDF",
+        )
+    )
+
+
 def build_extinct_report(
     n: int,
     regime: MortalityRegime,
@@ -165,13 +219,8 @@ def build_extinct_report(
         closed = extinction_cdf(n, c, t)
         dp = None if oracle_curve is None else float(oracle_curve[t])
         hits = int(np.count_nonzero((times >= 0) & (times <= t)))
-        row = ReportRow.wilson(
-            f"P(extinct by t={t}) [n={n}, {tag}]", closed, hits, samples, MC_LEVEL
-        )
-        if dp is not None:
-            row.oracle = dp
-            row.passed = row.passed and abs(closed - dp) <= tolerance
-        report.add(row)
+        row = ReportRow.wilson(f"P(extinct by t={t}) [n={n}, {tag}]", closed, hits, samples, MC_LEVEL)
+        report.add(_with_oracle(row, dp, tolerance))
         csv_rows.append((t, closed, dp, hits / samples))
     if censored:
         report.add(
@@ -181,32 +230,9 @@ def build_extinct_report(
             )
         )
     if ratio_n is not None:
-        d = typical_extinction_time(ratio_n, ratio_c)
-        ratio_draws = sample_max_geometric_batch(
-            make_stream(seed, 1), ratio_n, ratio_c, ratio_samples
-        )
-        ratios = ratio_draws / d
-        summary = SampleSummary.from_samples(ratios)
-        exact_mean_ratio = expected_extinction_time(ratio_n, ratio_c) / d
-        report.add(
-            ReportRow.compare(
-                f"mean tau/d_n [n={ratio_n:g}, c={ratio_c:g}]",
-                exact_mean_ratio,
-                monte_carlo=(summary.mean, 4 * summary.stderr),
-                note="exact mean by survival-function summation",
-            )
-        )
-        exact_frac = exceedance_probability(ratio_n, ratio_c, ratio_eps)
-        exceed = int(np.count_nonzero(np.abs(ratios - 1.0) > ratio_eps))
-        report.add(
-            ReportRow.wilson(
-                f"P(|tau/d_n - 1| > {ratio_eps:g}) [n={ratio_n:g}, c={ratio_c:g}]",
-                exact_frac,
-                exceed,
-                ratio_samples,
-                MC_LEVEL,
-                note="exact value from the CDF",
-            )
+        _ratio_rows(
+            report, ratio_n, ratio_c, ratio_eps, ratio_samples, make_stream(seed, 1),
+            f"n={ratio_n:g}, c={ratio_c:g}",
         )
     return report, csv_rows
 
@@ -243,10 +269,7 @@ def build_path_report(
         )
         finite = int(np.count_nonzero(codes == kernels.FINITE))
         row = ReportRow.wilson(f"P(single drop from k={k}) [{tag}]", closed, finite, samples, MC_LEVEL)
-        if orac is not None:
-            row.oracle = orac
-            row.passed = row.passed and abs(closed - orac) <= tolerance
-        report.add(row)
+        report.add(_with_oracle(row, orac, tolerance))
     closed_path = single_drop_path_prob(n, mortalities)
     flags = single_drop_batch(n, regime, make_stream(seed, n + 1), samples, workers=workers)
     row = ReportRow.wilson(
@@ -256,11 +279,8 @@ def build_path_report(
         samples,
         MC_LEVEL,
     )
-    if n <= MAX_STATE:
-        orac_path = exact_single_drop_path_prob(n, regime)
-        row.oracle = orac_path
-        row.passed = row.passed and abs(closed_path - orac_path) <= tolerance
-    report.add(row)
+    orac_path = exact_single_drop_path_prob(n, regime) if n <= MAX_STATE else None
+    report.add(_with_oracle(row, orac_path, tolerance))
     bound = _applicable_bound(n, regime, mortalities)
     if bound is not None:
         label, value = bound
@@ -352,11 +372,9 @@ def build_passage_report(
     for j in range(1, j_max + 1):
         closed = passage_pmf(k, c, j)
         hits = int(np.count_nonzero(finite_mask & (times == j)))
+        orac = None if pmf_oracle is None else float(pmf_oracle[j - 1])
         row = ReportRow.wilson(f"P(T=j) at j={j} [{tag}]", closed, hits, samples, MC_LEVEL)
-        if pmf_oracle is not None:
-            row.oracle = float(pmf_oracle[j - 1])
-            row.passed = row.passed and abs(closed - row.oracle) <= tolerance
-        report.add(row)
+        report.add(_with_oracle(row, orac, tolerance))
     closed_mass = single_drop_prob(k, c)
     row = ReportRow.wilson(
         f"P(T finite) [{tag}]", closed_mass, int(np.count_nonzero(finite_mask)), samples, MC_LEVEL
@@ -387,15 +405,8 @@ def build_passage_report(
         )
         rate = limit_passage_rate(regime, k, lam)
         finite_count = int(round(batch.finite_fraction * m))
-        dist = ks_statistic(
-            SampleSummary.from_samples(batch.scaled_times), exponential_cdf_callable(rate)
-        )
-        crit = ks_critical_value(batch.scaled_times.size, KS_LEVEL)
-        report.add(
-            _ks_row(
-                f"scaled passage vs Exponential({rate:g}) [k={k}, n={limit_n}]", dist, crit
-            )
-        )
+        label = f"scaled passage vs Exponential({rate:g}) [k={k}, n={limit_n}]"
+        report.add(_exponential_ks_row(label, batch.scaled_times, rate))
         c_limit = mortality(regime, k, limit_n)
         report.add(
             ReportRow.wilson(
@@ -421,7 +432,7 @@ def build_implode_outputs(
     """Implosion totals vs the certified series, plus the truncation sweep."""
     config = {"alpha": alpha, "K": K, "runs": runs, "sweep": sweep}
     report = AnalyticReport(meta=report_meta("implode", config, seed))
-    totals, _ = implosion_batch(alpha, K, runs, make_stream(seed, 0), workers=workers)
+    totals = implosion_batch(alpha, K, runs, make_stream(seed, 0), workers=workers)
     partial, tail = implosion_expected_time(alpha, K)
     mean = float(totals.mean())
     stderr = float(totals.std(ddof=1) / math.sqrt(runs))
@@ -493,48 +504,28 @@ def build_verify_report(
     tol = tolerance
 
     # --- identities -------------------------------------------------------
-    worst = (0.0, None, None, "")
-    for c in (0.05, 0.3, 0.9):
-        curve_t = 50
-        for n in range(1, 16):
-            dp = exact_extinction_curve(n, Constant(c), curve_t)
-            for t in range(curve_t + 1):
-                closed = extinction_cdf(n, c, t)
-                diff = abs(closed - dp[t])
-                if diff > worst[0]:
-                    worst = (diff, closed, dp[t], f"n={n}, c={c}, t={t}")
-    report.add(
-        ReportRow.compare(
-            f"extinction CDF vs DP (grid worst: {worst[3]})", worst[1], oracle=worst[2], tol=tol
-        )
-    )
+    def extinction_points():
+        for c in (0.05, 0.3, 0.9):
+            for n in range(1, 16):
+                dp = exact_extinction_curve(n, Constant(c), 50)
+                for t in range(51):
+                    yield extinction_cdf(n, c, t), dp[t], f"n={n}, c={c}, t={t}"
 
-    # constant mortality thins each individual independently, so the whole
-    # DP state law must equal Binomial(n, (1-c)^t)
-    worst = (0.0, None, None, "")
-    for c in (0.1, 0.5):
-        for n in (4, 11, 20):
-            history = state_distribution_history(n, Constant(c), 40)
-            for t in (1, 3, 10, 40):
-                p_alive = (1.0 - c) ** t
-                pmf = np.array(
-                    [
-                        math.comb(n, x) * p_alive**x * (1 - p_alive) ** (n - x)
-                        for x in range(n + 1)
-                    ]
-                )
-                idx = int(np.argmax(np.abs(history[t] - pmf)))
-                diff = abs(history[t][idx] - pmf[idx])
-                if diff > worst[0]:
-                    worst = (diff, float(history[t][idx]), float(pmf[idx]), f"n={n}, c={c}, t={t}")
-    report.add(
-        ReportRow.compare(
-            f"DP state law vs thinned binomial (grid worst: {worst[3]})",
-            worst[1],
-            oracle=worst[2],
-            tol=tol,
-        )
-    )
+    report.add(_grid_row("extinction CDF vs DP", extinction_points(), tol))
+
+    def thinned_binomial_points():
+        # constant mortality thins each individual independently, so the
+        # whole DP state law must equal Binomial(n, (1-c)^t)
+        for c in (0.1, 0.5):
+            for n in (4, 11, 20):
+                history = state_distribution_history(n, Constant(c), 40)
+                for t in (1, 3, 10, 40):
+                    p_alive = (1.0 - c) ** t
+                    for x in range(n + 1):
+                        pmf = math.comb(n, x) * p_alive**x * (1 - p_alive) ** (n - x)
+                        yield float(history[t][x]), pmf, f"n={n}, c={c}, t={t}"
+
+    report.add(_grid_row("DP state law vs thinned binomial", thinned_binomial_points(), tol))
 
     worst_rel, at = 0.0, ""
     for c in (0.05, 0.3, 0.5, 0.95):
@@ -555,84 +546,44 @@ def build_verify_report(
         )
     )
 
-    grid_k = (1, 2, 3, 5, 10, 20, 30)
-    grid_c = (0.05, 0.1, 0.3, 0.5, 0.9)
-    worst = (0.0, None, None, "")
-    for k in grid_k:
-        for c in grid_c:
-            closed = single_drop_prob(k, c)
-            orac = float(exact_jump_law(k, c)[0])
-            diff = abs(closed - orac)
-            if diff > worst[0]:
-                worst = (diff, closed, orac, f"k={k}, c={c}")
-    report.add(
-        ReportRow.compare(
-            f"single-drop prob vs oracle jump law (grid worst: {worst[3]})",
-            worst[1],
-            oracle=worst[2],
-            tol=tol,
-        )
+    drop_grid = [(k, c) for k in (1, 2, 3, 5, 10, 20, 30) for c in (0.05, 0.1, 0.3, 0.5, 0.9)]
+    jump_points = (
+        (single_drop_prob(k, c), float(exact_jump_law(k, c)[0]), f"k={k}, c={c}")
+        for k, c in drop_grid
     )
+    report.add(_grid_row("single-drop prob vs oracle jump law", jump_points, tol))
+    entry_points = (
+        (single_drop_prob(k, c), float(drop_distribution(k, c)[k - 1]), f"k={k}, c={c}")
+        for k, c in drop_grid
+    )
+    report.add(_grid_row("single-drop prob vs drop distribution entry", entry_points, tol))
+    path_points = (
+        (single_drop_path_prob(n, [c] * n), exact_single_drop_path_prob(n, Constant(c)), f"n={n}, c={c}")
+        for c in (0.05, 0.1, 0.3)
+        for n in range(0, 11)
+    )
+    report.add(_grid_row("single-drop path prob vs oracle", path_points, tol))
 
-    worst = (0.0, None, None, "")
-    for k in grid_k:
-        for c in grid_c:
-            closed = single_drop_prob(k, c)
-            entry = float(drop_distribution(k, c)[k - 1])
-            diff = abs(closed - entry)
-            if diff > worst[0]:
-                worst = (diff, closed, entry, f"k={k}, c={c}")
-    report.add(
-        ReportRow.compare(
-            f"single-drop prob vs drop distribution entry (grid worst: {worst[3]})",
-            worst[1],
-            oracle=worst[2],
-            tol=tol,
-        )
-    )
-
-    worst = (0.0, None, None, "")
-    for c in (0.05, 0.1, 0.3):
-        for n in range(0, 11):
-            mort = [c] * n
-            closed = single_drop_path_prob(n, mort)
-            orac = exact_single_drop_path_prob(n, Constant(c))
-            diff = abs(closed - orac)
-            if diff > worst[0]:
-                worst = (diff, closed, orac, f"n={n}, c={c}")
-    report.add(
-        ReportRow.compare(
-            f"single-drop path prob vs oracle (grid worst: {worst[3]})",
-            worst[1],
-            oracle=worst[2],
-            tol=tol,
-        )
-    )
+    def bound_points():
+        # (exact path prob, lower bound, where) for the three bound families
+        for c in (0.05, 0.1, 0.3, 0.5):
+            for n in range(1, 13):
+                exact = single_drop_path_prob(n, [c] * n)
+                yield exact, path_prob_lower_bound_constant(n, c), f"n={n}, c={c}"
+        state = StatePower(1.0, 3.0)
+        for n in range(1, 13):
+            mort = mortality_vector(state, n)
+            yield single_drop_path_prob(n, mort), path_prob_lower_bound_state(n, mort), f"state n={n}"
+        joint = JointPower(1.0, 4.0)
+        for n in range(2, 11):
+            exact = single_drop_path_prob(n, mortality_vector(joint, n))
+            yield exact, path_prob_lower_bound_joint(n, joint.alpha, joint.beta), f"joint n={n}"
 
     ok, tight = True, (math.inf, None, None, "")
-    for c in (0.05, 0.1, 0.3, 0.5):
-        for n in range(1, 13):
-            exact = single_drop_path_prob(n, [c] * n)
-            bound = path_prob_lower_bound_constant(n, c)
-            ok = ok and bound <= exact + tol
-            if exact - bound < tight[0]:
-                tight = (exact - bound, exact, bound, f"n={n}, c={c}")
-    state = StatePower(1.0, 3.0)
-    for n in range(1, 13):
-        mort = mortality_vector(state, n)
-        exact = single_drop_path_prob(n, mort)
-        bound = path_prob_lower_bound_state(n, mort)
+    for exact, bound, where in bound_points():
         ok = ok and bound <= exact + tol
         if exact - bound < tight[0]:
-            tight = (exact - bound, exact, bound, f"state n={n}")
-    joint = JointPower(1.0, 4.0)
-    for n in range(2, 11):
-        mort = mortality_vector(joint, n)
-        exact = single_drop_path_prob(n, mort)
-        bound = path_prob_lower_bound_joint(n, joint.alpha, joint.beta)
-        ok = ok and bound <= exact + tol
-        if exact - bound < tight[0]:
-            tight = (exact - bound, exact, bound, f"joint n={n}")
+            tight = (exact - bound, exact, bound, where)
     report.add(
         ReportRow(
             f"lower bounds <= exact path prob (tightest: {tight[3]})",
@@ -676,39 +627,23 @@ def build_verify_report(
         )
     )
 
-    worst = (0.0, None, None, "")
-    for k in (1, 2, 3, 5, 10):
-        for c in (0.1, 0.3, 0.5):
-            closed = passage_mgf(k, c, 0.0)
-            target = single_drop_prob(k, c)
-            diff = abs(closed - target)
-            if diff > worst[0]:
-                worst = (diff, closed, target, f"k={k}, c={c}")
-    report.add(
-        ReportRow.compare(
-            f"MGF at s=0 vs single-drop prob (grid worst: {worst[3]})",
-            worst[1],
-            oracle=worst[2],
-            tol=tol,
-        )
+    mgf_grid = [(k, c) for k in (1, 2, 3, 5, 10) for c in (0.1, 0.3, 0.5)]
+    mass_points = (
+        (passage_mgf(k, c, 0.0), single_drop_prob(k, c), f"k={k}, c={c}") for k, c in mgf_grid
     )
+    report.add(_grid_row("MGF at s=0 vs single-drop prob", mass_points, tol))
+
+    def mgf_series_points(frac, series_tol):
+        for k, c in mgf_grid:
+            s = frac * passage_mgf_domain(k, c)
+            yield passage_mgf(k, c, s), mgf_by_summation(k, c, s, tol=series_tol), f"k={k}, c={c}"
 
     for frac, tol_factor in ((0.5, 1.0), (0.99, 1e3)):
-        worst = (0.0, None, None, "")
-        for k in (1, 2, 3, 5, 10):
-            for c in (0.1, 0.3, 0.5):
-                s = frac * passage_mgf_domain(k, c)
-                closed = passage_mgf(k, c, s)
-                series = mgf_by_summation(k, c, s, tol=tol * tol_factor / 10.0)
-                diff = abs(closed - series)
-                if diff > worst[0]:
-                    worst = (diff, closed, series, f"k={k}, c={c}")
         report.add(
-            ReportRow.compare(
-                f"MGF vs series at {frac:g} of domain (grid worst: {worst[3]})",
-                worst[1],
-                oracle=worst[2],
-                tol=tol * tol_factor,
+            _grid_row(
+                f"MGF vs series at {frac:g} of domain",
+                mgf_series_points(frac, tol * tol_factor / 10.0),
+                tol * tol_factor,
                 note="" if tol_factor == 1.0 else "relaxed x1000 near the boundary",
             )
         )
@@ -736,6 +671,10 @@ def build_verify_report(
         )
 
     # --- Monte Carlo corroboration ---------------------------------------
+    def wilson_row(label: str, closed: float, hits: int) -> None:
+        report.add(ReportRow.wilson(label, closed, hits, samples, MC_LEVEL))
+
+    two_sample_critical = ks_two_sample_critical(samples, samples, KS_LEVEL)
     ext = extinction_time_batch(50, Constant(0.2), make_stream(seed, 10), samples, workers=workers)
     dist = ks_statistic(
         SampleSummary.from_samples(ext.astype(np.float64)),
@@ -746,70 +685,30 @@ def build_verify_report(
 
     maxg = sample_max_geometric_batch(make_stream(seed, 11), 50, 0.2, samples)
     dist = ks_two_sample(ext.astype(np.float64), maxg.astype(np.float64))
-    report.add(
-        _ks_row(
-            "extinction vs max-of-geometrics [n=50, c=0.2]",
-            dist,
-            ks_two_sample_critical(samples, samples, KS_LEVEL),
-        )
-    )
+    report.add(_ks_row("extinction vs max-of-geometrics [n=50, c=0.2]", dist, two_sample_critical))
 
-    ratio_n, ratio_c = 10**6, 0.1
-    d = typical_extinction_time(ratio_n, ratio_c)
-    ratios = sample_max_geometric_batch(make_stream(seed, 12), ratio_n, ratio_c, samples) / d
-    ratio_summary = SampleSummary.from_samples(ratios)
-    report.add(
-        ReportRow.compare(
-            "mean tau/d_n [n=10^6, c=0.1]",
-            expected_extinction_time(ratio_n, ratio_c) / d,
-            monte_carlo=(ratio_summary.mean, 4 * ratio_summary.stderr),
-            note="exact mean by survival-function summation",
-        )
-    )
-    exact_frac = exceedance_probability(ratio_n, ratio_c, 0.1)
-    report.add(
-        ReportRow.wilson(
-            "P(|tau/d_n - 1| > 0.1) [n=10^6, c=0.1]",
-            exact_frac,
-            int(np.count_nonzero(np.abs(ratios - 1.0) > 0.1)),
-            samples,
-            MC_LEVEL,
-            note="exact value from the CDF",
-        )
-    )
+    _ratio_rows(report, 10**6, 0.1, 0.1, samples, make_stream(seed, 12), "n=10^6, c=0.1")
 
     for i, (k, c) in enumerate(((3, 0.3), (10, 0.1))):
         _, codes = first_passage_batch(k, Constant(c), make_stream(seed, 13 + i), samples, workers=workers)
-        report.add(
-            ReportRow.wilson(
-                f"P(single drop from k={k}) MC [c={c}]",
-                single_drop_prob(k, c),
-                int(np.count_nonzero(codes == kernels.FINITE)),
-                samples,
-                MC_LEVEL,
-            )
+        wilson_row(
+            f"P(single drop from k={k}) MC [c={c}]",
+            single_drop_prob(k, c),
+            int(np.count_nonzero(codes == kernels.FINITE)),
         )
 
     flags = single_drop_batch(5, Constant(0.1), make_stream(seed, 15), samples, workers=workers)
-    report.add(
-        ReportRow.wilson(
-            "P(all drops single, n=5) MC [c=0.1]",
-            single_drop_path_prob(5, [0.1] * 5),
-            int(np.count_nonzero(flags)),
-            samples,
-            MC_LEVEL,
-        )
+    wilson_row(
+        "P(all drops single, n=5) MC [c=0.1]",
+        single_drop_path_prob(5, [0.1] * 5),
+        int(np.count_nonzero(flags)),
     )
 
     times, codes = first_passage_batch(2, Constant(0.5), make_stream(seed, 16), samples, workers=workers)
-    report.add(
-        ReportRow.wilson(
-            "P(T=1) from k=2 MC [c=0.5]",
-            passage_pmf(2, 0.5, 1),
-            int(np.count_nonzero((codes == kernels.FINITE) & (times == 1))),
-            samples,
-            MC_LEVEL,
-        )
+    wilson_row(
+        "P(T=1) from k=2 MC [c=0.5]",
+        passage_pmf(2, 0.5, 1),
+        int(np.count_nonzero((codes == kernels.FINITE) & (times == 1))),
     )
 
     # stepped holding times obey the geometric law the O(1) sampler assumes
@@ -820,44 +719,23 @@ def build_verify_report(
     geo = sample_geometric_batch(make_stream(seed, 18), p_depart, samples)
     dist = ks_two_sample(hold.astype(np.float64), geo.astype(np.float64))
     report.add(
-        _ks_row(
-            "stepped holding at k=3 vs geometric draws [c=0.3]",
-            dist,
-            ks_two_sample_critical(samples, samples, KS_LEVEL),
-        )
+        _ks_row("stepped holding at k=3 vs geometric draws [c=0.3]", dist, two_sample_critical)
     )
 
     batch = scaled_passage_batch(3, 10**4, InitialPower(1.0, 1.0), samples, make_stream(seed, 19), lam=1.0, workers=workers)
-    dist = ks_statistic(SampleSummary.from_samples(batch.scaled_times), exponential_cdf_callable(3.0))
-    report.add(
-        _ks_row(
-            "scaled passage vs Exponential(3) [k=3, lam=1, n=10^4]",
-            dist,
-            ks_critical_value(batch.scaled_times.size, KS_LEVEL),
-        )
-    )
+    label = "scaled passage vs Exponential(3) [k=3, lam=1, n=10^4]"
+    report.add(_exponential_ks_row(label, batch.scaled_times, 3.0))
 
     batch = scaled_passage_batch(2, 10**3, JointPower(1.0, 3.0), samples, make_stream(seed, 20), workers=workers)
-    dist = ks_statistic(SampleSummary.from_samples(batch.scaled_times), exponential_cdf_callable(4.0))
-    report.add(
-        _ks_row(
-            "scaled passage vs Exponential(4) [k=2, alpha=1, beta=3, n=10^3]",
-            dist,
-            ks_critical_value(batch.scaled_times.size, KS_LEVEL),
-        )
-    )
-    c_limit = mortality(JointPower(1.0, 3.0), 2, 10**3)
-    report.add(
-        ReportRow.wilson(
-            "P(T finite) at scale n=10^3 [k=2, alpha=1, beta=3]",
-            single_drop_prob(2, c_limit),
-            int(round(batch.finite_fraction * samples)),
-            samples,
-            MC_LEVEL,
-        )
+    label = "scaled passage vs Exponential(4) [k=2, alpha=1, beta=3, n=10^3]"
+    report.add(_exponential_ks_row(label, batch.scaled_times, 4.0))
+    wilson_row(
+        "P(T finite) at scale n=10^3 [k=2, alpha=1, beta=3]",
+        single_drop_prob(2, mortality(JointPower(1.0, 3.0), 2, 10**3)),
+        int(round(batch.finite_fraction * samples)),
     )
 
-    totals, _ = implosion_batch(1.0, 2000, samples, make_stream(seed, 21), workers=workers)
+    totals = implosion_batch(1.0, 2000, samples, make_stream(seed, 21), workers=workers)
     partial, _ = implosion_expected_time(1.0, 2000)
     stderr = float(totals.std(ddof=1) / math.sqrt(samples))
     report.add(

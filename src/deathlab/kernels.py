@@ -361,21 +361,9 @@ _active = get_backend(_HAVE_NUMBA and not numba_disabled())
 
 BACKEND = _active.name
 
-binomial_draw = _active.binomial_draw
-geometric_draw = _active.geometric_draw
-max_geometric_draw = _active.max_geometric_draw
-extinction_time_draw = _active.extinction_time_draw
-trajectory_fill = _active.trajectory_fill
-single_drop_draw = _active.single_drop_draw
-first_passage_draw = _active.first_passage_draw
-first_passage_stepped_draw = _active.first_passage_stepped_draw
-binomial_batch = _active.binomial_batch
-geometric_batch = _active.geometric_batch
-max_geometric_batch = _active.max_geometric_batch
-extinction_batch = _active.extinction_batch
-single_drop_batch = _active.single_drop_batch
-first_passage_batch = _active.first_passage_batch
-first_passage_stepped_batch = _active.first_passage_stepped_batch
+# Every kernel of the active build is a module attribute, read at call
+# time (``kernels.extinction_batch``), so the build is chosen in one place.
+globals().update({name: kernel for name, kernel in vars(_active).items() if callable(kernel)})
 
 
 def warmup() -> None:

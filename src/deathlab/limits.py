@@ -7,7 +7,10 @@ product is exact for every n), and the joint-power family with a_n = n^beta
 (limit rate k^(alpha+1)).  The limiting chain built from independent
 level-k Exponential(k^(alpha+1)) passage times crosses every level from a
 truncation K down to 0 in a time whose expectation stays bounded as K
-grows: the implosion signature, demonstrated by the truncation sweep.
+grows: the implosion signature.  ``scaled_passage_batch`` draws scaled
+passage times, ``implosion_batch`` draws traversal totals of the limiting
+chain, and ``implosion_truncation_sweep`` compares their means with the
+certified partial sums as K grows.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_chunked
-from .analytics import AnalyticsError, implosion_expected_time, single_drop_prob
+# single_drop_prob stays importable here: perfbench/spans.py wraps it by this name
+from .analytics import AnalyticsError, implosion_expected_time, single_drop_prob  # noqa: F401
 from .process import first_passage_batch
 from .regimes import InitialPower, JointPower, MortalityRegime, mortality
 from .rng import RngStream
-from .samplers import sample_exponential, sample_exponential_batch
-from .stats import wilson_interval
+from .samplers import sample_exponential_batch
 from . import kernels
 
 
@@ -37,28 +40,6 @@ class ScaledPassageBatch:
     num_samples: int
     finite_fraction: float
     scaled_times: np.ndarray
-
-
-@dataclass(frozen=True)
-class ImplosionRun:
-    """One traversal of the limiting chain from level K down to 0."""
-
-    alpha: float
-    K: int
-    total_time: float
-
-
-@dataclass(frozen=True)
-class TrendPoint:
-    """Finite-passage frequency at one scale n, with its reference value."""
-
-    n: int
-    c: float
-    samples: int
-    finite_fraction: float
-    closed_form: float
-    wilson_low: float
-    wilson_high: float
 
 
 def scaling_constant(regime: MortalityRegime, k: int, n: int, lam: float | None = None) -> float:
@@ -92,32 +73,6 @@ def scaled_passage_batch(
     return ScaledPassageBatch(k, n, a_n, num_samples, fraction, scaled)
 
 
-def finite_probability_trend(
-    k: int,
-    regime: JointPower,
-    n_sweep: list[int],
-    samples: int,
-    rng: RngStream,
-    level: float = 0.99,
-    workers: int = 1,
-) -> list[TrendPoint]:
-    """Estimate P(passage from k happens) along growing scales n."""
-    if not isinstance(regime, JointPower):
-        raise AnalyticsError("finite-probability trend is a joint-power experiment")
-    points = []
-    for i, n in enumerate(n_sweep):
-        c = mortality(regime, k, n)
-        _, codes = first_passage_batch(
-            k, regime, rng.substream(i), samples, t_max=None, n=n, workers=workers
-        )
-        finite = int(np.count_nonzero(codes == kernels.FINITE))
-        low, high = wilson_interval(finite, samples, level)
-        points.append(
-            TrendPoint(n, c, samples, finite / samples, single_drop_prob(k, c), low, high)
-        )
-    return points
-
-
 def _stage_rates(alpha: float, K: int) -> np.ndarray:
     if alpha <= 0:
         raise AnalyticsError(f"implosion needs alpha > 0, got {alpha}")
@@ -127,47 +82,24 @@ def _stage_rates(alpha: float, K: int) -> np.ndarray:
     return np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.0)
 
 
-def simulate_implosion(alpha: float, K: int, rng: RngStream) -> ImplosionRun:
-    """One run of the limiting chain: sum of per-level exponential times."""
-    rates = _stage_rates(alpha, K)
-    total = math.fsum(sample_exponential(rng, rate) for rate in rates)
-    return ImplosionRun(alpha, K, total)
-
-
 def implosion_batch(
     alpha: float,
     K: int,
     runs: int,
     rng: RngStream,
     workers: int = 1,
-    record_stage: int | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Total implosion times for many runs (stage-vectorized).
-
-    ``record_stage`` additionally returns each run's holding time at that
-    level, for marginal-distribution checks.
-    """
+) -> np.ndarray:
+    """Total implosion times for many runs (stage-vectorized)."""
     rates = _stage_rates(alpha, K)
-    if record_stage is not None and not 1 <= record_stage <= K:
-        raise AnalyticsError(f"record_stage must lie in 1..{K}, got {record_stage}")
-    record_idx = None if record_stage is None else K - record_stage
 
-    def task(stream: RngStream, m: int) -> tuple[np.ndarray, np.ndarray | None]:
+    def task(stream: RngStream, m: int) -> np.ndarray:
         totals = np.zeros(m, dtype=np.float64)
-        recorded = None
-        for i in range(rates.size):
-            draws = sample_exponential_batch(stream, float(rates[i]), m)
-            totals += draws
-            if record_idx is not None and i == record_idx:
-                recorded = draws
-        return totals, recorded
+        for rate in rates:
+            totals += sample_exponential_batch(stream, float(rate), m)
+        return totals
 
     parts = run_chunked(rng, runs, task, workers)
-    totals = np.concatenate([p[0] for p in parts]) if parts else np.empty(0)
-    stage = None
-    if record_stage is not None and parts:
-        stage = np.concatenate([p[1] for p in parts])
-    return totals, stage
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -192,7 +124,7 @@ def implosion_truncation_sweep(
     """Empirical implosion times against the certified partial sums."""
     rows = []
     for i, K in enumerate(K_sweep):
-        totals, _ = implosion_batch(alpha, K, runs_per_K, rng.substream(i), workers)
+        totals = implosion_batch(alpha, K, runs_per_K, rng.substream(i), workers)
         partial, tail = implosion_expected_time(alpha, K)
         mean = float(totals.mean())
         stderr = float(totals.std(ddof=1) / math.sqrt(runs_per_K)) if runs_per_K > 1 else 0.0

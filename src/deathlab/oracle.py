@@ -11,7 +11,6 @@ comparison tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,17 +22,6 @@ MAX_TIME = 200
 
 class OracleError(ValueError):
     """Instance outside the brute-force caps."""
-
-
-@dataclass(frozen=True)
-class StateDistribution:
-    """Exact law of the population at one time: mass[x] = P(state = x)."""
-
-    t: int
-    mass: np.ndarray
-
-    def to_csv_rows(self) -> list[tuple[int, int, float]]:
-        return [(self.t, x, float(m)) for x, m in enumerate(self.mass)]
 
 
 def _check_caps(n: int, t: int) -> tuple[int, int]:
@@ -69,12 +57,6 @@ def state_distribution_history(n: int, regime: MortalityRegime, t_max: int) -> n
         mass = mass @ kernel
         history[t] = mass.astype(np.float64)
     return history
-
-
-def exact_state_distribution(n: int, regime: MortalityRegime, t: int) -> StateDistribution:
-    """Exact law of the state at time t, by iterating the binomial kernel."""
-    history = state_distribution_history(n, regime, t)
-    return StateDistribution(t, history[t])
 
 
 def exact_extinction_curve(n: int, regime: MortalityRegime, t_max: int) -> np.ndarray:

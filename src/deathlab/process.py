@@ -317,22 +317,3 @@ def first_passage_batch(
     codes = np.concatenate([p[1] for p in parts])
     return times, codes
 
-
-def first_passage_from_trajectory(traj: Trajectory, k: int) -> FirstPassageOutcome:
-    """Embedded reading of the passage from k inside one full run.
-
-    Exploration aid only: if the run never sits at k the passage never
-    happens (reported as JumpedOver); otherwise the time from arrival at k
-    to departure is classified like a fresh-start outcome.
-    """
-    k = _check_n(k)
-    states = traj.states
-    at_k = np.flatnonzero(states == k)
-    if at_k.size == 0:
-        return JumpedOver()
-    first, last = int(at_k[0]), int(at_k[-1])
-    if last + 1 >= states.size:
-        return Censored(traj.t_max)
-    landed = int(states[last + 1])
-    hold = last + 1 - first
-    return Finite(hold) if landed == k - 1 else JumpedOver()

@@ -8,24 +8,17 @@ from deathlab import (
     Constant,
     InitialPower,
     JointPower,
-    finite_probability_trend,
     implosion_batch,
     implosion_expected_time,
     implosion_truncation_sweep,
     ks_critical_value,
     ks_statistic,
-    ks_two_sample,
-    ks_two_sample_critical,
     limit_passage_rate,
     make_stream,
-    sample_exponential_batch,
     scaled_passage_batch,
     scaling_constant,
-    simulate_implosion,
-    single_drop_prob,
     wilson_interval,
 )
-from deathlab.regimes import mortality
 from deathlab.stats import SampleSummary
 
 
@@ -73,50 +66,15 @@ def test_scaled_passage_exponential_limit_joint_scaling():
     assert dist < ks_critical_value(batch.scaled_times.size, 0.01)
 
 
-def test_finite_probability_trend():
-    regime = JointPower(1.0, 4.0)
-    points = finite_probability_trend(2, regime, [10, 100, 1000], 2 * 10**4, make_stream(21, 0))
-    for p in points:
-        assert p.closed_form == pytest.approx(single_drop_prob(2, p.c), abs=1e-12)
-        assert p.wilson_low <= p.closed_form <= p.wilson_high
-    fractions = [p.finite_fraction for p in points]
-    assert all(b >= a for a, b in zip(fractions, fractions[1:]))  # toward 1 as n grows
-    assert fractions[-1] > 0.999
-
-
-def test_finite_probability_trend_k1_identically_one():
-    points = finite_probability_trend(1, JointPower(1.0, 4.0), [10, 100], 5000, make_stream(21, 1))
-    assert all(p.finite_fraction == 1.0 for p in points)
-
-
-def test_finite_fraction_decreases_in_k():
-    # at fixed n, larger k makes bigger drops likelier; verified on the
-    # closed form first, then on the estimates with 4-sigma slack
-    n, samples = 10, 2 * 10**4
-    regime = JointPower(1.0, 4.0)
-    closed = [single_drop_prob(k, mortality(regime, k, n)) for k in range(2, 6)]
-    assert all(b < a for a, b in zip(closed, closed[1:]))
-    points = [
-        finite_probability_trend(k, regime, [n], samples, make_stream(21, 2 + k))[0]
-        for k in range(2, 6)
-    ]
-    for prev, cur in zip(points, points[1:]):
-        se = math.sqrt(max(prev.finite_fraction * (1 - prev.finite_fraction), 1e-9) / samples)
-        assert cur.finite_fraction <= prev.finite_fraction + 4 * se
-
-
 def test_simulate_implosion_single_stage():
-    runs = [simulate_implosion(1.0, 1, make_stream(22, i)).total_time for i in range(2000)]
-    mean = float(np.mean(runs))
-    assert abs(mean - 1.0) < 4 / math.sqrt(2000)  # Exp(1) has unit mean and sd
-    # batch version at full scale: K=1 totals are a plain Exponential(1)
-    totals, _ = implosion_batch(1.0, 1, 10**5, make_stream(22, 50))
+    # K=1 totals are a plain Exponential(1): unit mean and sd
+    totals = implosion_batch(1.0, 1, 10**5, make_stream(22, 50))
     assert abs(float(totals.mean()) - 1.0) < 3 / math.sqrt(10**5)
 
 
 def test_implosion_batch_moments():
     alpha, K, runs = 1.0, 1000, 2 * 10**4
-    totals, _ = implosion_batch(alpha, K, runs, make_stream(22, 100))
+    totals = implosion_batch(alpha, K, runs, make_stream(22, 100))
     partial, _ = implosion_expected_time(alpha, K)
     se = totals.std(ddof=1) / math.sqrt(runs)
     assert abs(totals.mean() - partial) < 4 * se
@@ -126,20 +84,11 @@ def test_implosion_batch_moments():
     assert abs(totals.var(ddof=1) - var_expected) < 4 * var_se
 
 
-def test_implosion_stage_marginal_is_exponential():
-    alpha, K, runs, stage = 1.0, 50, 10**4, 7
-    _, stage_times = implosion_batch(alpha, K, runs, make_stream(22, 101), record_stage=stage)
-    fresh = sample_exponential_batch(make_stream(22, 102), stage ** (alpha + 1.0), runs)
-    assert ks_two_sample(stage_times, fresh) < ks_two_sample_critical(runs, runs, 0.01)
-
-
 def test_implosion_errors():
     with pytest.raises(AnalyticsError):
-        simulate_implosion(0.0, 10, make_stream(0, 0))
+        implosion_batch(0.0, 10, 100, make_stream(0, 0))
     with pytest.raises(AnalyticsError):
-        simulate_implosion(1.0, 0, make_stream(0, 0))
-    with pytest.raises(AnalyticsError):
-        implosion_batch(1.0, 10, 100, make_stream(0, 0), record_stage=11)
+        implosion_batch(1.0, 0, 100, make_stream(0, 0))
 
 
 def test_truncation_sweep_tracks_partial_sums():
@@ -159,6 +108,6 @@ def test_batches_are_deterministic_and_worker_invariant():
     b = scaled_passage_batch(3, 100, JointPower(1.0, 3.0), 5000, make_stream(24, 0), workers=4)
     assert a.finite_fraction == b.finite_fraction
     assert np.array_equal(a.scaled_times, b.scaled_times)
-    ta, _ = implosion_batch(1.0, 200, 10**4, make_stream(24, 1), workers=1)
-    tb, _ = implosion_batch(1.0, 200, 10**4, make_stream(24, 1), workers=8)
+    ta = implosion_batch(1.0, 200, 10**4, make_stream(24, 1), workers=1)
+    tb = implosion_batch(1.0, 200, 10**4, make_stream(24, 1), workers=8)
     assert np.array_equal(ta, tb)

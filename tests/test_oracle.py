@@ -10,7 +10,6 @@ from deathlab import (
     exact_jump_law,
     exact_passage_law,
     exact_single_drop_path_prob,
-    exact_state_distribution,
     extinction_cdf,
     extinction_time_batch,
     make_stream,
@@ -28,15 +27,15 @@ from deathlab.oracle import MAX_TIME
 
 
 def test_point_mass_at_time_zero():
-    dist = exact_state_distribution(7, Constant(0.5), 0)
+    mass = state_distribution_history(7, Constant(0.5), 0)[0]
     expected = np.zeros(8)
     expected[7] = 1.0
-    assert np.array_equal(dist.mass, expected)
+    assert np.array_equal(mass, expected)
 
 
 def test_one_binomial_step():
-    dist = exact_state_distribution(2, Constant(0.5), 1)
-    assert dist.mass == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
+    mass = state_distribution_history(2, Constant(0.5), 1)[1]
+    assert mass == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
 
 
 def test_mass_conservation_and_absorption_flow():
@@ -106,9 +105,9 @@ def test_dp_matches_monte_carlo_for_state_dependent_regime():
 
 def test_caps_enforced():
     with pytest.raises(OracleError):
-        exact_state_distribution(31, Constant(0.5), 10)
+        state_distribution_history(31, Constant(0.5), 10)
     with pytest.raises(OracleError):
-        exact_state_distribution(5, Constant(0.5), 201)
+        state_distribution_history(5, Constant(0.5), 201)
     with pytest.raises(OracleError):
         exact_passage_law(31, 0.5, 10)
     with pytest.raises(OracleError):
@@ -184,9 +183,3 @@ def test_mgf_summation_rejects_divergent_arguments():
     with pytest.raises(OracleError):
         mgf_by_summation(2, 0.5, passage_mgf_domain(2, 0.5) + 0.01)
 
-
-def test_state_distribution_csv_rows():
-    dist = exact_state_distribution(2, Constant(0.5), 1)
-    rows = dist.to_csv_rows()
-    assert rows[0] == (1, 0, pytest.approx(0.25))
-    assert len(rows) == 3

@@ -22,7 +22,6 @@ from deathlab import (
     extinction_time_batch,
     extinction_time_sample,
     first_passage_batch,
-    first_passage_from_trajectory,
     first_passage_sample,
     first_passage_sample_stepped,
     ks_critical_value,
@@ -256,19 +255,6 @@ def test_first_passage_with_context_regime():
         first_passage_sample(5, Constant(0.5), make_stream(7, 9), n=3)  # k > n
 
 
-def test_embedded_first_passage():
-    traj = simulate_trajectory(10, Constant(0.2), make_stream(8, 0))
-    seen = {int(s) for s in traj.states}
-    for k in range(1, 11):
-        outcome = first_passage_from_trajectory(traj, k)
-        if k not in seen:
-            assert outcome == JumpedOver()
-        else:
-            assert isinstance(outcome, (Finite, JumpedOver))
-    absorbed = simulate_trajectory(1, Table({(1, 1): 1.0}), make_stream(8, 1))
-    assert first_passage_from_trajectory(absorbed, 1) == Finite(1)
-
-
 def test_default_t_max_bounds_censoring():
     t = default_t_max(Constant(0.5), 5)
     # survival bound n (1-c)^t below 1e-9
@@ -307,3 +293,13 @@ def test_trajectory_property(n, c, seed):
     assert np.all(np.diff(traj.states) <= 0)
     if not traj.censored:
         assert traj.states[-1] == 0
+
+
+def test_every_active_kernel_is_a_module_attribute():
+    # callers read kernels.<name> at call time, so each kernel of the
+    # active build must be that very module attribute
+    backend = kernels.get_backend(kernels.BACKEND == "numba")
+    named = {name: kernel for name, kernel in vars(backend).items() if callable(kernel)}
+    assert {"binomial_draw", "trajectory_fill", "extinction_batch", "first_passage_stepped_batch"} <= set(named)
+    for name, kernel in named.items():
+        assert getattr(kernels, name) is kernel, name
