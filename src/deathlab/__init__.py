@@ -45,20 +45,12 @@ from .oracle import (
     state_distribution_history,
 )
 from .process import (
-    Censored,
-    Finite,
-    FirstPassageOutcome,
-    JumpedOver,
     ProcessError,
     Trajectory,
     default_t_max,
     drop_distribution,
     extinction_time_batch,
-    extinction_time_sample,
     first_passage_batch,
-    first_passage_sample,
-    first_passage_sample_stepped,
-    observe_single_drop_path,
     simulate_trajectory,
     single_drop_batch,
     step,
@@ -77,19 +69,14 @@ from .regimes import (
 from .rng import RngError, RngStream, make_stream
 from .samplers import (
     SamplerError,
-    sample_binomial,
     sample_binomial_batch,
-    sample_exponential,
     sample_exponential_batch,
-    sample_geometric,
     sample_geometric_batch,
-    sample_max_geometric,
     sample_max_geometric_batch,
 )
 from .stats import (
     SampleSummary,
     StatsError,
-    chi_square_gof,
     empirical_cdf,
     kolmogorov_sf,
     ks_critical_value,

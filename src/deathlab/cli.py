@@ -31,30 +31,26 @@ from .regimes import MortalityRegime, RegimeError, from_dict, from_json, parse_i
 from .rng import make_stream
 
 
-def _load_config(path: str | None, allowed: set[str]) -> dict:
-    if path is None:
-        return {}
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise click.UsageError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise click.UsageError(f"config is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise click.UsageError("config must be a JSON object")
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise click.UsageError(f"unknown config field(s): {', '.join(unknown)}")
-    return data
-
-
-def _merge(config: dict, defaults: dict, **cli_values) -> dict:
-    merged = dict(defaults)
-    merged.update(config)
-    for key, value in cli_values.items():
-        if value is not None:
-            merged[key] = value
-    return merged
+def _params(config_path: str | None, defaults: dict, **flags) -> dict:
+    """The command's parameters: its defaults, overridden by the JSON config
+    file (whose fields must be keys of ``defaults``), then by the flags the
+    user gave."""
+    params = dict(defaults)
+    if config_path is not None:
+        try:
+            data = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            raise click.UsageError(f"config file not found: {config_path}")
+        except json.JSONDecodeError as exc:
+            raise click.UsageError(f"config is not valid JSON: {exc}")
+        if not isinstance(data, dict):
+            raise click.UsageError("config must be a JSON object")
+        unknown = sorted(set(data) - set(defaults))
+        if unknown:
+            raise click.UsageError(f"unknown config field(s): {', '.join(unknown)}")
+        params.update(data)
+    params.update({key: value for key, value in flags.items() if value is not None})
+    return params
 
 
 def _resolve_regime(value) -> MortalityRegime:
@@ -141,9 +137,8 @@ def main() -> None:
 @click.option("--config", "config_path", default=None, help="JSON config file.")
 def simulate(n, regime_spec, samples, t_max, seed, out, config_path):
     """Simulate trajectories; write trajectories.csv and summary.json."""
-    cfg = _load_config(config_path, {"n", "regime", "samples", "t_max", "seed", "out"})
-    params = _merge(
-        cfg,
+    params = _params(
+        config_path,
         {"n": 5, "samples": 1, "t_max": None, "seed": 0, "out": "deathlab-out", "regime": "constant:0.5"},
         n=n, regime=regime_spec, samples=samples, t_max=t_max, seed=seed, out=out,
     )
@@ -202,13 +197,8 @@ def simulate(n, regime_spec, samples, t_max, seed, out, config_path):
 def extinct(n, regime_spec, t_grid, samples, ratio_n, ratio_c, ratio_samples, seed, workers, tolerance, out, config_path):
     """Extinction CDF: closed form vs oracle vs Monte Carlo, plus the
     tau/d_n ratio experiment."""
-    cfg = _load_config(
+    params = _params(
         config_path,
-        {"n", "regime", "t_grid", "samples", "ratio_n", "ratio_c", "ratio_samples",
-         "seed", "workers", "tolerance", "out"},
-    )
-    params = _merge(
-        cfg,
         {"n": 20, "regime": "constant:0.3", "t_grid": "0:60", "samples": 10**5,
          "ratio_n": 10**6, "ratio_c": 0.1, "ratio_samples": 10**4, "seed": 0,
          "workers": 1, "tolerance": 1e-12, "out": None},
@@ -262,11 +252,8 @@ def extinct(n, regime_spec, t_grid, samples, ratio_n, ratio_c, ratio_samples, se
 def path(n, regime_spec, samples, sweep, seed, workers, tolerance, out, config_path):
     """Single-drop extinction: per-level and whole-path probabilities with
     their lower bounds."""
-    cfg = _load_config(
-        config_path, {"n", "regime", "samples", "sweep", "seed", "workers", "tolerance", "out"}
-    )
-    params = _merge(
-        cfg,
+    params = _params(
+        config_path,
         {"n": 5, "regime": "constant:0.1", "samples": 10**5, "sweep": None,
          "seed": 0, "workers": 1, "tolerance": 1e-12, "out": None},
         n=n, regime=regime_spec, samples=samples, sweep=sweep, seed=seed,
@@ -304,13 +291,8 @@ def path(n, regime_spec, samples, sweep, seed, workers, tolerance, out, config_p
 @click.option("--config", "config_path", default=None)
 def passage(k, regime_spec, n, samples, j_max, limit_n, limit_samples, lam, seed, workers, tolerance, out, config_path):
     """First-passage law from k: pmf, MGF identities, scaled-limit KS."""
-    cfg = _load_config(
+    params = _params(
         config_path,
-        {"k", "regime", "n", "samples", "j_max", "limit_n", "limit_samples", "lam",
-         "seed", "workers", "tolerance", "out"},
-    )
-    params = _merge(
-        cfg,
         {"k": 3, "regime": "constant:0.3", "n": None, "samples": 10**5, "j_max": 8,
          "limit_n": None, "limit_samples": None, "lam": None, "seed": 0, "workers": 1,
          "tolerance": 1e-12, "out": None},
@@ -345,11 +327,8 @@ def passage(k, regime_spec, n, samples, j_max, limit_n, limit_samples, lam, seed
 @click.option("--config", "config_path", default=None)
 def implode(alpha, k_max, runs, sweep, seed, workers, out, config_path):
     """Implosion of the limiting chain: totals vs the certified series."""
-    cfg = _load_config(
-        config_path, {"alpha", "k_max", "runs", "sweep", "seed", "workers", "out"}
-    )
-    params = _merge(
-        cfg,
+    params = _params(
+        config_path,
         {"alpha": 1.0, "k_max": 10**4, "runs": 10**5, "sweep": "10,100,1000,10000",
          "seed": 0, "workers": 1, "out": None},
         alpha=alpha, k_max=k_max, runs=runs, sweep=sweep, seed=seed, workers=workers, out=out,
@@ -390,9 +369,8 @@ def implode(alpha, k_max, runs, sweep, seed, workers, out, config_path):
 def verify(seed, workers, tolerance, samples, out, config_path):
     """Run the full oracle-vs-closed-form identity suite; exit 0 iff all
     rows pass."""
-    cfg = _load_config(config_path, {"seed", "workers", "tolerance", "samples", "out"})
-    params = _merge(
-        cfg,
+    params = _params(
+        config_path,
         {"seed": 0, "workers": 1, "tolerance": 1e-12, "samples": 20000, "out": None},
         seed=seed, workers=workers, tolerance=tolerance, samples=samples, out=out,
     )

@@ -126,7 +126,7 @@ def _build_backend(jit: bool) -> SimpleNamespace:
             if kf < 0.0 or kf > nf:
                 continue
             if us >= 0.07 and v <= v_r:
-                return np.int64(kf)
+                return int(kf)
             v2 = math.log(v * alpha / (a / (us * us) + b))
             bound = (
                 (m + 0.5) * math.log((m + 1.0) / (r * (nf - m + 1.0)))
@@ -138,15 +138,15 @@ def _build_backend(jit: bool) -> SimpleNamespace:
                 - _stirling_tail(nf - kf)
             )
             if v2 <= bound:
-                return np.int64(kf)
+                return int(kf)
 
     @wrap
     def binomial_draw(gen, x, c):
         # exact Binomial(x, c) deviate for x >= 0, 0 <= c <= 1
         if x == 0 or c <= 0.0:
-            return np.int64(0)
+            return 0
         if c >= 1.0:
-            return np.int64(x)
+            return x
         p = c
         flipped = False
         if c > 0.5:
@@ -160,8 +160,8 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         else:
             k = _binomial_btrs(gen, x, p)
         if flipped:
-            return np.int64(x - k)
-        return np.int64(k)
+            return x - k
+        return k
 
     @wrap
     def geometric_draw(gen, c):

@@ -118,7 +118,8 @@ def exact_passage_law(k: int, c: float, j_max: int) -> tuple[np.ndarray, float]:
     pmf[0] = k * q ** (k - 1) * c
     for j in range(1, j_max):
         pmf[j] = pmf[j - 1] * ratio
-    tail = pmf[j_max - 1] * ratio / (1.0 - ratio)
+    # 1 - (1-c)^k by expm1: 1.0 - ratio cancels catastrophically at small c
+    tail = pmf[j_max - 1] * ratio / -math.expm1(k * math.log1p(-c))
     return pmf, float(tail)
 
 

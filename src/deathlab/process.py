@@ -3,7 +3,7 @@
 One time step from state x removes a Binomial(x, c) batch of individuals,
 with c supplied by a mortality regime that may depend on the current and
 initial states; 0 is absorbing.  This module simulates trajectories and
-measures the derived quantities of interest: extinction times, the
+draws the derived quantities of interest in batches: extinction times, the
 single-drop extinction event, and first-passage outcomes for one state.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from . import kernels
 from ._parallel import run_chunked
 from .regimes import MortalityRegime, mortality, prepare
 from .rng import RngStream
-from .samplers import MAX_EXACT_COUNT, sample_binomial
+from .samplers import MAX_EXACT_COUNT, sample_binomial_batch
 
 # simulate_trajectory records its path up front; refuse absurd buffers
 MAX_RECORDED_STEPS = 10**8
@@ -60,28 +59,6 @@ class Trajectory:
         return [(run_id, t, int(s)) for t, s in enumerate(self.states)]
 
 
-@dataclass(frozen=True)
-class Finite:
-    """The first departure from k landed at k-1, after j steps."""
-
-    j: int
-
-
-@dataclass(frozen=True)
-class JumpedOver:
-    """The process left k to a state below k-1; the passage never happens."""
-
-
-@dataclass(frozen=True)
-class Censored:
-    """Still at k after t_max steps."""
-
-    t_max: int
-
-
-FirstPassageOutcome = Union[Finite, JumpedOver, Censored]
-
-
 def _check_n(n: int, minimum: int = 1) -> int:
     if n != int(n):
         raise ProcessError(f"population must be an integer, got {n}")
@@ -113,7 +90,7 @@ def _censor_horizon(cs: np.ndarray, n: int, target: float = CENSOR_TARGET) -> in
 def step(x: int, c: float, rng: RngStream) -> int:
     """One transition: x minus a Binomial(x, c) batch of deaths."""
     x = _check_n(x)
-    return x - sample_binomial(rng, x, c)
+    return x - int(sample_binomial_batch(rng, x, c, 1)[0])
 
 
 def _prepare_run(regime: MortalityRegime, n: int, t_max: int | None) -> tuple[np.ndarray, int]:
@@ -146,19 +123,6 @@ def simulate_trajectory(
     return Trajectory(n, buf.copy(), None, t_max)
 
 
-def extinction_time_sample(
-    n: int,
-    regime: MortalityRegime,
-    rng: RngStream,
-    t_max: int | None = None,
-) -> int | None:
-    """Absorption time of one run; None when censored at t_max."""
-    n = _check_n(n)
-    cs, t_max = _prepare_run(regime, n, t_max)
-    ext = int(kernels.extinction_time_draw(rng.generator, cs, n, t_max))
-    return ext if ext >= 0 else None
-
-
 def extinction_time_batch(
     n: int,
     regime: MortalityRegime,
@@ -179,18 +143,6 @@ def extinction_time_batch(
         return out
 
     return np.concatenate(run_chunked(rng, samples, task, workers))
-
-
-def observe_single_drop_path(n: int, regime: MortalityRegime, rng: RngStream) -> bool:
-    """Did one realized extinction lose exactly one individual per drop?
-
-    Simulation stops early at the first drop of two or more.  Runs are
-    almost surely finite for mortalities in (0, 1), so there is no cap.
-    """
-    n = _check_n(n, minimum=0)
-    if n == 0:
-        return True
-    return bool(kernels.single_drop_draw(rng.generator, prepare(regime, n), n))
 
 
 def single_drop_batch(
@@ -232,57 +184,6 @@ def drop_distribution(k: int, c: float) -> np.ndarray:
     return out
 
 
-def _passage_mortality(k: int, regime: MortalityRegime, n: int | None) -> tuple[int, float]:
-    k = _check_n(k)
-    n = k if n is None else _check_n(n)
-    if not k <= n:
-        raise ProcessError(f"need k <= n, got k={k}, n={n}")
-    return n, mortality(regime, k, n)
-
-
-def _outcome(j: int, code: int, t_max: int | None) -> FirstPassageOutcome:
-    if code == kernels.FINITE:
-        return Finite(int(j))
-    if code == kernels.JUMPED_OVER:
-        return JumpedOver()
-    return Censored(int(t_max))
-
-
-def first_passage_sample(
-    k: int,
-    regime: MortalityRegime,
-    rng: RngStream,
-    t_max: int | None = None,
-    n: int | None = None,
-) -> FirstPassageOutcome:
-    """Watch state k (fresh start) until its first departure.
-
-    The draw is exact but O(1): the holding time at k is Geometric with
-    success 1-(1-c)^k, independent of the landing state, which follows the
-    departure jump law.  ``first_passage_sample_stepped`` realizes the same
-    law by raw stepping and is cross-checked against this in the tests.
-    ``t_max=None`` disables censoring (safe: the draw never iterates).
-    """
-    n, c = _passage_mortality(k, regime, n)
-    j, code = kernels.first_passage_draw(rng.generator, k, c, 0 if t_max is None else int(t_max))
-    return _outcome(j, code, t_max)
-
-
-def first_passage_sample_stepped(
-    k: int,
-    regime: MortalityRegime,
-    rng: RngStream,
-    t_max: int,
-    n: int | None = None,
-) -> FirstPassageOutcome:
-    """Reference first-passage draw by stepping the raw process at k."""
-    if t_max < 1:
-        raise ProcessError(f"stepped passage needs t_max >= 1, got {t_max}")
-    n, c = _passage_mortality(k, regime, n)
-    j, code = kernels.first_passage_stepped_draw(rng.generator, k, c, int(t_max))
-    return _outcome(j, code, t_max)
-
-
 def first_passage_batch(
     k: int,
     regime: MortalityRegime,
@@ -295,10 +196,20 @@ def first_passage_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """First-passage outcomes for ``samples`` fresh starts at k.
 
-    Returns ``(times, codes)`` with codes 0=finite, 1=jumped over,
-    2=censored; times are meaningful for finite outcomes.
+    Returns ``(times, codes)`` with codes ``kernels.FINITE`` (the first
+    departure landed at k-1, after ``times`` steps), ``JUMPED_OVER`` (it
+    landed below k-1) and ``CENSORED`` (still at k after ``t_max`` steps).
+    Each draw is exact but O(1): the holding time at k is Geometric with
+    success 1-(1-c)^k, independent of the landing state, which follows the
+    departure jump law.  ``stepped=True`` realizes the same law by raw
+    stepping, the reference the tests compare against; it needs a t_max.
+    ``t_max=None`` disables censoring of the O(1) draw.
     """
-    n, c = _passage_mortality(k, regime, n)
+    k = _check_n(k)
+    n = k if n is None else _check_n(n)
+    if not k <= n:
+        raise ProcessError(f"need k <= n, got k={k}, n={n}")
+    c = mortality(regime, k, n)
     kernel = kernels.first_passage_stepped_batch if stepped else kernels.first_passage_batch
     if stepped and (t_max is None or t_max < 1):
         raise ProcessError("stepped passage needs an explicit t_max >= 1")

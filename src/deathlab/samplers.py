@@ -1,8 +1,9 @@
 """Exact-distribution samplers on top of reproducible streams.
 
-The scalar draws route through :mod:`deathlab.kernels`; batch variants
-consume the stream identically, one value per element, so scalar and
-batch calls with the same stream position agree draw for draw.
+Each sampler validates its parameters and fills an array of ``size``
+independent draws, taking them in order from the stream: the binomial,
+geometric and max-of-geometrics batches run the kernels of
+:mod:`deathlab.kernels`, the exponential batch inverts numpy uniforms.
 """
 
 from __future__ import annotations
@@ -42,39 +43,8 @@ def _check_count(x: int, name: str, minimum: int = 0) -> int:
     return x
 
 
-def sample_binomial(rng: RngStream, x: int, c: float) -> int:
-    """One exact Binomial(x, c) draw: how many of x individuals die."""
-    x = _check_count(x, "x")
-    c = _check_prob(c, allow_zero=True, allow_one=True)
-    return int(kernels.binomial_draw(rng.generator, x, c))
-
-
-def sample_geometric(rng: RngStream, c: float) -> int:
-    """One Geometric(c) draw on {1, 2, ...}: P(t) = (1-c)^(t-1) c."""
-    c = _check_prob(c, allow_zero=False, allow_one=True)
-    return int(kernels.geometric_draw(rng.generator, c))
-
-
-def sample_max_geometric(rng: RngStream, n: int, c: float) -> int:
-    """One draw of the maximum of n iid Geometric(c) variables.
-
-    Uses single-uniform inversion of the CDF (1-(1-c)^t)^n evaluated in
-    log space, so n = 10**6 costs the same as n = 1.
-    """
-    n = _check_count(n, "n", minimum=1)
-    c = _check_prob(c, allow_zero=False, allow_one=True)
-    return int(kernels.max_geometric_draw(rng.generator, n, c))
-
-
-def sample_exponential(rng: RngStream, rate: float) -> float:
-    """One Exponential(rate) draw by inversion."""
-    rate = float(rate)
-    if not rate > 0.0:
-        raise SamplerError(f"rate must be positive, got {rate}")
-    return -np.log1p(-rng.generator.random()) / rate
-
-
 def sample_binomial_batch(rng: RngStream, x: int, c: float, size: int) -> np.ndarray:
+    """Exact Binomial(x, c) draws: how many of x individuals die."""
     x = _check_count(x, "x")
     c = _check_prob(c, allow_zero=True, allow_one=True)
     out = np.empty(size, dtype=np.int64)
@@ -83,6 +53,7 @@ def sample_binomial_batch(rng: RngStream, x: int, c: float, size: int) -> np.nda
 
 
 def sample_geometric_batch(rng: RngStream, c: float, size: int) -> np.ndarray:
+    """Geometric(c) draws on {1, 2, ...}: P(t) = (1-c)^(t-1) c."""
     c = _check_prob(c, allow_zero=False, allow_one=True)
     out = np.empty(size, dtype=np.int64)
     kernels.geometric_batch(rng.generator, c, out)
@@ -90,6 +61,11 @@ def sample_geometric_batch(rng: RngStream, c: float, size: int) -> np.ndarray:
 
 
 def sample_max_geometric_batch(rng: RngStream, n: int, c: float, size: int) -> np.ndarray:
+    """Draws of the maximum of n iid Geometric(c) variables.
+
+    Each is one uniform inverted through the CDF (1-(1-c)^t)^n in log
+    space, so n = 10**6 costs the same as n = 1.
+    """
     n = _check_count(n, "n", minimum=1)
     c = _check_prob(c, allow_zero=False, allow_one=True)
     out = np.empty(size, dtype=np.int64)
@@ -98,6 +74,7 @@ def sample_max_geometric_batch(rng: RngStream, n: int, c: float, size: int) -> n
 
 
 def sample_exponential_batch(rng: RngStream, rate: float, size: int) -> np.ndarray:
+    """Exponential(rate) draws by inversion."""
     rate = float(rate)
     if not rate > 0.0:
         raise SamplerError(f"rate must be positive, got {rate}")

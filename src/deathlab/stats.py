@@ -1,10 +1,10 @@
 """Statistical machinery linking Monte Carlo output to closed forms.
 
-Covers exactly what the verification suites need: empirical CDFs,
-one- and two-sample Kolmogorov-Smirnov statistics with asymptotic
-critical values, Wilson score intervals, and a chi-square
-goodness-of-fit with pooled tails for discrete samplers (KS on discrete
-laws is conservative; chi-square is the sharp tool there).
+Covers what the report builders need: empirical CDFs, one- and
+two-sample Kolmogorov-Smirnov statistics with asymptotic critical
+values, and Wilson score intervals.  The pooled chi-square test of the
+discrete samplers lives with the tests (``tests/gof.py``), so importing
+the package does not import scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 
 class StatsError(ValueError):
@@ -150,41 +149,3 @@ def wilson_interval(successes: int, trials: int, level: float = 0.99) -> tuple[f
     low = 0.0 if successes == 0 else max(0.0, center - half)  # exact at the edges
     high = 1.0 if successes == trials else min(1.0, center + half)
     return low, high
-
-
-def pool_cells(observed: np.ndarray, expected: np.ndarray, min_expected: float = 5.0):
-    """Merge adjacent cells until every pooled expected count is adequate."""
-    observed = np.asarray(observed, dtype=np.float64)
-    expected = np.asarray(expected, dtype=np.float64)
-    if observed.shape != expected.shape or observed.ndim != 1:
-        raise StatsError("observed and expected must be equal-length vectors")
-    pooled_obs, pooled_exp = [], []
-    acc_o = acc_e = 0.0
-    for o, e in zip(observed, expected):
-        acc_o += o
-        acc_e += e
-        if acc_e >= min_expected:
-            pooled_obs.append(acc_o)
-            pooled_exp.append(acc_e)
-            acc_o = acc_e = 0.0
-    if acc_e > 0:
-        if pooled_exp:
-            pooled_obs[-1] += acc_o
-            pooled_exp[-1] += acc_e
-        else:
-            pooled_obs.append(acc_o)
-            pooled_exp.append(acc_e)
-    return np.array(pooled_obs), np.array(pooled_exp)
-
-
-def chi_square_gof(
-    observed: np.ndarray, expected: np.ndarray, min_expected: float = 5.0
-) -> tuple[float, int, float]:
-    """Pooled chi-square goodness of fit: (statistic, dof, p-value)."""
-    obs, exp = pool_cells(observed, expected, min_expected)
-    if exp.size < 2:
-        raise StatsError("chi-square needs at least two pooled cells")
-    stat = float(np.sum((obs - exp) ** 2 / exp))
-    dof = int(exp.size - 1)
-    p_value = float(gammaincc(dof / 2.0, stat / 2.0))
-    return stat, dof, p_value

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import deathlab
 from deathlab.cli import main
 
 
@@ -217,3 +222,17 @@ def test_verify_fails_at_impossible_tolerance(runner):
 def test_verify_seed_change_still_passes(runner):
     result = invoke(runner, ["verify", "--samples", "4000", "--seed", "777"])
     assert result.exit_code == 0, result.output
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test dependency only: the CLI and the warmed kernels must run without it
+    src = str(Path(deathlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, deathlab.cli\n"
+        "from deathlab import kernels\n"
+        "kernels.warmup()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deathlab import (
-    Censored,
     Constant,
-    Finite,
     InitialPower,
     JointPower,
-    JumpedOver,
     ProcessError,
     RegimeError,
     StatePower,
@@ -20,16 +17,12 @@ from deathlab import (
     drop_distribution,
     exact_single_drop_path_prob,
     extinction_time_batch,
-    extinction_time_sample,
     first_passage_batch,
-    first_passage_sample,
-    first_passage_sample_stepped,
     ks_critical_value,
     ks_statistic,
     ks_two_sample,
     ks_two_sample_critical,
     make_stream,
-    observe_single_drop_path,
     sample_max_geometric_batch,
     simulate_trajectory,
     single_drop_batch,
@@ -37,8 +30,9 @@ from deathlab import (
     step,
     wilson_interval,
 )
-from deathlab.stats import SampleSummary, chi_square_gof
 from deathlab import kernels
+from deathlab.stats import SampleSummary
+from gof import chi_square_gof
 
 
 def test_step_degenerate():
@@ -159,9 +153,8 @@ def test_extinction_equals_max_of_geometrics_in_distribution():
 
 
 def test_single_drop_trivial_cases():
-    assert observe_single_drop_path(0, Constant(0.5), make_stream(6, 0)) is True
-    s = make_stream(6, 1)
-    assert all(observe_single_drop_path(1, Constant(0.5), s) for _ in range(1000))
+    assert single_drop_batch(0, Constant(0.5), make_stream(6, 0), 10).all()
+    assert single_drop_batch(1, Constant(0.5), make_stream(6, 1), 1000).all()
 
 
 def test_single_drop_frequency_matches_oracle_product():
@@ -190,9 +183,8 @@ def test_drop_distribution_domain():
 
 
 def test_first_passage_from_one_never_jumps():
-    s = make_stream(7, 0)
-    outcomes = [first_passage_sample(1, Constant(0.3), s) for _ in range(10**4)]
-    assert all(isinstance(o, Finite) for o in outcomes)
+    _, codes = first_passage_batch(1, Constant(0.3), make_stream(7, 0), 10**4)
+    assert np.all(codes == kernels.FINITE)
 
 
 def test_first_passage_finite_probability():
@@ -209,8 +201,8 @@ def test_first_passage_head_probability():
 
 
 def test_first_passage_censoring():
-    outcome = first_passage_sample(3, Constant(1e-12), make_stream(7, 3), t_max=10)
-    assert outcome == Censored(10)
+    times, codes = first_passage_batch(3, Constant(1e-12), make_stream(7, 3), 1, t_max=10)
+    assert (times.tolist(), codes.tolist()) == ([10], [kernels.CENSORED])
 
 
 def test_first_passage_no_censoring_when_uncapped():
@@ -249,10 +241,10 @@ def test_holding_time_is_geometric():
 
 
 def test_first_passage_with_context_regime():
-    outcome = first_passage_sample(2, JointPower(1.0, 3.0), make_stream(7, 8), n=1000)
-    assert isinstance(outcome, (Finite, JumpedOver))
+    _, codes = first_passage_batch(2, JointPower(1.0, 3.0), make_stream(7, 8), 1, n=1000)
+    assert codes[0] in (kernels.FINITE, kernels.JUMPED_OVER)
     with pytest.raises(ProcessError):
-        first_passage_sample(5, Constant(0.5), make_stream(7, 9), n=3)  # k > n
+        first_passage_batch(5, Constant(0.5), make_stream(7, 9), 1, n=3)  # k > n
 
 
 def test_default_t_max_bounds_censoring():
@@ -276,9 +268,9 @@ def test_domain_errors():
     with pytest.raises(ProcessError):
         simulate_trajectory(0, Constant(0.5), make_stream(0, 0))
     with pytest.raises(ProcessError):
-        extinction_time_sample(5, Constant(0.5), make_stream(0, 0), t_max=0)
+        extinction_time_batch(5, Constant(0.5), make_stream(0, 0), 1, t_max=0)
     with pytest.raises(ProcessError):
-        first_passage_sample_stepped(3, Constant(0.5), make_stream(0, 0), t_max=0)
+        first_passage_batch(3, Constant(0.5), make_stream(0, 0), 1, t_max=0, stepped=True)
 
 
 @settings(max_examples=30, deadline=None)

@@ -12,17 +12,14 @@ from deathlab import (
     ks_two_sample,
     ks_two_sample_critical,
     make_stream,
-    sample_binomial,
     sample_binomial_batch,
-    sample_exponential,
     sample_exponential_batch,
-    sample_geometric,
     sample_geometric_batch,
-    sample_max_geometric,
     sample_max_geometric_batch,
     wilson_interval,
 )
-from deathlab.stats import SampleSummary, chi_square_gof
+from deathlab.stats import SampleSummary
+from gof import chi_square_gof
 
 
 def binomial_pmf(x, c):
@@ -46,9 +43,9 @@ def binomial_pmf(x, c):
 
 def test_binomial_degenerate_probabilities():
     s = make_stream(0, 0)
-    assert sample_binomial(s, 5, 0.0) == 0
-    assert sample_binomial(s, 5, 1.0) == 5
-    assert sample_binomial(s, 0, 0.3) == 0
+    assert np.all(sample_binomial_batch(s, 5, 0.0, 100) == 0)
+    assert np.all(sample_binomial_batch(s, 5, 1.0, 100) == 5)
+    assert np.all(sample_binomial_batch(s, 0, 0.3, 100) == 0)
 
 
 def test_binomial_mean_band():
@@ -81,18 +78,18 @@ def test_binomial_chi_square_rejection_regime(x, c):
 def test_binomial_domain_errors():
     s = make_stream(0, 0)
     with pytest.raises(SamplerError):
-        sample_binomial(s, -1, 0.5)
+        sample_binomial_batch(s, -1, 0.5, 1)
     with pytest.raises(SamplerError):
-        sample_binomial(s, 5, -0.1)
+        sample_binomial_batch(s, 5, -0.1, 1)
     with pytest.raises(SamplerError):
-        sample_binomial(s, 5, 1.5)
+        sample_binomial_batch(s, 5, 1.5, 1)
     with pytest.raises(SamplerError):
-        sample_binomial(s, 2**53 + 1, 0.5)
+        sample_binomial_batch(s, 2**53 + 1, 0.5, 1)
 
 
 def test_geometric_certain_death():
     s = make_stream(0, 1)
-    assert all(sample_geometric(s, 1.0) == 1 for _ in range(100))
+    assert np.all(sample_geometric_batch(s, 1.0, 100) == 1)
 
 
 def test_geometric_mean_band():
@@ -122,9 +119,9 @@ def test_geometric_chi_square():
 def test_geometric_domain_errors():
     s = make_stream(0, 2)
     with pytest.raises(SamplerError):
-        sample_geometric(s, 0.0)
+        sample_geometric_batch(s, 0.0, 1)
     with pytest.raises(SamplerError):
-        sample_geometric(s, 1.0001)
+        sample_geometric_batch(s, 1.0001, 1)
 
 
 def test_max_geometric_of_one_matches_geometric():
@@ -135,7 +132,7 @@ def test_max_geometric_of_one_matches_geometric():
 
 def test_max_geometric_certain_death_at_huge_n():
     s = make_stream(6, 2)
-    assert all(sample_max_geometric(s, 10**6, 1.0) == 1 for _ in range(50))
+    assert np.all(sample_max_geometric_batch(s, 10**6, 1.0, 50) == 1)
 
 
 def test_max_geometric_cdf_ks():
@@ -176,18 +173,12 @@ def test_exponential_mean_and_survival():
 
 
 def test_exponential_reproducible_and_positive():
-    a = [sample_exponential(make_stream(8, 0), 1.0) for _ in range(3)]
-    b = [sample_exponential(make_stream(8, 0), 1.0) for _ in range(3)]
-    assert a == b
+    a = sample_exponential_batch(make_stream(8, 0), 1.0, 3)
+    b = sample_exponential_batch(make_stream(8, 0), 1.0, 3)
+    assert np.array_equal(a, b)
+    assert np.all(a > 0)
     with pytest.raises(SamplerError):
-        sample_exponential(make_stream(8, 1), 0.0)
-
-
-def test_scalar_and_batch_consume_stream_identically():
-    scalars = [sample_geometric(make_stream(9, 0), 0.4) for _ in range(1)]
-    s = make_stream(9, 0)
-    first_of_batch = sample_geometric_batch(s, 0.4, 10)[0]
-    assert scalars[0] == first_of_batch
+        sample_exponential_batch(make_stream(8, 1), 0.0, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,8 +188,8 @@ def test_scalar_and_batch_consume_stream_identically():
     seed=st.integers(min_value=0, max_value=2**32),
 )
 def test_binomial_support_property(x, c, seed):
-    value = sample_binomial(make_stream(seed, 0), x, c)
-    assert 0 <= value <= x
+    values = sample_binomial_batch(make_stream(seed, 0), x, c, 4)
+    assert np.all((values >= 0) & (values <= x))
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,8 +199,8 @@ def test_binomial_support_property(x, c, seed):
     seed=st.integers(min_value=0, max_value=2**32),
 )
 def test_max_geometric_support_property(n, c, seed):
-    value = sample_max_geometric(make_stream(seed, 1), n, c)
-    assert value >= 1
+    values = sample_max_geometric_batch(make_stream(seed, 1), n, c, 4)
+    assert np.all(values >= 1)
 
 
 @settings(max_examples=25, deadline=None)
