@@ -31,10 +31,13 @@ from .regimes import MortalityRegime, RegimeError, from_dict, from_json, parse_i
 from .rng import make_stream
 
 
-def _params(config_path: str | None, defaults: dict, **flags) -> dict:
+def _params(config_path: str | None, defaults: dict, minimums: dict, **flags) -> dict:
     """The command's parameters: its defaults, overridden by the JSON config
     file (whose fields must be keys of ``defaults``), then by the flags the
-    user gave."""
+    user gave.  Each key of ``minimums`` is an integer parameter and its
+    lowest allowed value; a value outside that range is a usage error here,
+    before any stream is made, whether it came from a flag or the file.
+    ``None`` stays allowed where it is the default (auto or disabled)."""
     params = dict(defaults)
     if config_path is not None:
         try:
@@ -50,6 +53,13 @@ def _params(config_path: str | None, defaults: dict, **flags) -> dict:
             raise click.UsageError(f"unknown config field(s): {', '.join(unknown)}")
         params.update(data)
     params.update({key: value for key, value in flags.items() if value is not None})
+    for key, low in minimums.items():
+        value = params[key]
+        if value is None and defaults[key] is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            flag = "--" + key.replace("_", "-")
+            raise click.UsageError(f"{flag} must be an integer >= {low}, got {value!r}")
     return params
 
 
@@ -88,9 +98,12 @@ def _parse_t_grid(value) -> list[int]:
     if ":" in text:
         lo, _, hi = text.partition(":")
         try:
-            return list(range(int(lo), int(hi) + 1))
+            grid = list(range(int(lo), int(hi) + 1))
         except ValueError:
             raise click.UsageError(f"--t-grid must look like 0:60, got {value!r}")
+        if not grid:
+            raise click.UsageError(f"--t-grid {value} is empty: its end lies below its start")
+        return grid
     return _parse_int_list(text, "--t-grid")
 
 
@@ -140,6 +153,7 @@ def simulate(n, regime_spec, samples, t_max, seed, out, config_path):
     params = _params(
         config_path,
         {"n": 5, "samples": 1, "t_max": None, "seed": 0, "out": "deathlab-out", "regime": "constant:0.5"},
+        {"samples": 1, "t_max": 1, "seed": 0},  # n: the process layer names it a population
         n=n, regime=regime_spec, samples=samples, t_max=t_max, seed=seed, out=out,
     )
     regime = _resolve_regime(params["regime"])
@@ -202,6 +216,7 @@ def extinct(n, regime_spec, t_grid, samples, ratio_n, ratio_c, ratio_samples, se
         {"n": 20, "regime": "constant:0.3", "t_grid": "0:60", "samples": 10**5,
          "ratio_n": 10**6, "ratio_c": 0.1, "ratio_samples": 10**4, "seed": 0,
          "workers": 1, "tolerance": 1e-12, "out": None},
+        {"n": 1, "samples": 1, "ratio_n": 0, "ratio_samples": 2, "seed": 0, "workers": 1},
         n=n, regime=regime_spec, t_grid=t_grid, samples=samples, ratio_n=ratio_n,
         ratio_c=ratio_c, ratio_samples=ratio_samples, seed=seed, workers=workers,
         tolerance=tolerance, out=out,
@@ -256,6 +271,7 @@ def path(n, regime_spec, samples, sweep, seed, workers, tolerance, out, config_p
         config_path,
         {"n": 5, "regime": "constant:0.1", "samples": 10**5, "sweep": None,
          "seed": 0, "workers": 1, "tolerance": 1e-12, "out": None},
+        {"n": 0, "samples": 1, "seed": 0, "workers": 1},
         n=n, regime=regime_spec, samples=samples, sweep=sweep, seed=seed,
         workers=workers, tolerance=tolerance, out=out,
     )
@@ -296,6 +312,8 @@ def passage(k, regime_spec, n, samples, j_max, limit_n, limit_samples, lam, seed
         {"k": 3, "regime": "constant:0.3", "n": None, "samples": 10**5, "j_max": 8,
          "limit_n": None, "limit_samples": None, "lam": None, "seed": 0, "workers": 1,
          "tolerance": 1e-12, "out": None},
+        {"k": 1, "n": 1, "samples": 1, "j_max": 1, "limit_n": 1, "limit_samples": 1, "seed": 0,
+         "workers": 1},
         k=k, regime=regime_spec, n=n, samples=samples, j_max=j_max, limit_n=limit_n,
         limit_samples=limit_samples, lam=lam, seed=seed, workers=workers,
         tolerance=tolerance, out=out,
@@ -331,6 +349,7 @@ def implode(alpha, k_max, runs, sweep, seed, workers, out, config_path):
         config_path,
         {"alpha": 1.0, "k_max": 10**4, "runs": 10**5, "sweep": "10,100,1000,10000",
          "seed": 0, "workers": 1, "out": None},
+        {"k_max": 1, "runs": 2, "seed": 0, "workers": 1},
         alpha=alpha, k_max=k_max, runs=runs, sweep=sweep, seed=seed, workers=workers, out=out,
     )
     sweep_list = None if params["sweep"] in (None, "") else _parse_int_list(params["sweep"], "--sweep")
@@ -372,6 +391,7 @@ def verify(seed, workers, tolerance, samples, out, config_path):
     params = _params(
         config_path,
         {"seed": 0, "workers": 1, "tolerance": 1e-12, "samples": 20000, "out": None},
+        {"seed": 0, "workers": 1, "samples": 2},
         seed=seed, workers=workers, tolerance=tolerance, samples=samples, out=out,
     )
     try:

@@ -17,6 +17,21 @@ All samplers here are exact: the binomial draw uses a Bernoulli sum for
 tiny x, CDF inversion by the pmf recurrence while x*min(c,1-c) is small,
 and the transformed-rejection method of Hormann (1993) above that.  The
 cutover points affect speed only, never the distribution.
+
+The process kernels simulate the chain one level at a time, not one time
+step at a time.  Given the state k the chain is time-homogeneous: it stays
+at k for a Geometric(1-(1-c)^k) number of steps, independent of where it
+lands, and the landing follows the departure jump law, Binomial(k, c)
+deaths conditioned on at least one.  So ``single_drop_draw`` walks the
+jump chain alone, one landing draw per level and none at state 1.
+``trajectory_fill`` draws the hold and then the landing at each level and
+stops past ``t_max`` without drawing the landing; ``extinction_batch``
+runs it with an empty path buffer.  ``first_passage_draw`` is the same
+two-stage draw for one level.  The landing draw inverts the conditional
+pmf from one death upward while that walk is expected to take at most 14
+steps (the inversion cutover of the binomial draw) and rejects zero-death
+binomial draws above that.  A level costs about two uniforms, however
+long the chain holds there.
 """
 
 from __future__ import annotations
@@ -35,6 +50,10 @@ except ImportError:  # pragma: no cover - exercised via the env flag instead
     _HAVE_NUMBA = False
 
 _ENV_FLAG = "DEATHLAB_NO_NUMBA"
+
+# Longest expected pmf walk of the landing draw, the cutover binomial_draw
+# also uses for inversion; longer walks give way to rejection.
+_WALK_MAX = 14.0
 
 # first-passage outcome codes
 FINITE = 0
@@ -164,14 +183,20 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         return k
 
     @wrap
+    def _hold(gen, lq):
+        # Geometric holding time on {1,2,...} with stay chance e^lq < 1 per
+        # step, by inversion; lq = k ln(1-c).  A float, capped at 4.6e18.
+        x = math.log1p(-gen.random()) / lq
+        if x >= 4.6e18:
+            return 4.6e18
+        return math.floor(x) + 1.0
+
+    @wrap
     def geometric_draw(gen, c):
         # Geometric on {1,2,...} with P(t) = (1-c)^(t-1) c, by inversion
         if c >= 1.0:
             return np.int64(1)
-        jf = math.floor(math.log1p(-gen.random()) / math.log1p(-c)) + 1.0
-        if jf > 4.6e18:
-            jf = 4.6e18
-        return np.int64(jf)
+        return np.int64(_hold(gen, math.log1p(-c)))
 
     @wrap
     def max_geometric_draw(gen, n, c):
@@ -190,67 +215,74 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         return np.int64(tf)
 
     @wrap
-    def extinction_time_draw(gen, cs, n, t_max):
-        # first hitting time of 0 from n; -1 when censored at t_max
-        last = cs.shape[0] - 1
-        k = n
-        t = np.int64(0)
-        while k > 0 and t < t_max:
-            k -= binomial_draw(gen, k, cs[min(k, last)])
-            t += 1
-        if k == 0:
-            return t
-        return np.int64(-1)
-
-    @wrap
-    def trajectory_fill(gen, out, cs, n, t_max):
-        # writes the path into out (out[0] = n); returns extinction index or -1
-        last = cs.shape[0] - 1
-        out[0] = n
-        k = n
-        t = np.int64(0)
-        while k > 0 and t < t_max:
-            k -= binomial_draw(gen, k, cs[min(k, last)])
-            t += 1
-            out[t] = k
-        if k == 0:
-            return t
-        return np.int64(-1)
-
-    @wrap
-    def single_drop_draw(gen, cs, n):
-        # True iff the realized path loses exactly one individual per drop
-        last = cs.shape[0] - 1
-        k = n
-        while k > 0:
-            d = binomial_draw(gen, k, cs[min(k, last)])
-            if d > 1:
-                return False
-            k -= d
-        return True
-
-    @wrap
     def _conditional_deaths(gen, k, c):
-        # Binomial(k, c) conditioned on >= 1, i.e. the departure jump law.
-        qk = math.exp(k * math.log1p(-c))
-        if qk < 0.5:
-            # departure is likely per step: rejection on the raw binomial
+        # Binomial(k, c) conditioned on >= 1, i.e. the departure jump law;
+        # a lone individual and certain death both land at 0 without a draw
+        if k == 1 or c >= 1.0:
+            return k
+        lq = k * math.log1p(-c)
+        total = -math.expm1(lq)  # 1 - (1-c)^k, no cancellation
+        if k * c > _WALK_MAX * total:
+            # the walk below would be long: rejection on the raw binomial,
+            # which departs with chance total, close to 1 here
             while True:
                 d = binomial_draw(gen, k, c)
                 if d >= 1:
                     return d
-        # staying is likely: walk the conditional pmf from one death upward
+        # invert the conditional pmf from one death upward; the walk takes
+        # k*c / total steps on average
         ratio = c / (1.0 - c)
-        mass = k * ratio * qk  # k * c * (1-c)^(k-1)
-        total = -math.expm1(k * math.log1p(-c))  # 1 - (1-c)^k, no cancellation
+        mass = k * ratio * math.exp(lq)  # k * c * (1-c)^(k-1)
         u = gen.random() * total
-        b = np.int64(1)
+        b = 1
         acc = mass
         while u > acc and b < k:
             mass *= ratio * (k - b) / (b + 1.0)
             b += 1
             acc += mass
         return b
+
+    @wrap
+    def trajectory_fill(gen, out, cs, n, t_max):
+        # Extinction time from n, or -1 when censored at t_max; writes the
+        # path into out[0 : t_max+1] unless out is empty.  Per state it
+        # draws the geometric hold and then the landing state.
+        last = cs.shape[0] - 1
+        record = out.shape[0] > 0
+        if record:
+            out[0] = n
+        k = n
+        t = 0
+        while k > 0 and t < t_max:
+            c = float(cs[min(k, last)])
+            # ln (1-c)^k; certain death holds for exactly one step
+            lq = -math.inf if c >= 1.0 else k * math.log1p(-c)
+            j = _hold(gen, lq)
+            if j > t_max - t:
+                if record:
+                    out[t + 1 : t_max + 1] = k
+                return np.int64(-1)
+            d = _conditional_deaths(gen, k, c)
+            hold = int(j)
+            if record:
+                out[t + 1 : t + hold] = k
+                out[t + hold] = k - d
+            t += hold
+            k -= d
+        if k == 0:
+            return np.int64(t)
+        return np.int64(-1)
+
+    @wrap
+    def single_drop_draw(gen, cs, n):
+        # True iff the jump chain from n loses exactly one individual per
+        # departure; holding times do not matter, and state 1 can only drop
+        # to 0
+        last = cs.shape[0] - 1
+        for k in range(n, 1, -1):
+            if _conditional_deaths(gen, k, float(cs[min(k, last)])) > 1:
+                return False
+        return True
 
     @wrap
     def first_passage_draw(gen, k, c, t_max):
@@ -262,11 +294,9 @@ def _build_backend(jit: bool) -> SimpleNamespace:
             if k == 1:
                 return np.int64(1), np.int64(FINITE)
             return np.int64(1), np.int64(JUMPED_OVER)
-        jf = math.floor(math.log1p(-gen.random()) / (k * math.log1p(-c))) + 1.0
+        jf = _hold(gen, k * math.log1p(-c))
         if t_max > 0 and jf > t_max:
             return np.int64(t_max), np.int64(CENSORED)
-        if jf > 4.6e18:
-            jf = 4.6e18
         d = _conditional_deaths(gen, k, c)
         if d == 1:
             return np.int64(jf), np.int64(FINITE)
@@ -303,8 +333,12 @@ def _build_backend(jit: bool) -> SimpleNamespace:
 
     @wrap
     def extinction_batch(gen, out, cs, n, t_max):
+        # first hitting times of 0 from n, -1 when censored; the path buffer
+        # is empty, so trajectory_fill records nothing.  It is made here, at
+        # run time: numba would freeze a captured array as read-only.
+        no_path = np.empty(0, dtype=np.int64)
         for i in range(out.shape[0]):
-            out[i] = extinction_time_draw(gen, cs, n, t_max)
+            out[i] = trajectory_fill(gen, no_path, cs, n, t_max)
 
     @wrap
     def single_drop_batch(gen, out, cs, n):
@@ -330,7 +364,6 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         binomial_draw=binomial_draw,
         geometric_draw=geometric_draw,
         max_geometric_draw=max_geometric_draw,
-        extinction_time_draw=extinction_time_draw,
         trajectory_fill=trajectory_fill,
         single_drop_draw=single_drop_draw,
         first_passage_draw=first_passage_draw,
@@ -378,7 +411,6 @@ def warmup() -> None:
     binomial_draw(gen, 5, 0.9)
     geometric_draw(gen, 0.5)
     max_geometric_draw(gen, 10, 0.5)
-    extinction_time_draw(gen, cs, 5, 1000)
     trajectory_fill(gen, np.empty(1001, dtype=np.int64), cs, 5, 1000)
     single_drop_draw(gen, cs, 5)
     first_passage_draw(gen, 3, 0.3, 0)

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import deathlab
+from deathlab import cli, experiments
 from deathlab.cli import main
 
 
@@ -83,6 +84,46 @@ def test_config_rejects_regime_with_unknown_field(runner, tmp_path):
     result = runner.invoke(main, ["simulate", "--config", str(cfg)])
     assert result.exit_code == 2
     assert "bogus" in result.output
+
+
+@pytest.fixture()
+def no_streams(monkeypatch):
+    # a stream is made before the first draw; none may be made here
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream was made")
+
+    monkeypatch.setattr(cli, "make_stream", refuse)
+    monkeypatch.setattr(experiments, "make_stream", refuse)
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["implode", "--k-max", "10", "--runs", "0"], "--runs"),
+        (["simulate", "--n", "10", "--samples", "-1"], "--samples"),
+        (["verify", "--samples", "1"], "--samples"),
+        (["verify", "--workers", "0"], "--workers"),
+        (["path", "--n", "3", "--workers", "0"], "--workers"),
+        (["extinct", "--t-grid", "5:0"], "--t-grid"),
+    ],
+    ids=["implode_runs_0", "simulate_samples_negative", "verify_samples_1", "verify_workers_0",
+         "path_workers_0", "extinct_empty_t_grid"],
+)
+def test_out_of_range_parameter_exits_2_before_any_stream(runner, no_streams, args, flag):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert flag in result.output
+    assert "Traceback" not in result.output
+
+
+def test_config_value_out_of_range_fails_like_the_flag(runner, no_streams, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for bad in (0, 2.5, "9"):
+        cfg.write_text(json.dumps({"k_max": 10, "runs": bad}))
+        result = runner.invoke(main, ["implode", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert f"--runs must be an integer >= 2, got {bad!r}" in result.output
 
 
 def test_extinct_small_run(runner, tmp_path):

@@ -1,0 +1,234 @@
+"""Laws of the jump-chain kernels.
+
+The extinction and trajectory kernels draw the geometric holding time at
+each level and then the landing state; the single-drop kernel walks the
+jump chain alone.  The landing draw walks the conditional pmf or, where
+that walk would be long, rejects zero-death binomial draws.  These tests
+check the draws against the law itself -- the dynamic-programming oracle
+and the single-drop oracle -- and against the per-step references in
+``stepped.py``.  The cases cover a regime where every level holds long, a
+``Table``, a ``StatePower`` regime whose stay chance crosses 1/2 along the
+path, a ``Table`` entry with c = 1, and a dense regime whose landings from
+the top levels take the rejection draw.
+
+Every statistical check runs at level 0.001, so the fifty or so of them
+together fail by chance on about one seed in twenty.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from deathlab import (
+    Constant,
+    StatePower,
+    Table,
+    exact_single_drop_path_prob,
+    extinction_time_batch,
+    ks_two_sample,
+    ks_two_sample_critical,
+    make_stream,
+    single_drop_batch,
+    wilson_interval,
+)
+from deathlab import kernels
+from deathlab.oracle import MAX_TIME, exact_extinction_curve, state_distribution_history
+from deathlab.regimes import mortality, prepare
+from gof import chi_square_gof
+import stepped
+
+SEED = 20261018
+LEVEL = 0.001
+
+# name -> (n, regime, stream-id block)
+CASES = {
+    # every level holds long: (1 - 0.02)^k >= 0.8 for k <= 10
+    "constant_low": (10, Constant(0.02), 100),
+    # a departure is likely, (1-c_k)^k < 1/2, at k = 1, 3, 5, 7 only
+    "table": (
+        8,
+        Table({(k, 8): c for k, c in zip(range(1, 9), (0.6, 0.05, 0.3, 0.02, 0.15, 0.08, 0.4, 0.03))}),
+        200,
+    ),
+    # c_k = 0.3 / sqrt(k): a departure is likely from 20 down to 5, not below
+    "state_power_crossing": (20, StatePower(0.3, 0.5), 300),
+    # everyone dies at once from state 3
+    "table_certain_death": (6, Table({(k, 6): 1.0 if k == 3 else 0.1 for k in range(1, 7)}), 400),
+    # landings from k >= 21 take the rejection draw
+    "dense": (30, Constant(0.7), 700),
+}
+
+
+def _landing_draw(k, c):
+    """The branch of the landing draw that a departure from k takes."""
+    if k == 1 or c >= 1.0:
+        return "none"
+    if k * c > kernels._WALK_MAX * -math.expm1(k * math.log1p(-c)):
+        return "reject"
+    return "walk"
+
+
+def _median_time(n, regime):
+    return int(np.searchsorted(exact_extinction_curve(n, regime, MAX_TIME), 0.5))
+
+
+def _uncensored(times, t_max):
+    # censored runs (-1) sort above every extinction time
+    return np.where(times < 0, t_max + 1, times)
+
+
+def test_cases_cover_every_landing_draw():
+    draws = {
+        case: {_landing_draw(k, mortality(regime, k, n)) for k in range(1, n + 1)}
+        for case, (n, regime, _) in CASES.items()
+    }
+    assert draws["constant_low"] == draws["state_power_crossing"] == {"none", "walk"}
+    assert draws["dense"] == {"none", "walk", "reject"}
+    assert _landing_draw(3, mortality(CASES["table_certain_death"][1], 3, 6)) == "none"
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_extinction_law_matches_dp(case):
+    n, regime, block = CASES[case]
+    m = 20000
+    times = extinction_time_batch(n, regime, make_stream(SEED, block), m, t_max=MAX_TIME)
+    assert np.all((times == -1) | ((times >= 1) & (times <= MAX_TIME)))
+    curve = exact_extinction_curve(n, regime, MAX_TIME)
+    expected = np.append(np.diff(curve), 1.0 - curve[-1]) * m  # t = 1..MAX_TIME, censored
+    observed = np.bincount(_uncensored(times, MAX_TIME), minlength=MAX_TIME + 2)[1:]
+    _, _, p = chi_square_gof(observed.astype(float), expected)
+    assert p > LEVEL, (case, p)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_censoring_at_small_t_max_matches_dp_survival(case):
+    n, regime, block = CASES[case]
+    m, t_max = 20000, _median_time(n, regime)
+    times = extinction_time_batch(n, regime, make_stream(SEED, block + 1), m, t_max=t_max)
+    assert np.all((times == -1) | ((times >= 1) & (times <= t_max)))
+    survival = 1.0 - exact_extinction_curve(n, regime, t_max)[-1]
+    low, high = wilson_interval(int(np.count_nonzero(times < 0)), m, 1.0 - LEVEL)
+    assert low <= survival <= high, (case, t_max, survival, low, high)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_extinction_matches_stepped_reference(case):
+    n, regime, block = CASES[case]
+    m = 3000
+    cs = prepare(regime, n)
+    fast = np.empty(m, dtype=np.int64)
+    kernels.extinction_batch(make_stream(SEED, block + 2).generator, fast, cs, n, MAX_TIME)
+    gen = make_stream(SEED, block + 3).generator
+    slow = np.array([stepped.extinction_time(gen, cs, n, MAX_TIME) for _ in range(m)])
+    dist = ks_two_sample(_uncensored(fast, MAX_TIME), _uncensored(slow, MAX_TIME))
+    assert dist < ks_two_sample_critical(m, m, LEVEL), case
+
+
+def _paths(fill, gen, cs, n, t_max, m):
+    """m paths from fill, as a (m, t_max+1) array with 0 after extinction."""
+    paths = np.zeros((m, t_max + 1), dtype=np.int64)
+    for row in paths:
+        ext = fill(gen, row, cs, n, t_max)
+        if ext >= 0:
+            row[ext + 1 :] = 0
+    return paths
+
+
+def _last_move(paths):
+    """Index at which each path reaches the state it holds at t_max."""
+    return np.argmax(paths == paths[:, -1:], axis=1)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_trajectory_marginals_match_dp(case):
+    # paths censored at the median extinction time, so half of them are
+    # filled to t_max by the hold that outlasts it
+    n, regime, block = CASES[case]
+    m, t_max = 3000, _median_time(n, regime)
+    cs = prepare(regime, n)
+    paths = _paths(kernels.trajectory_fill, make_stream(SEED, block + 4).generator, cs, n, t_max, m)
+    assert np.all(paths[:, 0] == n)
+    assert np.all(np.diff(paths, axis=1) <= 0)
+    history = state_distribution_history(n, regime, t_max)
+    for t in sorted({1, t_max // 2, t_max}):
+        observed = np.bincount(paths[:, t], minlength=n + 1).astype(float)
+        _, _, p = chi_square_gof(observed, history[t] * m)
+        assert p > LEVEL, (case, t, p)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_trajectory_matches_stepped_reference(case):
+    n, regime, block = CASES[case]
+    m, t_max = 2000, _median_time(n, regime)
+    cs = prepare(regime, n)
+    fast = _paths(kernels.trajectory_fill, make_stream(SEED, block + 5).generator, cs, n, t_max, m)
+    slow = _paths(stepped.trajectory_fill, make_stream(SEED, block + 6).generator, cs, n, t_max, m)
+    crit = ks_two_sample_critical(m, m, LEVEL)
+    # the state halfway, and the time of the last departure seen by t_max
+    assert ks_two_sample(fast[:, t_max // 2], slow[:, t_max // 2]) < crit, case
+    assert ks_two_sample(_last_move(fast), _last_move(slow)) < crit, case
+
+
+SINGLE_DROP_CASES = {
+    "constant_low": (10, Constant(0.02)),
+    "table": CASES["table"][:2],
+    "state_power": (10, StatePower(0.5, 2.0)),
+}
+
+
+@pytest.mark.parametrize("case", SINGLE_DROP_CASES)
+def test_single_drop_matches_oracle_and_stepped_reference(case):
+    n, regime = SINGLE_DROP_CASES[case]
+    exact = exact_single_drop_path_prob(n, regime)
+    m_fast, m_slow = 20000, 3000
+    fast = int(np.count_nonzero(single_drop_batch(n, regime, make_stream(SEED, 500), m_fast)))
+    cs = prepare(regime, n)
+    gen = make_stream(SEED, 501).generator
+    slow = sum(stepped.single_drop(gen, cs, n) for _ in range(m_slow))
+    for hits, m in ((fast, m_fast), (slow, m_slow)):
+        low, high = wilson_interval(hits, m, 1.0 - LEVEL)
+        assert low <= exact <= high, (case, hits, m, exact)
+    pooled = (fast + slow) / (m_fast + m_slow)
+    z = (fast / m_fast - slow / m_slow) / math.sqrt(pooled * (1 - pooled) * (1 / m_fast + 1 / m_slow))
+    assert abs(z) < 3.29, (case, z)  # two-sided 0.001
+
+
+def test_single_drop_with_certain_death_at_a_level():
+    # c = 1 at state 3 lands at 0 from there, a drop of three
+    n, regime, _ = CASES["table_certain_death"]
+    assert not single_drop_batch(n, regime, make_stream(SEED, 502), 2000).any()
+    # c = 1 at state 1 is the one certain death that keeps the path single-drop
+    lone = Table({(1, 2): 1.0, (2, 2): 0.5})
+    flags = single_drop_batch(2, lone, make_stream(SEED, 503), 20000)
+    low, high = wilson_interval(int(np.count_nonzero(flags)), 20000, 1.0 - LEVEL)
+    assert low <= 2 / 3 <= high  # P(A_2) at c = 1/2
+
+
+def _words_drawn(gen):
+    """64-bit words a Philox generator has handed out; every uniform the
+    kernels take costs one."""
+    state = gen.bit_generator.state
+    counter = sum(int(v) << (64 * i) for i, v in enumerate(state["state"]["counter"]))
+    return 4 * counter - (4 - int(state["buffer_pos"]))
+
+
+def test_cost_is_at_most_one_draw_per_level():
+    # at n = 10, c = 0.02 every level holds and every landing is one pmf
+    # walk, so a single-drop sample costs at most n-1 uniforms and a path
+    # at most 2n; stepping per time step costs hundreds
+    n, c = 10, 0.02
+    assert all((1 - c) ** k >= 0.5 and k * c <= 14 * -math.expm1(k * math.log1p(-c)) for k in range(1, n + 1))
+    cs = prepare(Constant(c), n)
+    gen = make_stream(SEED, 600).generator
+    out = np.empty(1, dtype=np.uint8)
+    for _ in range(500):
+        before = _words_drawn(gen)
+        kernels.single_drop_batch(gen, out, cs, n)
+        assert _words_drawn(gen) - before <= n - 1
+    t_max = 1200
+    buf = np.empty(t_max + 1, dtype=np.int64)
+    for _ in range(500):
+        before = _words_drawn(gen)
+        kernels.trajectory_fill(gen, buf, cs, n, t_max)
+        assert _words_drawn(gen) - before <= 2 * n

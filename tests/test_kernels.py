@@ -64,6 +64,10 @@ def test_process_kernels_identical(backends):
     nb.extinction_batch(g1, a, cs, 50, 10**6)
     py.extinction_batch(g2, b, cs, 50, 10**6)
     assert np.array_equal(a, b)
+    cs = prepare(Constant(0.02), 10)  # every level holds; some runs censored
+    nb.extinction_batch(g1, a, cs, 10, 150)
+    py.extinction_batch(g2, b, cs, 10, 150)
+    assert np.array_equal(a, b)
 
     g1, g2 = _pair_of_generators(21)
     ab = np.empty(1000, dtype=np.uint8)
@@ -100,6 +104,11 @@ def test_trajectory_fill_identical(backends):
     eb = py.trajectory_fill(g2, b, cs, 30, 1000)
     assert ea == eb
     assert np.array_equal(a, b)
+    # a hold that outlasts t_max fills the rest of the buffer
+    cs = prepare(Constant(0.02), 10)
+    for _ in range(20):
+        assert nb.trajectory_fill(g1, a, cs, 10, 40) == py.trajectory_fill(g2, b, cs, 10, 40)
+        assert np.array_equal(a[:41], b[:41])
 
 
 def test_env_flag_selects_python_backend():
