@@ -376,16 +376,17 @@ def build_passage_report(
         row = ReportRow.wilson(f"P(T=j) at j={j} [{tag}]", closed, hits, samples, MC_LEVEL)
         report.add(_with_oracle(row, orac, tolerance))
     closed_mass = single_drop_prob(k, c)
+    # T is finite iff the first departure removes exactly one individual
+    mass_oracle = float(exact_jump_law(k, c)[0]) if k <= MAX_STATE else None
     row = ReportRow.wilson(
-        f"P(T finite) [{tag}]", closed_mass, int(np.count_nonzero(finite_mask)), samples, MC_LEVEL
+        f"P(T finite) [{tag}]",
+        closed_mass,
+        int(np.count_nonzero(finite_mask)),
+        samples,
+        MC_LEVEL,
+        note="" if mass_oracle is not None else "no oracle",
     )
-    if k <= MAX_STATE:
-        law, law_tail = exact_passage_law(k, c, 400)
-        cum = float(law.sum())
-        row.oracle = cum + law_tail / 2.0
-        row.passed = row.passed and cum - tolerance <= closed_mass <= cum + law_tail + tolerance
-        row.note = "oracle = series bracket midpoint"
-    report.add(row)
+    report.add(_with_oracle(row, mass_oracle, tolerance))
     for frac in s_fractions:
         s = frac * passage_mgf_domain(k, c)
         closed = passage_mgf(k, c, s)

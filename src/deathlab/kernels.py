@@ -32,11 +32,27 @@ pmf from one death upward while that walk is expected to take at most 14
 steps (the inversion cutover of the binomial draw) and rejects zero-death
 binomial draws above that.  A level costs about two uniforms, however
 long the chain holds there.
+
+In the Python build every batch entry point runs its kernel on a block
+source instead of the generator.  The kernel still calls ``gen.random()``;
+the source answers with the same Philox doubles in the same order, as
+Python floats.  It saves the generator state and hands out doubles from
+``gen.random(size)`` blocks (64 long, doubling up to 1024), which cost a
+fraction of a scalar call each.  When the call ends, by return or by
+raise, the source rewinds: it restores the saved state and skips one word
+per double consumed (``bit_generator.random_raw(used, output=False)``).
+The generator so ends exactly where the kernel's own ``gen.random()``
+calls would have left it, and every report, stream position and uniform
+count is unchanged.  ``trajectory_fill``, the scalar ``*_draw`` entry
+points, calls from one kernel to another and the numba build take the
+generator itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 from types import SimpleNamespace
 
@@ -75,6 +91,18 @@ _STIRLING_TAIL = np.array(
         0.009255462182712733,
         0.008330563433362871,
     ]
+)
+
+
+# The block source of the Python build draws blocks that start this long
+# and double up to _MAX_BLOCK.
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 1024
+
+# batch entry points of the Python build that draw through a block source
+_BUFFERED = (
+    "binomial_batch", "geometric_batch", "max_geometric_batch", "extinction_batch",
+    "single_drop_batch", "first_passage_batch", "first_passage_stepped_batch",
 )
 
 
@@ -378,6 +406,47 @@ def _build_backend(jit: bool) -> SimpleNamespace:
     )
 
 
+def _uniforms(gen: np.random.Generator):
+    """The doubles ``gen.random()`` would return, as Python floats, in order.
+
+    The state is saved and the doubles come from ``gen.random(size)``
+    blocks, which run ahead of what is consumed.  Closing the iterator
+    rewinds: it restores the saved state and skips one Philox word per
+    double consumed.  Either way ``gen`` ends where the same number of
+    ``gen.random()`` calls leaves it.
+    """
+    bitgen = gen.bit_generator
+    saved = bitgen.state
+    drawn = 0  # doubles taken from gen in blocks since saved
+    block = iter(())
+    size = _FIRST_BLOCK
+    try:
+        while True:
+            block = iter(gen.random(size).tolist())
+            drawn += size
+            yield from block
+            size = min(2 * size, _MAX_BLOCK)
+    finally:
+        bitgen.state = saved
+        bitgen.random_raw(drawn - operator.length_hint(block), output=False)
+
+
+def _buffered(kernel):
+    """Run ``kernel(gen, ...)`` on a block source over ``gen``; on return or
+    raise, ``gen`` stands where the kernel's own draws leave it."""
+
+    @functools.wraps(kernel)
+    def entry(gen, *args):
+        draws = _uniforms(gen)
+        try:
+            # the kernel only ever calls gen.random()
+            return kernel(SimpleNamespace(random=draws.__next__), *args)
+        finally:
+            draws.close()
+
+    return entry
+
+
 _BACKENDS: dict[bool, SimpleNamespace] = {}
 
 
@@ -386,7 +455,11 @@ def get_backend(jit: bool) -> SimpleNamespace:
     if jit and not _HAVE_NUMBA:
         raise RuntimeError("numba backend requested but numba is not importable")
     if jit not in _BACKENDS:
-        _BACKENDS[jit] = _build_backend(jit)
+        backend = _build_backend(jit)
+        if not jit:
+            for name in _BUFFERED:
+                setattr(backend, name, _buffered(getattr(backend, name)))
+        _BACKENDS[jit] = backend
     return _BACKENDS[jit]
 
 

@@ -56,7 +56,7 @@ class Trajectory:
         return self.extinction_time is None
 
     def to_csv_rows(self, run_id: int) -> list[tuple[int, int, int]]:
-        return [(run_id, t, int(s)) for t, s in enumerate(self.states)]
+        return [(run_id, t, s) for t, s in enumerate(self.states.tolist())]
 
 
 def _check_n(n: int, minimum: int = 1) -> int:

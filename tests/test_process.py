@@ -75,6 +75,13 @@ def test_censoring_is_encoded_not_raised():
     assert traj.states.size == 3
 
 
+def test_csv_rows_are_python_ints_per_time_step():
+    traj = simulate_trajectory(12, Constant(0.2), make_stream(3, 2))
+    rows = traj.to_csv_rows(7)
+    assert rows == [(7, t, int(s)) for t, s in enumerate(traj.states)]
+    assert all(type(value) is int for row in rows for value in row)
+
+
 def test_censoring_rare_at_default_t_max():
     times = extinction_time_batch(5, Constant(0.5), make_stream(3, 1), 10**4, t_max=10**4)
     assert np.count_nonzero(times < 0) == 0

@@ -137,6 +137,26 @@ def test_prepare_encodes_every_regime():
     assert prepare(Constant(0.5), 10**12).size == 2  # O(1) memory for run-constant regimes
 
 
+@pytest.mark.parametrize(
+    "regime",
+    [
+        Constant(0.3),
+        InitialPower(0.8, 0.5),
+        StatePower(0.5, 1.0),  # numpy's vectorised power differs from it in the last bit
+        StatePower(0.9, 0.37),
+        StatePower(1e-3, 2.5),
+        JointPower(1.0, 2.0),
+        JointPower(0.5, 0.5),
+        JointPower(1.3, 2.7),
+    ],
+)
+@pytest.mark.parametrize("n", [1, 2, 17, 3000])
+def test_prepare_is_bit_equal_to_mortality(regime, n):
+    cs = prepare(regime, n)
+    want = [mortality(regime, max(k, 1), n) for k in range(cs.size)]
+    assert cs.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
 def test_joint_power_overflow_is_a_domain_error():
     # 40**193 overflows a double; the regime must fail as a domain error
     with pytest.raises(RegimeError):

@@ -1,0 +1,147 @@
+"""The block source of the Python kernel build.
+
+Each batch entry point of the Python build runs its kernel on a source
+that hands out, in order, the doubles ``gen.random()`` would, and leaves
+the generator where those calls would leave it, also when the kernel
+raises.  Every case here calls the entry point and the kernel it wraps
+(``__wrapped__``) on equal streams and compares outputs and
+``bit_generator.state``.  The sizes span part of the first block, the
+switch from one block to the next and blocks of the largest size.
+"""
+
+import gc
+
+import numpy as np
+import pytest
+
+from deathlab import kernels, process
+from deathlab._parallel import CHUNK_SIZE
+from deathlab.regimes import Constant, StatePower, prepare
+from deathlab.rng import make_stream
+
+PY = kernels.get_backend(False)
+SEED = 20261018
+
+
+def _state(gen):
+    s = gen.bit_generator.state
+    return (
+        s["state"]["counter"].tolist(),
+        s["state"]["key"].tolist(),
+        s["buffer"].tolist(),
+        s["buffer_pos"],
+        s["has_uint32"],
+        s["uinteger"],
+    )
+
+
+def _ints(m):
+    return np.zeros(m, dtype=np.int64)
+
+
+# entry point -> builder of its arguments after the generator, for m samples
+CASES = {
+    "binomial_batch": lambda m: (7, 0.3, _ints(m)),
+    "binomial_batch/btrs": lambda m: (400, 0.3, _ints(m)),
+    "geometric_batch": lambda m: (0.2, _ints(m)),
+    "max_geometric_batch": lambda m: (100, 0.2, _ints(m)),
+    "extinction_batch": lambda m: (_ints(m), prepare(Constant(0.2), 50), 50, 10**4),
+    "extinction_batch/censored": lambda m: (_ints(m), prepare(StatePower(0.5, 1.0), 30), 30, 40),
+    "single_drop_batch": lambda m: (np.zeros(m, dtype=np.uint8), prepare(Constant(0.02), 10), 10),
+    "first_passage_batch": lambda m: (5, 0.3, 3, _ints(m), _ints(m)),
+    "first_passage_stepped_batch": lambda m: (5, 0.05, 30, _ints(m), _ints(m)),
+}
+SIZES = (1, 7, 40, 300, 3000)
+
+
+def _call(kernel, gen, args):
+    result = kernel(gen, *args)
+    return result, [a.tolist() for a in args if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("m", SIZES)
+def test_entry_point_matches_its_kernel(case, m):
+    entry = getattr(PY, case.split("/")[0])
+    raw = entry.__wrapped__
+    assert raw is not entry
+    g1, g2 = make_stream(SEED, m).generator, make_stream(SEED, m).generator
+    assert _call(entry, g1, CASES[case](m)) == _call(raw, g2, CASES[case](m))
+    assert _state(g1) == _state(g2)
+    # the stream goes on where the kernel's own draws left it
+    assert PY.binomial_draw(g1, 30, 0.3) == PY.binomial_draw(g2, 30, 0.3)
+    assert g1.random(5).tolist() == g2.random(5).tolist()
+    assert _state(g1) == _state(g2)
+
+
+def _record(gen, m, seen):
+    # a kernel that keeps every uniform it draws
+    for _ in range(m):
+        seen.append(gen.random())
+
+
+@pytest.mark.parametrize("m", [0, 1, 64, 65, 192, 193, 5000])
+def test_the_source_hands_out_the_generator_doubles(m):
+    g1, g2 = make_stream(SEED, 2).generator, make_stream(SEED, 2).generator
+    seen = []
+    kernels._buffered(_record)(g1, m, seen)
+    assert seen == [g2.random() for _ in range(m)]
+    assert _state(g1) == _state(g2)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_zero_length_outputs_draw_nothing(case):
+    entry = getattr(PY, case.split("/")[0])
+    for kernel in (entry, entry.__wrapped__):
+        gen = make_stream(SEED, 1).generator
+        gen.random(3)  # a part-used Philox block
+        before = _state(gen)
+        kernel(gen, *CASES[case](0))
+        assert _state(gen) == before
+
+
+@pytest.mark.parametrize("fail_at", [2, 40, 700])
+def test_a_kernel_that_raises_leaves_the_stream_where_its_draws_did(fail_at):
+    # out_code is shorter than out_j, so the kernel raises on writing
+    # sample fail_at, in the first block or after it
+    seen = []
+    for kernel in (PY.first_passage_batch, PY.first_passage_batch.__wrapped__):
+        gen = make_stream(SEED, 7).generator
+        out_j, out_code = _ints(1000), _ints(fail_at)
+        with pytest.raises(IndexError) as raised:
+            kernel(gen, 5, 0.3, 0, out_j, out_code)
+        # read while the traceback, and every frame on it, is alive
+        seen.append((out_j.tolist(), out_code.tolist(), _state(gen), raised.type))
+    assert seen[0] == seen[1]
+
+
+def test_the_source_leaves_no_cycles():
+    # blocks held by a reference cycle would outlive the call until the
+    # collector ran, and raise peak memory
+    cs = prepare(Constant(0.2), 50)
+    gen = make_stream(SEED, 8).generator
+    gc.collect()
+    gc.disable()
+    try:
+        PY.extinction_batch(gen, _ints(500), cs, 50, 10**4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.skipif(kernels.BACKEND != "python", reason="the block source wraps the Python build")
+def test_worker_counts_and_the_raw_kernels_agree_through_process(monkeypatch):
+    samples = 2 * CHUNK_SIZE + 5  # three chunks, so two workers share them
+    regime = Constant(0.5)
+
+    def outcomes(workers):
+        ext = process.extinction_time_batch(3, regime, make_stream(SEED, 9), samples, workers=workers)
+        times, codes = process.first_passage_batch(
+            4, regime, make_stream(SEED, 10), samples, workers=workers
+        )
+        return ext.tolist(), times.tolist(), codes.tolist()
+
+    one, two = outcomes(1), outcomes(2)
+    monkeypatch.setattr(kernels, "extinction_batch", PY.extinction_batch.__wrapped__)
+    monkeypatch.setattr(kernels, "first_passage_batch", PY.first_passage_batch.__wrapped__)
+    assert one == two == outcomes(1)
