@@ -47,7 +47,6 @@ from .oracle import (
 from .process import (
     ProcessError,
     Trajectory,
-    default_t_max,
     drop_distribution,
     extinction_time_batch,
     first_passage_batch,

@@ -19,12 +19,12 @@ T = TypeVar("T")
 CHUNK_SIZE = 16384
 
 
-def chunk_sizes(total: int, chunk_size: int = CHUNK_SIZE) -> list[int]:
+def chunk_sizes(total: int) -> list[int]:
     """Split ``total`` items into fixed chunks (worker-count independent)."""
     if total < 0:
         raise ValueError(f"total must be nonnegative, got {total}")
-    full, rest = divmod(total, chunk_size)
-    return [chunk_size] * full + ([rest] if rest else [])
+    full, rest = divmod(total, CHUNK_SIZE)
+    return [CHUNK_SIZE] * full + ([rest] if rest else [])
 
 
 def run_chunked(
@@ -32,10 +32,9 @@ def run_chunked(
     total: int,
     task: Callable[[RngStream, int], T],
     workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
 ) -> list[T]:
     """Run ``task(substream, chunk_len)`` per chunk; results in chunk order."""
-    sizes = chunk_sizes(total, chunk_size)
+    sizes = chunk_sizes(total)
     streams = [root.substream(i) for i in range(len(sizes))]
     if workers <= 1 or len(sizes) <= 1:
         return [task(s, m) for s, m in zip(streams, sizes)]

@@ -20,6 +20,9 @@ import numpy as np
 
 from .regimes import InitialPower, JointPower, MortalityRegime
 
+# expected_extinction_time stops once its remaining tail is below this
+MEAN_TAIL_TOL = 1e-10
+
 
 class AnalyticsError(ValueError):
     """Argument outside a formula's domain."""
@@ -56,17 +59,17 @@ def typical_extinction_time(n: int, c: float) -> float:
     return -math.log(n) / math.log1p(-c)
 
 
-def expected_extinction_time(n: int, c: float, tol: float = 1e-10) -> float:
+def expected_extinction_time(n: int, c: float) -> float:
     """Exact E[extinction time from n] by summing the survival function.
 
     E = sum_{t>=0} (1 - (1-(1-c)^t)^n), truncated once the bound
-    n (1-c)^t / c on the remaining tail drops below tol.
+    n (1-c)^t / c on the remaining tail drops below MEAN_TAIL_TOL.
     """
     n = _check_count(n, "n")
     c = _check_prob_open(c)
     lnq = math.log1p(-c)
     # tail after T: sum_t n q^t = n q^T / c
-    t_stop = max(1, math.ceil((math.log(tol * c) - math.log(n)) / lnq))
+    t_stop = max(1, math.ceil((math.log(MEAN_TAIL_TOL * c) - math.log(n)) / lnq))
     total = 0.0
     block = 1 << 16
     for start in range(0, t_stop, block):

@@ -77,34 +77,40 @@ def _resolve_regime(value) -> MortalityRegime:
     raise click.UsageError(f"regime must be an inline spec or JSON object, got {value!r}")
 
 
-def _parse_int_list(value, flag: str) -> list[int]:
+def _parse_int_list(value, flag: str, minimum: int) -> list[int]:
+    """A comma-separated flag, or a JSON list from the config file, of
+    integers >= ``minimum``; anything else is a usage error naming ``flag``."""
     if isinstance(value, list):
-        items = value
+        # JSON lists hold integers only: no bools, floats or strings
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
+            raise click.UsageError(f"{flag} must be a list of integers, got {value!r}")
+        out = value
     else:
-        items = [v for v in str(value).split(",") if v.strip()]
-    try:
-        out = [int(v) for v in items]
-    except (TypeError, ValueError):
-        raise click.UsageError(f"{flag} must be a comma-separated list of integers, got {value!r}")
+        try:
+            out = [int(v) for v in str(value).split(",") if v.strip()]
+        except ValueError:
+            raise click.UsageError(f"{flag} must be a comma-separated list of integers, got {value!r}")
     if not out:
         raise click.UsageError(f"{flag} must not be empty")
+    if min(out) < minimum:
+        raise click.UsageError(f"{flag} entries must be >= {minimum}, got {value!r}")
     return out
 
 
 def _parse_t_grid(value) -> list[int]:
-    if isinstance(value, list):
-        return [int(v) for v in value]
     text = str(value)
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        try:
-            grid = list(range(int(lo), int(hi) + 1))
-        except ValueError:
-            raise click.UsageError(f"--t-grid must look like 0:60, got {value!r}")
-        if not grid:
-            raise click.UsageError(f"--t-grid {value} is empty: its end lies below its start")
-        return grid
-    return _parse_int_list(text, "--t-grid")
+    if isinstance(value, list) or ":" not in text:
+        return _parse_int_list(value, "--t-grid", minimum=0)
+    lo, _, hi = text.partition(":")
+    try:
+        grid = list(range(int(lo), int(hi) + 1))
+    except ValueError:
+        raise click.UsageError(f"--t-grid must look like 0:60, got {value!r}")
+    if not grid:
+        raise click.UsageError(f"--t-grid {value} is empty: its end lies below its start")
+    if grid[0] < 0:
+        raise click.UsageError(f"--t-grid entries must be >= 0, got {value!r}")
+    return grid
 
 
 def _out_dir(out: str | None) -> Path | None:
@@ -276,7 +282,7 @@ def path(n, regime_spec, samples, sweep, seed, workers, tolerance, out, config_p
         workers=workers, tolerance=tolerance, out=out,
     )
     regime = _resolve_regime(params["regime"])
-    sweep_list = None if params["sweep"] is None else _parse_int_list(params["sweep"], "--sweep")
+    sweep_list = None if params["sweep"] is None else _parse_int_list(params["sweep"], "--sweep", minimum=1)
     out_path = _out_dir(params["out"])
     try:
         report, sweep_rows = build_path_report(
@@ -352,7 +358,7 @@ def implode(alpha, k_max, runs, sweep, seed, workers, out, config_path):
         {"k_max": 1, "runs": 2, "seed": 0, "workers": 1},
         alpha=alpha, k_max=k_max, runs=runs, sweep=sweep, seed=seed, workers=workers, out=out,
     )
-    sweep_list = None if params["sweep"] in (None, "") else _parse_int_list(params["sweep"], "--sweep")
+    sweep_list = None if params["sweep"] in (None, "") else _parse_int_list(params["sweep"], "--sweep", minimum=1)
     out_path = _out_dir(params["out"])
     try:
         report, sweep_rows, totals = build_implode_outputs(

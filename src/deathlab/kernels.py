@@ -22,18 +22,21 @@ The process kernels simulate the chain one level at a time, not one time
 step at a time.  Given the state k the chain is time-homogeneous: it stays
 at k for a Geometric(1-(1-c)^k) number of steps, independent of where it
 lands, and the landing follows the departure jump law, Binomial(k, c)
-deaths conditioned on at least one.  So ``single_drop_draw`` walks the
+deaths conditioned on at least one.  So ``single_drop_batch`` walks the
 jump chain alone, one landing draw per level and none at state 1.
 ``trajectory_fill`` draws the hold and then the landing at each level and
 stops past ``t_max`` without drawing the landing; ``extinction_batch``
-runs it with an empty path buffer.  ``first_passage_draw`` is the same
-two-stage draw for one level.  The landing draw inverts the conditional
-pmf from one death upward while that walk is expected to take at most 14
-steps (the inversion cutover of the binomial draw) and rejects zero-death
-binomial draws above that.  A level costs about two uniforms, however
-long the chain holds there.
+runs it with an empty path buffer.  ``first_passage_batch`` makes the same
+two-stage draw for one level, uncensored.  The landing draw inverts the
+conditional pmf from one death upward while that walk is expected to take
+at most 14 steps (the inversion cutover of the binomial draw) and rejects
+zero-death binomial draws above that.  A level costs about two uniforms,
+however long the chain holds there.
 
-In the Python build every batch entry point runs its kernel on a block
+Each build exports ``binomial_draw`` (the primitive of the stepping
+references in the tests), ``trajectory_fill`` and the seven ``*_batch``
+entry points; the per-sample draws behind the batches are private.  In
+the Python build every ``*_batch`` entry point runs its kernel on a block
 source instead of the generator.  The kernel still calls ``gen.random()``;
 the source answers with the same Philox doubles in the same order, as
 Python floats.  It saves the generator state and hands out doubles from
@@ -43,9 +46,8 @@ raise, the source rewinds: it restores the saved state and skips one word
 per double consumed (``bit_generator.random_raw(used, output=False)``).
 The generator so ends exactly where the kernel's own ``gen.random()``
 calls would have left it, and every report, stream position and uniform
-count is unchanged.  ``trajectory_fill``, the scalar ``*_draw`` entry
-points, calls from one kernel to another and the numba build take the
-generator itself.
+count is unchanged.  ``binomial_draw``, ``trajectory_fill``, calls from
+one kernel to another and the numba build take the generator itself.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ _ENV_FLAG = "DEATHLAB_NO_NUMBA"
 # also uses for inversion; longer walks give way to rejection.
 _WALK_MAX = 14.0
 
-# first-passage outcome codes
+# first-passage outcome codes; only the stepped reference censors
 FINITE = 0
 JUMPED_OVER = 1
 CENSORED = 2
@@ -98,12 +100,6 @@ _STIRLING_TAIL = np.array(
 # and double up to _MAX_BLOCK.
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1024
-
-# batch entry points of the Python build that draw through a block source
-_BUFFERED = (
-    "binomial_batch", "geometric_batch", "max_geometric_batch", "extinction_batch",
-    "single_drop_batch", "first_passage_batch", "first_passage_stepped_batch",
-)
 
 
 def numba_disabled() -> bool:
@@ -220,14 +216,14 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         return math.floor(x) + 1.0
 
     @wrap
-    def geometric_draw(gen, c):
+    def _geometric(gen, c):
         # Geometric on {1,2,...} with P(t) = (1-c)^(t-1) c, by inversion
         if c >= 1.0:
             return np.int64(1)
         return np.int64(_hold(gen, math.log1p(-c)))
 
     @wrap
-    def max_geometric_draw(gen, n, c):
+    def _max_geometric(gen, n, c):
         # max of n iid Geometric(c): invert CDF (1-(1-c)^t)^n in log space
         if c >= 1.0:
             return np.int64(1)
@@ -302,7 +298,7 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         return np.int64(-1)
 
     @wrap
-    def single_drop_draw(gen, cs, n):
+    def _single_drop(gen, cs, n):
         # True iff the jump chain from n loses exactly one individual per
         # departure; holding times do not matter, and state 1 can only drop
         # to 0
@@ -313,26 +309,23 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         return True
 
     @wrap
-    def first_passage_draw(gen, k, c, t_max):
+    def _first_passage(gen, k, c):
         # Exact two-stage draw of the first departure from state k: the
         # holding time is Geometric(1-(1-c)^k), independent of the landing
-        # state, whose law is the jump law given departure.  t_max <= 0
-        # disables censoring.
+        # state, whose law is the jump law given departure.
         if c >= 1.0:
             if k == 1:
                 return np.int64(1), np.int64(FINITE)
             return np.int64(1), np.int64(JUMPED_OVER)
         jf = _hold(gen, k * math.log1p(-c))
-        if t_max > 0 and jf > t_max:
-            return np.int64(t_max), np.int64(CENSORED)
-        d = _conditional_deaths(gen, k, c)
-        if d == 1:
+        if _conditional_deaths(gen, k, c) == 1:
             return np.int64(jf), np.int64(FINITE)
         return np.int64(jf), np.int64(JUMPED_OVER)
 
     @wrap
-    def first_passage_stepped_draw(gen, k, c, t_max):
-        # reference implementation: step the raw process until it leaves k
+    def _first_passage_stepped(gen, k, c, t_max):
+        # reference implementation: step the raw process until it leaves k,
+        # censored after t_max steps
         t = np.int64(0)
         while True:
             t += 1
@@ -341,7 +334,7 @@ def _build_backend(jit: bool) -> SimpleNamespace:
                 if d == 1:
                     return t, np.int64(FINITE)
                 return t, np.int64(JUMPED_OVER)
-            if t_max > 0 and t >= t_max:
+            if t >= t_max:
                 return np.int64(t_max), np.int64(CENSORED)
 
     @wrap
@@ -352,12 +345,12 @@ def _build_backend(jit: bool) -> SimpleNamespace:
     @wrap
     def geometric_batch(gen, c, out):
         for i in range(out.shape[0]):
-            out[i] = geometric_draw(gen, c)
+            out[i] = _geometric(gen, c)
 
     @wrap
     def max_geometric_batch(gen, n, c, out):
         for i in range(out.shape[0]):
-            out[i] = max_geometric_draw(gen, n, c)
+            out[i] = _max_geometric(gen, n, c)
 
     @wrap
     def extinction_batch(gen, out, cs, n, t_max):
@@ -371,31 +364,26 @@ def _build_backend(jit: bool) -> SimpleNamespace:
     @wrap
     def single_drop_batch(gen, out, cs, n):
         for i in range(out.shape[0]):
-            out[i] = 1 if single_drop_draw(gen, cs, n) else 0
+            out[i] = 1 if _single_drop(gen, cs, n) else 0
 
     @wrap
-    def first_passage_batch(gen, k, c, t_max, out_j, out_code):
+    def first_passage_batch(gen, k, c, out_j, out_code):
         for i in range(out_j.shape[0]):
-            j, code = first_passage_draw(gen, k, c, t_max)
+            j, code = _first_passage(gen, k, c)
             out_j[i] = j
             out_code[i] = code
 
     @wrap
     def first_passage_stepped_batch(gen, k, c, t_max, out_j, out_code):
         for i in range(out_j.shape[0]):
-            j, code = first_passage_stepped_draw(gen, k, c, t_max)
+            j, code = _first_passage_stepped(gen, k, c, t_max)
             out_j[i] = j
             out_code[i] = code
 
     return SimpleNamespace(
         name="numba" if jit else "python",
         binomial_draw=binomial_draw,
-        geometric_draw=geometric_draw,
-        max_geometric_draw=max_geometric_draw,
         trajectory_fill=trajectory_fill,
-        single_drop_draw=single_drop_draw,
-        first_passage_draw=first_passage_draw,
-        first_passage_stepped_draw=first_passage_stepped_draw,
         binomial_batch=binomial_batch,
         geometric_batch=geometric_batch,
         max_geometric_batch=max_geometric_batch,
@@ -457,8 +445,9 @@ def get_backend(jit: bool) -> SimpleNamespace:
     if jit not in _BACKENDS:
         backend = _build_backend(jit)
         if not jit:
-            for name in _BUFFERED:
-                setattr(backend, name, _buffered(getattr(backend, name)))
+            for name, kernel in list(vars(backend).items()):
+                if name.endswith("_batch"):
+                    setattr(backend, name, _buffered(kernel))
         _BACKENDS[jit] = backend
     return _BACKENDS[jit]
 
@@ -480,18 +469,11 @@ def warmup() -> None:
     out_c = np.empty(2, dtype=np.int64)
     cs = np.array([0.5, 0.5])
     binomial_draw(gen, 10, 0.3)
-    binomial_draw(gen, 100, 0.3)
-    binomial_draw(gen, 5, 0.9)
-    geometric_draw(gen, 0.5)
-    max_geometric_draw(gen, 10, 0.5)
     trajectory_fill(gen, np.empty(1001, dtype=np.int64), cs, 5, 1000)
-    single_drop_draw(gen, cs, 5)
-    first_passage_draw(gen, 3, 0.3, 0)
-    first_passage_stepped_draw(gen, 3, 0.3, 10**6)
     binomial_batch(gen, 10, 0.3, out_i)
     geometric_batch(gen, 0.5, out_i)
     max_geometric_batch(gen, 10, 0.5, out_i)
     extinction_batch(gen, out_i, cs, 5, 1000)
     single_drop_batch(gen, out_b, cs, 5)
-    first_passage_batch(gen, 3, 0.3, 0, out_i, out_c)
+    first_passage_batch(gen, 3, 0.3, out_i, out_c)
     first_passage_stepped_batch(gen, 3, 0.3, 10**6, out_i, out_c)

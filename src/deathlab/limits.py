@@ -64,9 +64,7 @@ def scaled_passage_batch(
 ) -> ScaledPassageBatch:
     """Sample T_k under the given scale n and divide finite times by a_n."""
     a_n = scaling_constant(regime, k, n, lam)
-    times, codes = first_passage_batch(
-        k, regime, rng, num_samples, t_max=None, n=n, workers=workers
-    )
+    times, codes = first_passage_batch(k, regime, rng, num_samples, n=n, workers=workers)
     finite = codes == kernels.FINITE
     fraction = float(np.count_nonzero(finite)) / num_samples if num_samples else 0.0
     scaled = times[finite].astype(np.float64) / a_n

@@ -18,6 +18,8 @@ from .regimes import MortalityRegime, mortality
 
 MAX_STATE = 30
 MAX_TIME = 200
+# mgf_by_summation refuses series longer than this
+MAX_SERIES_TERMS = 10**8
 
 
 class OracleError(ValueError):
@@ -141,7 +143,7 @@ def mgf_series_cost(k: int, c: float, s: float, tol: float = 1e-12) -> int:
     return max(1, math.ceil(log_tail_target / log_ratio))
 
 
-def mgf_by_summation(k: int, c: float, s: float, tol: float = 1e-12, max_terms: int = 10**8) -> float:
+def mgf_by_summation(k: int, c: float, s: float, tol: float = 1e-12) -> float:
     """Sum e^(s j) P(T_k = j) until the geometric tail drops below tol.
 
     Terms are evaluated directly as exp(log_first + (j-1) log_ratio) in
@@ -149,8 +151,8 @@ def mgf_by_summation(k: int, c: float, s: float, tol: float = 1e-12, max_terms: 
     ulp per term, visible over the ~10^7 terms slow series need.
     """
     n_terms = mgf_series_cost(k, c, s, tol)
-    if n_terms > max_terms:
-        raise OracleError(f"series needs {n_terms} terms to reach tol={tol}; cap is {max_terms}")
+    if n_terms > MAX_SERIES_TERMS:
+        raise OracleError(f"series needs {n_terms} terms to reach tol={tol}; cap is {MAX_SERIES_TERMS}")
     lnq = math.log1p(-c)
     log_ratio = s + k * lnq
     log_first = s + math.log(k) + (k - 1) * lnq + math.log(c)

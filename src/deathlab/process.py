@@ -23,7 +23,11 @@ from .samplers import MAX_EXACT_COUNT, sample_binomial_batch
 # simulate_trajectory records its path up front; refuse absurd buffers
 MAX_RECORDED_STEPS = 10**8
 
+# the default horizon censors a run with at most this chance
 CENSOR_TARGET = 1e-9
+
+# the stepped first-passage reference gives up after this many steps
+STEPPED_T_MAX = 10**6
 
 
 class ProcessError(ValueError):
@@ -70,20 +74,16 @@ def _check_n(n: int, minimum: int = 1) -> int:
     return n
 
 
-def default_t_max(regime: MortalityRegime, n: int, target: float = CENSOR_TARGET) -> int:
-    """Steps needed to push the censoring probability below ``target``.
+def _censor_horizon(cs: np.ndarray, n: int) -> int:
+    """Steps needed to push the censoring probability below CENSOR_TARGET.
 
     P(alive at t) <= n * (1 - c_min)**t, with c_min the smallest mortality
     on the way down; invert that bound.
     """
-    return _censor_horizon(prepare(regime, n), n, target)
-
-
-def _censor_horizon(cs: np.ndarray, n: int, target: float = CENSOR_TARGET) -> int:
     c_min = float(cs.min())
     if c_min >= 1.0:
         return max(n, 1)
-    t = (math.log(target) - math.log(n)) / math.log1p(-c_min)
+    t = (math.log(CENSOR_TARGET) - math.log(n)) / math.log1p(-c_min)
     return max(1, math.ceil(t))
 
 
@@ -189,7 +189,6 @@ def first_passage_batch(
     regime: MortalityRegime,
     rng: RngStream,
     samples: int,
-    t_max: int | None = None,
     n: int | None = None,
     workers: int = 1,
     stepped: bool = False,
@@ -197,34 +196,31 @@ def first_passage_batch(
     """First-passage outcomes for ``samples`` fresh starts at k.
 
     Returns ``(times, codes)`` with codes ``kernels.FINITE`` (the first
-    departure landed at k-1, after ``times`` steps), ``JUMPED_OVER`` (it
-    landed below k-1) and ``CENSORED`` (still at k after ``t_max`` steps).
-    Each draw is exact but O(1): the holding time at k is Geometric with
-    success 1-(1-c)^k, independent of the landing state, which follows the
-    departure jump law.  ``stepped=True`` realizes the same law by raw
-    stepping, the reference the tests compare against; it needs a t_max.
-    ``t_max=None`` disables censoring of the O(1) draw.
+    departure landed at k-1, after ``times`` steps) and ``JUMPED_OVER`` (it
+    landed below k-1).  Each draw is exact but O(1): the holding time at k
+    is Geometric with success 1-(1-c)^k, independent of the landing state,
+    which follows the departure jump law.  ``stepped=True`` realizes the
+    same law by raw stepping, the reference the tests compare against; it
+    gives up with code ``CENSORED`` after ``STEPPED_T_MAX`` steps at k.
     """
     k = _check_n(k)
     n = k if n is None else _check_n(n)
     if not k <= n:
         raise ProcessError(f"need k <= n, got k={k}, n={n}")
     c = mortality(regime, k, n)
-    kernel = kernels.first_passage_stepped_batch if stepped else kernels.first_passage_batch
-    if stepped and (t_max is None or t_max < 1):
-        raise ProcessError("stepped passage needs an explicit t_max >= 1")
-    tm = 0 if t_max is None else int(t_max)
     if samples == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
     def task(stream: RngStream, m: int) -> tuple[np.ndarray, np.ndarray]:
         out_j = np.empty(m, dtype=np.int64)
         out_code = np.empty(m, dtype=np.int64)
-        kernel(stream.generator, k, c, tm, out_j, out_code)
+        if stepped:
+            kernels.first_passage_stepped_batch(stream.generator, k, c, STEPPED_T_MAX, out_j, out_code)
+        else:
+            kernels.first_passage_batch(stream.generator, k, c, out_j, out_code)
         return out_j, out_code
 
     parts = run_chunked(rng, samples, task, workers)
     times = np.concatenate([p[0] for p in parts])
     codes = np.concatenate([p[1] for p in parts])
     return times, codes
-

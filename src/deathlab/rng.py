@@ -37,7 +37,7 @@ class RngStream:
     seed: int
     stream_id: int
     path: tuple[int, ...] = None  # defaults to (stream_id,)
-    generator: np.random.Generator = field(default=None, repr=False, compare=False)
+    generator: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**64:
@@ -46,8 +46,7 @@ class RngStream:
             raise RngError(f"stream_id must be nonnegative, got {self.stream_id}")
         if self.path is None:
             self.path = (self.stream_id,)
-        if self.generator is None:
-            self.generator = _make_generator(self.seed, self.path)
+        self.generator = _make_generator(self.seed, self.path)
 
     def substream(self, index: int) -> "RngStream":
         """Derive the ``index``-th child stream; independent of this one."""

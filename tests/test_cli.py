@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import deathlab
-from deathlab import cli, experiments
+from deathlab import cli, experiments, kernels, limits
 from deathlab.cli import main
 
 
@@ -97,7 +99,7 @@ def no_streams(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "args, flag",
+    "args, says",
     [
         (["implode", "--k-max", "10", "--runs", "0"], "--runs"),
         (["simulate", "--n", "10", "--samples", "-1"], "--samples"),
@@ -105,15 +107,45 @@ def no_streams(monkeypatch):
         (["verify", "--workers", "0"], "--workers"),
         (["path", "--n", "3", "--workers", "0"], "--workers"),
         (["extinct", "--t-grid", "5:0"], "--t-grid"),
+        (["extinct", "--t-grid=-1,5"], "--t-grid"),
+        (["extinct", "--t-grid=-1:5"], "--t-grid"),
+        (["path", "--n", "3", "--regime", "joint_power:1,4", "--sweep", "0,10"], "--sweep"),
+        (["implode", "--k-max", "10", "--runs", "100", "--sweep", "0,10"], "--sweep"),
+        (["passage", "--k", "3", "--limit-n", "100"], "no scaling limit"),
+        (["passage", "--k", "3", "--regime", "initial_power:1,1", "--limit-n", "100"], "lam > 0"),
+        (["passage", "--k", "5", "--regime", "initial_power:1,1", "--lam", "1", "--limit-n", "3"],
+         "k <= limit_n"),
     ],
     ids=["implode_runs_0", "simulate_samples_negative", "verify_samples_1", "verify_workers_0",
-         "path_workers_0", "extinct_empty_t_grid"],
+         "path_workers_0", "extinct_empty_t_grid", "extinct_negative_t_grid",
+         "extinct_negative_t_range", "path_sweep_0", "implode_sweep_0",
+         "passage_limit_without_scaling", "passage_limit_without_lam", "passage_limit_below_k"],
 )
-def test_out_of_range_parameter_exits_2_before_any_stream(runner, no_streams, args, flag):
+def test_out_of_range_parameter_exits_2_before_any_stream(runner, no_streams, args, says):
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
-    assert flag in result.output
+    assert says in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "command, config, flag",
+    [
+        ("extinct", {"t_grid": ["a", 3]}, "--t-grid"),
+        ("extinct", {"t_grid": [1.5, 3]}, "--t-grid"),
+        ("extinct", {"t_grid": [True, 3]}, "--t-grid"),
+        ("implode", {"sweep": [10.7, 100]}, "--sweep"),
+    ],
+    ids=["t_grid_string", "t_grid_float", "t_grid_bool", "sweep_float"],
+)
+def test_config_list_entries_fail_like_the_flag(runner, no_streams, tmp_path, command, config, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    result = runner.invoke(main, [command, "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"{flag} must be a list of integers" in result.output
     assert "Traceback" not in result.output
 
 
@@ -277,3 +309,82 @@ def test_cli_import_does_not_load_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+class _Drew(Exception):
+    """Raised in place of the first draw."""
+
+
+def _refuse_to_draw(*args, **kwargs):
+    raise _Drew()
+
+
+_ints = st.integers(min_value=-3, max_value=40)
+_values = st.one_of(
+    st.integers(min_value=1, max_value=40),
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=3),
+    _ints,
+    st.floats(min_value=-5, max_value=50, allow_nan=False),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.one_of(_ints, st.floats(min_value=-5, max_value=50), st.booleans(), st.text(max_size=2)),
+             max_size=3),
+)
+_COMMANDS = {
+    "extinct": (None, ["n", "samples", "t_grid", "ratio_n", "ratio_samples"]),
+    "path": ("joint_power:1,4", ["n", "samples", "sweep"]),
+    "passage": (None, ["k", "n", "samples", "j_max", "limit_n", "limit_samples"]),
+    "implode": (None, ["k_max", "runs", "sweep"]),
+}
+_cases = st.one_of(
+    [
+        st.tuples(
+            st.just(command),
+            st.fixed_dictionaries({}, optional={name: _values for name in names}),
+            st.booleans(),
+        )
+        for command, (_, names) in _COMMANDS.items()
+    ]
+)
+
+
+def _flag_text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+@settings(max_examples=40, deadline=None)
+@example(case=("extinct", {"t_grid": ["a", 3]}, True))
+@example(case=("extinct", {"t_grid": [1.5, 3]}, True))
+@example(case=("extinct", {"t_grid": [True, 3]}, True))
+@example(case=("implode", {"sweep": [10.7, 100]}, True))
+@given(case=_cases)
+def test_generated_arguments_reach_a_draw_or_exit_2(tmp_path_factory, case):
+    command, values, via_config = case
+    regime, _ = _COMMANDS[command]
+    if regime:
+        values = {**values, "regime": regime}
+    if via_config:
+        cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        args = [command, "--config", str(cfg)]
+    else:
+        args = [command] + [f"--{k.replace('_', '-')}={_flag_text(v)}" for k, v in values.items()]
+    with pytest.MonkeyPatch.context() as mp:
+        for name in dir(kernels):
+            if name.endswith("_batch") or name in ("binomial_draw", "trajectory_fill"):
+                mp.setattr(kernels, name, _refuse_to_draw)
+        mp.setattr(limits, "implosion_batch", _refuse_to_draw)
+        mp.setattr(experiments, "implosion_batch", _refuse_to_draw)
+        result = CliRunner().invoke(main, args)
+    event(f"{command}: {'drew' if isinstance(result.exception, _Drew) else result.exit_code}")
+    if isinstance(result.exception, _Drew):
+        return
+    if result.exit_code == 0:
+        # the one run that needs no draw: no level to pass from n = 0
+        assert command == "path" and "n=0)" in result.output, args
+        return
+    assert result.exit_code == 2, (args, result.output, result.exception)
+    assert isinstance(result.exception, SystemExit), (args, result.exception)
+    assert "Traceback" not in result.output

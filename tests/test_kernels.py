@@ -82,8 +82,8 @@ def test_process_kernels_identical(backends):
     ac = np.empty(2000, dtype=np.int64)
     bj = np.empty(2000, dtype=np.int64)
     bc = np.empty(2000, dtype=np.int64)
-    nb.first_passage_batch(g1, 3, 1e-6, 0, aj, ac)
-    py.first_passage_batch(g2, 3, 1e-6, 0, bj, bc)
+    nb.first_passage_batch(g1, 3, 1e-6, aj, ac)
+    py.first_passage_batch(g2, 3, 1e-6, bj, bc)
     assert np.array_equal(aj, bj)
     assert np.array_equal(ac, bc)
 

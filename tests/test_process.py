@@ -13,7 +13,6 @@ from deathlab import (
     RegimeError,
     StatePower,
     Table,
-    default_t_max,
     drop_distribution,
     exact_single_drop_path_prob,
     extinction_time_batch,
@@ -208,7 +207,9 @@ def test_first_passage_head_probability():
 
 
 def test_first_passage_censoring():
-    times, codes = first_passage_batch(3, Constant(1e-12), make_stream(7, 3), 1, t_max=10)
+    # only the stepped reference censors; the O(1) draw never does
+    times, codes = np.empty(1, dtype=np.int64), np.empty(1, dtype=np.int64)
+    kernels.first_passage_stepped_batch(make_stream(7, 3).generator, 3, 1e-12, 10, times, codes)
     assert (times.tolist(), codes.tolist()) == ([10], [kernels.CENSORED])
 
 
@@ -223,9 +224,7 @@ def test_fast_and_stepped_passage_agree_in_distribution():
     # dual route: the O(1) factorized draw vs raw stepping
     m = 2 * 10**4
     t_fast, c_fast = first_passage_batch(3, Constant(0.3), make_stream(7, 5), m)
-    t_step, c_step = first_passage_batch(
-        3, Constant(0.3), make_stream(7, 6), m, t_max=10**6, stepped=True
-    )
+    t_step, c_step = first_passage_batch(3, Constant(0.3), make_stream(7, 6), m, stepped=True)
     f_fast = int(np.count_nonzero(c_fast == kernels.FINITE))
     f_step = int(np.count_nonzero(c_step == kernels.FINITE))
     low, high = wilson_interval(f_step, m, 0.99)
@@ -237,7 +236,7 @@ def test_fast_and_stepped_passage_agree_in_distribution():
 def test_holding_time_is_geometric():
     # time spent at k before any departure: Geometric(1 - (1-c)^k)
     k, c, m = 3, 0.3, 10**5
-    times, _ = first_passage_batch(k, Constant(c), make_stream(7, 7), m, t_max=10**6, stepped=True)
+    times, _ = first_passage_batch(k, Constant(c), make_stream(7, 7), m, stepped=True)
     p = -math.expm1(k * math.log1p(-c))
     t_cut = 25
     observed = np.bincount(np.minimum(times, t_cut + 1), minlength=t_cut + 2)[1:].astype(float)
@@ -255,10 +254,9 @@ def test_first_passage_with_context_regime():
 
 
 def test_default_t_max_bounds_censoring():
-    t = default_t_max(Constant(0.5), 5)
-    # survival bound n (1-c)^t below 1e-9
-    assert 5 * 0.5**t < 1e-9
-    assert default_t_max(Constant(0.5), 5, target=1e-3) < t
+    t = simulate_trajectory(5, Constant(0.5), make_stream(3, 3)).t_max
+    # the shortest horizon whose survival bound n (1-c)^t is below 1e-9
+    assert 5 * 0.5**t < 1e-9 <= 5 * 0.5 ** (t - 1)
 
 
 def test_batches_worker_count_invariant():
@@ -276,8 +274,6 @@ def test_domain_errors():
         simulate_trajectory(0, Constant(0.5), make_stream(0, 0))
     with pytest.raises(ProcessError):
         extinction_time_batch(5, Constant(0.5), make_stream(0, 0), 1, t_max=0)
-    with pytest.raises(ProcessError):
-        first_passage_batch(3, Constant(0.5), make_stream(0, 0), 1, t_max=0, stepped=True)
 
 
 @settings(max_examples=30, deadline=None)

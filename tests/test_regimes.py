@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deathlab.process import default_t_max
+from deathlab.process import simulate_trajectory
 from deathlab.regimes import (
     Constant,
     InitialPower,
@@ -22,6 +22,7 @@ from deathlab.regimes import (
     prepare,
     to_json,
 )
+from deathlab.rng import make_stream
 
 
 def test_constant_evaluation():
@@ -120,9 +121,10 @@ def test_mortality_vector_and_min():
     assert prepare(regime, 4).min() == 0.125
     assert prepare(Constant(0.3), 9).min() == 0.3
     assert prepare(JointPower(1.0, 4.0), 4).min() == mortality(JointPower(1.0, 4.0), 1, 4)
-    # the censoring horizon depends on the regime only through that minimum
-    assert default_t_max(regime, 4) == default_t_max(Constant(0.125), 4)
-    assert default_t_max(regime, 4) == math.ceil((math.log(1e-9) - math.log(4)) / math.log1p(-0.125))
+    # the default censoring horizon depends on the regime only through that minimum
+    horizon = simulate_trajectory(4, regime, make_stream(0, 0)).t_max
+    assert horizon == simulate_trajectory(4, Constant(0.125), make_stream(0, 0)).t_max
+    assert horizon == math.ceil((math.log(1e-9) - math.log(4)) / math.log1p(-0.125))
 
 
 def test_prepare_encodes_every_regime():

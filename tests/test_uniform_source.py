@@ -23,6 +23,19 @@ PY = kernels.get_backend(False)
 SEED = 20261018
 
 
+BATCHES = {
+    "binomial_batch", "geometric_batch", "max_geometric_batch", "extinction_batch",
+    "single_drop_batch", "first_passage_batch", "first_passage_stepped_batch",
+}
+
+
+def test_every_exported_batch_and_nothing_else_is_buffered():
+    named = {name: kernel for name, kernel in vars(PY).items() if callable(kernel)}
+    assert set(named) == BATCHES | {"binomial_draw", "trajectory_fill"}
+    for name, kernel in named.items():
+        assert hasattr(kernel, "__wrapped__") == (name in BATCHES), name
+
+
 def _state(gen):
     s = gen.bit_generator.state
     return (
@@ -48,7 +61,7 @@ CASES = {
     "extinction_batch": lambda m: (_ints(m), prepare(Constant(0.2), 50), 50, 10**4),
     "extinction_batch/censored": lambda m: (_ints(m), prepare(StatePower(0.5, 1.0), 30), 30, 40),
     "single_drop_batch": lambda m: (np.zeros(m, dtype=np.uint8), prepare(Constant(0.02), 10), 10),
-    "first_passage_batch": lambda m: (5, 0.3, 3, _ints(m), _ints(m)),
+    "first_passage_batch": lambda m: (5, 0.3, _ints(m), _ints(m)),
     "first_passage_stepped_batch": lambda m: (5, 0.05, 30, _ints(m), _ints(m)),
 }
 SIZES = (1, 7, 40, 300, 3000)
@@ -109,7 +122,7 @@ def test_a_kernel_that_raises_leaves_the_stream_where_its_draws_did(fail_at):
         gen = make_stream(SEED, 7).generator
         out_j, out_code = _ints(1000), _ints(fail_at)
         with pytest.raises(IndexError) as raised:
-            kernel(gen, 5, 0.3, 0, out_j, out_code)
+            kernel(gen, 5, 0.3, out_j, out_code)
         # read while the traceback, and every frame on it, is alive
         seen.append((out_j.tolist(), out_code.tolist(), _state(gen), raised.type))
     assert seen[0] == seen[1]
