@@ -37,7 +37,9 @@ def _params(config_path: str | None, defaults: dict, minimums: dict, **flags) ->
     user gave.  Each key of ``minimums`` is an integer parameter and its
     lowest allowed value; a value outside that range is a usage error here,
     before any stream is made, whether it came from a flag or the file.
-    ``None`` stays allowed where it is the default (auto or disabled)."""
+    ``None`` stays allowed where it is the default (auto or disabled).  A
+    parameter whose default is a float must be a number, and ``tolerance``
+    one >= 0."""
     params = dict(defaults)
     if config_path is not None:
         try:
@@ -60,6 +62,12 @@ def _params(config_path: str | None, defaults: dict, minimums: dict, **flags) ->
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
             flag = "--" + key.replace("_", "-")
             raise click.UsageError(f"{flag} must be an integer >= {low}, got {value!r}")
+    for key, default in defaults.items():
+        value = params[key]
+        if isinstance(default, float) and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise click.UsageError(f"--{key.replace('_', '-')} must be a number, got {value!r}")
+    if "tolerance" in defaults and not params["tolerance"] >= 0:
+        raise click.UsageError(f"--tolerance must be >= 0, got {params['tolerance']!r}")
     return params
 
 
@@ -166,10 +174,10 @@ def simulate(n, regime_spec, samples, t_max, seed, out, config_path):
     out_path = _out_dir(params["out"])
     try:
         root = make_stream(params["seed"], 0)
+        streams = [root.substream(run_id) for run_id in range(params["samples"])]
         runs = []
         csv_rows = []
-        for run_id in range(params["samples"]):
-            traj = simulate_trajectory(params["n"], regime, root.substream(run_id), params["t_max"])
+        for run_id, traj in enumerate(simulate_trajectory(params["n"], regime, streams, params["t_max"])):
             runs.append(
                 {
                     "run_id": run_id,

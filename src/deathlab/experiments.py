@@ -213,6 +213,8 @@ def build_extinct_report(
             f"got {type(regime).__name__}"
         )
     c = mortality(regime, 1, n)
+    if ratio_n is not None:
+        typical_extinction_time(ratio_n, ratio_c)  # rejects ratio_n and ratio_c before any draw
     report = AnalyticReport(meta=report_meta("extinct", config, seed))
     t_max = max(t_grid)
     oracle_curve = None

@@ -22,16 +22,24 @@ The process kernels simulate the chain one level at a time, not one time
 step at a time.  Given the state k the chain is time-homogeneous: it stays
 at k for a Geometric(1-(1-c)^k) number of steps, independent of where it
 lands, and the landing follows the departure jump law, Binomial(k, c)
-deaths conditioned on at least one.  So ``single_drop_batch`` walks the
-jump chain alone, one landing draw per level and none at state 1.
-``trajectory_fill`` draws the hold and then the landing at each level and
-stops past ``t_max`` without drawing the landing; ``extinction_batch``
-runs it with an empty path buffer.  ``first_passage_batch`` makes the same
-two-stage draw for one level, uncensored.  The landing draw inverts the
-conditional pmf from one death upward while that walk is expected to take
-at most 14 steps (the inversion cutover of the binomial draw) and rejects
-zero-death binomial draws above that.  A level costs about two uniforms,
-however long the chain holds there.
+deaths conditioned on at least one.  ``trajectory_fill`` draws the hold
+and then the landing at each level and stops past ``t_max`` without
+drawing the landing; ``extinction_batch`` runs it with an empty path
+buffer.  The landing draw inverts the conditional pmf from one death
+upward while that walk is expected to take at most 14 steps (the
+inversion cutover of the binomial draw) and rejects zero-death binomial
+draws above that.  A level costs about two uniforms, however long the
+chain holds there.
+
+``single_drop_batch`` and ``first_passage_batch`` only ask whether a
+departure kills exactly one.  Where the landing draw would walk the pmf,
+that is its first test, u (1-(1-c)^k) <= k c (1-c)^(k-1), so the answer
+costs the walk's one uniform and one comparison; where it would reject,
+the first accepted binomial draw is compared with 1.  The uniforms and so
+the draws are those of the full landing draw.  ``single_drop_batch`` walks
+the jump chain alone, one such test per level and none at state 1;
+``first_passage_batch`` draws the hold and then the test for one level,
+uncensored, with the level's constants computed once per batch.
 
 Each build exports ``binomial_draw`` (the primitive of the stepping
 references in the tests), ``trajectory_fill`` and the seven ``*_batch``
@@ -267,6 +275,28 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         return b
 
     @wrap
+    def _level(k, c):
+        # the constants of state k at mortality c < 1, with the expressions
+        # of _conditional_deaths: lq = ln (1-c)^k, the departure chance
+        # total = 1-(1-c)^k and the single-death chance mass = k c (1-c)^(k-1)
+        lq = k * math.log1p(-c)
+        return lq, -math.expm1(lq), k * (c / (1.0 - c)) * math.exp(lq)
+
+    @wrap
+    def _single_death(gen, k, c, total, mass):
+        # _conditional_deaths(gen, k, c) == 1 for c < 1, on the same draws,
+        # with total and mass from _level(k, c): where that walks the pmf,
+        # it lands on one death exactly when its first test, u <= mass, holds
+        if k == 1:
+            return True
+        if k * c > _WALK_MAX * total:
+            while True:
+                d = binomial_draw(gen, k, c)
+                if d >= 1:
+                    return d == 1
+        return gen.random() * total <= mass
+
+    @wrap
     def trajectory_fill(gen, out, cs, n, t_max):
         # Extinction time from n, or -1 when censored at t_max; writes the
         # path into out[0 : t_max+1] unless out is empty.  Per state it
@@ -304,23 +334,15 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         # to 0
         last = cs.shape[0] - 1
         for k in range(n, 1, -1):
-            if _conditional_deaths(gen, k, float(cs[min(k, last)])) > 1:
+            c = float(cs[min(k, last)])
+            if c >= 1.0:
+                return False  # certain death takes all k >= 2 at once
+            # the constants of _level, inline: a call per level costs the
+            # Python build about a tenth of this kernel
+            lq = k * math.log1p(-c)
+            if not _single_death(gen, k, c, -math.expm1(lq), k * (c / (1.0 - c)) * math.exp(lq)):
                 return False
         return True
-
-    @wrap
-    def _first_passage(gen, k, c):
-        # Exact two-stage draw of the first departure from state k: the
-        # holding time is Geometric(1-(1-c)^k), independent of the landing
-        # state, whose law is the jump law given departure.
-        if c >= 1.0:
-            if k == 1:
-                return np.int64(1), np.int64(FINITE)
-            return np.int64(1), np.int64(JUMPED_OVER)
-        jf = _hold(gen, k * math.log1p(-c))
-        if _conditional_deaths(gen, k, c) == 1:
-            return np.int64(jf), np.int64(FINITE)
-        return np.int64(jf), np.int64(JUMPED_OVER)
 
     @wrap
     def _first_passage_stepped(gen, k, c, t_max):
@@ -368,10 +390,18 @@ def _build_backend(jit: bool) -> SimpleNamespace:
 
     @wrap
     def first_passage_batch(gen, k, c, out_j, out_code):
+        # Exact two-stage draw of the first departure from state k: the
+        # holding time is Geometric(1-(1-c)^k), independent of the landing
+        # state, whose law is the jump law given departure.  Certain death
+        # leaves after one step, without a draw.
+        if c >= 1.0:
+            out_j[:] = 1
+            out_code[:] = FINITE if k == 1 else JUMPED_OVER
+            return
+        lq, total, mass = _level(k, c)
         for i in range(out_j.shape[0]):
-            j, code = _first_passage(gen, k, c)
-            out_j[i] = j
-            out_code[i] = code
+            out_j[i] = int(_hold(gen, lq))
+            out_code[i] = FINITE if _single_death(gen, k, c, total, mass) else JUMPED_OVER
 
     @wrap
     def first_passage_stepped_batch(gen, k, c, t_max, out_j, out_code):

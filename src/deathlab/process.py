@@ -64,7 +64,9 @@ class Trajectory:
 
 
 def _check_n(n: int, minimum: int = 1) -> int:
-    if n != int(n):
+    if isinstance(n, bool) or not (
+        isinstance(n, (int, np.integer)) or (isinstance(n, (float, np.floating)) and float(n).is_integer())
+    ):
         raise ProcessError(f"population must be an integer, got {n}")
     n = int(n)
     if n < minimum:
@@ -106,10 +108,15 @@ def _prepare_run(regime: MortalityRegime, n: int, t_max: int | None) -> tuple[np
 def simulate_trajectory(
     n: int,
     regime: MortalityRegime,
-    rng: RngStream,
+    rng: RngStream | list[RngStream],
     t_max: int | None = None,
-) -> Trajectory:
-    """Run the process from n until absorption at 0 or censoring at t_max."""
+) -> Trajectory | list[Trajectory]:
+    """Run the process from n until absorption at 0 or censoring at t_max.
+
+    Given a list of streams, run once on each and return the trajectories
+    in order; the runs share the mortality array and the horizon, which
+    are built once.
+    """
     n = _check_n(n)
     cs, t_max = _prepare_run(regime, n, t_max)
     if t_max > MAX_RECORDED_STEPS:
@@ -117,10 +124,14 @@ def simulate_trajectory(
             f"recording {t_max} steps would need too much memory; lower t_max"
         )
     buf = np.empty(t_max + 1, dtype=np.int64)
-    ext = int(kernels.trajectory_fill(rng.generator, buf, cs, n, t_max))
-    if ext >= 0:
-        return Trajectory(n, buf[: ext + 1].copy(), ext, t_max)
-    return Trajectory(n, buf.copy(), None, t_max)
+    runs = []
+    for stream in rng if isinstance(rng, list) else [rng]:
+        ext = int(kernels.trajectory_fill(stream.generator, buf, cs, n, t_max))
+        if ext >= 0:
+            runs.append(Trajectory(n, buf[: ext + 1].copy(), ext, t_max))
+        else:
+            runs.append(Trajectory(n, buf.copy(), None, t_max))
+    return runs if isinstance(rng, list) else runs[0]
 
 
 def extinction_time_batch(

@@ -331,10 +331,11 @@ _values = st.one_of(
              max_size=3),
 )
 _COMMANDS = {
-    "extinct": (None, ["n", "samples", "t_grid", "ratio_n", "ratio_samples"]),
-    "path": ("joint_power:1,4", ["n", "samples", "sweep"]),
-    "passage": (None, ["k", "n", "samples", "j_max", "limit_n", "limit_samples"]),
+    "extinct": (None, ["n", "samples", "t_grid", "ratio_n", "ratio_c", "ratio_samples", "tolerance"]),
+    "path": ("joint_power:1,4", ["n", "samples", "sweep", "tolerance"]),
+    "passage": (None, ["k", "n", "samples", "j_max", "limit_n", "limit_samples", "tolerance"]),
     "implode": (None, ["k_max", "runs", "sweep"]),
+    "simulate": ("joint_power:1,4", ["n", "samples", "t_max"]),
 }
 _cases = st.one_of(
     [
@@ -348,6 +349,31 @@ _cases = st.one_of(
 )
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _floats_in_domain(values, via_config) -> bool:
+    """Whether the float flags among ``values``, as the command sees them,
+    are ones the mathematics takes: a tolerance >= 0, and a ratio mortality
+    in (0, 1) unless the ratio experiment is off (ratio_n = 0)."""
+
+    def seen(key, parse, default):
+        if key not in values or via_config:
+            return values.get(key, default)
+        try:
+            return parse(_flag_text(values[key]))  # as click parses the flag
+        except ValueError:
+            return None
+
+    tolerance = seen("tolerance", float, 0.0)
+    ratio_c = seen("ratio_c", float, 0.5)
+    return (
+        _number(tolerance) and tolerance >= 0
+        and _number(ratio_c) and (0 < ratio_c < 1 or seen("ratio_n", int, None) == 0)
+    )
+
+
 def _flag_text(value) -> str:
     if isinstance(value, list):
         return ",".join(str(v) for v in value)
@@ -359,12 +385,18 @@ def _flag_text(value) -> str:
 @example(case=("extinct", {"t_grid": [1.5, 3]}, True))
 @example(case=("extinct", {"t_grid": [True, 3]}, True))
 @example(case=("implode", {"sweep": [10.7, 100]}, True))
+@example(case=("extinct", {"tolerance": -1}, False))
+@example(case=("extinct", {"ratio_c": 1.5}, False))
+@example(case=("extinct", {"ratio_c": 1.5, "ratio_n": 0}, True))
+@example(case=("simulate", {"n": [1, 2]}, True))
 @given(case=_cases)
 def test_generated_arguments_reach_a_draw_or_exit_2(tmp_path_factory, case):
     command, values, via_config = case
     regime, _ = _COMMANDS[command]
     if regime:
         values = {**values, "regime": regime}
+    if command == "simulate":
+        values = {**values, "out": str(tmp_path_factory.mktemp("out"))}
     if via_config:
         cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
         cfg.write_text(json.dumps(values))
@@ -380,6 +412,7 @@ def test_generated_arguments_reach_a_draw_or_exit_2(tmp_path_factory, case):
         result = CliRunner().invoke(main, args)
     event(f"{command}: {'drew' if isinstance(result.exception, _Drew) else result.exit_code}")
     if isinstance(result.exception, _Drew):
+        assert _floats_in_domain(values, via_config), args
         return
     if result.exit_code == 0:
         # the one run that needs no draw: no level to pass from n = 0

@@ -232,3 +232,95 @@ def test_cost_is_at_most_one_draw_per_level():
         before = _words_drawn(gen)
         kernels.trajectory_fill(gen, buf, cs, n, t_max)
         assert _words_drawn(gen) - before <= 2 * n
+
+
+PY = kernels.get_backend(False)
+
+
+def _landing(gen, k, c):
+    """Deaths in a departure from k by the full landing draw: the pmf walk
+    from one death upward, or rejection of zero-death binomial draws where
+    that walk would be long."""
+    if k == 1 or c >= 1.0:
+        return k
+    lq = k * math.log1p(-c)
+    total = -math.expm1(lq)
+    if k * c > kernels._WALK_MAX * total:
+        while True:
+            d = PY.binomial_draw(gen, k, c)
+            if d >= 1:
+                return d
+    ratio = c / (1.0 - c)
+    mass = k * ratio * math.exp(lq)
+    u = gen.random() * total
+    b, acc = 1, mass
+    while u > acc and b < k:
+        mass *= ratio * (k - b) / (b + 1.0)
+        b += 1
+        acc += mass
+    return b
+
+
+def _first_passage(gen, k, c):
+    """(hold, code) of the first departure from k: the geometric hold by
+    inversion, then the full landing draw; certain death draws nothing."""
+    if c >= 1.0:
+        return 1, kernels.FINITE if k == 1 else kernels.JUMPED_OVER
+    x = math.log1p(-gen.random()) / (k * math.log1p(-c))
+    hold = 4.6e18 if x >= 4.6e18 else math.floor(x) + 1.0
+    return int(hold), kernels.FINITE if _landing(gen, k, c) == 1 else kernels.JUMPED_OVER
+
+
+def _single_drop(gen, cs, n):
+    """Whether every landing from n down to 2 kills exactly one."""
+    last = cs.shape[0] - 1
+    return all(_landing(gen, k, float(cs[min(k, last)])) == 1 for k in range(n, 1, -1))
+
+
+def _entry_points(name):
+    """The active build's batch, the Python build's block-source entry point
+    and the kernel it wraps."""
+    return getattr(kernels, name), getattr(PY, name), getattr(PY, name).__wrapped__
+
+
+# k = 1, certain death, walks at small and large k, and rejection
+PASSAGE_LEVELS = [(1, 0.3), (1, 1.0), (3, 1.0), (2, 1e-9), (5, 0.3), (10, 0.02), (30, 0.7), (1000, 0.05)]
+
+
+def test_passage_levels_cover_every_landing_draw():
+    assert {_landing_draw(k, c) for k, c in PASSAGE_LEVELS} == {"none", "walk", "reject"}
+
+
+@pytest.mark.parametrize("k, c", PASSAGE_LEVELS)
+def test_first_passage_batch_draws_what_the_full_landing_draw_draws(k, c):
+    m = 2000
+    ref = make_stream(SEED, 800).generator
+    expected = [_first_passage(ref, k, c) for _ in range(m)]
+    for kernel in _entry_points("first_passage_batch"):
+        gen = make_stream(SEED, 800).generator
+        out_j, out_code = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+        kernel(gen, k, c, out_j, out_code)
+        assert list(zip(out_j.tolist(), out_code.tolist())) == expected, kernel
+        assert _words_drawn(gen) == _words_drawn(ref), kernel
+
+
+# every case above, certain death at state 1, and a chain with no level to pass
+DROP_CHAINS = {
+    **{case: (n, regime) for case, (n, regime, _) in CASES.items()},
+    "lone_certain_death": (2, Table({(1, 2): 1.0, (2, 2): 0.5})),
+    "single_level": (1, Constant(0.5)),
+}
+
+
+@pytest.mark.parametrize("case", DROP_CHAINS)
+def test_single_drop_batch_draws_what_the_full_landing_draw_draws(case):
+    n, regime = DROP_CHAINS[case]
+    cs, m = prepare(regime, n), 500
+    ref = make_stream(SEED, 801).generator
+    expected = [_single_drop(ref, cs, n) for _ in range(m)]
+    for kernel in _entry_points("single_drop_batch"):
+        gen = make_stream(SEED, 801).generator
+        out = np.empty(m, dtype=np.uint8)
+        kernel(gen, out, cs, n)
+        assert out.astype(bool).tolist() == expected, kernel
+        assert _words_drawn(gen) == _words_drawn(ref), kernel

@@ -272,8 +272,23 @@ def test_batches_worker_count_invariant():
 def test_domain_errors():
     with pytest.raises(ProcessError):
         simulate_trajectory(0, Constant(0.5), make_stream(0, 0))
+    for bad in (True, 2.5, float("inf"), float("nan"), "3", [3], None):
+        with pytest.raises(ProcessError, match="population must be an integer"):
+            simulate_trajectory(bad, Constant(0.5), make_stream(0, 0))
     with pytest.raises(ProcessError):
         extinction_time_batch(5, Constant(0.5), make_stream(0, 0), 1, t_max=0)
+
+
+def test_a_list_of_streams_runs_each_stream():
+    # at t_max = 7 about half the runs from 12 are censored, so extinct
+    # paths follow longer ones in the shared path buffer
+    root = make_stream(5, 0)
+    runs = simulate_trajectory(12, Constant(0.3), [root.substream(i) for i in range(40)], t_max=7)
+    alone = [simulate_trajectory(12, Constant(0.3), root.substream(i), t_max=7) for i in range(40)]
+    assert {r.censored for r in runs} == {True, False}
+    assert [(r.states.tolist(), r.extinction_time, r.t_max) for r in runs] == [
+        (r.states.tolist(), r.extinction_time, r.t_max) for r in alone
+    ]
 
 
 @settings(max_examples=30, deadline=None)
