@@ -3,8 +3,10 @@
 Work is split into fixed-size chunks, each driven by its own substream
 derived from the batch's root stream, so merged results are identical for
 any worker count.  Threads scale only where the work releases the GIL: the
-numba kernels and numpy's vectorised draws do, the pure-Python kernel
-build does not, so there ``workers > 1`` gives no speed-up.
+numba kernels and numpy's vectorised draws do.  The pure-Python kernel
+build holds it in its scalar loops, and its array entry points release it
+only inside numpy calls, with interpreter work between them, so there
+``workers > 1`` gives little or no speed-up.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,6 +32,17 @@ from .regimes import MortalityRegime, RegimeError, from_dict, from_json, parse_i
 from .rng import make_stream
 
 
+# the parameters that take a real number, each a finite one
+_FLOATS = ("tolerance", "ratio_c", "lam", "alpha")
+
+
+def _finite(value: int | float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the largest float
+        return False
+
+
 def _params(config_path: str | None, defaults: dict, minimums: dict, **flags) -> dict:
     """The command's parameters: its defaults, overridden by the JSON config
     file (whose fields must be keys of ``defaults``), then by the flags the
@@ -38,7 +50,7 @@ def _params(config_path: str | None, defaults: dict, minimums: dict, **flags) ->
     lowest allowed value; a value outside that range is a usage error here,
     before any stream is made, whether it came from a flag or the file.
     ``None`` stays allowed where it is the default (auto or disabled).  A
-    parameter whose default is a float must be a number, and ``tolerance``
+    parameter of ``_FLOATS`` must be a finite number, and ``tolerance``
     one >= 0."""
     params = dict(defaults)
     if config_path is not None:
@@ -62,10 +74,12 @@ def _params(config_path: str | None, defaults: dict, minimums: dict, **flags) ->
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
             flag = "--" + key.replace("_", "-")
             raise click.UsageError(f"{flag} must be an integer >= {low}, got {value!r}")
-    for key, default in defaults.items():
-        value = params[key]
-        if isinstance(default, float) and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise click.UsageError(f"--{key.replace('_', '-')} must be a number, got {value!r}")
+    for key in _FLOATS:
+        value = params.get(key)
+        if key not in defaults or (value is None and defaults[key] is None):
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not _finite(value):
+            raise click.UsageError(f"--{key.replace('_', '-')} must be a finite number, got {value!r}")
     if "tolerance" in defaults and not params["tolerance"] >= 0:
         raise click.UsageError(f"--tolerance must be >= 0, got {params['tolerance']!r}")
     return params

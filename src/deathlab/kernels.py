@@ -1,6 +1,6 @@
 """Hot Monte Carlo loops, JIT-compiled with numba when available.
 
-Every kernel exists in two builds sharing one source: a numba ``@njit``
+Every kernel exists in two builds of one scalar source: a numba ``@njit``
 build (default) and a pure-Python build.  Both consume the same uniform
 stream from a ``numpy.random.Generator``, so for a given stream they
 produce bit-identical draws.  Set ``DEATHLAB_NO_NUMBA=1`` to force the
@@ -24,12 +24,18 @@ at k for a Geometric(1-(1-c)^k) number of steps, independent of where it
 lands, and the landing follows the departure jump law, Binomial(k, c)
 deaths conditioned on at least one.  ``trajectory_fill`` draws the hold
 and then the landing at each level and stops past ``t_max`` without
-drawing the landing; ``extinction_batch`` runs it with an empty path
-buffer.  The landing draw inverts the conditional pmf from one death
-upward while that walk is expected to take at most 14 steps (the
-inversion cutover of the binomial draw) and rejects zero-death binomial
-draws above that.  A level costs about two uniforms, however long the
-chain holds there.
+drawing the landing.  The landing draw inverts the conditional pmf from
+one death upward while that walk is expected to take at most 14 steps
+(the inversion cutover of the binomial draw) and rejects zero-death
+binomial draws above that.  A level costs about two uniforms, however
+long the chain holds there.
+
+``extinction_batch`` draws the same holds and landings for a whole batch,
+round-major: each round draws the hold of every live run, in run order,
+and censors a run whose hold outlasts ``t_max``; then one landing uniform
+for each departing run whose level walks the pmf, in run order; then the
+rejection landings, by run index.  A lone individual and certain death
+land at 0 without a draw.
 
 ``single_drop_batch`` and ``first_passage_batch`` only ask whether a
 departure kills exactly one.  Where the landing draw would walk the pmf,
@@ -37,25 +43,42 @@ that is its first test, u (1-(1-c)^k) <= k c (1-c)^(k-1), so the answer
 costs the walk's one uniform and one comparison; where it would reject,
 the first accepted binomial draw is compared with 1.  The uniforms and so
 the draws are those of the full landing draw.  ``single_drop_batch`` walks
-the jump chain alone, one such test per level and none at state 1;
-``first_passage_batch`` draws the hold and then the test for one level,
-uncensored, with the level's constants computed once per batch.
+the jump chain alone, sample by sample, one such test per level and none
+at state 1; ``first_passage_batch`` draws the hold and then the test for
+one level, uncensored, with the level's constants computed once per batch.
 
 Each build exports ``binomial_draw`` (the primitive of the stepping
 references in the tests), ``trajectory_fill`` and the seven ``*_batch``
-entry points; the per-sample draws behind the batches are private.  In
-the Python build every ``*_batch`` entry point runs its kernel on a block
-source instead of the generator.  The kernel still calls ``gen.random()``;
-the source answers with the same Philox doubles in the same order, as
-Python floats.  It saves the generator state and hands out doubles from
-``gen.random(size)`` blocks (64 long, doubling up to 1024), which cost a
-fraction of a scalar call each.  When the call ends, by return or by
-raise, the source rewinds: it restores the saved state and skips one word
-per double consumed (``bit_generator.random_raw(used, output=False)``).
-The generator so ends exactly where the kernel's own ``gen.random()``
-calls would have left it, and every report, stream position and uniform
-count is unchanged.  ``binomial_draw``, ``trajectory_fill``, calls from
-one kernel to another and the numba build take the generator itself.
+entry points; the per-sample draws behind the batches are private.  The
+numba build compiles the shared scalar source of every batch.  The Python
+build keeps that source as each entry point's ``__wrapped__`` and wraps
+it in one of two ways; either way the entry point draws the same doubles
+in the same order and leaves the generator where the source's own
+``gen.random()`` calls would, so every report, stream position and
+uniform count is the source's.
+
+- ``extinction_batch`` and ``first_passage_batch`` are array code.  They
+  take the uniforms of a round, or of the whole batch, as one
+  ``gen.random(size)`` block and do the arithmetic in numpy with the
+  source's own float operations; the pmf walk runs on the live runs of a
+  round together.  A hold's logarithm is ``math.log1p`` mapped over a
+  list, and a level's constants come from ``math`` once per level and
+  round, because numpy's ``log1p`` and ``exp`` are not libm's and differ
+  in the last bit on a few percent of inputs.  Temporaries are O(live
+  runs), never O(n).  Rejection landings, which take a varying number of
+  uniforms, run the scalar binomial draw on the block source below, as
+  does ``first_passage_batch`` at a rejection level.
+- The other five run the scalar source on a block source instead of the
+  generator.  The source still sees ``gen.random()`` calls and answers
+  with the same Philox doubles as Python floats.  It saves the generator
+  state and hands out doubles from ``gen.random(size)`` blocks (64 long,
+  doubling up to 1024), which cost a fraction of a scalar call each.
+  When the call ends, by return or by raise, the source rewinds: it
+  restores the saved state and skips one word per double consumed
+  (``bit_generator.random_raw(used, output=False)``).
+
+``binomial_draw``, ``trajectory_fill``, calls from one kernel to another
+and the numba build take the generator itself.
 """
 
 from __future__ import annotations
@@ -108,6 +131,14 @@ _STIRLING_TAIL = np.array(
 # and double up to _MAX_BLOCK.
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1024
+
+
+def _level_constants(k, c):
+    """The constants of state k at mortality c < 1, with the expressions of
+    the landing draw: lq = ln (1-c)^k, the departure chance total =
+    1-(1-c)^k and the single-death chance mass = k c (1-c)^(k-1)."""
+    lq = k * math.log1p(-c)
+    return lq, -math.expm1(lq), k * (c / (1.0 - c)) * math.exp(lq)
 
 
 def numba_disabled() -> bool:
@@ -274,13 +305,7 @@ def _build_backend(jit: bool) -> SimpleNamespace:
             acc += mass
         return b
 
-    @wrap
-    def _level(k, c):
-        # the constants of state k at mortality c < 1, with the expressions
-        # of _conditional_deaths: lq = ln (1-c)^k, the departure chance
-        # total = 1-(1-c)^k and the single-death chance mass = k c (1-c)^(k-1)
-        lq = k * math.log1p(-c)
-        return lq, -math.expm1(lq), k * (c / (1.0 - c)) * math.exp(lq)
+    _level = wrap(_level_constants)
 
     @wrap
     def _single_death(gen, k, c, total, mass):
@@ -376,12 +401,46 @@ def _build_backend(jit: bool) -> SimpleNamespace:
 
     @wrap
     def extinction_batch(gen, out, cs, n, t_max):
-        # first hitting times of 0 from n, -1 when censored; the path buffer
-        # is empty, so trajectory_fill records nothing.  It is made here, at
-        # run time: numba would freeze a captured array as read-only.
-        no_path = np.empty(0, dtype=np.int64)
-        for i in range(out.shape[0]):
-            out[i] = trajectory_fill(gen, no_path, cs, n, t_max)
+        # First hitting times of 0 from n, -1 when censored at t_max, drawn
+        # round-major: each round draws the hold of every live run, in run
+        # order, and censors a run whose hold outlasts t_max; then one
+        # landing uniform for each departing run whose level walks the pmf,
+        # in run order; then the rejection landings, by run index.  k = 1
+        # and certain death land at 0 without a draw.
+        m = out.shape[0]
+        last = cs.shape[0] - 1
+        ks = np.full(m, n, dtype=np.int64)  # 0 once extinct or censored
+        ts = np.zeros(m, dtype=np.int64)
+        lands = np.zeros(m, dtype=np.int64)  # this round: 1 walks or needs no draw, 2 rejects
+        out[:] = 0 if n == 0 else -1
+        live = m if n > 0 and t_max > 0 else 0
+        while live > 0:
+            for i in range(m):
+                lands[i] = 0
+                k = int(ks[i])
+                if k > 0:
+                    c = float(cs[min(k, last)])
+                    # ln (1-c)^k; certain death holds for exactly one step
+                    lq = -math.inf if c >= 1.0 else k * math.log1p(-c)
+                    hold = int(_hold(gen, lq))
+                    if hold > t_max - ts[i]:
+                        ks[i] = 0
+                        live -= 1
+                    else:
+                        ts[i] += hold
+                        lands[i] = 2 if k > 1 and c < 1.0 and k * c > _WALK_MAX * -math.expm1(lq) else 1
+            for branch in (1, 2):
+                for i in range(m):
+                    if lands[i] == branch:
+                        k = int(ks[i])
+                        k -= _conditional_deaths(gen, k, float(cs[min(k, last)]))
+                        ks[i] = k
+                        if k == 0:
+                            out[i] = ts[i]
+                            live -= 1
+                        elif ts[i] >= t_max:
+                            ks[i] = 0
+                            live -= 1
 
     @wrap
     def single_drop_batch(gen, out, cs, n):
@@ -465,6 +524,125 @@ def _buffered(kernel):
     return entry
 
 
+def _holds(u, lq):
+    """``int(_hold)`` for each uniform of the array ``u``, at ``lq`` (one
+    value, or one per uniform): the logarithm is ``math.log1p``, mapped
+    over a list, and the rest exact IEEE operations in numpy."""
+    with np.errstate(over="ignore"):  # a hold past the cap may divide to inf
+        x = np.fromiter(map(math.log1p, (-u).tolist()), np.float64, u.size) / lq
+    return np.where(x >= 4.6e18, 4.6e18, np.floor(x) + 1.0).astype(np.int64)
+
+
+def _walk(target, mass, ratio, k):
+    """The pmf walk of the landing draw, one per entry: the deaths b, from
+    one upward while target > acc and b < k, with the walk's own products,
+    quotients and sums.  Every walk still going stands at the same b."""
+    deaths = np.ones(k.size, dtype=np.int64)
+    at = np.arange(k.size)
+    acc = mass
+    b = 1
+    on = (target > acc) & (b < k)
+    while True:
+        if not on.all():
+            at, target, acc, mass, ratio, k = at[on], target[on], acc[on], mass[on], ratio[on], k[on]
+            if not at.size:
+                return deaths
+        mass = mass * (ratio * (k - b) / (b + 1.0))
+        b += 1
+        acc = acc + mass
+        deaths[at] = b
+        on = (target > acc) & (b < k)
+
+
+# what a departure from a level draws for its landing
+_NO_DRAW, _WALKS, _REJECTS = 0, 1, 2
+
+
+def _array_entries(py: SimpleNamespace) -> dict:
+    """The Python build's array entry points of ``extinction_batch`` and
+    ``first_passage_batch``.
+
+    Each draws what its scalar source (``__wrapped__``) draws, in the same
+    order, but takes the uniforms of a round or a batch as one
+    ``gen.random(size)`` block and does the arithmetic on arrays.  Only the
+    rejection landings, a varying number of uniforms each, run the scalar
+    binomial draw on the block source.
+    """
+    draw = py.binomial_draw
+
+    def rejection_deaths(gen, ks, cs):
+        # the rejection branch of the landing draw, for each (k, c) in order
+        out = []
+        for k, c in zip(ks, cs):
+            d = draw(gen, k, c)
+            while d < 1:
+                d = draw(gen, k, c)
+            out.append(d)
+        return out
+
+    rejections = _buffered(rejection_deaths)
+    scalar_passage = _buffered(py.first_passage_batch)
+
+    @functools.wraps(py.extinction_batch)
+    def extinction_batch(gen, out, cs, n, t_max):
+        out[:] = 0 if n == 0 else -1
+        if n == 0:
+            return
+        t_max = min(t_max, np.iinfo(np.int64).max)  # times stay int64
+        last = cs.shape[0] - 1
+        run = np.arange(out.shape[0] if t_max > 0 else 0)  # live runs, in run order
+        k = np.full(run.size, n, dtype=np.int64)
+        t = np.zeros(run.size, dtype=np.int64)
+        while run.size:
+            # the constants of each level the live runs stand at
+            levels, at = np.unique(k, return_inverse=True)
+            c = np.array([float(cs[min(j, last)]) for j in levels.tolist()])
+            lq = np.full(c.size, -np.inf)  # certain death holds one step
+            total, mass, ratio = np.ones(c.size), np.zeros(c.size), np.zeros(c.size)
+            kind = np.full(c.size, _NO_DRAW)
+            for i, (j, cj) in enumerate(zip(levels.tolist(), c.tolist())):
+                if cj < 1.0:
+                    lq[i], total[i], mass[i] = _level_constants(j, cj)
+                    ratio[i] = cj / (1.0 - cj)
+                    if j > 1:
+                        kind[i] = _REJECTS if j * cj > _WALK_MAX * total[i] else _WALKS
+            # holds, then the departures that land by t_max
+            hold = _holds(gen.random(run.size), lq[at])
+            go = hold <= t_max - t
+            run, k, t, at = run[go], k[go], t[go] + hold[go], at[go]
+            deaths = k.copy()
+            walks = np.flatnonzero(kind[at] == _WALKS)
+            if walks.size:
+                w = at[walks]
+                deaths[walks] = _walk(gen.random(walks.size) * total[w], mass[w], ratio[w], k[walks])
+            rejects = np.flatnonzero(kind[at] == _REJECTS)
+            if rejects.size:
+                deaths[rejects] = rejections(gen, k[rejects].tolist(), c[at[rejects]].tolist())
+            k -= deaths
+            gone = k == 0
+            out[run[gone]] = t[gone]
+            stay = ~gone & (t < t_max)
+            run, k, t = run[stay], k[stay], t[stay]
+
+    @functools.wraps(py.first_passage_batch)
+    def first_passage_batch(gen, k, c, out_j, out_code):
+        if c >= 1.0:
+            return scalar_passage(gen, k, c, out_j, out_code)
+        lq, total, mass = _level_constants(k, c)
+        if k == 1:
+            out_j[:] = _holds(gen.random(out_j.shape[0]), lq)
+            out_code[:] = FINITE
+        elif k * c > _WALK_MAX * total:
+            return scalar_passage(gen, k, c, out_j, out_code)
+        else:
+            # hold, test, hold, test, ...: one block, split into two columns
+            u = gen.random(2 * out_j.shape[0])
+            out_j[:] = _holds(u[0::2], lq)
+            out_code[:] = np.where(u[1::2] * total <= mass, FINITE, JUMPED_OVER)
+
+    return {"extinction_batch": extinction_batch, "first_passage_batch": first_passage_batch}
+
+
 _BACKENDS: dict[bool, SimpleNamespace] = {}
 
 
@@ -475,9 +653,10 @@ def get_backend(jit: bool) -> SimpleNamespace:
     if jit not in _BACKENDS:
         backend = _build_backend(jit)
         if not jit:
+            arrays = _array_entries(backend)
             for name, kernel in list(vars(backend).items()):
                 if name.endswith("_batch"):
-                    setattr(backend, name, _buffered(kernel))
+                    setattr(backend, name, arrays.get(name) or _buffered(kernel))
         _BACKENDS[jit] = backend
     return _BACKENDS[jit]
 

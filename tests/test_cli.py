@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -325,6 +326,7 @@ _values = st.one_of(
     st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=3),
     _ints,
     st.floats(min_value=-5, max_value=50, allow_nan=False),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
     st.booleans(),
     st.text(max_size=4),
     st.lists(st.one_of(_ints, st.floats(min_value=-5, max_value=50), st.booleans(), st.text(max_size=2)),
@@ -333,9 +335,10 @@ _values = st.one_of(
 _COMMANDS = {
     "extinct": (None, ["n", "samples", "t_grid", "ratio_n", "ratio_c", "ratio_samples", "tolerance"]),
     "path": ("joint_power:1,4", ["n", "samples", "sweep", "tolerance"]),
-    "passage": (None, ["k", "n", "samples", "j_max", "limit_n", "limit_samples", "tolerance"]),
-    "implode": (None, ["k_max", "runs", "sweep"]),
+    "passage": (None, ["k", "n", "samples", "j_max", "limit_n", "limit_samples", "lam", "tolerance"]),
+    "implode": (None, ["alpha", "k_max", "runs", "sweep"]),
     "simulate": ("joint_power:1,4", ["n", "samples", "t_max"]),
+    "verify": (None, ["samples", "tolerance"]),
 }
 _cases = st.one_of(
     [
@@ -355,8 +358,9 @@ def _number(value) -> bool:
 
 def _floats_in_domain(values, via_config) -> bool:
     """Whether the float flags among ``values``, as the command sees them,
-    are ones the mathematics takes: a tolerance >= 0, and a ratio mortality
-    in (0, 1) unless the ratio experiment is off (ratio_n = 0)."""
+    are ones the mathematics takes: each finite, a tolerance >= 0, and a
+    ratio mortality in (0, 1) unless the ratio experiment is off
+    (ratio_n = 0)."""
 
     def seen(key, parse, default):
         if key not in values or via_config:
@@ -368,9 +372,11 @@ def _floats_in_domain(values, via_config) -> bool:
 
     tolerance = seen("tolerance", float, 0.0)
     ratio_c = seen("ratio_c", float, 0.5)
+    floats = [tolerance, ratio_c, seen("alpha", float, 1.0), seen("lam", float, 1.0)]
     return (
-        _number(tolerance) and tolerance >= 0
-        and _number(ratio_c) and (0 < ratio_c < 1 or seen("ratio_n", int, None) == 0)
+        all(_number(v) and math.isfinite(v) for v in floats)
+        and tolerance >= 0
+        and (0 < ratio_c < 1 or seen("ratio_n", int, None) == 0)
     )
 
 
@@ -389,6 +395,11 @@ def _flag_text(value) -> str:
 @example(case=("extinct", {"ratio_c": 1.5}, False))
 @example(case=("extinct", {"ratio_c": 1.5, "ratio_n": 0}, True))
 @example(case=("simulate", {"n": [1, 2]}, True))
+@example(case=("verify", {"samples": 2, "tolerance": math.inf}, False))
+@example(case=("passage", {"k": 3, "regime": "initial_power:1,1", "lam": math.nan, "limit_n": 100, "samples": 10}, False))
+@example(case=("implode", {"alpha": math.nan}, False))
+@example(case=("implode", {"alpha": math.inf}, True))
+@example(case=("extinct", {"ratio_c": math.nan, "ratio_n": 0}, True))
 @given(case=_cases)
 def test_generated_arguments_reach_a_draw_or_exit_2(tmp_path_factory, case):
     command, values, via_config = case

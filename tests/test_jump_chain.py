@@ -11,6 +11,12 @@ and the single-drop oracle -- and against the per-step references in
 path, a ``Table`` entry with c = 1, and a dense regime whose landings from
 the top levels take the rejection draw.
 
+The last tests pin the draw order of the batches.  Test-side copies of
+the full landing draw, run sample by sample for single drops and
+first passages and round-major for extinction times, must draw what the
+active build, the Python build's entry points and their scalar source
+draw, up to the generator's end position.
+
 Every statistical check runs at level 0.001, so the fifty or so of them
 together fail by chance on about one seed in twenty.
 """
@@ -261,20 +267,55 @@ def _landing(gen, k, c):
     return b
 
 
+def _hold(gen, k, c):
+    """The geometric hold at k by inversion, capped at 4.6e18; certain
+    death holds one step, on a uniform of its own."""
+    u = gen.random()
+    if c >= 1.0:
+        return 1
+    x = math.log1p(-u) / (k * math.log1p(-c))
+    return int(4.6e18 if x >= 4.6e18 else math.floor(x) + 1.0)
+
+
 def _first_passage(gen, k, c):
-    """(hold, code) of the first departure from k: the geometric hold by
-    inversion, then the full landing draw; certain death draws nothing."""
+    """(hold, code) of the first departure from k: the hold, then the full
+    landing draw; certain death draws nothing."""
     if c >= 1.0:
         return 1, kernels.FINITE if k == 1 else kernels.JUMPED_OVER
-    x = math.log1p(-gen.random()) / (k * math.log1p(-c))
-    hold = 4.6e18 if x >= 4.6e18 else math.floor(x) + 1.0
-    return int(hold), kernels.FINITE if _landing(gen, k, c) == 1 else kernels.JUMPED_OVER
+    return _hold(gen, k, c), kernels.FINITE if _landing(gen, k, c) == 1 else kernels.JUMPED_OVER
 
 
 def _single_drop(gen, cs, n):
     """Whether every landing from n down to 2 kills exactly one."""
     last = cs.shape[0] - 1
     return all(_landing(gen, k, float(cs[min(k, last)])) == 1 for k in range(n, 1, -1))
+
+
+def _extinction_times(gen, cs, n, t_max, m):
+    """Extinction times of m chains from n, -1 when censored, round-major:
+    each round the hold of every live chain in run order, censoring those
+    it carries past t_max; then the landings that walk the pmf, in run
+    order; then those that reject, in run order."""
+    last = cs.shape[0] - 1
+    k, t, out = [n] * m, [0] * m, [-1] * m
+    live = list(range(m)) if t_max > 0 else []
+    while live:
+        departing = []
+        for i in live:
+            hold = _hold(gen, k[i], float(cs[min(k[i], last)]))
+            if hold <= t_max - t[i]:
+                t[i] += hold
+                departing.append(i)
+        draws = [_landing_draw(k[i], float(cs[min(k[i], last)])) for i in departing]
+        for branch in ({"none", "walk"}, {"reject"}):
+            for i, draw in zip(departing, draws):
+                if draw in branch:
+                    k[i] -= _landing(gen, k[i], float(cs[min(k[i], last)]))
+        for i in departing:
+            if k[i] == 0:
+                out[i] = t[i]
+        live = [i for i in departing if k[i] > 0 and t[i] < t_max]
+    return out
 
 
 def _entry_points(name):
@@ -323,4 +364,27 @@ def test_single_drop_batch_draws_what_the_full_landing_draw_draws(case):
         out = np.empty(m, dtype=np.uint8)
         kernel(gen, out, cs, n)
         assert out.astype(bool).tolist() == expected, kernel
+        assert _words_drawn(gen) == _words_drawn(ref), kernel
+
+
+# every chain above at a horizon that censors about half of its runs, and
+# uncensored; a chain from 1000 whose upper levels reject
+EXTINCTION_CHAINS = {
+    **{case: (n, regime, _median_time(n, regime)) for case, (n, regime) in DROP_CHAINS.items()},
+    **{f"{case}/uncensored": (n, regime, MAX_TIME) for case, (n, regime) in DROP_CHAINS.items()},
+    "large_rejection": (1000, Constant(0.05), 150),
+}
+
+
+@pytest.mark.parametrize("case", EXTINCTION_CHAINS)
+def test_extinction_batch_draws_what_the_full_landing_draw_draws(case):
+    n, regime, t_max = EXTINCTION_CHAINS[case]
+    cs, m = prepare(regime, n), 300
+    ref = make_stream(SEED, 802).generator
+    expected = _extinction_times(ref, cs, n, t_max, m)
+    for kernel in _entry_points("extinction_batch"):
+        gen = make_stream(SEED, 802).generator
+        out = np.empty(m, dtype=np.int64)
+        kernel(gen, out, cs, n, t_max)
+        assert out.tolist() == expected, kernel
         assert _words_drawn(gen) == _words_drawn(ref), kernel

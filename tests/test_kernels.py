@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from deathlab import kernels
-from deathlab.regimes import Constant, JointPower, StatePower, prepare
+from deathlab import kernels, process
+from deathlab._parallel import CHUNK_SIZE
+from deathlab.regimes import Constant, JointPower, StatePower, Table, prepare
 from deathlab.rng import make_stream
 
 pytestmark = pytest.mark.skipif(
@@ -92,6 +93,80 @@ def test_process_kernels_identical(backends):
     py.first_passage_stepped_batch(g2, 3, 0.3, 10**6, bj, bc)
     assert np.array_equal(aj, bj)
     assert np.array_equal(ac, bc)
+
+
+# certain death at state 3, a drop of three
+CERTAIN_AT_3 = Table({(k, 6): 1.0 if k == 3 else 0.1 for k in range(1, 7)})
+
+# (regime, n, t_max): walks only, censoring, rejection, rejection with
+# censoring, certain death at a level
+EXTINCTION_CASES = [
+    (Constant(0.2), 50, 10**6),
+    (StatePower(0.5, 1.0), 30, 40),
+    (Constant(0.7), 30, 10**6),
+    (Constant(0.05), 1000, 100),
+    (CERTAIN_AT_3, 6, 10**6),
+]
+
+
+def _same_draws(backends, tag, run):
+    """``run(backend, gen)`` returns a batch's outputs as lists; both builds
+    must return equal ones and leave equal generator states."""
+    seen = [(run(b, gen), str(gen.bit_generator.state)) for b, gen in zip(backends, _pair_of_generators(tag))]
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("case", range(len(EXTINCTION_CASES)))
+def test_extinction_batch_identical_at_every_landing_draw(backends, case):
+    regime, n, t_max = EXTINCTION_CASES[case]
+    cs = prepare(regime, n)
+
+    def run(backend, gen):
+        out = np.empty(700, dtype=np.int64)
+        backend.extinction_batch(gen, out, cs, n, t_max)
+        return out.tolist()
+
+    _same_draws(backends, 40 + case, run)
+
+
+@pytest.mark.parametrize("regime, n", [(Constant(0.7), 30), (CERTAIN_AT_3, 6), (Constant(0.02), 10)])
+def test_single_drop_batch_identical_at_every_landing_draw(backends, regime, n):
+    cs = prepare(regime, n)
+
+    def run(backend, gen):
+        out = np.empty(700, dtype=np.uint8)
+        backend.single_drop_batch(gen, out, cs, n)
+        return out.tolist()
+
+    _same_draws(backends, 50 + n, run)
+
+
+@pytest.mark.parametrize("k, c", [(1, 0.3), (3, 1.0), (5, 0.3), (30, 0.7), (1000, 0.05)])
+def test_first_passage_batch_identical_at_every_landing_draw(backends, k, c):
+    def run(backend, gen):
+        out_j, out_code = np.empty(700, dtype=np.int64), np.empty(700, dtype=np.int64)
+        backend.first_passage_batch(gen, k, c, out_j, out_code)
+        return out_j.tolist(), out_code.tolist()
+
+    _same_draws(backends, 60, run)
+
+
+def test_multi_chunk_batches_identical(backends, monkeypatch):
+    samples = 2 * CHUNK_SIZE + 5  # three chunks, shared by two workers
+
+    def outcomes():
+        return (
+            process.extinction_time_batch(30, Constant(0.7), make_stream(99, 70), samples, workers=2).tolist(),
+            process.single_drop_batch(10, Constant(0.02), make_stream(99, 71), samples, workers=2).tolist(),
+            [a.tolist() for a in process.first_passage_batch(5, Constant(0.3), make_stream(99, 72), samples, workers=2)],
+        )
+
+    seen = []
+    for backend in backends:
+        for name in ("extinction_batch", "single_drop_batch", "first_passage_batch"):
+            monkeypatch.setattr(kernels, name, getattr(backend, name))
+        seen.append(outcomes())
+    assert seen[0] == seen[1]
 
 
 def test_trajectory_fill_identical(backends):

@@ -55,7 +55,7 @@ def test_binomial_mean_band():
     assert draws.min() >= 0 and draws.max() <= 10
 
 
-@pytest.mark.parametrize("x", [1, 2, 10, 50])
+@pytest.mark.parametrize("x", [1, 2, 10, 16, 50])
 @pytest.mark.parametrize("c", [0.01, 0.3, 0.5, 0.9])
 def test_binomial_chi_square_grid(x, c):
     draws = sample_binomial_batch(make_stream(3, x * 100 + int(c * 100)), x, c, 10**5)

@@ -1,22 +1,27 @@
-"""The block source of the Python kernel build.
+"""The batch entry points of the Python kernel build against their source.
 
-Each batch entry point of the Python build runs its kernel on a source
-that hands out, in order, the doubles ``gen.random()`` would, and leaves
-the generator where those calls would leave it, also when the kernel
-raises.  Every case here calls the entry point and the kernel it wraps
-(``__wrapped__``) on equal streams and compares outputs and
+Two entry points of the Python build, ``extinction_batch`` and
+``first_passage_batch``, are array code.  The other five run the shared
+scalar source on a block source that hands out, in order, the doubles
+``gen.random()`` would, and leaves the generator where those calls would
+leave it, also when the kernel raises.  Either way the entry point must
+draw what its scalar source (``__wrapped__``) draws.
+Every case here calls both on equal streams and compares outputs and
 ``bit_generator.state``.  The sizes span part of the first block, the
-switch from one block to the next and blocks of the largest size.
+switch from one block to the next and blocks of the largest size; the
+cases span k = 1, certain death at a level, censoring, and levels whose
+landing walks the pmf or rejects.
 """
 
 import gc
+import math
 
 import numpy as np
 import pytest
 
 from deathlab import kernels, process
 from deathlab._parallel import CHUNK_SIZE
-from deathlab.regimes import Constant, StatePower, prepare
+from deathlab.regimes import Constant, StatePower, Table, prepare
 from deathlab.rng import make_stream
 
 PY = kernels.get_backend(False)
@@ -52,6 +57,13 @@ def _ints(m):
     return np.zeros(m, dtype=np.int64)
 
 
+def _flags(m):
+    return np.zeros(m, dtype=np.uint8)
+
+
+# certain death at state 3, a drop of three
+CERTAIN_AT_3 = Table({(k, 6): 1.0 if k == 3 else 0.1 for k in range(1, 7)})
+
 # entry point -> builder of its arguments after the generator, for m samples
 CASES = {
     "binomial_batch": lambda m: (7, 0.3, _ints(m)),
@@ -60,11 +72,29 @@ CASES = {
     "max_geometric_batch": lambda m: (100, 0.2, _ints(m)),
     "extinction_batch": lambda m: (_ints(m), prepare(Constant(0.2), 50), 50, 10**4),
     "extinction_batch/censored": lambda m: (_ints(m), prepare(StatePower(0.5, 1.0), 30), 30, 40),
-    "single_drop_batch": lambda m: (np.zeros(m, dtype=np.uint8), prepare(Constant(0.02), 10), 10),
+    "extinction_batch/certain_death": lambda m: (_ints(m), prepare(CERTAIN_AT_3, 6), 6, 10**4),
+    # landings from k >= 21 reject
+    "extinction_batch/rejection": lambda m: (_ints(m), prepare(Constant(0.7), 30), 30, 10**4),
+    # rejection from 1000 down to about 280, then the walk; some runs censored
+    "extinction_batch/rejection_censored": lambda m: (_ints(m), prepare(Constant(0.05), 1000), 1000, 100),
+    "single_drop_batch": lambda m: (_flags(m), prepare(Constant(0.02), 10), 10),
+    "single_drop_batch/certain_death": lambda m: (_flags(m), prepare(CERTAIN_AT_3, 6), 6),
+    "single_drop_batch/rejection": lambda m: (_flags(m), prepare(Constant(0.7), 30), 30),
     "first_passage_batch": lambda m: (5, 0.3, _ints(m), _ints(m)),
+    "first_passage_batch/lone": lambda m: (1, 0.3, _ints(m), _ints(m)),
+    "first_passage_batch/certain_death": lambda m: (3, 1.0, _ints(m), _ints(m)),
+    "first_passage_batch/rejection": lambda m: (1000, 0.05, _ints(m), _ints(m)),
     "first_passage_stepped_batch": lambda m: (5, 0.05, 30, _ints(m), _ints(m)),
 }
-SIZES = (1, 7, 40, 300, 3000)
+SIZES = (0, 1, 7, 40, 300, 3000)
+ARRAY_ENTRIES = {"extinction_batch", "first_passage_batch"}
+
+
+def test_two_entry_points_are_array_code_and_five_use_the_block_source():
+    for name in BATCHES:
+        entry = getattr(PY, name)
+        assert entry is not entry.__wrapped__
+        assert (entry.__code__ is kernels._buffered(entry.__wrapped__).__code__) == (name not in ARRAY_ENTRIES)
 
 
 def _call(kernel, gen, args):
@@ -118,11 +148,11 @@ def test_a_kernel_that_raises_leaves_the_stream_where_its_draws_did(fail_at):
     # out_code is shorter than out_j, so the kernel raises on writing
     # sample fail_at, in the first block or after it
     seen = []
-    for kernel in (PY.first_passage_batch, PY.first_passage_batch.__wrapped__):
+    for kernel in (PY.first_passage_stepped_batch, PY.first_passage_stepped_batch.__wrapped__):
         gen = make_stream(SEED, 7).generator
         out_j, out_code = _ints(1000), _ints(fail_at)
         with pytest.raises(IndexError) as raised:
-            kernel(gen, 5, 0.3, out_j, out_code)
+            kernel(gen, 5, 0.05, 30, out_j, out_code)
         # read while the traceback, and every frame on it, is alive
         seen.append((out_j.tolist(), out_code.tolist(), _state(gen), raised.type))
     assert seen[0] == seen[1]
@@ -130,13 +160,14 @@ def test_a_kernel_that_raises_leaves_the_stream_where_its_draws_did(fail_at):
 
 def test_the_source_leaves_no_cycles():
     # blocks held by a reference cycle would outlive the call until the
-    # collector ran, and raise peak memory
-    cs = prepare(Constant(0.2), 50)
+    # collector ran, and raise peak memory; the rejection landings of this
+    # chain run on the block source
+    cs = prepare(Constant(0.7), 30)
     gen = make_stream(SEED, 8).generator
     gc.collect()
     gc.disable()
     try:
-        PY.extinction_batch(gen, _ints(500), cs, 50, 10**4)
+        PY.extinction_batch(gen, _ints(500), cs, 30, 10**4)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -158,3 +189,41 @@ def test_worker_counts_and_the_raw_kernels_agree_through_process(monkeypatch):
     monkeypatch.setattr(kernels, "extinction_batch", PY.extinction_batch.__wrapped__)
     monkeypatch.setattr(kernels, "first_passage_batch", PY.first_passage_batch.__wrapped__)
     assert one == two == outcomes(1)
+
+
+# (k, c) of levels that walk the pmf, short and long walks
+WALK_LEVELS = [(3, 0.3), (5, 0.3), (50, 0.2), (10, 0.02), (200, 0.01)]
+
+
+def _hold(u, lq):
+    x = math.log1p(-u) / lq
+    return int(4.6e18 if x >= 4.6e18 else math.floor(x) + 1.0)
+
+
+def test_array_holds_match_the_scalar_hold_at_integer_boundaries():
+    # uniforms whose x = log1p(-u)/lq lies within rounding of an integer,
+    # where a logarithm off in its last bit moves the hold by one step;
+    # where numpy's log1p is not libm's, it differs on some of them
+    for k, c in WALK_LEVELS + [(1, 0.001), (2, 0.01)]:
+        lq = k * math.log1p(-c)
+        u = [-math.expm1(j * lq) for j in range(1, 5000)]
+        u = [v for v in u if v < 1.0]
+        assert kernels._holds(np.array(u), lq).tolist() == [_hold(v, lq) for v in u], (k, c)
+
+
+def test_array_walk_matches_the_scalar_walk_at_ties():
+    # targets equal to each running sum of the walk, and one ulp above
+    # it, where a sum off in its last bit moves the landing by one death
+    for k, c in WALK_LEVELS:
+        _, _, mass = kernels._level_constants(k, c)
+        ratio = c / (1.0 - c)
+        sums, term, acc = [mass], mass, mass
+        for b in range(1, k):
+            term *= ratio * (k - b) / (b + 1.0)
+            acc += term
+            sums.append(acc)
+        targets = sums + [math.nextafter(s, math.inf) for s in sums]
+        expected = [next((b for b, s in enumerate(sums, 1) if not t > s), k) for t in targets]
+        got = kernels._walk(np.array(targets), np.full(len(targets), mass), np.full(len(targets), ratio),
+                            np.full(len(targets), k))
+        assert got.tolist() == expected, (k, c)
