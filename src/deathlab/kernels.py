@@ -43,9 +43,10 @@ that is its first test, u (1-(1-c)^k) <= k c (1-c)^(k-1), so the answer
 costs the walk's one uniform and one comparison; where it would reject,
 the first accepted binomial draw is compared with 1.  The uniforms and so
 the draws are those of the full landing draw.  ``single_drop_batch`` walks
-the jump chain alone, sample by sample, one such test per level and none
-at state 1; ``first_passage_batch`` draws the hold and then the test for
-one level, uncensored, with the level's constants computed once per batch.
+the jump chain alone, one such test per level and none at state 1, sample
+by sample: a run's uniforms follow the previous run's in the stream.
+``first_passage_batch`` draws the hold and then the test for one level,
+uncensored, with the level's constants computed once per batch.
 
 Each build exports ``binomial_draw`` (the primitive of the stepping
 references in the tests), ``trajectory_fill`` and the seven ``*_batch``
@@ -57,18 +58,29 @@ in the same order and leaves the generator where the source's own
 ``gen.random()`` calls would, so every report, stream position and
 uniform count is the source's.
 
-- ``extinction_batch`` and ``first_passage_batch`` are array code.  They
-  take the uniforms of a round, or of the whole batch, as one
-  ``gen.random(size)`` block and do the arithmetic in numpy with the
-  source's own float operations; the pmf walk runs on the live runs of a
-  round together.  A hold's logarithm is ``math.log1p`` mapped over a
-  list, and a level's constants come from ``math`` once per level and
-  round, because numpy's ``log1p`` and ``exp`` are not libm's and differ
-  in the last bit on a few percent of inputs.  Temporaries are O(live
-  runs), never O(n).  Rejection landings, which take a varying number of
-  uniforms, run the scalar binomial draw on the block source below, as
-  does ``first_passage_batch`` at a rejection level.
-- The other five run the scalar source on a block source instead of the
+- ``extinction_batch``, ``single_drop_batch`` and ``first_passage_batch``
+  are array code.  They take the uniforms of a round, or of the whole
+  batch, as ``gen.random(size)`` blocks and do the arithmetic in numpy
+  with the source's own float operations; the pmf walk runs on the live
+  runs of a round together.  A hold's logarithm is ``math.log1p`` mapped
+  over a list, and a level's constants come from ``math`` once per level
+  and round or batch, because numpy's ``log1p`` and ``exp`` are not
+  libm's and differ in the last bit on a few percent of inputs.
+  Temporaries are O(live runs) or O(one block), never O(n).  Rejection
+  landings, which take a varying number of uniforms, run the scalar
+  binomial draw on the block source below, as does ``first_passage_batch``
+  at a rejection level.
+- ``single_drop_batch`` keeps the source's sample-major order.  It
+  computes the levels' constants once, from n down to the first certain
+  death (where every run that gets there fails without a draw), draws
+  blocks sized from the expected uniforms per run, and walks the runs
+  through a block over its candidate failures only: the uniforms above a
+  conservative bound, each then tested exactly.  It then rewinds the
+  generator to the end of the last run, as the block source does.  A run
+  that reaches a rejection level, or a level too deep to be worth
+  computing, hands it and the runs after it to the scalar source on the
+  block source.
+- The other four run the scalar source on a block source instead of the
   generator.  The source still sees ``gen.random()`` calls and answers
   with the same Philox doubles as Python floats.  It saves the generator
   state and hands out doubles from ``gen.random(size)`` blocks (64 long,
@@ -557,16 +569,88 @@ def _walk(target, mass, ratio, k):
 # what a departure from a level draws for its landing
 _NO_DRAW, _WALKS, _REJECTS = 0, 1, 2
 
+# The single-drop walk keeps a uniform u as a candidate failure when u > lo,
+# lo the least mass/total of its levels times _BELOW: a few hundred ulps of
+# margin, so rounding in the quotient or in u * total never drops one
+_BELOW = 1.0 - 2.0**-44
+
+# single_drop_batch stops computing levels where a run reaches them with a
+# chance below this, and draws at most _MAX_DROP_BLOCK doubles at once,
+# plus two per level
+_UNREACHED = 2.0**-60
+_MAX_DROP_BLOCK = 1 << 14
+
+
+def _drop_levels(cs, n):
+    """The levels a single-drop run from n walks, n, n-1, ..., each its
+    (total, mass) from ``_level_constants``, as two lists; the outcome of a
+    run that passes all of them, 1 at level 1, 0 at certain death, None
+    where the array code stops (a rejection level, or a level reached with
+    a chance below _UNREACHED); and the expected uniforms per run."""
+    last = cs.shape[0] - 1
+    total, mass = [], []
+    reach, expected = 1.0, 0.0
+    for k in range(n, 1, -1):
+        c = float(cs[min(k, last)])
+        if c >= 1.0:
+            return total, mass, 0, expected
+        _, t, s = _level_constants(k, c)
+        if k * c > _WALK_MAX * t or reach < _UNREACHED:
+            return total, mass, None, expected
+        total.append(t)
+        mass.append(s)
+        expected += reach
+        reach *= s / t
+    return total, mass, 1, expected
+
+
+def _drop_runs(u, total, mass, end, runs, m, fails):
+    """Walk single-drop runs over the uniforms ``u``, the first from u[0]:
+    a run takes one uniform per level, fails level j when u * total[j] >
+    mass[j], and ends at its first failure or after the last level, with
+    outcome ``end``.  Appends the run index of each failure to ``fails``,
+    counting from ``runs``; returns where the unfinished run starts in u and
+    the runs finished, stopping at m runs, at the end of u, or, when end is
+    None, where a run has passed every level.  The Python loop runs over
+    the candidate failures only."""
+    levels = len(total)
+    lo = min(map(operator.truediv, mass, total)) * _BELOW
+    start = 0
+    at = np.flatnonzero(u > lo)
+    for p, v in zip(at.tolist(), u[at].tolist()):
+        j = p - start
+        if j >= levels:  # the run at start passed every level
+            if end is None:
+                return start, runs
+            q = min(j // levels, m - runs)
+            runs += q
+            start += q * levels
+            if runs == m:
+                return start, runs
+            j = p - start
+        if v * total[j] > mass[j]:
+            fails.append(runs)
+            runs += 1
+            start = p + 1
+            if runs == m:
+                return start, runs
+    if end is not None:
+        q = min((u.size - start) // levels, m - runs)
+        runs += q
+        start += q * levels
+    return start, runs
+
 
 def _array_entries(py: SimpleNamespace) -> dict:
-    """The Python build's array entry points of ``extinction_batch`` and
-    ``first_passage_batch``.
+    """The Python build's array entry points of ``extinction_batch``,
+    ``single_drop_batch`` and ``first_passage_batch``.
 
     Each draws what its scalar source (``__wrapped__``) draws, in the same
-    order, but takes the uniforms of a round or a batch as one
-    ``gen.random(size)`` block and does the arithmetic on arrays.  Only the
-    rejection landings, a varying number of uniforms each, run the scalar
-    binomial draw on the block source.
+    order, but takes the uniforms of a round or a batch as
+    ``gen.random(size)`` blocks and does the arithmetic on arrays.  Only
+    the rejection landings, a varying number of uniforms each, and the
+    single-drop runs that reach one run the scalar source on the block
+    source.
     """
     draw = py.binomial_draw
 
@@ -582,6 +666,7 @@ def _array_entries(py: SimpleNamespace) -> dict:
 
     rejections = _buffered(rejection_deaths)
     scalar_passage = _buffered(py.first_passage_batch)
+    scalar_drop = _buffered(py.single_drop_batch)
 
     @functools.wraps(py.extinction_batch)
     def extinction_batch(gen, out, cs, n, t_max):
@@ -624,6 +709,34 @@ def _array_entries(py: SimpleNamespace) -> dict:
             stay = ~gone & (t < t_max)
             run, k, t = run[stay], k[stay], t[stay]
 
+    @functools.wraps(py.single_drop_batch)
+    def single_drop_batch(gen, out, cs, n):
+        total, mass, end, expected = _drop_levels(cs, n)
+        if not total:
+            if end is None:  # the first level rejects
+                return scalar_drop(gen, out, cs, n)
+            out[:] = end
+            return
+        m = out.shape[0]
+        # blocks of uniforms, rewound to the end of the last finished run
+        bitgen = gen.bit_generator
+        saved = bitgen.state
+        u = np.empty(0)
+        used = done = 0  # uniforms the finished runs took, and those runs
+        fails = []
+        while done < m and not (end is None and u.size >= len(total)):
+            size = min(int(1.1 * (m - done) * expected), _MAX_DROP_BLOCK) + 2 * len(total)
+            u = np.concatenate((u, gen.random(size)))
+            start, done = _drop_runs(u, total, mass, end, done, m, fails)
+            used += start
+            u = u[start:]
+        bitgen.state = saved
+        bitgen.random_raw(used, output=False)
+        out[:done] = end == 1  # what a finished run that did not fail ends with
+        out[fails] = 0
+        if done < m:  # the next run reaches a level the array code does not walk
+            scalar_drop(gen, out[done:], cs, n)
+
     @functools.wraps(py.first_passage_batch)
     def first_passage_batch(gen, k, c, out_j, out_code):
         if c >= 1.0:
@@ -640,7 +753,11 @@ def _array_entries(py: SimpleNamespace) -> dict:
             out_j[:] = _holds(u[0::2], lq)
             out_code[:] = np.where(u[1::2] * total <= mass, FINITE, JUMPED_OVER)
 
-    return {"extinction_batch": extinction_batch, "first_passage_batch": first_passage_batch}
+    return {
+        "extinction_batch": extinction_batch,
+        "single_drop_batch": single_drop_batch,
+        "first_passage_batch": first_passage_batch,
+    }
 
 
 _BACKENDS: dict[bool, SimpleNamespace] = {}

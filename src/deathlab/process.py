@@ -60,6 +60,9 @@ class Trajectory:
         return self.extinction_time is None
 
     def to_csv_rows(self, run_id: int) -> list[tuple[int, int, int]]:
+        """The (run_id, t, state) rows of this path, one per time step: the
+        reference that ``simulate``'s bulk writer of trajectories.csv is
+        checked against, through ``csv.writer``."""
         return [(run_id, t, s) for t, s in enumerate(self.states.tolist())]
 
 

@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 import deathlab
 from deathlab import cli, experiments, kernels, limits
 from deathlab.cli import main
+from deathlab.process import simulate_trajectory
+from deathlab.regimes import Constant, Table
+from deathlab.rng import make_stream
 
 
 @pytest.fixture()
@@ -39,6 +42,30 @@ def test_simulate_is_deterministic(runner, tmp_path):
     assert len(summary["runs"]) == 3
     assert summary["meta"]["seed"] == 1
     assert "config_hash" in summary["meta"]
+
+
+# (n, regime, runs, t_max) of a simulate command's trajectories
+TRAJECTORY_SETS = {
+    "censored_at_1": (5, Constant(0.1), 3, 1),
+    "censored_at_2": (5, Constant(0.5), 40, 2),  # some runs extinct by t = 2, some not
+    "extinct_at_1": (4, Table({(k, 4): 1.0 for k in range(1, 5)}), 3, None),
+    "run_ids_past_100": (3, Constant(0.5), 120, None),
+    "eight_digit_states": (10**7, Constant(0.9), 12, None),
+    "single_run": (10, Constant(0.02), 1, None),
+}
+
+
+@pytest.mark.parametrize("case", TRAJECTORY_SETS)
+@pytest.mark.parametrize("piece_rows", [1, 7, cli._PIECE_ROWS])
+def test_trajectories_csv_is_what_csv_writer_writes(case, piece_rows, tmp_path, monkeypatch):
+    n, regime, runs, t_max = TRAJECTORY_SETS[case]
+    root = make_stream(11, 0)
+    trajectories = simulate_trajectory(n, regime, [root.substream(i) for i in range(runs)], t_max)
+    reference = [row for run_id, traj in enumerate(trajectories) for row in traj.to_csv_rows(run_id)]
+    cli._write_csv(tmp_path / "reference.csv", ["run_id", "t", "state"], reference)
+    monkeypatch.setattr(cli, "_PIECE_ROWS", piece_rows)
+    cli._write_trajectories(tmp_path / "bulk.csv", trajectories)
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_simulate_rejects_bad_regime(runner, tmp_path):

@@ -1,8 +1,9 @@
 """The batch entry points of the Python kernel build against their source.
 
-Two entry points of the Python build, ``extinction_batch`` and
-``first_passage_batch``, are array code.  The other five run the shared
-scalar source on a block source that hands out, in order, the doubles
+Three entry points of the Python build, ``extinction_batch``,
+``single_drop_batch`` and ``first_passage_batch``, are array code.  The
+other four run the shared scalar source on a block source that hands out,
+in order, the doubles
 ``gen.random()`` would, and leaves the generator where those calls would
 leave it, also when the kernel raises.  Either way the entry point must
 draw what its scalar source (``__wrapped__``) draws.
@@ -10,11 +11,13 @@ Every case here calls both on equal streams and compares outputs and
 ``bit_generator.state``.  The sizes span part of the first block, the
 switch from one block to the next and blocks of the largest size; the
 cases span k = 1, certain death at a level, censoring, and levels whose
-landing walks the pmf or rejects.
+landing walks the pmf or rejects, at the top of a chain or below it.
 """
 
 import gc
 import math
+import operator
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,6 +66,8 @@ def _flags(m):
 
 # certain death at state 3, a drop of three
 CERTAIN_AT_3 = Table({(k, 6): 1.0 if k == 3 else 0.1 for k in range(1, 7)})
+# levels 30 to 21 walk the pmf, level 20 rejects (20 c > 14), the rest walk
+REJECTS_AT_20 = Table({(k, 30): 0.9 if k == 20 else 0.01 for k in range(1, 31)})
 
 # entry point -> builder of its arguments after the generator, for m samples
 CASES = {
@@ -80,6 +85,14 @@ CASES = {
     "single_drop_batch": lambda m: (_flags(m), prepare(Constant(0.02), 10), 10),
     "single_drop_batch/certain_death": lambda m: (_flags(m), prepare(CERTAIN_AT_3, 6), 6),
     "single_drop_batch/rejection": lambda m: (_flags(m), prepare(Constant(0.7), 30), 30),
+    "single_drop_batch/rejection_below": lambda m: (_flags(m), prepare(REJECTS_AT_20, 30), 30),
+    "single_drop_batch/lone": lambda m: (_flags(m), prepare(Constant(0.3), 1), 1),
+    "single_drop_batch/one_level": lambda m: (_flags(m), prepare(Constant(0.3), 2), 2),
+    "single_drop_batch/state_power": lambda m: (_flags(m), prepare(StatePower(0.5, 2.0), 10), 10),
+    # about 26 uniforms a run: 3000 runs take five blocks of the array code
+    "single_drop_batch/refill": lambda m: (_flags(m), prepare(Constant(0.001), 100), 100),
+    # levels computed down to where no run goes, about 830 of 10^6
+    "single_drop_batch/deep": lambda m: (_flags(m), prepare(Constant(1e-7), 10**6), 10**6),
     "first_passage_batch": lambda m: (5, 0.3, _ints(m), _ints(m)),
     "first_passage_batch/lone": lambda m: (1, 0.3, _ints(m), _ints(m)),
     "first_passage_batch/certain_death": lambda m: (3, 1.0, _ints(m), _ints(m)),
@@ -87,10 +100,10 @@ CASES = {
     "first_passage_stepped_batch": lambda m: (5, 0.05, 30, _ints(m), _ints(m)),
 }
 SIZES = (0, 1, 7, 40, 300, 3000)
-ARRAY_ENTRIES = {"extinction_batch", "first_passage_batch"}
+ARRAY_ENTRIES = {"extinction_batch", "single_drop_batch", "first_passage_batch"}
 
 
-def test_two_entry_points_are_array_code_and_five_use_the_block_source():
+def test_three_entry_points_are_array_code_and_four_use_the_block_source():
     for name in BATCHES:
         entry = getattr(PY, name)
         assert entry is not entry.__wrapped__
@@ -227,3 +240,57 @@ def test_array_walk_matches_the_scalar_walk_at_ties():
         got = kernels._walk(np.array(targets), np.full(len(targets), mass), np.full(len(targets), ratio),
                             np.full(len(targets), k))
         assert got.tolist() == expected, (k, c)
+
+
+# chains from k at constant c; at the top level of the first three the
+# quotient mass/total rounds up past the least uniform that fails it
+DROP_TIE_CHAINS = [(12, 0.1), (25, 0.05), (43, 0.02), (10, 0.02), (3, 0.3)]
+
+
+def _boundary(total, mass):
+    # the largest uniform that passes a level, u * total <= mass (at most
+    # levels one with u * total == mass exactly), and the next double
+    u = mass / total
+    while u * total > mass:
+        u = math.nextafter(u, 0.0)
+    while math.nextafter(u, 1.0) * total <= mass:
+        u = math.nextafter(u, 1.0)
+    return u, math.nextafter(u, 1.0)
+
+
+def _walks_agree_at_ties(k, c):
+    # for each level, two runs that pass the levels above it at u = 0: one
+    # meets the boundary uniform there and passes the rest, the other meets
+    # the double above it and fails
+    cs = prepare(Constant(c), k)
+    total, mass, end, _ = kernels._drop_levels(cs, k)
+    assert end == 1 and len(total) == k - 1
+    u = []
+    for j, level in enumerate(zip(total, mass)):
+        passes, fails = _boundary(*level)
+        u += [0.0] * j + [passes] + [0.0] * (k - 2 - j) + [0.0] * j + [fails]
+    runs = 2 * (k - 1)
+    expected = _flags(runs)
+    source = iter(u)
+    PY.single_drop_batch.__wrapped__(SimpleNamespace(random=source.__next__), expected, cs, k)
+    fails = []
+    end_at, done = kernels._drop_runs(np.array(u), total, mass, end, 0, runs, fails)
+    got = [0 if i in fails else 1 for i in range(done)]
+    return (got, end_at) == (expected.tolist(), len(u) - operator.length_hint(source))
+
+
+def test_single_drop_levels_stop_where_no_run_goes():
+    # a chain from 10^6 whose runs fail within a few hundred levels costs
+    # a few hundred level constants, not 10^6
+    total, _, end, expected = kernels._drop_levels(prepare(Constant(1e-7), 10**6), 10**6)
+    assert end is None and len(total) < 2000 and expected < 100
+
+
+def test_array_drop_walk_matches_the_scalar_walk_at_ties():
+    for k, c in DROP_TIE_CHAINS:
+        assert _walks_agree_at_ties(k, c), (k, c)
+
+
+def test_the_drop_walk_prefilter_needs_its_margin(monkeypatch):
+    monkeypatch.setattr(kernels, "_BELOW", 1.0)
+    assert not all(_walks_agree_at_ties(k, c) for k, c in DROP_TIE_CHAINS)
