@@ -68,7 +68,6 @@ from .regimes import (
 from .rng import RngError, RngStream, make_stream
 from .samplers import (
     SamplerError,
-    sample_binomial_batch,
     sample_exponential_batch,
     sample_geometric_batch,
     sample_max_geometric_batch,
@@ -76,7 +75,6 @@ from .samplers import (
 from .stats import (
     SampleSummary,
     StatsError,
-    empirical_cdf,
     kolmogorov_sf,
     ks_critical_value,
     ks_statistic,

@@ -48,15 +48,15 @@ by sample: a run's uniforms follow the previous run's in the stream.
 ``first_passage_batch`` draws the hold and then the test for one level,
 uncensored, with the level's constants computed once per batch.
 
-Each build exports ``binomial_draw`` (the primitive of the stepping
-references in the tests), ``trajectory_fill`` and the seven ``*_batch``
-entry points; the per-sample draws behind the batches are private.  The
-numba build compiles the shared scalar source of every batch.  The Python
-build keeps that source as each entry point's ``__wrapped__`` and wraps
-it in one of two ways; either way the entry point draws the same doubles
-in the same order and leaves the generator where the source's own
-``gen.random()`` calls would, so every report, stream position and
-uniform count is the source's.
+Each build exports ``binomial_draw`` (the primitive of ``process.step``
+and of the stepping references in the tests), ``trajectory_fill`` and the
+six ``*_batch`` entry points; the per-sample draws behind the batches are
+private.  The numba build compiles the shared scalar source of every
+batch.  The Python build keeps that source as each entry point's
+``__wrapped__`` and wraps it in one of two ways; either way the entry
+point draws the same doubles in the same order and leaves the generator
+where the source's own ``gen.random()`` calls would, so every report,
+stream position and uniform count is the source's.
 
 - ``extinction_batch``, ``single_drop_batch`` and ``first_passage_batch``
   are array code.  They take the uniforms of a round, or of the whole
@@ -80,7 +80,7 @@ uniform count is the source's.
   that reaches a rejection level, or a level too deep to be worth
   computing, hands it and the runs after it to the scalar source on the
   block source.
-- The other four run the scalar source on a block source instead of the
+- The other three run the scalar source on a block source instead of the
   generator.  The source still sees ``gen.random()`` calls and answers
   with the same Philox doubles as Python floats.  It saves the generator
   state and hands out doubles from ``gen.random(size)`` blocks (64 long,
@@ -397,11 +397,6 @@ def _build_backend(jit: bool) -> SimpleNamespace:
                 return np.int64(t_max), np.int64(CENSORED)
 
     @wrap
-    def binomial_batch(gen, x, c, out):
-        for i in range(out.shape[0]):
-            out[i] = binomial_draw(gen, x, c)
-
-    @wrap
     def geometric_batch(gen, c, out):
         for i in range(out.shape[0]):
             out[i] = _geometric(gen, c)
@@ -485,7 +480,6 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         name="numba" if jit else "python",
         binomial_draw=binomial_draw,
         trajectory_fill=trajectory_fill,
-        binomial_batch=binomial_batch,
         geometric_batch=geometric_batch,
         max_geometric_batch=max_geometric_batch,
         extinction_batch=extinction_batch,
@@ -796,7 +790,6 @@ def warmup() -> None:
     cs = np.array([0.5, 0.5])
     binomial_draw(gen, 10, 0.3)
     trajectory_fill(gen, np.empty(1001, dtype=np.int64), cs, 5, 1000)
-    binomial_batch(gen, 10, 0.3, out_i)
     geometric_batch(gen, 0.5, out_i)
     max_geometric_batch(gen, 10, 0.5, out_i)
     extinction_batch(gen, out_i, cs, 5, 1000)

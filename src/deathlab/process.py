@@ -18,7 +18,7 @@ from . import kernels
 from ._parallel import run_chunked
 from .regimes import MortalityRegime, mortality, prepare
 from .rng import RngStream
-from .samplers import MAX_EXACT_COUNT, sample_binomial_batch
+from .samplers import MAX_EXACT_COUNT, _check_prob
 
 # simulate_trajectory records its path up front; refuse absurd buffers
 MAX_RECORDED_STEPS = 10**8
@@ -95,7 +95,8 @@ def _censor_horizon(cs: np.ndarray, n: int) -> int:
 def step(x: int, c: float, rng: RngStream) -> int:
     """One transition: x minus a Binomial(x, c) batch of deaths."""
     x = _check_n(x)
-    return x - int(sample_binomial_batch(rng, x, c, 1)[0])
+    c = _check_prob(c, allow_zero=True, allow_one=True)
+    return x - int(kernels.binomial_draw(rng.generator, x, c))
 
 
 def _prepare_run(regime: MortalityRegime, n: int, t_max: int | None) -> tuple[np.ndarray, int]:

@@ -10,11 +10,12 @@ Four parametric families plus an explicit table:
 * ``Table(values)``           -- explicit (k, n) -> probability map
 
 Regimes are immutable and serialize to a tagged-union JSON encoding with a
-bit-exact round-trip.
+bit-exact round-trip; ``FAMILIES`` maps each JSON type tag to its class.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -101,6 +102,16 @@ class Table:
 
 MortalityRegime = Union[Constant, InitialPower, StatePower, JointPower, Table]
 
+# JSON type tag -> regime class.  A parametric family's dataclass fields are
+# its parameters: the JSON fields and, in order, the inline arguments.
+FAMILIES = {
+    "constant": Constant,
+    "initial_power": InitialPower,
+    "state_power": StatePower,
+    "joint_power": JointPower,
+    "table": Table,
+}
+
 
 def mortality(regime: MortalityRegime, k: int, n: int) -> float:
     """Death probability applied to each individual at state k, start n."""
@@ -153,55 +164,27 @@ def prepare(regime: MortalityRegime, n: int) -> np.ndarray:
 
 def to_json(regime: MortalityRegime) -> str:
     """Tagged-union JSON encoding; floats round-trip bit-exactly."""
-    if isinstance(regime, Constant):
-        body: dict = {"type": "constant", "c": regime.c}
-    elif isinstance(regime, InitialPower):
-        body = {"type": "initial_power", "a": regime.a, "gamma": regime.gamma}
-    elif isinstance(regime, StatePower):
-        body = {"type": "state_power", "a": regime.a, "gamma": regime.gamma}
-    elif isinstance(regime, JointPower):
-        body = {"type": "joint_power", "alpha": regime.alpha, "beta": regime.beta}
-    elif isinstance(regime, Table):
-        triples = sorted([k, n, p] for (k, n), p in regime.values.items())
-        body = {"type": "table", "values": triples}
-    else:
+    tag = next((t for t, cls in FAMILIES.items() if type(regime) is cls), None)
+    if tag is None:
         raise RegimeError(f"unknown regime type: {type(regime).__name__}")
-    return json.dumps(body, sort_keys=True)
+    if isinstance(regime, Table):
+        body = {"values": sorted([k, n, p] for (k, n), p in regime.values.items())}
+    else:
+        body = dataclasses.asdict(regime)
+    return json.dumps({"type": tag, **body}, sort_keys=True)
 
 
-def from_dict(data: dict) -> MortalityRegime:
-    """Decode the tagged-union dict form, rejecting unknown fields."""
-    if not isinstance(data, dict):
-        raise RegimeError(f"regime must be a JSON object, got {type(data).__name__}")
-    tag = data.get("type")
-    fields = {k: v for k, v in data.items() if k != "type"}
-    expected = {
-        "constant": {"c"},
-        "initial_power": {"a", "gamma"},
-        "state_power": {"a", "gamma"},
-        "joint_power": {"alpha", "beta"},
-        "table": {"values"},
-    }
-    if tag not in expected:
-        raise RegimeError(f"unknown regime type tag: {tag!r}")
-    unknown = set(fields) - expected[tag]
-    if unknown:
-        raise RegimeError(f"unknown field(s) for regime {tag!r}: {sorted(unknown)}")
-    missing = expected[tag] - set(fields)
-    if missing:
-        raise RegimeError(f"missing field(s) for regime {tag!r}: {sorted(missing)}")
-    for name, value in fields.items():
-        if name != "values" and not isinstance(value, (int, float)):
-            raise RegimeError(f"regime field {name!r} must be a number, got {value!r}")
-    if tag == "constant":
-        return Constant(float(fields["c"]))
-    if tag == "initial_power":
-        return InitialPower(float(fields["a"]), float(fields["gamma"]))
-    if tag == "state_power":
-        return StatePower(float(fields["a"]), float(fields["gamma"]))
-    if tag == "joint_power":
-        return JointPower(float(fields["alpha"]), float(fields["beta"]))
-    triples = fields["values"]
+def _number(value, what: str) -> float:
+    # a JSON number: an int or a float, never a bool or a numeric string
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise RegimeError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise RegimeError(f"{what} overflows a double, got {value!r}") from None
+
+
+def _table_values(triples) -> dict:
     if not isinstance(triples, list):
         raise RegimeError("table regime field 'values' must be a list of [k, n, p] triples")
     values = {}
@@ -209,10 +192,34 @@ def from_dict(data: dict) -> MortalityRegime:
         if not (isinstance(item, list) and len(item) == 3):
             raise RegimeError(f"table entry must be a [k, n, p] triple, got {item!r}")
         k, n, p = item
-        if not (isinstance(k, int) and isinstance(n, int)):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (k, n)):
             raise RegimeError(f"table entry states must be integers, got {item!r}")
-        values[(k, n)] = float(p)
-    return Table(values)
+        if (k, n) in values:
+            raise RegimeError(f"table entry {item!r} repeats the state ({k}, {n})")
+        values[(k, n)] = _number(p, f"table probability of entry {item!r}")
+    return values
+
+
+def from_dict(data: dict) -> MortalityRegime:
+    """Decode the tagged-union dict form, rejecting unknown fields and
+    values of the wrong JSON type."""
+    if not isinstance(data, dict):
+        raise RegimeError(f"regime must be a JSON object, got {type(data).__name__}")
+    tag = data.get("type")
+    if not isinstance(tag, str) or tag not in FAMILIES:
+        raise RegimeError(f"unknown regime type tag: {tag!r}")
+    cls = FAMILIES[tag]
+    fields = {k: v for k, v in data.items() if k != "type"}
+    expected = {f.name for f in dataclasses.fields(cls)}
+    unknown = set(fields) - expected
+    if unknown:
+        raise RegimeError(f"unknown field(s) for regime {tag!r}: {sorted(unknown)}")
+    missing = expected - set(fields)
+    if missing:
+        raise RegimeError(f"missing field(s) for regime {tag!r}: {sorted(missing)}")
+    if cls is Table:
+        return Table(_table_values(fields["values"]))
+    return cls(**{name: _number(value, f"regime field {name!r}") for name, value in fields.items()})
 
 
 def from_json(text: str) -> MortalityRegime:
@@ -232,20 +239,14 @@ def parse_inline(spec: str) -> MortalityRegime:
         values = [float(a) for a in args]
     except ValueError as exc:
         raise RegimeError(f"bad numeric argument in regime spec {spec!r}") from exc
-    shapes = {
-        "constant": (1, lambda v: Constant(v[0])),
-        "initial_power": (2, lambda v: InitialPower(v[0], v[1])),
-        "state_power": (2, lambda v: StatePower(v[0], v[1])),
-        "joint_power": (2, lambda v: JointPower(v[0], v[1])),
-    }
-    if name not in shapes:
-        raise RegimeError(
-            f"unknown regime {name!r}; expected one of {sorted(shapes)} (table via JSON config)"
-        )
-    arity, build = shapes[name]
+    cls = FAMILIES.get(name)
+    if cls is None or cls is Table:
+        inline = sorted(tag for tag, family in FAMILIES.items() if family is not Table)
+        raise RegimeError(f"unknown regime {name!r}; expected one of {inline} (table via JSON config)")
+    arity = len(dataclasses.fields(cls))
     if len(values) != arity:
         raise RegimeError(f"regime {name!r} takes {arity} parameter(s), got {len(values)}")
-    return build(values)
+    return cls(*values)
 
 
 def describe(regime: MortalityRegime) -> str:

@@ -8,16 +8,13 @@ output never depends on the number of workers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-STATE_FORMAT_VERSION = 1
-
 
 class RngError(ValueError):
-    """Invalid stream construction or a corrupt serialized state."""
+    """Invalid stream construction."""
 
 
 def _make_generator(seed: int, path: tuple[int, ...]) -> np.random.Generator:
@@ -53,48 +50,6 @@ class RngStream:
         if index < 0:
             raise RngError(f"substream index must be nonnegative, got {index}")
         return RngStream(self.seed, self.stream_id, self.path + (index,))
-
-    def serialize(self) -> bytes:
-        """Stable byte-string snapshot of the stream, continuation included."""
-        state = self.generator.bit_generator.state
-        payload = {
-            "format": STATE_FORMAT_VERSION,
-            "seed": self.seed,
-            "stream_id": self.stream_id,
-            "path": list(self.path),
-            "philox": {
-                "counter": [int(v) for v in state["state"]["counter"]],
-                "key": [int(v) for v in state["state"]["key"]],
-                "buffer": [int(v) for v in state["buffer"]],
-                "buffer_pos": int(state["buffer_pos"]),
-                "has_uint32": int(state["has_uint32"]),
-                "uinteger": int(state["uinteger"]),
-            },
-        }
-        return json.dumps(payload, sort_keys=True).encode("utf-8")
-
-    @classmethod
-    def deserialize(cls, blob: bytes) -> "RngStream":
-        try:
-            payload = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise RngError(f"unreadable stream state: {exc}") from exc
-        if payload.get("format") != STATE_FORMAT_VERSION:
-            raise RngError(f"unsupported stream state format: {payload.get('format')!r}")
-        stream = cls(payload["seed"], payload["stream_id"], tuple(payload["path"]))
-        ph = payload["philox"]
-        stream.generator.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.array(ph["counter"], dtype=np.uint64),
-                "key": np.array(ph["key"], dtype=np.uint64),
-            },
-            "buffer": np.array(ph["buffer"], dtype=np.uint64),
-            "buffer_pos": ph["buffer_pos"],
-            "has_uint32": ph["has_uint32"],
-            "uinteger": ph["uinteger"],
-        }
-        return stream
 
 
 def make_stream(seed: int, stream_id: int = 0) -> RngStream:

@@ -1,9 +1,10 @@
 """Exact-distribution samplers on top of reproducible streams.
 
 Each sampler validates its parameters and fills an array of ``size``
-independent draws, taking them in order from the stream: the binomial,
-geometric and max-of-geometrics batches run the kernels of
-:mod:`deathlab.kernels`, the exponential batch inverts numpy uniforms.
+independent draws, taking them in order from the stream: the geometric
+and max-of-geometrics batches run the kernels of :mod:`deathlab.kernels`,
+the exponential batch inverts numpy uniforms.  ``process.step`` checks
+its mortality with this module's ``_check_prob``.
 """
 
 from __future__ import annotations
@@ -41,15 +42,6 @@ def _check_count(x: int, name: str, minimum: int = 0) -> int:
     if x > MAX_EXACT_COUNT:
         raise SamplerError(f"{name} above 2**53 loses exactness, got {x}")
     return x
-
-
-def sample_binomial_batch(rng: RngStream, x: int, c: float, size: int) -> np.ndarray:
-    """Exact Binomial(x, c) draws: how many of x individuals die."""
-    x = _check_count(x, "x")
-    c = _check_prob(c, allow_zero=True, allow_one=True)
-    out = np.empty(size, dtype=np.int64)
-    kernels.binomial_batch(rng.generator, x, c, out)
-    return out
 
 
 def sample_geometric_batch(rng: RngStream, c: float, size: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Statistical machinery linking Monte Carlo output to closed forms.
 
-Covers what the report builders need: empirical CDFs, one- and
+Covers what the report builders need: sample summaries, one- and
 two-sample Kolmogorov-Smirnov statistics with asymptotic critical
 values, and Wilson score intervals.  The pooled chi-square test of the
 discrete samplers lives with the tests (``tests/gof.py``), so importing
@@ -39,11 +39,6 @@ class SampleSummary:
         mean = float(arr.mean())
         stderr = float(arr.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
         return cls(count, mean, stderr, np.sort(arr))
-
-
-def empirical_cdf(summary: SampleSummary, x: float) -> float:
-    """Fraction of samples <= x (right-continuous step function)."""
-    return float(np.searchsorted(summary.sorted_values, x, side="right")) / summary.count
 
 
 def ks_statistic(

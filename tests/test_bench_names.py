@@ -6,23 +6,59 @@ or renaming one breaks ``perfbench/run.py --trace 1``.  This test imports
 the tracer the way ``perfbench/test_perfbench.py`` does, enters and leaves
 it without running anything, and checks that every patched attribute is
 restored.
+
+It also checks that every name ``deathlab/__init__.py`` exports has a
+caller: some other module of the package refers to it, apart from its own
+``def`` or ``class``.  A name the tracer patches (``process.step``, whose
+calls it counts) is exempt.
 """
 
+import ast
 import sys
 from pathlib import Path
 
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "deathlab"
 
 
-@pytest.fixture()
-def spans(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import spans
+def _exports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return sorted(
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    )
 
-    yield spans
-    sys.modules.pop("spans", None)
+
+@pytest.fixture(scope="module")
+def called(spans):
+    # every name read, or read as an attribute, outside __init__.py (a def
+    # or class statement binds its name without a Name node), and every
+    # name the tracer patches
+    seen = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    seen.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    seen.add(node.attr)
+    with spans.Tracer() as tracer:
+        seen.update(name for _, name, _ in tracer._patches)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def spans():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import spans
+
+        yield spans
+        sys.modules.pop("spans", None)
 
 
 def _current(owner, name):
@@ -37,3 +73,8 @@ def test_the_tracer_finds_and_restores_every_name_it_patches(spans):
     assert len(patched) > 50
     for owner, name, original in patched:
         assert _current(owner, name) is original, name
+
+
+@pytest.mark.parametrize("name", _exports())
+def test_every_export_has_a_caller_in_the_package(called, name):
+    assert name in called, f"{name} is exported but nothing in the package calls it"

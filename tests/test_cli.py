@@ -157,6 +157,38 @@ def test_out_of_range_parameter_exits_2_before_any_stream(runner, no_streams, ar
     assert "Traceback" not in result.output
 
 
+# regime JSON of the wrong type, each at a run from n = 2, and what the error names
+MALFORMED_REGIMES = {
+    "table_p_string": ({"type": "table", "values": [[1, 2, "abc"], [2, 2, 0.5]]}, "[1, 2, 'abc']"),
+    "table_p_null": ({"type": "table", "values": [[1, 2, None], [2, 2, 0.5]]}, "[1, 2, None]"),
+    "table_p_list": ({"type": "table", "values": [[1, 2, [0.5]], [2, 2, 0.5]]}, "[1, 2, [0.5]]"),
+    "table_p_numeric_string": ({"type": "table", "values": [[1, 2, "0.5"], [2, 2, 0.5]]}, "[1, 2, '0.5']"),
+    "table_state_bool": ({"type": "table", "values": [[True, 2, 0.5], [2, 2, 0.5]]}, "[True, 2, 0.5]"),
+    "table_repeated_state": (
+        {"type": "table", "values": [[1, 2, 0.5], [1, 2, 0.25], [2, 2, 0.5]]}, "[1, 2, 0.25] repeats"
+    ),
+    "family_field_bool": ({"type": "initial_power", "a": True, "gamma": 1}, "'a'"),
+}
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_REGIMES))
+def test_malformed_regime_json_exits_2_before_any_stream(runner, no_streams, tmp_path, case, via_config):
+    regime, says = MALFORMED_REGIMES[case]
+    args = ["path", "--n", "2", "--samples", "100"]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"regime": regime}))
+        args += ["--config", str(cfg)]
+    else:
+        args += ["--regime", json.dumps(regime)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert says in result.output
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize(
     "command, config, flag",
     [

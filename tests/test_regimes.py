@@ -227,6 +227,15 @@ def test_json_tagged_union_encoding():
         ('{"type": "constant", "c": 0.3, "extra": 1}', "extra"),
         ('{"type": "constant", "c": "high"}', "c"),
         ('{"type": "table", "values": [[1, 2]]}', "triple"),
+        ('{"type": "table", "values": [[1, 2, "abc"]]}', "[1, 2, 'abc']"),
+        ('{"type": "table", "values": [[1, 2, null]]}', "[1, 2, None]"),
+        ('{"type": "table", "values": [[1, 2, [0.5]]]}', "[1, 2, [0.5]]"),
+        ('{"type": "table", "values": [[1, 2, "0.5"]]}', "[1, 2, '0.5']"),
+        ('{"type": "table", "values": [[true, 2, 0.5]]}', "[True, 2, 0.5]"),
+        ('{"type": "table", "values": [[1, 2, 0.5], [1, 2, 0.25]]}', "[1, 2, 0.25] repeats"),
+        ('{"type": "initial_power", "a": true, "gamma": 1}', "'a'"),
+        ('{"type": ["constant"]}', "type"),
+        pytest.param('{"type": "constant", "c": 1' + "0" * 400 + "}", "overflows", id="c_overflows"),
         ("[1, 2]", "object"),
         ("not json", "JSON"),
     ],

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from deathlab.rng import RngError, RngStream, make_stream
 
@@ -24,21 +22,6 @@ def test_distinct_stream_ids_differ():
 
 def test_distinct_seeds_differ():
     assert not np.array_equal(draws(make_stream(1, 0)), draws(make_stream(2, 0)))
-
-
-def test_serialization_roundtrip_continues_identically():
-    stream = make_stream(7, 3)
-    stream.generator.random(17)  # advance mid-buffer
-    blob = stream.serialize()
-    restored = RngStream.deserialize(blob)
-    assert np.array_equal(stream.generator.random(50), restored.generator.random(50))
-
-
-def test_serialization_is_stable_bytes():
-    a = make_stream(7, 3).serialize()
-    b = make_stream(7, 3).serialize()
-    assert a == b
-    assert isinstance(a, bytes)
 
 
 def test_substreams_are_independent_and_reproducible():
@@ -64,23 +47,3 @@ def test_substream_statistical_independence():
 def test_invalid_construction_rejected(seed, stream_id):
     with pytest.raises(RngError):
         make_stream(seed, stream_id)
-
-
-def test_corrupt_blob_rejected():
-    with pytest.raises(RngError):
-        RngStream.deserialize(b"not json")
-    with pytest.raises(RngError):
-        RngStream.deserialize(b'{"format": 999}')
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**64 - 1),
-    stream_id=st.integers(min_value=0, max_value=2**31),
-    advance=st.integers(min_value=0, max_value=200),
-)
-def test_roundtrip_property(seed, stream_id, advance):
-    stream = make_stream(seed, stream_id)
-    stream.generator.random(advance)
-    restored = RngStream.deserialize(stream.serialize())
-    assert np.array_equal(stream.generator.random(25), restored.generator.random(25))

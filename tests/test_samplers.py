@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,20 +7,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deathlab import (
+    ProcessError,
     SamplerError,
+    kernels,
     ks_critical_value,
     ks_statistic,
     ks_two_sample,
     ks_two_sample_critical,
     make_stream,
-    sample_binomial_batch,
     sample_exponential_batch,
     sample_geometric_batch,
     sample_max_geometric_batch,
+    step,
     wilson_interval,
 )
 from deathlab.stats import SampleSummary
 from gof import chi_square_gof
+
+
+DRAW = kernels.get_backend(False).binomial_draw
+
+
+def binomial_draws(stream, x, c, size):
+    """``size`` Binomial(x, c) draws of the shared scalar ``binomial_draw``,
+    fed the stream's doubles in order from ``gen.random(4096)`` blocks: the
+    draws a loop of ``binomial_draw(stream.generator, x, c)`` gives."""
+
+    def doubles():
+        while True:
+            yield from stream.generator.random(4096).tolist()
+
+    gen = SimpleNamespace(random=doubles().__next__)
+    return np.array([DRAW(gen, x, c) for _ in range(size)], dtype=np.int64)
 
 
 def binomial_pmf(x, c):
@@ -43,13 +62,13 @@ def binomial_pmf(x, c):
 
 def test_binomial_degenerate_probabilities():
     s = make_stream(0, 0)
-    assert np.all(sample_binomial_batch(s, 5, 0.0, 100) == 0)
-    assert np.all(sample_binomial_batch(s, 5, 1.0, 100) == 5)
-    assert np.all(sample_binomial_batch(s, 0, 0.3, 100) == 0)
+    assert np.all(binomial_draws(s, 5, 0.0, 100) == 0)
+    assert np.all(binomial_draws(s, 5, 1.0, 100) == 5)
+    assert np.all(binomial_draws(s, 0, 0.3, 100) == 0)
 
 
 def test_binomial_mean_band():
-    draws = sample_binomial_batch(make_stream(1, 0), 10, 0.3, 10**5)
+    draws = binomial_draws(make_stream(1, 0), 10, 0.3, 10**5)
     band = 3 * math.sqrt(10 * 0.3 * 0.7 / 10**5)  # 3 sigma of the sample mean
     assert abs(draws.mean() - 3.0) < band
     assert draws.min() >= 0 and draws.max() <= 10
@@ -58,7 +77,7 @@ def test_binomial_mean_band():
 @pytest.mark.parametrize("x", [1, 2, 10, 16, 50])
 @pytest.mark.parametrize("c", [0.01, 0.3, 0.5, 0.9])
 def test_binomial_chi_square_grid(x, c):
-    draws = sample_binomial_batch(make_stream(3, x * 100 + int(c * 100)), x, c, 10**5)
+    draws = binomial_draws(make_stream(3, x * 100 + int(c * 100)), x, c, 10**5)
     observed = np.bincount(draws, minlength=x + 1).astype(float)
     expected = binomial_pmf(x, c) * 10**5
     _, _, p_value = chi_square_gof(observed, expected)
@@ -68,7 +87,7 @@ def test_binomial_chi_square_grid(x, c):
 @pytest.mark.parametrize("x,c", [(200, 0.3), (10**4, 0.47)])
 def test_binomial_chi_square_rejection_regime(x, c):
     # exercises the transformed-rejection sampler (x * c > 14)
-    draws = sample_binomial_batch(make_stream(4, x), x, c, 10**5)
+    draws = binomial_draws(make_stream(4, x), x, c, 10**5)
     observed = np.bincount(draws, minlength=x + 1).astype(float)
     expected = binomial_pmf(x, c) * 10**5
     _, _, p_value = chi_square_gof(observed, expected)
@@ -76,15 +95,16 @@ def test_binomial_chi_square_rejection_regime(x, c):
 
 
 def test_binomial_domain_errors():
+    # process.step is the package's one checked binomial transition
     s = make_stream(0, 0)
+    with pytest.raises(ProcessError):
+        step(-1, 0.5, s)
     with pytest.raises(SamplerError):
-        sample_binomial_batch(s, -1, 0.5, 1)
+        step(5, -0.1, s)
     with pytest.raises(SamplerError):
-        sample_binomial_batch(s, 5, -0.1, 1)
-    with pytest.raises(SamplerError):
-        sample_binomial_batch(s, 5, 1.5, 1)
-    with pytest.raises(SamplerError):
-        sample_binomial_batch(s, 2**53 + 1, 0.5, 1)
+        step(5, 1.5, s)
+    with pytest.raises(ProcessError):
+        step(2**53 + 1, 0.5, s)
 
 
 def test_geometric_certain_death():
@@ -188,7 +208,7 @@ def test_exponential_reproducible_and_positive():
     seed=st.integers(min_value=0, max_value=2**32),
 )
 def test_binomial_support_property(x, c, seed):
-    values = sample_binomial_batch(make_stream(seed, 0), x, c, 4)
+    values = binomial_draws(make_stream(seed, 0), x, c, 4)
     assert np.all((values >= 0) & (values <= x))
 
 
@@ -206,6 +226,6 @@ def test_max_geometric_support_property(n, c, seed):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_replay_property(seed):
-    a = sample_binomial_batch(make_stream(seed, 7), 20, 0.37, 50)
-    b = sample_binomial_batch(make_stream(seed, 7), 20, 0.37, 50)
+    a = binomial_draws(make_stream(seed, 7), 20, 0.37, 50)
+    b = binomial_draws(make_stream(seed, 7), 20, 0.37, 50)
     assert np.array_equal(a, b)

@@ -9,7 +9,6 @@ from deathlab.rng import make_stream
 from deathlab.stats import (
     SampleSummary,
     StatsError,
-    empirical_cdf,
     kolmogorov_sf,
     ks_critical_value,
     ks_statistic,
@@ -31,14 +30,6 @@ def test_summary_fields():
 def test_summary_rejects_empty():
     with pytest.raises(StatsError):
         SampleSummary.from_samples([])
-
-
-def test_empirical_cdf_steps():
-    summary = SampleSummary.from_samples([1.0, 2.0, 3.0, 4.0])
-    assert empirical_cdf(summary, 0.5) == 0.0
-    assert empirical_cdf(summary, 4.0) == 1.0
-    assert empirical_cdf(summary, 2.0) == 0.5  # right-continuous
-    assert empirical_cdf(summary, 2.5) == 0.5
 
 
 def test_ks_statistic_null_distribution():
@@ -153,11 +144,3 @@ def test_wilson_contains_point_estimate(successes, extra, level):
         return
     low, high = wilson_interval(successes, trials, level)
     assert 0.0 <= low <= successes / trials <= high <= 1.0
-
-
-@settings(max_examples=30, deadline=None)
-@given(data=st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=200))
-def test_ecdf_bounds_property(data):
-    summary = SampleSummary.from_samples(data)
-    assert empirical_cdf(summary, min(data) - 1) == 0.0
-    assert empirical_cdf(summary, max(data)) == 1.0

@@ -2,9 +2,8 @@
 
 Three entry points of the Python build, ``extinction_batch``,
 ``single_drop_batch`` and ``first_passage_batch``, are array code.  The
-other four run the shared scalar source on a block source that hands out,
-in order, the doubles
-``gen.random()`` would, and leaves the generator where those calls would
+other three run the shared scalar source on a block source that hands
+out, in order, the doubles ``gen.random()`` would, and leaves the generator where those calls would
 leave it, also when the kernel raises.  Either way the entry point must
 draw what its scalar source (``__wrapped__``) draws.
 Every case here calls both on equal streams and compares outputs and
@@ -32,8 +31,8 @@ SEED = 20261018
 
 
 BATCHES = {
-    "binomial_batch", "geometric_batch", "max_geometric_batch", "extinction_batch",
-    "single_drop_batch", "first_passage_batch", "first_passage_stepped_batch",
+    "geometric_batch", "max_geometric_batch", "extinction_batch", "single_drop_batch",
+    "first_passage_batch", "first_passage_stepped_batch",
 }
 
 
@@ -71,13 +70,13 @@ REJECTS_AT_20 = Table({(k, 30): 0.9 if k == 20 else 0.01 for k in range(1, 31)})
 
 # entry point -> builder of its arguments after the generator, for m samples
 CASES = {
-    "binomial_batch": lambda m: (7, 0.3, _ints(m)),
-    "binomial_batch/btrs": lambda m: (400, 0.3, _ints(m)),
     "geometric_batch": lambda m: (0.2, _ints(m)),
     "max_geometric_batch": lambda m: (100, 0.2, _ints(m)),
     "extinction_batch": lambda m: (_ints(m), prepare(Constant(0.2), 50), 50, 10**4),
     "extinction_batch/censored": lambda m: (_ints(m), prepare(StatePower(0.5, 1.0), 30), 30, 40),
     "extinction_batch/certain_death": lambda m: (_ints(m), prepare(CERTAIN_AT_3, 6), 6, 10**4),
+    # landings from k >= 47 reject, and binomial_draw there runs BTRS (k c > 14)
+    "extinction_batch/btrs": lambda m: (_ints(m), prepare(Constant(0.3), 400), 400, 10**4),
     # landings from k >= 21 reject
     "extinction_batch/rejection": lambda m: (_ints(m), prepare(Constant(0.7), 30), 30, 10**4),
     # rejection from 1000 down to about 280, then the walk; some runs censored
@@ -103,7 +102,7 @@ SIZES = (0, 1, 7, 40, 300, 3000)
 ARRAY_ENTRIES = {"extinction_batch", "single_drop_batch", "first_passage_batch"}
 
 
-def test_three_entry_points_are_array_code_and_four_use_the_block_source():
+def test_three_entry_points_are_array_code_and_three_use_the_block_source():
     for name in BATCHES:
         entry = getattr(PY, name)
         assert entry is not entry.__wrapped__
