@@ -47,6 +47,7 @@ from .oracle import (
 from .process import (
     ProcessError,
     Trajectory,
+    TrajectoryBatch,
     drop_distribution,
     extinction_time_batch,
     first_passage_batch,

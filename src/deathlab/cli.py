@@ -27,7 +27,7 @@ from .experiments import (
     report_meta,
 )
 from .oracle import MAX_STATE, MAX_TIME, state_distribution_history
-from .process import Trajectory, simulate_trajectory
+from .process import TrajectoryBatch, simulate_trajectory
 from .regimes import MortalityRegime, RegimeError, from_dict, from_json, parse_inline, to_json
 from .rng import make_stream
 
@@ -155,28 +155,24 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 _PIECE_ROWS = 1 << 15
 
 
-def _write_trajectories(path: Path, trajectories: list[Trajectory]) -> None:
+def _write_trajectories(path: Path, batch: TrajectoryBatch) -> None:
     """trajectories.csv, byte for byte what ``_write_csv`` writes for the
-    rows of ``Trajectory.to_csv_rows`` with run ids 0, 1, ..., without a
-    Python step per row.  A piece of whole runs is one table of strings,
-    each formatted and followed by its delimiter (``"<run_id>,"``,
-    ``"<t>,"``, and ``"<state>\\r\\n"`` for each distinct state), indexed
-    by one int64 array of cells and joined."""
+    rows of ``Trajectory.to_csv_rows`` of each run in turn, with run ids 0,
+    1, ..., without a Python step per row.  A piece of whole runs is one
+    table of strings, each formatted and followed by its delimiter
+    (``"<run_id>,"``, ``"<t>,"``, and ``"<state>\\r\\n"`` for each distinct
+    state), indexed by one int64 array of cells and joined."""
+    ends = np.cumsum(batch.lengths)
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("run_id,t,state\r\n")
         stop = 0
-        while stop < len(trajectories):
-            start, rows = stop, 0
-            while stop < len(trajectories) and (
-                stop == start or rows + trajectories[stop].states.size <= _PIECE_ROWS
-            ):
-                rows += trajectories[stop].states.size
-                stop += 1
-            lengths = np.array([traj.states.size for traj in trajectories[start:stop]])
-            runs, steps = stop - start, int(lengths.max())
-            values, at = np.unique(
-                np.concatenate([traj.states for traj in trajectories[start:stop]]), return_inverse=True
-            )
+        while stop < ends.size:
+            start = stop
+            first = int(ends[start - 1]) if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, first + _PIECE_ROWS, side="right")))
+            lengths = batch.lengths[start:stop]
+            runs, steps, rows = stop - start, int(lengths.max()), int(ends[stop - 1]) - first
+            values, at = np.unique(batch.states[first : first + rows], return_inverse=True)
             table = np.array(
                 [f"{i}," for i in range(start, stop)]
                 + [f"{t}," for t in range(steps)]
@@ -228,18 +224,18 @@ def simulate(n, regime_spec, samples, t_max, seed, out, config_path):
     out_path = _out_dir(params["out"])
     try:
         root = make_stream(params["seed"], 0)
-        streams = [root.substream(run_id) for run_id in range(params["samples"])]
-        runs = []
-        trajectories = simulate_trajectory(params["n"], regime, streams, params["t_max"])
-        for run_id, traj in enumerate(trajectories):
-            runs.append(
-                {
-                    "run_id": run_id,
-                    "extinction_time": traj.extinction_time,
-                    "censored": traj.censored,
-                    "steps_recorded": int(traj.states.size - 1),
-                }
+        batch = simulate_trajectory(params["n"], regime, root, params["t_max"], runs=params["samples"])
+        runs = [
+            {
+                "run_id": run_id,
+                "extinction_time": None if time < 0 else time,
+                "censored": time < 0,
+                "steps_recorded": length - 1,
+            }
+            for run_id, (time, length) in enumerate(
+                zip(batch.extinction_times.tolist(), batch.lengths.tolist())
             )
+        ]
     except ValueError as exc:
         raise click.UsageError(str(exc))
     summary = {
@@ -255,7 +251,7 @@ def simulate(n, regime_spec, samples, t_max, seed, out, config_path):
         ),
         "runs": runs,
     }
-    _write_trajectories(out_path / "trajectories.csv", trajectories)
+    _write_trajectories(out_path / "trajectories.csv", batch)
     (out_path / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )

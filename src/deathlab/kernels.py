@@ -48,28 +48,36 @@ by sample: a run's uniforms follow the previous run's in the stream.
 ``first_passage_batch`` draws the hold and then the test for one level,
 uncensored, with the level's constants computed once per batch.
 
+``trajectory_batch`` runs ``trajectory_fill`` once per Philox key, on a
+generator set to that key with its counter at 0 (the draws of the
+substream the key came from, ``rng.RngStream.substream_keys``), and
+returns the paths end to end with their lengths and extinction times.
+
 Each build exports ``binomial_draw`` (the primitive of ``process.step``
 and of the stepping references in the tests), ``trajectory_fill`` and the
-six ``*_batch`` entry points; the per-sample draws behind the batches are
-private.  The numba build compiles the shared scalar source of every
-batch.  The Python build keeps that source as each entry point's
-``__wrapped__`` and wraps it in one of two ways; either way the entry
-point draws the same doubles in the same order and leaves the generator
-where the source's own ``gen.random()`` calls would, so every report,
-stream position and uniform count is the source's.
+seven ``*_batch`` entry points; the per-sample draws behind the batches
+are private.  The numba build compiles the shared scalar source of every
+batch but ``trajectory_batch``, a Python loop over the compiled
+``trajectory_fill`` because it sets the generator's state.  The Python
+build keeps each batch's source as the entry point's ``__wrapped__`` and
+wraps it in one of two ways; either way the entry point draws the same
+doubles in the same order and leaves the generator where the source's
+own ``gen.random()`` calls would, so every report, stream position and
+uniform count is the source's.
 
-- ``extinction_batch``, ``single_drop_batch`` and ``first_passage_batch``
-  are array code.  They take the uniforms of a round, or of the whole
-  batch, as ``gen.random(size)`` blocks and do the arithmetic in numpy
-  with the source's own float operations; the pmf walk runs on the live
-  runs of a round together.  A hold's logarithm is ``math.log1p`` mapped
-  over a list, and a level's constants come from ``math`` once per level
-  and round or batch, because numpy's ``log1p`` and ``exp`` are not
-  libm's and differ in the last bit on a few percent of inputs.
-  Temporaries are O(live runs) or O(one block), never O(n).  Rejection
-  landings, which take a varying number of uniforms, run the scalar
-  binomial draw on the block source below, as does ``first_passage_batch``
-  at a rejection level.
+- Six entry points are array code.  They take the uniforms of a round,
+  or of the whole batch, as ``gen.random(size)`` blocks and do the
+  arithmetic in numpy with the source's own float operations; the pmf
+  walk runs on the live runs of a round together.  A logarithm or
+  ``expm1`` is ``math``'s, mapped over a list, and a level's constants
+  come from ``math`` once per level and round or batch, because numpy's
+  ``log``, ``log1p``, ``expm1`` and ``exp`` are not libm's and differ in
+  the last bit on a few percent of inputs.  Temporaries are O(live runs)
+  or O(one block), never O(n).  Rejection landings, which take a varying
+  number of uniforms, run the scalar binomial draw on the block source
+  below, as does ``first_passage_batch`` at a rejection level.
+- ``geometric_batch`` and ``max_geometric_batch`` invert one block of
+  uniforms, one per draw.
 - ``single_drop_batch`` keeps the source's sample-major order.  It
   computes the levels' constants once, from n down to the first certain
   death (where every run that gets there fails without a draw), draws
@@ -80,14 +88,23 @@ stream position and uniform count is the source's.
   that reaches a rejection level, or a level too deep to be worth
   computing, hands it and the runs after it to the scalar source on the
   block source.
-- The other three run the scalar source on a block source instead of the
-  generator.  The source still sees ``gen.random()`` calls and answers
-  with the same Philox doubles as Python floats.  It saves the generator
-  state and hands out doubles from ``gen.random(size)`` blocks (64 long,
-  doubling up to 1024), which cost a fraction of a scalar call each.
-  When the call ends, by return or by raise, the source rewinds: it
-  restores the saved state and skips one word per double consumed
-  (``bit_generator.random_raw(used, output=False)``).
+- ``trajectory_batch`` sets one generator to each run's key in turn and
+  draws a row of uniforms for the run, two per level up to 64.  It then
+  walks all the runs round-major, a hold and a landing per live run and
+  round, each from its own row; a run that uses up its row gets the
+  next, by setting the generator to the run's key and the row's counter.
+  A run that reaches a rejection level is redone from its start by
+  ``trajectory_fill`` on its own key.  The paths are kept as (run, state,
+  steps) pieces and expanded once at the end.
+- ``first_passage_stepped_batch`` runs the scalar source on a block
+  source instead of the generator.  The source still sees
+  ``gen.random()`` calls and answers with the same Philox doubles as
+  Python floats.  It saves the generator state and hands out doubles from
+  ``gen.random(size)`` blocks (64 long, doubling up to 1024), which cost a
+  fraction of a scalar call each.  When the call ends, by return or by
+  raise, the source rewinds: it restores the saved state and skips one
+  word per double consumed (``bit_generator.random_raw(used,
+  output=False)``).
 
 ``binomial_draw``, ``trajectory_fill``, calls from one kernel to another
 and the numba build take the generator itself.
@@ -364,6 +381,24 @@ def _build_backend(jit: bool) -> SimpleNamespace:
             return np.int64(t)
         return np.int64(-1)
 
+    def trajectory_batch(keys, cs, n, t_max):
+        # The path of one run per Philox key, each drawn by trajectory_fill
+        # on a generator set to that key with its counter at 0: the paths
+        # end to end, their lengths and the extinction times, -1 when
+        # censored at t_max.  Plain Python in both builds, because it sets
+        # the generator's state.
+        gen = np.random.Generator(np.random.Philox(0))
+        state = gen.bit_generator.state
+        buf = np.empty(t_max + 1, dtype=np.int64)
+        paths, times = [], []
+        for key in keys:
+            _seek(gen.bit_generator, state, key)
+            ext = int(trajectory_fill(gen, buf, cs, n, t_max))
+            paths.append(buf[: ext + 1].copy() if ext >= 0 else buf.copy())
+            times.append(ext)
+        lengths = np.array([path.size for path in paths], dtype=np.int64)
+        return np.concatenate([np.empty(0, dtype=np.int64)] + paths), lengths, np.array(times, dtype=np.int64)
+
     @wrap
     def _single_drop(gen, cs, n):
         # True iff the jump chain from n loses exactly one individual per
@@ -480,6 +515,7 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         name="numba" if jit else "python",
         binomial_draw=binomial_draw,
         trajectory_fill=trajectory_fill,
+        trajectory_batch=trajectory_batch,
         geometric_batch=geometric_batch,
         max_geometric_batch=max_geometric_batch,
         extinction_batch=extinction_batch,
@@ -487,6 +523,16 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         first_passage_batch=first_passage_batch,
         first_passage_stepped_batch=first_passage_stepped_batch,
     )
+
+
+def _seek(bitgen: np.random.Philox, state: dict, key: np.ndarray, word: int = 0) -> None:
+    """Set ``bitgen`` to the stream of Philox key ``key``, to hand out its
+    word ``word``, a multiple of 4, next: the first word of the block at
+    counter word / 4 + 1.  ``state`` is a Philox state dict whose buffer is
+    empty, reused from call to call."""
+    state["state"]["key"] = key
+    state["state"]["counter"][0] = word // 4
+    bitgen.state = state
 
 
 def _uniforms(gen: np.random.Generator):
@@ -530,12 +576,18 @@ def _buffered(kernel):
     return entry
 
 
+def _mapped(f, x):
+    """``f`` of each entry of the float array ``x``, by ``math`` over a
+    list: numpy's ``log``, ``log1p`` and ``expm1`` are not libm's."""
+    return np.fromiter(map(f, x.tolist()), np.float64, x.size)
+
+
 def _holds(u, lq):
     """``int(_hold)`` for each uniform of the array ``u``, at ``lq`` (one
     value, or one per uniform): the logarithm is ``math.log1p``, mapped
     over a list, and the rest exact IEEE operations in numpy."""
     with np.errstate(over="ignore"):  # a hold past the cap may divide to inf
-        x = np.fromiter(map(math.log1p, (-u).tolist()), np.float64, u.size) / lq
+        x = _mapped(math.log1p, -u) / lq
     return np.where(x >= 4.6e18, 4.6e18, np.floor(x) + 1.0).astype(np.int64)
 
 
@@ -563,6 +615,26 @@ def _walk(target, mass, ratio, k):
 # what a departure from a level draws for its landing
 _NO_DRAW, _WALKS, _REJECTS = 0, 1, 2
 
+
+def _level_table(k, cs):
+    """The constants of the levels that the runs at states ``k`` stand at:
+    each run's index into them, and per level c, lq (-inf at certain death,
+    which holds one step), total, mass, ratio = c/(1-c) and what its
+    landing draws, from ``_level_constants`` once per level."""
+    last = cs.shape[0] - 1
+    levels, at = np.unique(k, return_inverse=True)
+    c = np.array([float(cs[min(j, last)]) for j in levels.tolist()])
+    lq = np.full(c.size, -np.inf)
+    total, mass, ratio = np.ones(c.size), np.zeros(c.size), np.zeros(c.size)
+    kind = np.full(c.size, _NO_DRAW)
+    for i, (j, cj) in enumerate(zip(levels.tolist(), c.tolist())):
+        if cj < 1.0:
+            lq[i], total[i], mass[i] = _level_constants(j, cj)
+            ratio[i] = cj / (1.0 - cj)
+            if j > 1:
+                kind[i] = _REJECTS if j * cj > _WALK_MAX * total[i] else _WALKS
+    return at, c, lq, total, mass, ratio, kind
+
 # The single-drop walk keeps a uniform u as a candidate failure when u > lo,
 # lo the least mass/total of its levels times _BELOW: a few hundred ulps of
 # margin, so rounding in the quotient or in u * total never drops one
@@ -573,6 +645,11 @@ _BELOW = 1.0 - 2.0**-44
 # plus two per level
 _UNREACHED = 2.0**-60
 _MAX_DROP_BLOCK = 1 << 14
+
+# trajectory_batch draws rows of at most _MAX_ROW uniforms per run, for at
+# most _PATH_RUNS runs at a time
+_MAX_ROW = 64
+_PATH_RUNS = 1 << 12
 
 
 def _drop_levels(cs, n):
@@ -636,15 +713,15 @@ def _drop_runs(u, total, mass, end, runs, m, fails):
 
 
 def _array_entries(py: SimpleNamespace) -> dict:
-    """The Python build's array entry points of ``extinction_batch``,
-    ``single_drop_batch`` and ``first_passage_batch``.
+    """The Python build's array entry points: every ``*_batch`` but
+    ``first_passage_stepped_batch``.
 
     Each draws what its scalar source (``__wrapped__``) draws, in the same
-    order, but takes the uniforms of a round or a batch as
+    order, but takes the uniforms of a round, a batch or a run's row as
     ``gen.random(size)`` blocks and does the arithmetic on arrays.  Only
     the rejection landings, a varying number of uniforms each, and the
     single-drop runs that reach one run the scalar source on the block
-    source.
+    source; a path that reaches one is redone by ``trajectory_fill``.
     """
     draw = py.binomial_draw
 
@@ -668,23 +745,11 @@ def _array_entries(py: SimpleNamespace) -> dict:
         if n == 0:
             return
         t_max = min(t_max, np.iinfo(np.int64).max)  # times stay int64
-        last = cs.shape[0] - 1
         run = np.arange(out.shape[0] if t_max > 0 else 0)  # live runs, in run order
         k = np.full(run.size, n, dtype=np.int64)
         t = np.zeros(run.size, dtype=np.int64)
         while run.size:
-            # the constants of each level the live runs stand at
-            levels, at = np.unique(k, return_inverse=True)
-            c = np.array([float(cs[min(j, last)]) for j in levels.tolist()])
-            lq = np.full(c.size, -np.inf)  # certain death holds one step
-            total, mass, ratio = np.ones(c.size), np.zeros(c.size), np.zeros(c.size)
-            kind = np.full(c.size, _NO_DRAW)
-            for i, (j, cj) in enumerate(zip(levels.tolist(), c.tolist())):
-                if cj < 1.0:
-                    lq[i], total[i], mass[i] = _level_constants(j, cj)
-                    ratio[i] = cj / (1.0 - cj)
-                    if j > 1:
-                        kind[i] = _REJECTS if j * cj > _WALK_MAX * total[i] else _WALKS
+            at, c, lq, total, mass, ratio, kind = _level_table(k, cs)
             # holds, then the departures that land by t_max
             hold = _holds(gen.random(run.size), lq[at])
             go = hold <= t_max - t
@@ -747,10 +812,119 @@ def _array_entries(py: SimpleNamespace) -> dict:
             out_j[:] = _holds(u[0::2], lq)
             out_code[:] = np.where(u[1::2] * total <= mass, FINITE, JUMPED_OVER)
 
+    @functools.wraps(py.geometric_batch)
+    def geometric_batch(gen, c, out):
+        if c >= 1.0:
+            out[:] = 1
+        else:
+            out[:] = _holds(gen.random(out.shape[0]), math.log1p(-c))
+
+    @functools.wraps(py.max_geometric_batch)
+    def max_geometric_batch(gen, n, c, out):
+        if c >= 1.0:
+            out[:] = 1
+            return
+        u = gen.random(out.shape[0])
+        drawn = u > 0.0  # u = 0 gives 1 without a logarithm
+        log_u = _mapped(math.log, u[drawn])
+        z = _mapped(math.expm1, log_u / float(n))  # u^(1/n) - 1
+        tf = np.ceil(_mapped(math.log, -z) / math.log1p(-c))
+        out[:] = 1
+        out[drawn] = np.where(tf < 1.0, 1.0, np.minimum(tf, 4.6e18))
+
+    def paths(keys, cs, n, t_max):
+        # trajectory_batch over one slice of the keys
+        m = keys.shape[0]
+        width = 4 * min(-(-n // 2), _MAX_ROW // 4)  # two uniforms a level, a multiple of four
+        gen = np.random.Generator(np.random.Philox(0))
+        bitgen = gen.bit_generator
+        state = bitgen.state
+        rows = np.empty((m, width))
+        for r, key in enumerate(keys):
+            _seek(bitgen, state, key)
+            gen.random(out=rows[r])
+        start = np.zeros(m, dtype=np.int64)  # the word of each row's first uniform
+        used = np.zeros(m, dtype=np.int64)  # the words each run has taken
+        times = np.full(m, -1, dtype=np.int64)
+        # each run's path as pieces (run, state, steps), in time order per run
+        empty = np.empty(0, dtype=np.int64)
+        pieces = [(empty, empty, empty)]
+        redo = []
+        run = np.arange(m)
+        k = np.full(m, n, dtype=np.int64)
+        t = np.zeros(m, dtype=np.int64)
+        while run.size:
+            at, _, lq, total, mass, ratio, kind = _level_table(k, cs)
+            # a rejection landing takes a varying number of uniforms: the
+            # scalar source redoes the run from its start
+            rejects = kind[at] == _REJECTS
+            if rejects.any():
+                redo += run[rejects].tolist()
+                keep = ~rejects
+                run, k, t, at = run[keep], k[keep], t[keep], at[keep]
+            # A live run takes two uniforms a round, a hold and a landing:
+            # at a level where it takes one it dies or is censored.  So a
+            # run uses up its row at the row's end, and its next row starts
+            # at a multiple of the width, a multiple of four.
+            for r in run[used[run] - start[run] == width].tolist():
+                start[r] = used[r]
+                _seek(bitgen, state, keys[r], int(start[r]))
+                gen.random(out=rows[r])
+            # the hold, then the landing of each run whose hold ends by t_max;
+            # a run censored here holds its level to t_max
+            col = used[run] - start[run]
+            hold = _holds(rows[run, col], lq[at])
+            go = hold <= t_max - t
+            pieces.append((run, k, np.where(go, hold, t_max + 1 - t)))
+            t = t + hold
+            deaths = k.copy()
+            walks = go & (kind[at] == _WALKS)
+            w = np.flatnonzero(walks)
+            if w.size:
+                a = at[w]
+                deaths[w] = _walk(rows[run[w], col[w] + 1] * total[a], mass[a], ratio[a], k[w])
+            used[run] += 1 + walks
+            k = k - deaths
+            gone = go & (k == 0)
+            times[run[gone]] = t[gone]
+            # extinct: state 0, once; a run that lands at t_max is censored
+            # by the next round's hold, which is longer than the 0 steps left
+            pieces.append((run[gone], k[gone], np.ones(np.count_nonzero(gone), dtype=np.int64)))
+            stay = go & ~gone
+            run, k, t = run[stay], k[stay], t[stay]
+        runs, states, steps = map(np.concatenate, zip(*pieces))
+        if redo:
+            redone = np.zeros(m, dtype=bool)
+            redone[redo] = True
+            keep = ~redone[runs]
+            pieces = [(runs[keep], states[keep], steps[keep])]
+            buf = np.empty(t_max + 1, dtype=np.int64)
+            for r in redo:
+                _seek(bitgen, state, keys[r])
+                times[r] = py.trajectory_fill(gen, buf, cs, n, t_max)
+                path = buf[: times[r] + 1] if times[r] >= 0 else buf
+                pieces.append((np.full(path.size, r), path.copy(), np.ones(path.size, dtype=np.int64)))
+            runs, states, steps = map(np.concatenate, zip(*pieces))
+        order = np.argsort(runs, kind="stable")
+        lengths = np.bincount(runs, weights=steps, minlength=m).astype(np.int64)
+        return np.repeat(states[order], steps[order]), lengths, times
+
+    @functools.wraps(py.trajectory_batch)
+    def trajectory_batch(keys, cs, n, t_max):
+        parts = [paths(keys[lo : lo + _PATH_RUNS], cs, n, t_max) for lo in range(0, max(len(keys), 1), _PATH_RUNS)]
+        if len(parts) == 1:
+            # no copy: one made while the walk's temporaries are alive
+            # raised the peak memory of a simulate command by about 0.7 MB
+            return parts[0]
+        return tuple(map(np.concatenate, zip(*parts)))
+
     return {
         "extinction_batch": extinction_batch,
         "single_drop_batch": single_drop_batch,
         "first_passage_batch": first_passage_batch,
+        "geometric_batch": geometric_batch,
+        "max_geometric_batch": max_geometric_batch,
+        "trajectory_batch": trajectory_batch,
     }
 
 

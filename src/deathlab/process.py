@@ -2,9 +2,10 @@
 
 One time step from state x removes a Binomial(x, c) batch of individuals,
 with c supplied by a mortality regime that may depend on the current and
-initial states; 0 is absorbing.  This module simulates trajectories and
-draws the derived quantities of interest in batches: extinction times, the
-single-drop extinction event, and first-passage outcomes for one state.
+initial states; 0 is absorbing.  This module simulates trajectories, one
+run or a batch of runs on consecutive substreams, and draws the derived
+quantities of interest in batches: extinction times, the single-drop
+extinction event, and first-passage outcomes for one state.
 """
 
 from __future__ import annotations
@@ -66,6 +67,36 @@ class Trajectory:
         return [(run_id, t, s) for t, s in enumerate(self.states.tolist())]
 
 
+@dataclass(frozen=True)
+class TrajectoryBatch:
+    """Realized paths of several runs from n, end to end in ``states``: run
+    i has ``lengths[i]`` entries and is absorbed at 0 at
+    ``extinction_times[i]``, or censored at t_max where that is -1."""
+
+    initial_n: int
+    states: np.ndarray
+    lengths: np.ndarray
+    extinction_times: np.ndarray
+    t_max: int
+
+    def __post_init__(self) -> None:
+        # the rules of Trajectory, checked for every run at once
+        states, lengths, times = self.states, self.lengths, self.extinction_times
+        if lengths.size != times.size or np.any(lengths < 1) or lengths.sum() != states.size:
+            raise ProcessError("a batch needs one extinction time and a nonempty path per run")
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        rises = states[1:] > states[:-1]
+        rises[starts[1:] - 1] = False  # from one run's end to the next run's start
+        if np.any(states[starts] != self.initial_n) or rises.any():
+            raise ProcessError("trajectory must start at n and never increase")
+        extinct = times >= 0
+        if np.any(lengths[extinct] != times[extinct] + 1) or np.any(lengths[~extinct] != self.t_max + 1):
+            raise ProcessError("a path ends at its extinction time, or at t_max when censored")
+        if not np.array_equal(np.flatnonzero(states == 0), ends[extinct] - 1):
+            raise ProcessError("an extinct path holds one 0, at its end, and a censored one none")
+
+
 def _check_n(n: int, minimum: int = 1) -> int:
     if isinstance(n, bool) or not (
         isinstance(n, (int, np.integer)) or (isinstance(n, (float, np.floating)) and float(n).is_integer())
@@ -112,14 +143,16 @@ def _prepare_run(regime: MortalityRegime, n: int, t_max: int | None) -> tuple[np
 def simulate_trajectory(
     n: int,
     regime: MortalityRegime,
-    rng: RngStream | list[RngStream],
+    rng: RngStream,
     t_max: int | None = None,
-) -> Trajectory | list[Trajectory]:
+    runs: int | None = None,
+) -> Trajectory | TrajectoryBatch:
     """Run the process from n until absorption at 0 or censoring at t_max.
 
-    Given a list of streams, run once on each and return the trajectories
-    in order; the runs share the mortality array and the horizon, which
-    are built once.
+    With ``runs=m``, run once on each of the substreams 0, ..., m-1 of
+    ``rng``, drawing what ``rng.substream(i).generator`` would, and return
+    the runs as one ``TrajectoryBatch``; the runs share the mortality array
+    and the horizon, which are built once.
     """
     n = _check_n(n)
     cs, t_max = _prepare_run(regime, n, t_max)
@@ -127,15 +160,14 @@ def simulate_trajectory(
         raise ProcessError(
             f"recording {t_max} steps would need too much memory; lower t_max"
         )
+    if runs is not None:
+        states, lengths, times = kernels.trajectory_batch(rng.substream_keys(runs), cs, n, t_max)
+        return TrajectoryBatch(n, states, lengths, times, t_max)
     buf = np.empty(t_max + 1, dtype=np.int64)
-    runs = []
-    for stream in rng if isinstance(rng, list) else [rng]:
-        ext = int(kernels.trajectory_fill(stream.generator, buf, cs, n, t_max))
-        if ext >= 0:
-            runs.append(Trajectory(n, buf[: ext + 1].copy(), ext, t_max))
-        else:
-            runs.append(Trajectory(n, buf.copy(), None, t_max))
-    return runs if isinstance(rng, list) else runs[0]
+    ext = int(kernels.trajectory_fill(rng.generator, buf, cs, n, t_max))
+    if ext >= 0:
+        return Trajectory(n, buf[: ext + 1].copy(), ext, t_max)
+    return Trajectory(n, buf, None, t_max)
 
 
 def extinction_time_batch(

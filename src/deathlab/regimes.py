@@ -92,12 +92,24 @@ class Table:
     values: Mapping[tuple[int, int], float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", dict(self.values))
-        for (k, n), p in self.values.items():
+        # the type rules of from_dict: integer states, never bools, and a
+        # number for each probability
+        values = {}
+        for key, p in dict(self.values).items():
+            if not (
+                isinstance(key, tuple)
+                and len(key) == 2
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in key)
+            ):
+                raise RegimeError(f"table key must be a pair of integer states (k, n), got {key!r}")
+            k, n = key
             if not (1 <= k <= n):
                 raise RegimeError(f"table key ({k}, {n}) violates 1 <= k <= n")
+            p = _number(p, f"table probability at ({k}, {n})")
             if not 0.0 < p <= 1.0:
                 raise RegimeError(f"table probability at ({k}, {n}) must be in (0,1], got {p}")
+            values[key] = p
+        object.__setattr__(self, "values", values)
 
 
 MortalityRegime = Union[Constant, InitialPower, StatePower, JointPower, Table]

@@ -60,11 +60,11 @@ TRAJECTORY_SETS = {
 def test_trajectories_csv_is_what_csv_writer_writes(case, piece_rows, tmp_path, monkeypatch):
     n, regime, runs, t_max = TRAJECTORY_SETS[case]
     root = make_stream(11, 0)
-    trajectories = simulate_trajectory(n, regime, [root.substream(i) for i in range(runs)], t_max)
-    reference = [row for run_id, traj in enumerate(trajectories) for row in traj.to_csv_rows(run_id)]
+    alone = [simulate_trajectory(n, regime, root.substream(i), t_max) for i in range(runs)]
+    reference = [row for run_id, traj in enumerate(alone) for row in traj.to_csv_rows(run_id)]
     cli._write_csv(tmp_path / "reference.csv", ["run_id", "t", "state"], reference)
     monkeypatch.setattr(cli, "_PIECE_ROWS", piece_rows)
-    cli._write_trajectories(tmp_path / "bulk.csv", trajectories)
+    cli._write_trajectories(tmp_path / "bulk.csv", simulate_trajectory(n, regime, root, t_max, runs=runs))
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 

@@ -185,6 +185,23 @@ def test_trajectory_fill_identical(backends):
         assert np.array_equal(a[:41], b[:41])
 
 
+@pytest.mark.parametrize(
+    "regime, n, t_max",
+    [
+        (Constant(0.02), 10, 1200),  # walks only
+        (Constant(0.02), 10, 2),  # censored
+        (Constant(0.7), 30, 10**4),  # rejection: runs redone by the source
+        (CERTAIN_AT_3, 6, 10**4),
+        (Constant(0.01), 100, 10**5),  # rows extended
+    ],
+)
+def test_trajectory_batch_identical(backends, regime, n, t_max):
+    cs = prepare(regime, n)
+    keys = make_stream(99, 80).substream_keys(60)
+    seen = [[a.tolist() for a in backend.trajectory_batch(keys, cs, n, t_max)] for backend in backends]
+    assert seen[0] == seen[1]
+
+
 def test_env_flag_selects_python_backend():
     env = dict(os.environ, DEATHLAB_NO_NUMBA="1")
     out = subprocess.run(

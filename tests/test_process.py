@@ -11,8 +11,10 @@ from deathlab import (
     JointPower,
     ProcessError,
     RegimeError,
+    RngError,
     StatePower,
     Table,
+    TrajectoryBatch,
     drop_distribution,
     exact_single_drop_path_prob,
     extinction_time_batch,
@@ -279,16 +281,47 @@ def test_domain_errors():
         extinction_time_batch(5, Constant(0.5), make_stream(0, 0), 1, t_max=0)
 
 
-def test_a_list_of_streams_runs_each_stream():
+def test_runs_draw_what_each_substream_draws():
     # at t_max = 7 about half the runs from 12 are censored, so extinct
-    # paths follow longer ones in the shared path buffer
+    # paths sit between censored ones in the batch
     root = make_stream(5, 0)
-    runs = simulate_trajectory(12, Constant(0.3), [root.substream(i) for i in range(40)], t_max=7)
+    batch = simulate_trajectory(12, Constant(0.3), root, t_max=7, runs=40)
     alone = [simulate_trajectory(12, Constant(0.3), root.substream(i), t_max=7) for i in range(40)]
-    assert {r.censored for r in runs} == {True, False}
-    assert [(r.states.tolist(), r.extinction_time, r.t_max) for r in runs] == [
-        (r.states.tolist(), r.extinction_time, r.t_max) for r in alone
+    assert {r.censored for r in alone} == {True, False}
+    paths = np.split(batch.states, np.cumsum(batch.lengths)[:-1])
+    assert [(p.tolist(), -1 if t < 0 else t) for p, t in zip(paths, batch.extinction_times.tolist())] == [
+        (r.states.tolist(), -1 if r.censored else r.extinction_time) for r in alone
     ]
+    assert batch.t_max == 7 and batch.initial_n == 12
+
+
+def _batch(states, lengths, times, n=3, t_max=4):
+    return TrajectoryBatch(n, *(np.array(a, dtype=np.int64) for a in (states, lengths, times)), t_max)
+
+
+def test_a_batch_holds_the_rules_of_a_trajectory():
+    _batch([3, 2, 0, 3, 3, 1, 1, 1], [3, 5], [2, -1])
+    _batch([], [], [])
+    for states, lengths, times in [
+        ([3, 2, 0, 3, 3, 1, 1], [3, 5], [2, -1]),  # lengths and states disagree
+        ([2, 2, 0], [3], [2]),  # starts below n
+        ([3, 1, 2, 0], [4], [3]),  # rises within a run
+        ([3, 0, 0], [3], [2]),  # entries after absorption
+        ([3, 2, 0], [3], [1]),  # time off the first 0
+        ([3, 3, 3, 1, 0], [5], [-1]),  # censored but extinct
+        ([3, 3, 1], [3], [-1]),  # censored before t_max
+        ([3, 2, 0], [3], [2, 1]),  # a time without a path
+    ]:
+        with pytest.raises(ProcessError):
+            _batch(states, lengths, times)
+
+
+def test_too_many_runs_raise_before_any_draw():
+    root = make_stream(5, 0)
+    before = str(root.generator.bit_generator.state)
+    with pytest.raises(RngError):
+        simulate_trajectory(3, Constant(0.5), root, runs=2**32 + 1)
+    assert str(root.generator.bit_generator.state) == before
 
 
 @settings(max_examples=30, deadline=None)

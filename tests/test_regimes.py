@@ -89,6 +89,22 @@ def test_table_allows_certain_death():
     assert mortality(regime, 1, 1) == 1.0
 
 
+# the constructor keeps the type rules of from_dict
+def test_table_refuses_a_string_probability():
+    with pytest.raises(RegimeError, match="must be a number"):
+        Table({(1, 1): "0.5"})
+
+
+def test_table_refuses_a_non_integer_state():
+    with pytest.raises(RegimeError, match="integer states"):
+        Table({(1.5, 2): 0.5})
+
+
+def test_table_refuses_a_bool_state():
+    with pytest.raises(RegimeError, match="integer states"):
+        Table({(True, 1): 0.5})
+
+
 def test_table_miss_raises():
     with pytest.raises(RegimeError):
         mortality(Table({(1, 1): 0.5}), 1, 2)

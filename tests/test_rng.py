@@ -47,3 +47,35 @@ def test_substream_statistical_independence():
 def test_invalid_construction_rejected(seed, stream_id):
     with pytest.raises(RngError):
         make_stream(seed, stream_id)
+
+
+def _key(stream):
+    state = stream.generator.bit_generator.state["state"]
+    assert state["counter"].tolist() == [0, 0, 0, 0]
+    return state["key"].tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize(
+    "parent",
+    [
+        lambda seed: make_stream(seed, 0),  # a path of length 1
+        lambda seed: make_stream(seed, 2**32 + 3),  # ... whose id takes two words
+        lambda seed: make_stream(seed, 4).substream(9),  # a path of length 2
+        lambda seed: RngStream(seed, 5, ()),  # no path: the children's is the index alone
+    ],
+    ids=["path_1", "two_word_id", "path_2", "empty_path"],
+)
+def test_bulk_keys_are_numpys_substream_keys(seed, parent):
+    stream = parent(seed)
+    keys = stream.substream_keys(70)
+    assert keys.dtype == np.uint64 and keys.shape == (70, 2)
+    assert keys.tolist() == [_key(stream.substream(i)) for i in range(70)]
+    assert stream.substream_keys(0).shape == (0, 2)
+
+
+@pytest.mark.parametrize("count", [-1, 2**32 + 1, 2**64])
+def test_bulk_keys_refuse_an_index_of_two_words(count):
+    # an index of 2**32 or more would need a second 32-bit word
+    with pytest.raises(RngError):
+        make_stream(0, 0).substream_keys(count)

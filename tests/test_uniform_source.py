@@ -1,11 +1,13 @@
 """The batch entry points of the Python kernel build against their source.
 
-Three entry points of the Python build, ``extinction_batch``,
-``single_drop_batch`` and ``first_passage_batch``, are array code.  The
-other three run the shared scalar source on a block source that hands
-out, in order, the doubles ``gen.random()`` would, and leaves the generator where those calls would
-leave it, also when the kernel raises.  Either way the entry point must
-draw what its scalar source (``__wrapped__``) draws.
+Six entry points of the Python build, ``extinction_batch``,
+``single_drop_batch``, ``first_passage_batch``, ``geometric_batch``,
+``max_geometric_batch`` and ``trajectory_batch``, are array code.
+``first_passage_stepped_batch`` runs the shared scalar source on a block
+source that hands out, in order, the doubles ``gen.random()`` would, and
+leaves the generator where those calls would leave it, also when the
+kernel raises.  Either way the entry point must draw what its scalar
+source (``__wrapped__``) draws.
 Every case here calls both on equal streams and compares outputs and
 ``bit_generator.state``.  The sizes span part of the first block, the
 switch from one block to the next and blocks of the largest size; the
@@ -32,7 +34,7 @@ SEED = 20261018
 
 BATCHES = {
     "geometric_batch", "max_geometric_batch", "extinction_batch", "single_drop_batch",
-    "first_passage_batch", "first_passage_stepped_batch",
+    "first_passage_batch", "first_passage_stepped_batch", "trajectory_batch",
 }
 
 
@@ -71,7 +73,13 @@ REJECTS_AT_20 = Table({(k, 30): 0.9 if k == 20 else 0.01 for k in range(1, 31)})
 # entry point -> builder of its arguments after the generator, for m samples
 CASES = {
     "geometric_batch": lambda m: (0.2, _ints(m)),
+    "geometric_batch/certain_death": lambda m: (1.0, _ints(m)),
+    # most holds pass the cap of 4.6e18
+    "geometric_batch/capped": lambda m: (1e-19, _ints(m)),
     "max_geometric_batch": lambda m: (100, 0.2, _ints(m)),
+    "max_geometric_batch/certain_death": lambda m: (100, 1.0, _ints(m)),
+    "max_geometric_batch/capped": lambda m: (100, 1e-19, _ints(m)),
+    "max_geometric_batch/huge_n": lambda m: (2**53, 0.2, _ints(m)),
     "extinction_batch": lambda m: (_ints(m), prepare(Constant(0.2), 50), 50, 10**4),
     "extinction_batch/censored": lambda m: (_ints(m), prepare(StatePower(0.5, 1.0), 30), 30, 40),
     "extinction_batch/certain_death": lambda m: (_ints(m), prepare(CERTAIN_AT_3, 6), 6, 10**4),
@@ -99,10 +107,13 @@ CASES = {
     "first_passage_stepped_batch": lambda m: (5, 0.05, 30, _ints(m), _ints(m)),
 }
 SIZES = (0, 1, 7, 40, 300, 3000)
-ARRAY_ENTRIES = {"extinction_batch", "single_drop_batch", "first_passage_batch"}
+ARRAY_ENTRIES = {
+    "extinction_batch", "single_drop_batch", "first_passage_batch", "geometric_batch",
+    "max_geometric_batch", "trajectory_batch",
+}
 
 
-def test_three_entry_points_are_array_code_and_three_use_the_block_source():
+def test_six_entry_points_are_array_code_and_one_uses_the_block_source():
     for name in BATCHES:
         entry = getattr(PY, name)
         assert entry is not entry.__wrapped__
@@ -293,3 +304,94 @@ def test_array_drop_walk_matches_the_scalar_walk_at_ties():
 def test_the_drop_walk_prefilter_needs_its_margin(monkeypatch):
     monkeypatch.setattr(kernels, "_BELOW", 1.0)
     assert not all(_walks_agree_at_ties(k, c) for k, c in DROP_TIE_CHAINS)
+
+
+class _Listed:
+    """A generator that hands out the listed doubles in order, one per
+    ``random()`` and ``size`` per ``random(size)``."""
+
+    def __init__(self, values):
+        self.values, self.at = values, 0
+
+    def random(self, size=None):
+        self.at += 1 if size is None else size
+        if size is None:
+            return self.values[self.at - 1]
+        return np.array(self.values[self.at - size : self.at])
+
+
+# doubles no Philox stream hands out early: u = 0 (a max of one without a
+# logarithm, a hold of one); u = 1e-300, where u^(1/n) - 1 rounds to -1 at
+# n = 1, so the max rounds below one (the tf < 1 branch); and the ends of
+# the doubles a stream can give
+EDGE_UNIFORMS = [0.0, 1e-300, 2.0**-53, 0.5, 1.0 - 2.0**-53]
+
+
+@pytest.mark.parametrize("m", [1, 7, 2000])
+@pytest.mark.parametrize("name, args", [
+    ("geometric_batch", (0.2,)), ("geometric_batch", (1e-19,)), ("geometric_batch", (1.0,)),
+    ("max_geometric_batch", (1, 0.2)), ("max_geometric_batch", (100, 0.2)),
+    ("max_geometric_batch", (100, 1e-19)), ("max_geometric_batch", (3, 1.0)),
+])
+def test_geometric_entries_match_their_source_at_every_branch(m, name, args):
+    values = (EDGE_UNIFORMS + make_stream(SEED, 11).generator.random(m).tolist())[:m]
+    entry = getattr(PY, name)
+    seen = []
+    for kernel in (entry, entry.__wrapped__):
+        gen, out = _Listed(values), _ints(m)
+        kernel(gen, *args, out)
+        seen.append((out.tolist(), gen.at))
+    assert seen[0] == seen[1]
+
+
+LOW_TABLE = Table({(k, 10): 0.02 for k in range(1, 11)})
+
+# (regime, n, t_max or None for the default horizon, runs)
+TRAJECTORY_CASES = {
+    # the two regimes of the low-mortality workload
+    "low_constant": (Constant(0.02), 10, None, 200),
+    "low_table": (LOW_TABLE, 10, None, 200),
+    # landings from k >= 21 reject: each run is redone by the source
+    "rejection": (Constant(0.7), 30, None, 100),
+    "certain_death": (CERTAIN_AT_3, 6, None, 100),
+    "censored": (Constant(0.02), 10, 2, 100),
+    # about 200 uniforms a run, in rows of 64
+    "extended_rows": (Constant(0.01), 100, None, 30),
+    # rejection from 1000 down to about 280, some runs censored
+    "rejection_censored": (Constant(0.05), 1000, 100, 20),
+    "single_run": (Constant(0.02), 10, None, 1),
+    "no_runs": (Constant(0.02), 10, None, 0),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("case", sorted(TRAJECTORY_CASES))
+def test_trajectory_batch_matches_its_source(case, seed, monkeypatch):
+    regime, n, t_max, runs = TRAJECTORY_CASES[case]
+    cs, t_max = process._prepare_run(regime, n, t_max)
+    keys = make_stream(seed, 0).substream_keys(runs)
+    seeks = []  # the word each seek of the array code starts its stream at
+    seek = kernels._seek
+
+    def counted(bitgen, state, key, word=0):
+        seeks.append(word)
+        seek(bitgen, state, key, word)
+
+    monkeypatch.setattr(kernels, "_seek", counted)
+    got = PY.trajectory_batch(keys, cs, n, t_max)
+    monkeypatch.setattr(kernels, "_seek", seek)
+    want = PY.trajectory_batch.__wrapped__(keys, cs, n, t_max)
+    assert [a.dtype for a in got] == [np.int64] * 3
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    # rows are extended where a run outlasts its row, and a run at a
+    # rejection level is redone from its start
+    assert any(seeks) == (case == "extended_rows")
+    assert (seeks.count(0) > runs) == case.startswith("rejection")
+
+
+def test_trajectory_batch_splits_the_runs_alike(monkeypatch):
+    cs = prepare(Constant(0.02), 10)
+    keys = make_stream(SEED, 12).substream_keys(20)
+    whole = PY.trajectory_batch(keys, cs, 10, 1000)
+    monkeypatch.setattr(kernels, "_PATH_RUNS", 7)
+    assert [a.tolist() for a in PY.trajectory_batch(keys, cs, 10, 1000)] == [a.tolist() for a in whole]
