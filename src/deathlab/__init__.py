@@ -46,7 +46,6 @@ from .oracle import (
 )
 from .process import (
     ProcessError,
-    Trajectory,
     TrajectoryBatch,
     drop_distribution,
     extinction_time_batch,

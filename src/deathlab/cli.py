@@ -136,6 +136,8 @@ def _parse_t_grid(value) -> list[int]:
 
 
 def _out_dir(out: str | None) -> Path | None:
+    # called once the report or batch is built, so a rejected command
+    # leaves no directory behind
     if out is None:
         return None
     path = Path(out)
@@ -157,11 +159,11 @@ _PIECE_ROWS = 1 << 15
 
 def _write_trajectories(path: Path, batch: TrajectoryBatch) -> None:
     """trajectories.csv, byte for byte what ``_write_csv`` writes for the
-    rows of ``Trajectory.to_csv_rows`` of each run in turn, with run ids 0,
-    1, ..., without a Python step per row.  A piece of whole runs is one
-    table of strings, each formatted and followed by its delimiter
-    (``"<run_id>,"``, ``"<t>,"``, and ``"<state>\\r\\n"`` for each distinct
-    state), indexed by one int64 array of cells and joined."""
+    rows ``(run_id, t, state)`` of each run in turn, one per time step,
+    with run ids 0, 1, ..., without a Python step per row.  A piece of
+    whole runs is one table of strings, each formatted and followed by its
+    delimiter (``"<run_id>,"``, ``"<t>,"``, and ``"<state>\\r\\n"`` for
+    each distinct state), indexed by one int64 array of cells and joined."""
     ends = np.cumsum(batch.lengths)
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("run_id,t,state\r\n")
@@ -221,7 +223,6 @@ def simulate(n, regime_spec, samples, t_max, seed, out, config_path):
         n=n, regime=regime_spec, samples=samples, t_max=t_max, seed=seed, out=out,
     )
     regime = _resolve_regime(params["regime"])
-    out_path = _out_dir(params["out"])
     try:
         root = make_stream(params["seed"], 0)
         batch = simulate_trajectory(params["n"], regime, root, params["t_max"], runs=params["samples"])
@@ -251,6 +252,7 @@ def simulate(n, regime_spec, samples, t_max, seed, out, config_path):
         ),
         "runs": runs,
     }
+    out_path = _out_dir(params["out"])
     _write_trajectories(out_path / "trajectories.csv", batch)
     (out_path / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -284,9 +286,13 @@ def extinct(n, regime_spec, t_grid, samples, ratio_n, ratio_c, ratio_samples, se
         ratio_c=ratio_c, ratio_samples=ratio_samples, seed=seed, workers=workers,
         tolerance=tolerance, out=out,
     )
+    if params["ratio_n"]:  # 0 turns the ratio experiment off
+        if params["ratio_n"] < 2:
+            raise click.UsageError(f"--ratio-n must be 0 or an integer >= 2, got {params['ratio_n']!r}")
+        if not 0 < params["ratio_c"] < 1:
+            raise click.UsageError(f"--ratio-c must lie in (0,1), got {params['ratio_c']!r}")
     regime = _resolve_regime(params["regime"])
     grid = _parse_t_grid(params["t_grid"])
-    out_path = _out_dir(params["out"])
     try:
         report, csv_rows = build_extinct_report(
             params["n"], regime, grid, params["samples"], params["seed"],
@@ -296,6 +302,7 @@ def extinct(n, regime_spec, t_grid, samples, ratio_n, ratio_c, ratio_samples, se
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    out_path = _out_dir(params["out"])
     if out_path is not None:
         _write_csv(
             out_path / "extinct_cdf.csv",
@@ -340,7 +347,6 @@ def path(n, regime_spec, samples, sweep, seed, workers, tolerance, out, config_p
     )
     regime = _resolve_regime(params["regime"])
     sweep_list = None if params["sweep"] is None else _parse_int_list(params["sweep"], "--sweep", minimum=1)
-    out_path = _out_dir(params["out"])
     try:
         report, sweep_rows = build_path_report(
             params["n"], regime, params["samples"], params["seed"],
@@ -348,6 +354,7 @@ def path(n, regime_spec, samples, sweep, seed, workers, tolerance, out, config_p
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    out_path = _out_dir(params["out"])
     if out_path is not None and sweep_rows:
         _write_csv(out_path / "path_bound_sweep.csv", ["n", "lower_bound"], sweep_rows)
     _emit_report(report, out_path, "path_report.json")
@@ -382,7 +389,6 @@ def passage(k, regime_spec, n, samples, j_max, limit_n, limit_samples, lam, seed
         tolerance=tolerance, out=out,
     )
     regime = _resolve_regime(params["regime"])
-    out_path = _out_dir(params["out"])
     try:
         report, scaled = build_passage_report(
             params["k"], regime, params["samples"], params["seed"], n=params["n"],
@@ -391,6 +397,7 @@ def passage(k, regime_spec, n, samples, j_max, limit_n, limit_samples, lam, seed
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    out_path = _out_dir(params["out"])
     if out_path is not None and scaled is not None:
         _write_csv(out_path / "scaled_passage_times.csv", ["scaled_time"], [(float(v),) for v in scaled])
     _emit_report(report, out_path, "passage_report.json")
@@ -416,7 +423,6 @@ def implode(alpha, k_max, runs, sweep, seed, workers, out, config_path):
         alpha=alpha, k_max=k_max, runs=runs, sweep=sweep, seed=seed, workers=workers, out=out,
     )
     sweep_list = None if params["sweep"] in (None, "") else _parse_int_list(params["sweep"], "--sweep", minimum=1)
-    out_path = _out_dir(params["out"])
     try:
         report, sweep_rows, totals = build_implode_outputs(
             params["alpha"], params["k_max"], params["runs"], params["seed"],
@@ -424,6 +430,7 @@ def implode(alpha, k_max, runs, sweep, seed, workers, out, config_path):
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    out_path = _out_dir(params["out"])
     if out_path is not None:
         if sweep_rows:
             _write_csv(

@@ -93,8 +93,8 @@ uniform count is the source's.
   walks all the runs round-major, a hold and a landing per live run and
   round, each from its own row; a run that uses up its row gets the
   next, by setting the generator to the run's key and the row's counter.
-  A run that reaches a rejection level is redone from its start by
-  ``trajectory_fill`` on its own key.  The paths are kept as (run, state,
+  The runs that reach a rejection level are redone from their start by
+  the scalar source, on their own keys.  The paths are kept as (run, state,
   steps) pieces and expanded once at the end.
 - ``first_passage_stepped_batch`` runs the scalar source on a block
   source instead of the generator.  The source still sees
@@ -721,7 +721,8 @@ def _array_entries(py: SimpleNamespace) -> dict:
     ``gen.random(size)`` blocks and does the arithmetic on arrays.  Only
     the rejection landings, a varying number of uniforms each, and the
     single-drop runs that reach one run the scalar source on the block
-    source; a path that reaches one is redone by ``trajectory_fill``.
+    source; the paths that reach one are redone by the scalar
+    ``trajectory_batch``.
     """
     draw = py.binomial_draw
 
@@ -738,6 +739,8 @@ def _array_entries(py: SimpleNamespace) -> dict:
     rejections = _buffered(rejection_deaths)
     scalar_passage = _buffered(py.first_passage_batch)
     scalar_drop = _buffered(py.single_drop_batch)
+    # read now: get_backend replaces py.trajectory_batch with the entry below
+    scalar_paths = py.trajectory_batch
 
     @functools.wraps(py.extinction_batch)
     def extinction_batch(gen, out, cs, n, t_max):
@@ -894,16 +897,11 @@ def _array_entries(py: SimpleNamespace) -> dict:
             run, k, t = run[stay], k[stay], t[stay]
         runs, states, steps = map(np.concatenate, zip(*pieces))
         if redo:
-            redone = np.zeros(m, dtype=bool)
-            redone[redo] = True
-            keep = ~redone[runs]
-            pieces = [(runs[keep], states[keep], steps[keep])]
-            buf = np.empty(t_max + 1, dtype=np.int64)
-            for r in redo:
-                _seek(bitgen, state, keys[r])
-                times[r] = py.trajectory_fill(gen, buf, cs, n, t_max)
-                path = buf[: times[r] + 1] if times[r] >= 0 else buf
-                pieces.append((np.full(path.size, r), path.copy(), np.ones(path.size, dtype=np.int64)))
+            # the scalar source redraws those runs from their keys, counter
+            # at 0; their partial walks keep no steps
+            redone, sizes, times[redo] = scalar_paths(keys[redo], cs, n, t_max)
+            steps[np.isin(runs, redo)] = 0
+            pieces = [(runs, states, steps), (np.repeat(redo, sizes), redone, np.ones_like(redone))]
             runs, states, steps = map(np.concatenate, zip(*pieces))
         order = np.argsort(runs, kind="stable")
         lengths = np.bincount(runs, weights=steps, minlength=m).astype(np.int64)

@@ -2,10 +2,10 @@
 
 One time step from state x removes a Binomial(x, c) batch of individuals,
 with c supplied by a mortality regime that may depend on the current and
-initial states; 0 is absorbing.  This module simulates trajectories, one
-run or a batch of runs on consecutive substreams, and draws the derived
-quantities of interest in batches: extinction times, the single-drop
-extinction event, and first-passage outcomes for one state.
+initial states; 0 is absorbing.  This module simulates trajectories, a
+batch of runs on consecutive substreams, and draws the derived quantities
+of interest in batches: extinction times, the single-drop extinction
+event, and first-passage outcomes for one state.
 """
 
 from __future__ import annotations
@@ -36,38 +36,6 @@ class ProcessError(ValueError):
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """A realized nonincreasing path, absorbed at 0 or censored at t_max."""
-
-    initial_n: int
-    states: np.ndarray
-    extinction_time: int | None
-    t_max: int
-
-    def __post_init__(self) -> None:
-        states = self.states
-        if states[0] != self.initial_n or np.any(np.diff(states) > 0):
-            raise ProcessError("trajectory must start at n and never increase")
-        if self.extinction_time is not None:
-            if states[self.extinction_time] != 0 or np.any(states[: self.extinction_time] == 0):
-                raise ProcessError("extinction_time must index the first 0 entry")
-            if self.extinction_time != states.size - 1:
-                raise ProcessError("no entries may follow absorption")
-        elif np.any(states == 0):
-            raise ProcessError("censored trajectory must not contain 0")
-
-    @property
-    def censored(self) -> bool:
-        return self.extinction_time is None
-
-    def to_csv_rows(self, run_id: int) -> list[tuple[int, int, int]]:
-        """The (run_id, t, state) rows of this path, one per time step: the
-        reference that ``simulate``'s bulk writer of trajectories.csv is
-        checked against, through ``csv.writer``."""
-        return [(run_id, t, s) for t, s in enumerate(self.states.tolist())]
-
-
-@dataclass(frozen=True)
 class TrajectoryBatch:
     """Realized paths of several runs from n, end to end in ``states``: run
     i has ``lengths[i]`` entries and is absorbed at 0 at
@@ -80,7 +48,6 @@ class TrajectoryBatch:
     t_max: int
 
     def __post_init__(self) -> None:
-        # the rules of Trajectory, checked for every run at once
         states, lengths, times = self.states, self.lengths, self.extinction_times
         if lengths.size != times.size or np.any(lengths < 1) or lengths.sum() != states.size:
             raise ProcessError("a batch needs one extinction time and a nonempty path per run")
@@ -145,14 +112,15 @@ def simulate_trajectory(
     regime: MortalityRegime,
     rng: RngStream,
     t_max: int | None = None,
-    runs: int | None = None,
-) -> Trajectory | TrajectoryBatch:
-    """Run the process from n until absorption at 0 or censoring at t_max.
+    *,
+    runs: int,
+) -> TrajectoryBatch:
+    """Run the process from n until absorption at 0 or censoring at t_max,
+    once on each of the substreams 0, ..., runs-1 of ``rng``.
 
-    With ``runs=m``, run once on each of the substreams 0, ..., m-1 of
-    ``rng``, drawing what ``rng.substream(i).generator`` would, and return
-    the runs as one ``TrajectoryBatch``; the runs share the mortality array
-    and the horizon, which are built once.
+    Run i draws what ``rng.substream(i).generator`` would; ``rng`` itself
+    draws nothing.  The runs share the mortality array and the horizon,
+    which are built once.
     """
     n = _check_n(n)
     cs, t_max = _prepare_run(regime, n, t_max)
@@ -160,14 +128,8 @@ def simulate_trajectory(
         raise ProcessError(
             f"recording {t_max} steps would need too much memory; lower t_max"
         )
-    if runs is not None:
-        states, lengths, times = kernels.trajectory_batch(rng.substream_keys(runs), cs, n, t_max)
-        return TrajectoryBatch(n, states, lengths, times, t_max)
-    buf = np.empty(t_max + 1, dtype=np.int64)
-    ext = int(kernels.trajectory_fill(rng.generator, buf, cs, n, t_max))
-    if ext >= 0:
-        return Trajectory(n, buf[: ext + 1].copy(), ext, t_max)
-    return Trajectory(n, buf, None, t_max)
+    states, lengths, times = kernels.trajectory_batch(rng.substream_keys(runs), cs, n, t_max)
+    return TrajectoryBatch(n, states, lengths, times, t_max)
 
 
 def extinction_time_batch(

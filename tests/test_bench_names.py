@@ -9,8 +9,10 @@ restored.
 
 It also checks that every name ``deathlab/__init__.py`` exports has a
 caller: some other module of the package refers to it, apart from its own
-``def`` or ``class``.  A name the tracer patches (``process.step``, whose
-calls it counts) is exempt.
+``def`` or ``class``.  So does every public method and property of an
+exported class: some module of the package reads it as an attribute.  A
+name the tracer patches (``process.step``, whose calls it counts) is
+exempt.
 """
 
 import ast
@@ -33,22 +35,35 @@ def _exports():
     )
 
 
+def _members():
+    # "Class.member" for each public method or property of an exported class
+    exported = set(_exports())
+    return sorted(
+        f"{node.name}.{item.name}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name in exported
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    )
+
+
 @pytest.fixture(scope="module")
 def called(spans):
-    # every name read, or read as an attribute, outside __init__.py (a def
-    # or class statement binds its name without a Name node), and every
-    # name the tracer patches
-    seen = set()
+    # the names read, and those read as an attribute, outside __init__.py
+    # (a def or class statement binds its name without a Name node); each
+    # set also holds every name the tracer patches
+    names, attributes = set(), set()
     for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name):
-                    seen.add(node.id)
+                    names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    seen.add(node.attr)
+                    attributes.add(node.attr)
     with spans.Tracer() as tracer:
-        seen.update(name for _, name, _ in tracer._patches)
-    return seen
+        patched = {name for _, name, _ in tracer._patches}
+    return names | attributes | patched, attributes | patched
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +90,11 @@ def test_the_tracer_finds_and_restores_every_name_it_patches(spans):
         assert _current(owner, name) is original, name
 
 
-@pytest.mark.parametrize("name", _exports())
+@pytest.mark.parametrize("name", _exports() + _members())
 def test_every_export_has_a_caller_in_the_package(called, name):
-    assert name in called, f"{name} is exported but nothing in the package calls it"
+    names, attributes = called
+    owner, _, member = name.rpartition(".")
+    if owner:
+        assert member in attributes, f"{name} is public but nothing in the package reads it"
+    else:
+        assert name in names, f"{name} is exported but nothing in the package calls it"

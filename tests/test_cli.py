@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import event, example, given, settings
@@ -14,7 +16,7 @@ import deathlab
 from deathlab import cli, experiments, kernels, limits
 from deathlab.cli import main
 from deathlab.process import simulate_trajectory
-from deathlab.regimes import Constant, Table
+from deathlab.regimes import Constant, Table, prepare
 from deathlab.rng import make_stream
 
 
@@ -60,11 +62,19 @@ TRAJECTORY_SETS = {
 def test_trajectories_csv_is_what_csv_writer_writes(case, piece_rows, tmp_path, monkeypatch):
     n, regime, runs, t_max = TRAJECTORY_SETS[case]
     root = make_stream(11, 0)
-    alone = [simulate_trajectory(n, regime, root.substream(i), t_max) for i in range(runs)]
-    reference = [row for run_id, traj in enumerate(alone) for row in traj.to_csv_rows(run_id)]
-    cli._write_csv(tmp_path / "reference.csv", ["run_id", "t", "state"], reference)
+    batch = simulate_trajectory(n, regime, root, t_max, runs=runs)
+    # the reference: csv.writer over the (run_id, t, state) rows of each run
+    # drawn alone, by trajectory_fill on its own substream
+    cs, buf = prepare(regime, n), np.empty(batch.t_max + 1, dtype=np.int64)
+    with (tmp_path / "reference.csv").open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["run_id", "t", "state"])
+        for run_id in range(runs):
+            time = int(kernels.trajectory_fill(root.substream(run_id).generator, buf, cs, n, batch.t_max))
+            states = buf[: time + 1] if time >= 0 else buf
+            writer.writerows((run_id, t, s) for t, s in enumerate(states.tolist()))
     monkeypatch.setattr(cli, "_PIECE_ROWS", piece_rows)
-    cli._write_trajectories(tmp_path / "bulk.csv", simulate_trajectory(n, regime, root, t_max, runs=runs))
+    cli._write_trajectories(tmp_path / "bulk.csv", batch)
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
@@ -143,11 +153,14 @@ def no_streams(monkeypatch):
         (["passage", "--k", "3", "--regime", "initial_power:1,1", "--limit-n", "100"], "lam > 0"),
         (["passage", "--k", "5", "--regime", "initial_power:1,1", "--lam", "1", "--limit-n", "3"],
          "k <= limit_n"),
+        (["extinct", "--ratio-n", "1"], "--ratio-n must be 0 or an integer >= 2, got 1"),
+        (["extinct", "--ratio-c", "1.5"], "--ratio-c must lie in (0,1), got 1.5"),
     ],
     ids=["implode_runs_0", "simulate_samples_negative", "verify_samples_1", "verify_workers_0",
          "path_workers_0", "extinct_empty_t_grid", "extinct_negative_t_grid",
          "extinct_negative_t_range", "path_sweep_0", "implode_sweep_0",
-         "passage_limit_without_scaling", "passage_limit_without_lam", "passage_limit_below_k"],
+         "passage_limit_without_scaling", "passage_limit_without_lam", "passage_limit_below_k",
+         "extinct_ratio_n_1", "extinct_ratio_c_above_1"],
 )
 def test_out_of_range_parameter_exits_2_before_any_stream(runner, no_streams, args, says):
     result = runner.invoke(main, args)
@@ -155,6 +168,26 @@ def test_out_of_range_parameter_exits_2_before_any_stream(runner, no_streams, ar
     assert isinstance(result.exception, SystemExit)
     assert says in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--n", "0"],
+        ["extinct", "--ratio-c", "1.5"],
+        ["extinct", "--regime", "state_power:0.5,1"],
+        ["path", "--sweep", "10,100"],
+        ["passage", "--k", "3", "--limit-n", "100"],
+        ["implode", "--alpha", "-1"],
+        ["verify", "--samples", "1"],
+    ],
+    ids=["simulate", "extinct_ratio_c", "extinct_regime", "path", "passage", "implode", "verify"],
+)
+def test_rejected_command_makes_no_out_directory(runner, tmp_path, args):
+    out = tmp_path / "out"
+    result = runner.invoke(main, args + ["--out", str(out / "verify.json" if args[0] == "verify" else out)])
+    assert result.exit_code == 2, result.output
+    assert not out.exists()
 
 
 # regime JSON of the wrong type, each at a run from n = 2, and what the error names
@@ -453,6 +486,9 @@ def _flag_text(value) -> str:
 @example(case=("extinct", {"tolerance": -1}, False))
 @example(case=("extinct", {"ratio_c": 1.5}, False))
 @example(case=("extinct", {"ratio_c": 1.5, "ratio_n": 0}, True))
+@example(case=("extinct", {"ratio_c": 1.5}, True))
+@example(case=("extinct", {"ratio_n": 1}, False))
+@example(case=("extinct", {"ratio_n": 1}, True))
 @example(case=("simulate", {"n": [1, 2]}, True))
 @example(case=("verify", {"samples": 2, "tolerance": math.inf}, False))
 @example(case=("passage", {"k": 3, "regime": "initial_power:1,1", "lam": math.nan, "limit_n": 100, "samples": 10}, False))

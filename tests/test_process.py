@@ -32,6 +32,7 @@ from deathlab import (
     wilson_interval,
 )
 from deathlab import kernels
+from deathlab.regimes import prepare
 from deathlab.stats import SampleSummary
 from gof import chi_square_gof
 
@@ -51,36 +52,29 @@ def test_step_one_death_frequency():
 
 
 def test_certain_death_trajectory():
-    traj = simulate_trajectory(1, Table({(1, 1): 1.0}), make_stream(0, 1))
-    assert traj.states.tolist() == [1, 0]
-    assert traj.extinction_time == 1
-    assert not traj.censored
+    batch = simulate_trajectory(1, Table({(1, 1): 1.0}), make_stream(0, 1), runs=1)
+    assert batch.states.tolist() == [1, 0]
+    assert batch.lengths.tolist() == [2]
+    assert batch.extinction_times.tolist() == [1]
 
 
 def test_trajectory_invariants():
     for i, regime in enumerate([Constant(0.5), StatePower(0.5, 1.0), JointPower(1.0, 2.0)]):
         for n in (1, 3, 10, 25):
-            traj = simulate_trajectory(n, regime, make_stream(2, 10 * i + n))
-            states = traj.states
+            batch = simulate_trajectory(n, regime, make_stream(2, 10 * i + n), runs=1)
+            states, (time,) = batch.states, batch.extinction_times.tolist()
             assert states[0] == n
             assert np.all(np.diff(states) <= 0)
-            assert traj.extinction_time is not None
-            assert states[traj.extinction_time] == 0
+            assert time >= 0  # not censored
+            assert states[time] == 0
             assert np.all(states[:-1] > 0)  # no entries after absorption
 
 
 def test_censoring_is_encoded_not_raised():
-    traj = simulate_trajectory(50, Constant(0.01), make_stream(3, 0), t_max=2)
-    assert traj.censored
-    assert traj.extinction_time is None
-    assert traj.states.size == 3
-
-
-def test_csv_rows_are_python_ints_per_time_step():
-    traj = simulate_trajectory(12, Constant(0.2), make_stream(3, 2))
-    rows = traj.to_csv_rows(7)
-    assert rows == [(7, t, int(s)) for t, s in enumerate(traj.states)]
-    assert all(type(value) is int for row in rows for value in row)
+    batch = simulate_trajectory(50, Constant(0.01), make_stream(3, 0), t_max=2, runs=1)
+    assert batch.extinction_times.tolist() == [-1]
+    assert batch.lengths.tolist() == [3]
+    assert batch.states.size == 3
 
 
 def test_censoring_rare_at_default_t_max():
@@ -93,8 +87,8 @@ def test_mortality_uses_current_state():
     n = 3
     joint = JointPower(1.0, 4.0)
     table = Table({(k, n): k / n**4 for k in range(1, n + 1)})
-    a = simulate_trajectory(n, joint, make_stream(4, 0), t_max=10**6)
-    b = simulate_trajectory(n, table, make_stream(4, 0), t_max=10**6)
+    a = simulate_trajectory(n, joint, make_stream(4, 0), t_max=10**6, runs=1)
+    b = simulate_trajectory(n, table, make_stream(4, 0), t_max=10**6, runs=1)
     assert a.states.tolist() == b.states.tolist()
     a = extinction_time_batch(n, joint, make_stream(4, 1), 200)
     b = extinction_time_batch(n, table, make_stream(4, 1), 200)
@@ -109,8 +103,8 @@ def test_mortality_uses_current_state():
     [
         lambda s: single_drop_batch(5, StatePower(2.0, 0.5), s, 8),  # c_1 = 2
         lambda s: extinction_time_batch(5, StatePower(2.0, 0.5), s, 8, t_max=10),
-        lambda s: simulate_trajectory(2, InitialPower(5.0, 1.0), s),  # c_2 = 2.5
-        lambda s: simulate_trajectory(3, Table({(1, 3): 0.5, (3, 3): 0.5}), s, t_max=10),
+        lambda s: simulate_trajectory(2, InitialPower(5.0, 1.0), s, runs=1),  # c_2 = 2.5
+        lambda s: simulate_trajectory(3, Table({(1, 3): 0.5, (3, 3): 0.5}), s, t_max=10, runs=1),
     ],
     ids=["single_drop_c_above_one", "extinction_c_above_one", "trajectory_c_above_one",
          "table_missing_a_state"],
@@ -256,7 +250,7 @@ def test_first_passage_with_context_regime():
 
 
 def test_default_t_max_bounds_censoring():
-    t = simulate_trajectory(5, Constant(0.5), make_stream(3, 3)).t_max
+    t = simulate_trajectory(5, Constant(0.5), make_stream(3, 3), runs=1).t_max
     # the shortest horizon whose survival bound n (1-c)^t is below 1e-9
     assert 5 * 0.5**t < 1e-9 <= 5 * 0.5 ** (t - 1)
 
@@ -273,10 +267,10 @@ def test_batches_worker_count_invariant():
 
 def test_domain_errors():
     with pytest.raises(ProcessError):
-        simulate_trajectory(0, Constant(0.5), make_stream(0, 0))
+        simulate_trajectory(0, Constant(0.5), make_stream(0, 0), runs=1)
     for bad in (True, 2.5, float("inf"), float("nan"), "3", [3], None):
         with pytest.raises(ProcessError, match="population must be an integer"):
-            simulate_trajectory(bad, Constant(0.5), make_stream(0, 0))
+            simulate_trajectory(bad, Constant(0.5), make_stream(0, 0), runs=1)
     with pytest.raises(ProcessError):
         extinction_time_batch(5, Constant(0.5), make_stream(0, 0), 1, t_max=0)
 
@@ -286,12 +280,14 @@ def test_runs_draw_what_each_substream_draws():
     # paths sit between censored ones in the batch
     root = make_stream(5, 0)
     batch = simulate_trajectory(12, Constant(0.3), root, t_max=7, runs=40)
-    alone = [simulate_trajectory(12, Constant(0.3), root.substream(i), t_max=7) for i in range(40)]
-    assert {r.censored for r in alone} == {True, False}
+    # each run alone: trajectory_fill on its own substream
+    cs, buf, alone = prepare(Constant(0.3), 12), np.empty(8, dtype=np.int64), []
+    for i in range(40):
+        time = int(kernels.trajectory_fill(root.substream(i).generator, buf, cs, 12, 7))
+        alone.append(((buf[: time + 1] if time >= 0 else buf).tolist(), time))
+    assert {time < 0 for _, time in alone} == {True, False}
     paths = np.split(batch.states, np.cumsum(batch.lengths)[:-1])
-    assert [(p.tolist(), -1 if t < 0 else t) for p, t in zip(paths, batch.extinction_times.tolist())] == [
-        (r.states.tolist(), -1 if r.censored else r.extinction_time) for r in alone
-    ]
+    assert [(p.tolist(), t) for p, t in zip(paths, batch.extinction_times.tolist())] == alone
     assert batch.t_max == 7 and batch.initial_n == 12
 
 
@@ -331,11 +327,11 @@ def test_too_many_runs_raise_before_any_draw():
     seed=st.integers(min_value=0, max_value=2**32),
 )
 def test_trajectory_property(n, c, seed):
-    traj = simulate_trajectory(n, Constant(c), make_stream(seed, 3))
-    assert traj.states[0] == n
-    assert np.all(np.diff(traj.states) <= 0)
-    if not traj.censored:
-        assert traj.states[-1] == 0
+    batch = simulate_trajectory(n, Constant(c), make_stream(seed, 3), runs=1)
+    assert batch.states[0] == n
+    assert np.all(np.diff(batch.states) <= 0)
+    if batch.extinction_times[0] >= 0:
+        assert batch.states[-1] == 0
 
 
 def test_every_active_kernel_is_a_module_attribute():

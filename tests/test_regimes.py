@@ -138,8 +138,8 @@ def test_mortality_vector_and_min():
     assert prepare(Constant(0.3), 9).min() == 0.3
     assert prepare(JointPower(1.0, 4.0), 4).min() == mortality(JointPower(1.0, 4.0), 1, 4)
     # the default censoring horizon depends on the regime only through that minimum
-    horizon = simulate_trajectory(4, regime, make_stream(0, 0)).t_max
-    assert horizon == simulate_trajectory(4, Constant(0.125), make_stream(0, 0)).t_max
+    horizon = simulate_trajectory(4, regime, make_stream(0, 0), runs=1).t_max
+    assert horizon == simulate_trajectory(4, Constant(0.125), make_stream(0, 0), runs=1).t_max
     assert horizon == math.ceil((math.log(1e-9) - math.log(4)) / math.log1p(-0.125))
 
 
