@@ -27,7 +27,7 @@ from .experiments import (
     report_meta,
 )
 from .oracle import MAX_STATE, MAX_TIME, state_distribution_history
-from .process import TrajectoryBatch, simulate_trajectory
+from .process import TrajectoryBatch, _check_n, simulate_trajectory
 from .regimes import MortalityRegime, RegimeError, from_dict, from_json, parse_inline, to_json
 from .rng import make_stream
 
@@ -224,8 +224,9 @@ def simulate(n, regime_spec, samples, t_max, seed, out, config_path):
     )
     regime = _resolve_regime(params["regime"])
     try:
+        n = _check_n(params["n"])  # the process layer's check, before any stream is made
         root = make_stream(params["seed"], 0)
-        batch = simulate_trajectory(params["n"], regime, root, params["t_max"], runs=params["samples"])
+        batch = simulate_trajectory(n, regime, root, params["t_max"], runs=params["samples"])
         runs = [
             {
                 "run_id": run_id,

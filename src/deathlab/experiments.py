@@ -444,8 +444,8 @@ def build_implode_outputs(
     """Implosion totals vs the certified series, plus the truncation sweep."""
     config = {"alpha": alpha, "K": K, "runs": runs, "sweep": sweep}
     report = AnalyticReport(meta=report_meta("implode", config, seed))
+    partial, tail = implosion_expected_time(alpha, K)  # rejects alpha before any stream is made
     totals = implosion_batch(alpha, K, runs, make_stream(seed, 0), workers=workers)
-    partial, tail = implosion_expected_time(alpha, K)
     mean = float(totals.mean())
     stderr = float(totals.std(ddof=1) / math.sqrt(runs))
     report.add(

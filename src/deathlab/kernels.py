@@ -43,8 +43,10 @@ that is its first test, u (1-(1-c)^k) <= k c (1-c)^(k-1), so the answer
 costs the walk's one uniform and one comparison; where it would reject,
 the first accepted binomial draw is compared with 1.  The uniforms and so
 the draws are those of the full landing draw.  ``single_drop_batch`` walks
-the jump chain alone, one such test per level and none at state 1, sample
-by sample: a run's uniforms follow the previous run's in the stream.
+the jump chain alone, level-major like ``extinction_batch``: at each level
+n, n-1, ..., 2 every run still dropping one at a time takes that level's
+test, in run order, and a run that fails drops out.  Certain death ends
+every live run without a draw, and no run draws at state 1.
 ``first_passage_batch`` draws the hold and then the test for one level,
 uncensored, with the level's constants computed once per batch.
 
@@ -75,19 +77,12 @@ uniform count is the source's.
   the last bit on a few percent of inputs.  Temporaries are O(live runs)
   or O(one block), never O(n).  Rejection landings, which take a varying
   number of uniforms, run the scalar binomial draw on the block source
-  below, as does ``first_passage_batch`` at a rejection level.
+  below, as do the single-death tests of ``single_drop_batch`` and
+  ``first_passage_batch`` at a rejection level.
 - ``geometric_batch`` and ``max_geometric_batch`` invert one block of
   uniforms, one per draw.
-- ``single_drop_batch`` keeps the source's sample-major order.  It
-  computes the levels' constants once, from n down to the first certain
-  death (where every run that gets there fails without a draw), draws
-  blocks sized from the expected uniforms per run, and walks the runs
-  through a block over its candidate failures only: the uniforms above a
-  conservative bound, each then tested exactly.  It then rewinds the
-  generator to the end of the last run, as the block source does.  A run
-  that reaches a rejection level, or a level too deep to be worth
-  computing, hands it and the runs after it to the scalar source on the
-  block source.
+- ``single_drop_batch`` draws one block of uniforms per level, one for
+  each live run, and compares them with the level's constants.
 - ``trajectory_batch`` sets one generator to each run's key in turn and
   draws a row of uniforms for the run, two per level up to 64.  It then
   walks all the runs round-major, a hold and a landing per live run and
@@ -400,23 +395,6 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         return np.concatenate([np.empty(0, dtype=np.int64)] + paths), lengths, np.array(times, dtype=np.int64)
 
     @wrap
-    def _single_drop(gen, cs, n):
-        # True iff the jump chain from n loses exactly one individual per
-        # departure; holding times do not matter, and state 1 can only drop
-        # to 0
-        last = cs.shape[0] - 1
-        for k in range(n, 1, -1):
-            c = float(cs[min(k, last)])
-            if c >= 1.0:
-                return False  # certain death takes all k >= 2 at once
-            # the constants of _level, inline: a call per level costs the
-            # Python build about a tenth of this kernel
-            lq = k * math.log1p(-c)
-            if not _single_death(gen, k, c, -math.expm1(lq), k * (c / (1.0 - c)) * math.exp(lq)):
-                return False
-        return True
-
-    @wrap
     def _first_passage_stepped(gen, k, c, t_max):
         # reference implementation: step the raw process until it leaves k,
         # censored after t_max steps
@@ -486,8 +464,30 @@ def _build_backend(jit: bool) -> SimpleNamespace:
 
     @wrap
     def single_drop_batch(gen, out, cs, n):
-        for i in range(out.shape[0]):
-            out[i] = 1 if _single_drop(gen, cs, n) else 0
+        # 1 where the jump chain from n loses exactly one individual per
+        # departure, drawn level-major: at each level k = n, ..., 2 every
+        # run still dropping one at a time takes the level's single-death
+        # test, in run order, and a run that fails drops out.  Holding times
+        # do not matter, state 1 can only drop to 0, and certain death takes
+        # all k >= 2 at once.
+        out[:] = 0
+        last = cs.shape[0] - 1
+        live = np.arange(out.shape[0])  # the runs still in, in live[:count]
+        count = live.shape[0]
+        for k in range(n, 1, -1):
+            if count == 0:
+                return
+            c = float(cs[min(k, last)])
+            if c >= 1.0:
+                return
+            _, total, mass = _level(k, c)
+            kept = 0
+            for j in range(count):
+                if _single_death(gen, k, c, total, mass):
+                    live[kept] = live[j]
+                    kept += 1
+            count = kept
+        out[live[:count]] = 1
 
     @wrap
     def first_passage_batch(gen, k, c, out_j, out_code):
@@ -635,81 +635,11 @@ def _level_table(k, cs):
                 kind[i] = _REJECTS if j * cj > _WALK_MAX * total[i] else _WALKS
     return at, c, lq, total, mass, ratio, kind
 
-# The single-drop walk keeps a uniform u as a candidate failure when u > lo,
-# lo the least mass/total of its levels times _BELOW: a few hundred ulps of
-# margin, so rounding in the quotient or in u * total never drops one
-_BELOW = 1.0 - 2.0**-44
-
-# single_drop_batch stops computing levels where a run reaches them with a
-# chance below this, and draws at most _MAX_DROP_BLOCK doubles at once,
-# plus two per level
-_UNREACHED = 2.0**-60
-_MAX_DROP_BLOCK = 1 << 14
 
 # trajectory_batch draws rows of at most _MAX_ROW uniforms per run, for at
 # most _PATH_RUNS runs at a time
 _MAX_ROW = 64
 _PATH_RUNS = 1 << 12
-
-
-def _drop_levels(cs, n):
-    """The levels a single-drop run from n walks, n, n-1, ..., each its
-    (total, mass) from ``_level_constants``, as two lists; the outcome of a
-    run that passes all of them, 1 at level 1, 0 at certain death, None
-    where the array code stops (a rejection level, or a level reached with
-    a chance below _UNREACHED); and the expected uniforms per run."""
-    last = cs.shape[0] - 1
-    total, mass = [], []
-    reach, expected = 1.0, 0.0
-    for k in range(n, 1, -1):
-        c = float(cs[min(k, last)])
-        if c >= 1.0:
-            return total, mass, 0, expected
-        _, t, s = _level_constants(k, c)
-        if k * c > _WALK_MAX * t or reach < _UNREACHED:
-            return total, mass, None, expected
-        total.append(t)
-        mass.append(s)
-        expected += reach
-        reach *= s / t
-    return total, mass, 1, expected
-
-
-def _drop_runs(u, total, mass, end, runs, m, fails):
-    """Walk single-drop runs over the uniforms ``u``, the first from u[0]:
-    a run takes one uniform per level, fails level j when u * total[j] >
-    mass[j], and ends at its first failure or after the last level, with
-    outcome ``end``.  Appends the run index of each failure to ``fails``,
-    counting from ``runs``; returns where the unfinished run starts in u and
-    the runs finished, stopping at m runs, at the end of u, or, when end is
-    None, where a run has passed every level.  The Python loop runs over
-    the candidate failures only."""
-    levels = len(total)
-    lo = min(map(operator.truediv, mass, total)) * _BELOW
-    start = 0
-    at = np.flatnonzero(u > lo)
-    for p, v in zip(at.tolist(), u[at].tolist()):
-        j = p - start
-        if j >= levels:  # the run at start passed every level
-            if end is None:
-                return start, runs
-            q = min(j // levels, m - runs)
-            runs += q
-            start += q * levels
-            if runs == m:
-                return start, runs
-            j = p - start
-        if v * total[j] > mass[j]:
-            fails.append(runs)
-            runs += 1
-            start = p + 1
-            if runs == m:
-                return start, runs
-    if end is not None:
-        q = min((u.size - start) // levels, m - runs)
-        runs += q
-        start += q * levels
-    return start, runs
 
 
 def _array_entries(py: SimpleNamespace) -> dict:
@@ -719,10 +649,9 @@ def _array_entries(py: SimpleNamespace) -> dict:
     Each draws what its scalar source (``__wrapped__``) draws, in the same
     order, but takes the uniforms of a round, a batch or a run's row as
     ``gen.random(size)`` blocks and does the arithmetic on arrays.  Only
-    the rejection landings, a varying number of uniforms each, and the
-    single-drop runs that reach one run the scalar source on the block
-    source; the paths that reach one are redone by the scalar
-    ``trajectory_batch``.
+    the rejection landings, a varying number of uniforms each, run the
+    scalar binomial draw on the block source; the paths that reach one are
+    redone by the scalar ``trajectory_batch``.
     """
     draw = py.binomial_draw
 
@@ -738,7 +667,6 @@ def _array_entries(py: SimpleNamespace) -> dict:
 
     rejections = _buffered(rejection_deaths)
     scalar_passage = _buffered(py.first_passage_batch)
-    scalar_drop = _buffered(py.single_drop_batch)
     # read now: get_backend replaces py.trajectory_batch with the entry below
     scalar_paths = py.trajectory_batch
 
@@ -773,31 +701,22 @@ def _array_entries(py: SimpleNamespace) -> dict:
 
     @functools.wraps(py.single_drop_batch)
     def single_drop_batch(gen, out, cs, n):
-        total, mass, end, expected = _drop_levels(cs, n)
-        if not total:
-            if end is None:  # the first level rejects
-                return scalar_drop(gen, out, cs, n)
-            out[:] = end
-            return
-        m = out.shape[0]
-        # blocks of uniforms, rewound to the end of the last finished run
-        bitgen = gen.bit_generator
-        saved = bitgen.state
-        u = np.empty(0)
-        used = done = 0  # uniforms the finished runs took, and those runs
-        fails = []
-        while done < m and not (end is None and u.size >= len(total)):
-            size = min(int(1.1 * (m - done) * expected), _MAX_DROP_BLOCK) + 2 * len(total)
-            u = np.concatenate((u, gen.random(size)))
-            start, done = _drop_runs(u, total, mass, end, done, m, fails)
-            used += start
-            u = u[start:]
-        bitgen.state = saved
-        bitgen.random_raw(used, output=False)
-        out[:done] = end == 1  # what a finished run that did not fail ends with
-        out[fails] = 0
-        if done < m:  # the next run reaches a level the array code does not walk
-            scalar_drop(gen, out[done:], cs, n)
+        out[:] = 0
+        last = cs.shape[0] - 1
+        live = np.arange(out.shape[0])  # the runs still in, in run order
+        for k in range(n, 1, -1):
+            if not live.size:
+                return
+            c = float(cs[min(k, last)])
+            if c >= 1.0:
+                return
+            _, total, mass = _level_constants(k, c)
+            if k * c > _WALK_MAX * total:
+                passed = np.equal(rejections(gen, [k] * live.size, [c] * live.size), 1)
+            else:
+                passed = gen.random(live.size) * total <= mass
+            live = live[passed]
+        out[live] = 1
 
     @functools.wraps(py.first_passage_batch)
     def first_passage_batch(gen, k, c, out_j, out_code):

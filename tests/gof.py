@@ -1,7 +1,9 @@
-"""Pooled chi-square goodness of fit for the tests of discrete samplers.
+"""Goodness-of-fit helpers for the tests of discrete samplers.
 
-KS on discrete laws is conservative; chi-square is the sharp tool there.
-The p-value needs scipy, which only the tests depend on.
+Pooled chi-square: KS on discrete laws is conservative; chi-square is the
+sharp tool there.  The p-value needs scipy, which only the tests depend
+on.  ``family_misses`` checks many binomial counts at once at a stated
+family-wise level.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaincc
 
-from deathlab.stats import StatsError
+from deathlab.stats import StatsError, wilson_interval
 
 
 def pool_cells(observed: np.ndarray, expected: np.ndarray, min_expected: float = 5.0):
@@ -48,3 +50,23 @@ def chi_square_gof(
     dof = int(exp.size - 1)
     p_value = float(gammaincc(dof / 2.0, stat / 2.0))
     return stat, dof, p_value
+
+
+def family_misses(rows: dict, trials: int, level: float = 0.01) -> list[str]:
+    """The rows, label -> (hits, p), whose count disagrees with p, as
+    "label: observed vs p" lines.  Each row with 0 < p < 1 is checked with
+    a Wilson interval at confidence 1 - level/r, r the number of such rows
+    (Bonferroni), so the whole family fails by chance with probability
+    about ``level`` at most.  A certain row, p = 0 or 1, is not counted: it
+    must show exactly p * trials hits."""
+    r = sum(0.0 < p < 1.0 for _, p in rows.values())
+    misses = []
+    for label, (hits, p) in rows.items():
+        if 0.0 < p < 1.0:
+            low, high = wilson_interval(hits, trials, 1.0 - level / r)
+            agrees = low <= p <= high
+        else:
+            agrees = hits == p * trials
+        if not agrees:
+            misses.append(f"{label}: {hits / trials} vs {p}")
+    return misses

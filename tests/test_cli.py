@@ -183,7 +183,7 @@ def test_out_of_range_parameter_exits_2_before_any_stream(runner, no_streams, ar
     ],
     ids=["simulate", "extinct_ratio_c", "extinct_regime", "path", "passage", "implode", "verify"],
 )
-def test_rejected_command_makes_no_out_directory(runner, tmp_path, args):
+def test_rejected_command_makes_no_out_directory(runner, no_streams, tmp_path, args):
     out = tmp_path / "out"
     result = runner.invoke(main, args + ["--out", str(out / "verify.json" if args[0] == "verify" else out)])
     assert result.exit_code == 2, result.output

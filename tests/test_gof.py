@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 
+from deathlab import single_drop_path_prob
 from deathlab.rng import make_stream
-from gof import chi_square_gof, pool_cells
+from gof import chi_square_gof, family_misses, pool_cells
 
 
 def test_pool_cells_merges_sparse_tails():
@@ -24,3 +27,30 @@ def test_chi_square_gof_calibration():
     skewed[1] -= 300
     _, _, p_bad = chi_square_gof(skewed.astype(float), np.full(10, 10**3))
     assert p_bad < 1e-6
+
+
+def _criterion_5_laws(scale=1.0):
+    # the single-drop path probabilities of acceptance criterion 5, n = 1..10
+    # at c = 0.05 and 0.1, with every c times scale; n = 1 is certain
+    return {
+        f"n={n}, c={c}": single_drop_path_prob(n, [c * scale] * n) for c in (0.05, 0.1) for n in range(1, 11)
+    }
+
+
+def test_family_rule_holds_its_level_and_has_power():
+    # exact Binomial counts from numpy for families shaped like criterion 5:
+    # at the true laws the rule rejects about 1% of families, and at c
+    # 2% high it rejects most of them
+    families, trials, level = 2000, 10**5, 0.01
+    gen = np.random.default_rng(20261019)
+    laws = _criterion_5_laws()
+
+    def rejected(probs):
+        counts = gen.binomial(trials, list(probs.values()), size=(families, len(probs)))
+        return sum(
+            bool(family_misses({label: (int(h), laws[label]) for label, h in zip(laws, row)}, trials, level))
+            for row in counts.tolist()
+        )
+
+    assert rejected(laws) / families <= level + 3 * math.sqrt(level * (1 - level) / families)
+    assert rejected(_criterion_5_laws(1.02)) > families / 2

@@ -12,10 +12,10 @@ path, a ``Table`` entry with c = 1, and a dense regime whose landings from
 the top levels take the rejection draw.
 
 The last tests pin the draw order of the batches.  Test-side copies of
-the full landing draw, run sample by sample for single drops and
-first passages and round-major for extinction times, must draw what the
-active build, the Python build's entry points and their scalar source
-draw, up to the generator's end position.
+the full landing draw, run sample by sample for first passages,
+level-major for single drops and round-major for extinction times, must
+draw what the active build, the Python build's entry points and their
+scalar source draw, up to the generator's end position.
 
 Every statistical check runs at level 0.001, so the fifty or so of them
 together fail by chance on about one seed in twenty.
@@ -285,10 +285,15 @@ def _first_passage(gen, k, c):
     return _hold(gen, k, c), kernels.FINITE if _landing(gen, k, c) == 1 else kernels.JUMPED_OVER
 
 
-def _single_drop(gen, cs, n):
-    """Whether every landing from n down to 2 kills exactly one."""
+def _single_drops(gen, cs, n, m):
+    """Whether every landing from n down to 2 kills exactly one, for m runs
+    drawn level-major: at each level every run still in takes the full
+    landing draw, in run order, and stays in if it kills exactly one."""
     last = cs.shape[0] - 1
-    return all(_landing(gen, k, float(cs[min(k, last)])) == 1 for k in range(n, 1, -1))
+    live = range(m)
+    for k in range(n, 1, -1):
+        live = [i for i in live if _landing(gen, k, float(cs[min(k, last)])) == 1]
+    return [i in live for i in range(m)]
 
 
 def _extinction_times(gen, cs, n, t_max, m):
@@ -358,7 +363,7 @@ def test_single_drop_batch_draws_what_the_full_landing_draw_draws(case):
     n, regime = DROP_CHAINS[case]
     cs, m = prepare(regime, n), 500
     ref = make_stream(SEED, 801).generator
-    expected = [_single_drop(ref, cs, n) for _ in range(m)]
+    expected = _single_drops(ref, cs, n, m)
     for kernel in _entry_points("single_drop_batch"):
         gen = make_stream(SEED, 801).generator
         out = np.empty(m, dtype=np.uint8)

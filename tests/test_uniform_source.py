@@ -17,8 +17,6 @@ landing walks the pmf or rejects, at the top of a chain or below it.
 
 import gc
 import math
-import operator
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -96,9 +94,9 @@ CASES = {
     "single_drop_batch/lone": lambda m: (_flags(m), prepare(Constant(0.3), 1), 1),
     "single_drop_batch/one_level": lambda m: (_flags(m), prepare(Constant(0.3), 2), 2),
     "single_drop_batch/state_power": lambda m: (_flags(m), prepare(StatePower(0.5, 2.0), 10), 10),
-    # about 26 uniforms a run: 3000 runs take five blocks of the array code
+    # about 26 uniforms a run: live runs at each of 99 levels
     "single_drop_batch/refill": lambda m: (_flags(m), prepare(Constant(0.001), 100), 100),
-    # levels computed down to where no run goes, about 830 of 10^6
+    # every run fails within about 830 of 10^6 levels: the batch stops there
     "single_drop_batch/deep": lambda m: (_flags(m), prepare(Constant(1e-7), 10**6), 10**6),
     "first_passage_batch": lambda m: (5, 0.3, _ints(m), _ints(m)),
     "first_passage_batch/lone": lambda m: (1, 0.3, _ints(m), _ints(m)),
@@ -252,6 +250,20 @@ def test_array_walk_matches_the_scalar_walk_at_ties():
         assert got.tolist() == expected, (k, c)
 
 
+class _Listed:
+    """A generator that hands out the listed doubles in order, one per
+    ``random()`` and ``size`` per ``random(size)``."""
+
+    def __init__(self, values):
+        self.values, self.at = values, 0
+
+    def random(self, size=None):
+        self.at += 1 if size is None else size
+        if size is None:
+            return self.values[self.at - 1]
+        return np.array(self.values[self.at - size : self.at])
+
+
 # chains from k at constant c; at the top level of the first three the
 # quotient mass/total rounds up past the least uniform that fails it
 DROP_TIE_CHAINS = [(12, 0.1), (25, 0.05), (43, 0.02), (10, 0.02), (3, 0.3)]
@@ -268,56 +280,25 @@ def _boundary(total, mass):
     return u, math.nextafter(u, 1.0)
 
 
-def _walks_agree_at_ties(k, c):
-    # for each level, two runs that pass the levels above it at u = 0: one
-    # meets the boundary uniform there and passes the rest, the other meets
-    # the double above it and fails
+@pytest.mark.parametrize("k, c", DROP_TIE_CHAINS)
+def test_single_drop_entry_matches_its_source_at_ties(k, c):
+    # two runs per level j: run 2j meets the boundary uniform there and
+    # run 2j+1 the double above it, and both meet u = 0 at every other
+    # level; so run 2j passes every level and run 2j+1 fails at level j
+    levels = range(k, 1, -1)
+    ties = [_boundary(*kernels._level_constants(level, c)[1:]) for level in levels]
+    values = []
+    for j, tie in enumerate(ties):
+        for run in range(2 * len(ties)):
+            if run % 2 == 0 or run // 2 >= j:  # still in at level j
+                values.append(tie[run % 2] if run // 2 == j else 0.0)
     cs = prepare(Constant(c), k)
-    total, mass, end, _ = kernels._drop_levels(cs, k)
-    assert end == 1 and len(total) == k - 1
-    u = []
-    for j, level in enumerate(zip(total, mass)):
-        passes, fails = _boundary(*level)
-        u += [0.0] * j + [passes] + [0.0] * (k - 2 - j) + [0.0] * j + [fails]
-    runs = 2 * (k - 1)
-    expected = _flags(runs)
-    source = iter(u)
-    PY.single_drop_batch.__wrapped__(SimpleNamespace(random=source.__next__), expected, cs, k)
-    fails = []
-    end_at, done = kernels._drop_runs(np.array(u), total, mass, end, 0, runs, fails)
-    got = [0 if i in fails else 1 for i in range(done)]
-    return (got, end_at) == (expected.tolist(), len(u) - operator.length_hint(source))
-
-
-def test_single_drop_levels_stop_where_no_run_goes():
-    # a chain from 10^6 whose runs fail within a few hundred levels costs
-    # a few hundred level constants, not 10^6
-    total, _, end, expected = kernels._drop_levels(prepare(Constant(1e-7), 10**6), 10**6)
-    assert end is None and len(total) < 2000 and expected < 100
-
-
-def test_array_drop_walk_matches_the_scalar_walk_at_ties():
-    for k, c in DROP_TIE_CHAINS:
-        assert _walks_agree_at_ties(k, c), (k, c)
-
-
-def test_the_drop_walk_prefilter_needs_its_margin(monkeypatch):
-    monkeypatch.setattr(kernels, "_BELOW", 1.0)
-    assert not all(_walks_agree_at_ties(k, c) for k, c in DROP_TIE_CHAINS)
-
-
-class _Listed:
-    """A generator that hands out the listed doubles in order, one per
-    ``random()`` and ``size`` per ``random(size)``."""
-
-    def __init__(self, values):
-        self.values, self.at = values, 0
-
-    def random(self, size=None):
-        self.at += 1 if size is None else size
-        if size is None:
-            return self.values[self.at - 1]
-        return np.array(self.values[self.at - size : self.at])
+    seen = []
+    for kernel in (PY.single_drop_batch, PY.single_drop_batch.__wrapped__):
+        gen, out = _Listed(values), _flags(2 * len(ties))
+        kernel(gen, out, cs, k)
+        seen.append((out.tolist(), gen.at))
+    assert seen[0] == seen[1] == ([1, 0] * len(ties), len(values))
 
 
 # doubles no Philox stream hands out early: u = 0 (a max of one without a
