@@ -271,13 +271,15 @@ def build_path_report(
     report = AnalyticReport(meta=report_meta("path", config, seed))
     tag = describe(regime)
     mortalities = mortality_vector(regime, n)
+    # every level's closed form and oracle before the first stream, so a
+    # level out of their range fails before anything is drawn
+    closed = [single_drop_prob(k, c_k) for k, c_k in enumerate(mortalities, 1)]
+    oracles = [float(exact_jump_law(k, c_k)[0]) for k, c_k in enumerate(mortalities[:MAX_STATE], 1)]
     for idx, k in enumerate(range(1, n + 1)):
-        c_k = mortalities[k - 1]
-        closed = single_drop_prob(k, c_k)
-        orac = float(exact_jump_law(k, c_k)[0]) if k <= MAX_STATE else None
+        orac = oracles[idx] if k <= MAX_STATE else None
         _, codes = first_passage_batch(k, regime, make_stream(seed, idx), samples, n=n, workers=workers)
         finite = int(np.count_nonzero(codes == kernels.FINITE))
-        row = ReportRow.wilson(f"P(single drop from k={k}) [{tag}]", closed, finite, samples, MC_LEVEL)
+        row = ReportRow.wilson(f"P(single drop from k={k}) [{tag}]", closed[idx], finite, samples, MC_LEVEL)
         report.add(_with_oracle(row, orac, tolerance))
     closed_path = single_drop_path_prob(n, mortalities)
     flags = single_drop_batch(n, regime, make_stream(seed, n + 1), samples, workers=workers)
@@ -378,11 +380,13 @@ def build_passage_report(
     report = AnalyticReport(meta=report_meta("passage", config, seed))
     c = mortality(regime, k, n_ctx)
     tag = f"k={k}, c={c:g}"
+    # the oracle and the closed forms before the stream, so a c out of
+    # their range fails before anything is drawn
+    pmf_oracle = exact_passage_law(k, c, j_max)[0] if k <= MAX_STATE else None
+    pmf_closed = [passage_pmf(k, c, j) for j in range(1, j_max + 1)]
     times, codes = first_passage_batch(k, regime, make_stream(seed, 0), samples, n=n_ctx, workers=workers)
     finite_mask = codes == kernels.FINITE
-    pmf_oracle = exact_passage_law(k, c, j_max)[0] if k <= MAX_STATE else None
-    for j in range(1, j_max + 1):
-        closed = passage_pmf(k, c, j)
+    for j, closed in enumerate(pmf_closed, 1):
         hits = int(np.count_nonzero(finite_mask & (times == j)))
         orac = None if pmf_oracle is None else float(pmf_oracle[j - 1])
         row = ReportRow.wilson(f"P(T=j) at j={j} [{tag}]", closed, hits, samples, MC_LEVEL)

@@ -22,44 +22,40 @@ The process kernels simulate the chain one level at a time, not one time
 step at a time.  Given the state k the chain is time-homogeneous: it stays
 at k for a Geometric(1-(1-c)^k) number of steps, independent of where it
 lands, and the landing follows the departure jump law, Binomial(k, c)
-deaths conditioned on at least one.  ``trajectory_fill`` draws the hold
-and then the landing at each level and stops past ``t_max`` without
-drawing the landing.  The landing draw inverts the conditional pmf from
-one death upward while that walk is expected to take at most 14 steps
-(the inversion cutover of the binomial draw) and rejects zero-death
-binomial draws above that.  A level costs about two uniforms, however
-long the chain holds there.
+deaths conditioned on at least one.  One landing draw serves every
+kernel: it inverts the conditional pmf from one death upward while that
+walk is expected to take at most 14 steps (the inversion cutover of the
+binomial draw) and rejects zero-death binomial draws above that.  A lone
+individual and certain death land at 0 without a draw.  A level costs
+about two uniforms, however long the chain holds there.
 
-``extinction_batch`` draws the same holds and landings for a whole batch,
-round-major: each round draws the hold of every live run, in run order,
-and censors a run whose hold outlasts ``t_max``; then one landing uniform
-for each departing run whose level walks the pmf, in run order; then the
-rejection landings, by run index.  A lone individual and certain death
-land at 0 without a draw.  With ``record`` it also returns the paths, on
-the same draws, as pieces (run, state, steps) in time order per run: each
-hold, cut at ``t_max``; state 0 for one step at extinction; and the state
-a run lands at at ``t_max``, for one step.  The scalar source writes them
-to an int64 buffer that doubles when full; without ``record`` the pieces
-are empty.
+``extinction_batch`` is the one walk of the chain, round-major: each round
+draws the hold of every live run, in run order, and censors a run whose
+hold outlasts ``t_max``; then one landing uniform for each departing run
+whose level walks the pmf, in run order; then the rejection landings, by
+run index.  With ``record`` it also returns the paths, on the same draws,
+as pieces (run, state, steps) in time order per run: each hold, cut at
+``t_max``; state 0 for one step at extinction; and the state a run lands
+at at ``t_max``, for one step.  The scalar source writes them to an int64
+buffer that doubles when full; without ``record`` the pieces are empty.
+``trajectory_fill``, outside both builds, is one recorded run of it.
 
-``single_drop_batch`` and ``first_passage_batch`` only ask whether a
-departure kills exactly one.  Where the landing draw would walk the pmf,
-that is its first test, u (1-(1-c)^k) <= k c (1-c)^(k-1), so the answer
-costs the walk's one uniform and one comparison; where it would reject,
-the first accepted binomial draw is compared with 1.  The uniforms and so
-the draws are those of the full landing draw.  ``single_drop_batch`` walks
-the jump chain alone, level-major like ``extinction_batch``: at each level
-n, n-1, ..., 2 every run still dropping one at a time takes that level's
-test, in run order, and a run that fails drops out.  Certain death ends
-every live run without a draw, and no run draws at state 1.
-``first_passage_batch`` draws the hold and then the test for one level,
-uncensored, with the level's constants computed once per batch.
+``single_drop_batch`` and ``first_passage_batch`` only ask whether the
+landing draw kills exactly one.  Where it walks the pmf, the answer is
+the walk's first test, u (1-(1-c)^k) <= k c (1-c)^(k-1).
+``single_drop_batch`` walks the jump chain alone, level-major like
+``extinction_batch``: at each level n, n-1, ..., 2 every run still
+dropping one at a time takes that level's test, in run order, and a run
+that fails drops out.  Certain death ends every live run without a draw,
+and no run draws at state 1.  ``first_passage_batch`` draws the hold and
+then the test for one level, uncensored.  The landing draw takes a
+level's constants from its caller, computed once per level or batch.
 
 Each build exports ``binomial_draw`` (the primitive of ``process.step``
-and of the stepping references in the tests), ``trajectory_fill`` (the
-per-run path, a reference for the tests) and the six ``*_batch`` entry
-points; the per-sample draws behind the batches are private.  The numba
-build compiles the shared scalar source of every batch.  The Python build
+and of the stepping references in the tests) and the six ``*_batch``
+entry points; the draws behind the batches are private.  The numba build
+compiles the shared scalar source of every batch; where numba is not
+installed, no test checks that source's numba typing.  The Python build
 keeps each batch's source as the entry point's ``__wrapped__`` and wraps
 it in one of two ways; either way the entry point draws the same doubles
 in the same order and leaves the generator where the source's own
@@ -76,27 +72,20 @@ count and recorded path is the source's.
   the last bit on a few percent of inputs.  Temporaries are O(live runs)
   or O(one block), never O(n).  Rejection landings, which take a varying
   number of uniforms, run the scalar binomial draw on the block source
-  below, as do the single-death tests of ``single_drop_batch`` and
-  ``first_passage_batch`` at a rejection level.
-- ``extinction_batch`` keeps the pieces of a recorded round as arrays and
-  joins them once at the end; their order across runs may differ from the
-  source's, their order within a run does not.
-- ``geometric_batch`` and ``max_geometric_batch`` invert one block of
-  uniforms, one per draw.
-- ``single_drop_batch`` draws one block of uniforms per level, one for
-  each live run, and compares them with the level's constants.
+  below, and ``first_passage_batch`` runs its whole source there at a
+  rejection level.  ``extinction_batch`` joins the recorded pieces once
+  at the end; their order across runs may differ from the source's,
+  their order within a run does not.
 - ``first_passage_stepped_batch`` runs the scalar source on a block
   source instead of the generator.  The source still sees
   ``gen.random()`` calls and answers with the same Philox doubles as
-  Python floats.  It saves the generator state and hands out doubles from
-  ``gen.random(size)`` blocks (64 long, doubling up to 1024), which cost a
-  fraction of a scalar call each.  When the call ends, by return or by
-  raise, the source rewinds: it restores the saved state and skips one
-  word per double consumed (``bit_generator.random_raw(used,
-  output=False)``).
+  Python floats, from ``gen.random(size)`` blocks (64 long, doubling up
+  to 1024).  When the call ends, by return or by raise, the source
+  rewinds: it restores the saved generator state and skips one word per
+  double consumed (``bit_generator.random_raw(used, output=False)``).
 
-``binomial_draw``, ``trajectory_fill``, calls from one kernel to another
-and the numba build take the generator itself.
+``binomial_draw``, calls from one kernel to another and the numba build
+take the generator itself.
 """
 
 from __future__ import annotations
@@ -272,37 +261,15 @@ def _build_backend(jit: bool) -> SimpleNamespace:
             return 4.6e18
         return math.floor(x) + 1.0
 
-    @wrap
-    def _geometric(gen, c):
-        # Geometric on {1,2,...} with P(t) = (1-c)^(t-1) c, by inversion
-        if c >= 1.0:
-            return np.int64(1)
-        return np.int64(_hold(gen, math.log1p(-c)))
+    _level = wrap(_level_constants)
 
     @wrap
-    def _max_geometric(gen, n, c):
-        # max of n iid Geometric(c): invert CDF (1-(1-c)^t)^n in log space
-        if c >= 1.0:
-            return np.int64(1)
-        u = gen.random()
-        if u <= 0.0:
-            return np.int64(1)
-        z = math.expm1(math.log(u) / n)  # u^(1/n) - 1, stays accurate for huge n
-        tf = math.ceil(math.log(-z) / math.log1p(-c))
-        if tf < 1.0:
-            return np.int64(1)
-        if tf > 4.6e18:
-            tf = 4.6e18
-        return np.int64(tf)
-
-    @wrap
-    def _conditional_deaths(gen, k, c):
-        # Binomial(k, c) conditioned on >= 1, i.e. the departure jump law;
-        # a lone individual and certain death both land at 0 without a draw
-        if k == 1 or c >= 1.0:
+    def _conditional_deaths(gen, k, c, total, mass):
+        # Binomial(k, c) conditioned on >= 1, i.e. the departure jump law,
+        # for c < 1 with total and mass from _level(k, c); a lone
+        # individual lands at 0 without a draw
+        if k == 1:
             return k
-        lq = k * math.log1p(-c)
-        total = -math.expm1(lq)  # 1 - (1-c)^k, no cancellation
         if k * c > _WALK_MAX * total:
             # the walk below would be long: rejection on the raw binomial,
             # which departs with chance total, close to 1 here
@@ -311,9 +278,9 @@ def _build_backend(jit: bool) -> SimpleNamespace:
                 if d >= 1:
                     return d
         # invert the conditional pmf from one death upward; the walk takes
-        # k*c / total steps on average
+        # k*c / total steps on average, and lands on one death exactly when
+        # its first test, u <= mass, holds
         ratio = c / (1.0 - c)
-        mass = k * ratio * math.exp(lq)  # k * c * (1-c)^(k-1)
         u = gen.random() * total
         b = 1
         acc = mass
@@ -323,77 +290,33 @@ def _build_backend(jit: bool) -> SimpleNamespace:
             acc += mass
         return b
 
-    _level = wrap(_level_constants)
-
-    @wrap
-    def _single_death(gen, k, c, total, mass):
-        # _conditional_deaths(gen, k, c) == 1 for c < 1, on the same draws,
-        # with total and mass from _level(k, c): where that walks the pmf,
-        # it lands on one death exactly when its first test, u <= mass, holds
-        if k == 1:
-            return True
-        if k * c > _WALK_MAX * total:
-            while True:
-                d = binomial_draw(gen, k, c)
-                if d >= 1:
-                    return d == 1
-        return gen.random() * total <= mass
-
-    @wrap
-    def trajectory_fill(gen, out, cs, n, t_max):
-        # Extinction time from n, or -1 when censored at t_max; writes the
-        # path into out[0 : t_max+1] unless out is empty.  Per state it
-        # draws the geometric hold and then the landing state.
-        last = cs.shape[0] - 1
-        record = out.shape[0] > 0
-        if record:
-            out[0] = n
-        k = n
-        t = 0
-        while k > 0 and t < t_max:
-            c = float(cs[min(k, last)])
-            # ln (1-c)^k; certain death holds for exactly one step
-            lq = -math.inf if c >= 1.0 else k * math.log1p(-c)
-            j = _hold(gen, lq)
-            if j > t_max - t:
-                if record:
-                    out[t + 1 : t_max + 1] = k
-                return np.int64(-1)
-            d = _conditional_deaths(gen, k, c)
-            hold = int(j)
-            if record:
-                out[t + 1 : t + hold] = k
-                out[t + hold] = k - d
-            t += hold
-            k -= d
-        if k == 0:
-            return np.int64(t)
-        return np.int64(-1)
-
-    @wrap
-    def _first_passage_stepped(gen, k, c, t_max):
-        # reference implementation: step the raw process until it leaves k,
-        # censored after t_max steps
-        t = np.int64(0)
-        while True:
-            t += 1
-            d = binomial_draw(gen, k, c)
-            if d >= 1:
-                if d == 1:
-                    return t, np.int64(FINITE)
-                return t, np.int64(JUMPED_OVER)
-            if t >= t_max:
-                return np.int64(t_max), np.int64(CENSORED)
-
     @wrap
     def geometric_batch(gen, c, out):
+        # Geometric on {1,2,...} with P(t) = (1-c)^(t-1) c, by inversion
+        if c >= 1.0:
+            out[:] = 1
+            return
+        lq = math.log1p(-c)
         for i in range(out.shape[0]):
-            out[i] = _geometric(gen, c)
+            out[i] = int(_hold(gen, lq))
 
     @wrap
     def max_geometric_batch(gen, n, c, out):
+        # max of n iid Geometric(c): invert CDF (1-(1-c)^t)^n in log space
+        if c >= 1.0:
+            out[:] = 1
+            return
         for i in range(out.shape[0]):
-            out[i] = _max_geometric(gen, n, c)
+            tf = 1.0
+            u = gen.random()
+            if u > 0.0:
+                z = math.expm1(math.log(u) / n)  # u^(1/n) - 1, stays accurate for huge n
+                tf = math.ceil(math.log(-z) / math.log1p(-c))
+                if tf < 1.0:
+                    tf = 1.0
+                elif tf > 4.6e18:
+                    tf = 4.6e18
+            out[i] = int(tf)
 
     @wrap
     def _put(pieces, used, run, state, steps):
@@ -450,7 +373,12 @@ def _build_backend(jit: bool) -> SimpleNamespace:
                 for i in range(m):
                     if lands[i] == branch:
                         k = int(ks[i])
-                        k -= _conditional_deaths(gen, k, float(cs[min(k, last)]))
+                        c = float(cs[min(k, last)])
+                        if c >= 1.0:
+                            k = 0
+                        else:
+                            _, total, mass = _level(k, c)
+                            k -= _conditional_deaths(gen, k, c, total, mass)
                         ks[i] = k
                         if k == 0:
                             out[i] = ts[i]
@@ -484,7 +412,7 @@ def _build_backend(jit: bool) -> SimpleNamespace:
             _, total, mass = _level(k, c)
             kept = 0
             for j in range(count):
-                if _single_death(gen, k, c, total, mass):
+                if _conditional_deaths(gen, k, c, total, mass) == 1:
                     live[kept] = live[j]
                     kept += 1
             count = kept
@@ -503,19 +431,30 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         lq, total, mass = _level(k, c)
         for i in range(out_j.shape[0]):
             out_j[i] = int(_hold(gen, lq))
-            out_code[i] = FINITE if _single_death(gen, k, c, total, mass) else JUMPED_OVER
+            out_code[i] = FINITE if _conditional_deaths(gen, k, c, total, mass) == 1 else JUMPED_OVER
 
     @wrap
     def first_passage_stepped_batch(gen, k, c, t_max, out_j, out_code):
+        # reference implementation: step the raw process until it leaves k,
+        # censored after t_max steps
         for i in range(out_j.shape[0]):
-            j, code = _first_passage_stepped(gen, k, c, t_max)
-            out_j[i] = j
+            t = 0
+            code = CENSORED
+            while True:
+                t += 1
+                d = binomial_draw(gen, k, c)
+                if d >= 1:
+                    code = FINITE if d == 1 else JUMPED_OVER
+                    break
+                if t >= t_max:
+                    t = t_max
+                    break
+            out_j[i] = t
             out_code[i] = code
 
     return SimpleNamespace(
         name="numba" if jit else "python",
         binomial_draw=binomial_draw,
-        trajectory_fill=trajectory_fill,
         geometric_batch=geometric_batch,
         max_geometric_batch=max_geometric_batch,
         extinction_batch=extinction_batch,
@@ -709,7 +648,9 @@ def _array_entries(py: SimpleNamespace) -> dict:
     @functools.wraps(py.first_passage_batch)
     def first_passage_batch(gen, k, c, out_j, out_code):
         if c >= 1.0:
-            return scalar_passage(gen, k, c, out_j, out_code)
+            out_j[:] = 1
+            out_code[:] = FINITE if k == 1 else JUMPED_OVER
+            return
         lq, total, mass = _level_constants(k, c)
         if k == 1:
             out_j[:] = _holds(gen.random(out_j.shape[0]), lq)
@@ -778,6 +719,21 @@ BACKEND = _active.name
 globals().update({name: kernel for name, kernel in vars(_active).items() if callable(kernel)})
 
 
+def trajectory_fill(gen, out, cs, n, t_max):
+    """One run of the active ``extinction_batch`` with its path recorded.
+
+    Writes the path into ``out`` (``out[0] = n``, then the state at each
+    step up to extinction or ``t_max``) and nothing past it; returns the
+    extinction time, or -1 when censored at ``t_max``.
+    """
+    time = np.empty(1, dtype=np.int64)
+    _, state, steps = extinction_batch(gen, time, cs, n, t_max, True)
+    path = np.repeat(state, steps)
+    out[0] = n
+    out[: path.size] = path
+    return int(time[0])
+
+
 def warmup() -> None:
     """Trigger JIT compilation of every kernel on a throwaway stream."""
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
@@ -786,7 +742,6 @@ def warmup() -> None:
     out_c = np.empty(2, dtype=np.int64)
     cs = np.array([0.5, 0.5])
     binomial_draw(gen, 10, 0.3)
-    trajectory_fill(gen, np.empty(1001, dtype=np.int64), cs, 5, 1000)
     geometric_batch(gen, 0.5, out_i)
     max_geometric_batch(gen, 10, 0.5, out_i)
     extinction_batch(gen, out_i, cs, 5, 1000)

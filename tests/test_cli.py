@@ -135,6 +135,10 @@ def test_config_rejects_regime_with_unknown_field(runner, tmp_path):
     assert "bogus" in result.output
 
 
+# a Table regime from n = 6 with certain death at state 3
+CERTAIN_AT_3 = {"type": "table", "values": [[k, 6, 1.0 if k == 3 else 0.2] for k in range(1, 7)]}
+
+
 @pytest.fixture()
 def no_streams(monkeypatch):
     # a stream is made before the first draw; none may be made here
@@ -164,12 +168,19 @@ def no_streams(monkeypatch):
          "k <= limit_n"),
         (["extinct", "--ratio-n", "1"], "--ratio-n must be 0 or an integer >= 2, got 1"),
         (["extinct", "--ratio-c", "1.5"], "--ratio-c must lie in (0,1), got 1.5"),
+        # certain death where a closed form or oracle needs c < 1
+        (["passage", "--k", "1", "--n", "1", "--regime", "joint_power:1,1"],
+         "passage law needs c in (0,1), got 1.0"),
+        (["passage", "--k", "40", "--n", "40", "--regime", "joint_power:1,1"], "c must lie in (0,1), got 1.0"),
+        (["path", "--n", "6", "--regime", json.dumps(CERTAIN_AT_3)], "c must lie in (0,1), got 1.0"),
+        (["path", "--n", "2", "--regime", "joint_power:1,1"], "c must lie in (0,1), got 1.0"),
     ],
     ids=["implode_runs_0", "simulate_samples_negative", "verify_samples_1", "verify_workers_0",
          "path_workers_0", "extinct_empty_t_grid", "extinct_negative_t_grid",
          "extinct_negative_t_range", "path_sweep_0", "implode_sweep_0",
          "passage_limit_without_scaling", "passage_limit_without_lam", "passage_limit_below_k",
-         "extinct_ratio_n_1", "extinct_ratio_c_above_1"],
+         "extinct_ratio_n_1", "extinct_ratio_c_above_1", "passage_certain_death_oracle",
+         "passage_certain_death_closed_form", "path_certain_death_at_3", "path_certain_death_at_top"],
 )
 def test_out_of_range_parameter_exits_2_before_any_stream(runner, no_streams, args, says):
     result = runner.invoke(main, args)
@@ -306,8 +317,9 @@ def test_path_all_columns_one_at_n1(runner, tmp_path):
 
 def test_path_joint_regime_at_n1_corner(runner):
     # c_{1,1} = 1 for the whole joint-power family; still a valid run
-    result = invoke(runner, ["path", "--n", "1", "--regime", "joint_power:1,4", "--samples", "1000"])
-    assert result.exit_code == 0, result.output
+    for regime in ("joint_power:1,4", "joint_power:1,1"):
+        result = invoke(runner, ["path", "--n", "1", "--regime", regime, "--samples", "1000"])
+        assert result.exit_code == 0, (regime, result.output)
 
 
 def test_path_joint_sweep_outputs(runner, tmp_path):

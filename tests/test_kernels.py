@@ -168,23 +168,6 @@ def test_multi_chunk_batches_identical(backends, monkeypatch):
     assert seen[0] == seen[1]
 
 
-def test_trajectory_fill_identical(backends):
-    nb, py = backends
-    g1, g2 = _pair_of_generators(30)
-    a = np.zeros(1001, dtype=np.int64)
-    b = np.zeros(1001, dtype=np.int64)
-    cs = prepare(StatePower(0.5, 1.0), 30)
-    ea = nb.trajectory_fill(g1, a, cs, 30, 1000)
-    eb = py.trajectory_fill(g2, b, cs, 30, 1000)
-    assert ea == eb
-    assert np.array_equal(a, b)
-    # a hold that outlasts t_max fills the rest of the buffer
-    cs = prepare(Constant(0.02), 10)
-    for _ in range(20):
-        assert nb.trajectory_fill(g1, a, cs, 10, 40) == py.trajectory_fill(g2, b, cs, 10, 40)
-        assert np.array_equal(a[:41], b[:41])
-
-
 @pytest.mark.parametrize(
     "regime, n, t_max",
     [

@@ -326,6 +326,33 @@ def test_every_active_kernel_is_a_module_attribute():
     # active build must be that very module attribute
     backend = kernels.get_backend(kernels.BACKEND == "numba")
     named = {name: kernel for name, kernel in vars(backend).items() if callable(kernel)}
-    assert {"binomial_draw", "trajectory_fill", "extinction_batch", "first_passage_stepped_batch"} <= set(named)
+    assert set(named) == {
+        "binomial_draw", "geometric_batch", "max_geometric_batch", "extinction_batch", "single_drop_batch",
+        "first_passage_batch", "first_passage_stepped_batch",
+    }
     for name, kernel in named.items():
         assert getattr(kernels, name) is kernel, name
+
+
+def test_warmup_calls_every_kernel(monkeypatch):
+    # the numba build compiles a kernel at its first call with each
+    # signature, so warmup must call every kernel of the active build, and
+    # extinction_batch with and without its paths recorded
+    backend = kernels.get_backend(kernels.BACKEND == "numba")
+    calls = {}
+
+    def recorder(name, kernel):
+        def call(*args, **kwargs):
+            calls.setdefault(name, []).append((args, kwargs))
+            return kernel(*args, **kwargs)
+
+        return call
+
+    named = {name: kernel for name, kernel in vars(backend).items() if callable(kernel)}
+    for name, kernel in named.items():
+        monkeypatch.setattr(kernels, name, recorder(name, kernel))
+    kernels.warmup()
+    assert set(calls) == set(named)
+    records = {bool(kwargs.get("record", args[5] if len(args) > 5 else False))
+               for args, kwargs in calls["extinction_batch"]}
+    assert records == {False, True}

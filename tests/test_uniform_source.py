@@ -40,7 +40,7 @@ BATCHES = {
 
 def test_every_exported_batch_and_nothing_else_is_buffered():
     named = {name: kernel for name, kernel in vars(PY).items() if callable(kernel)}
-    assert set(named) == BATCHES | {"binomial_draw", "trajectory_fill"}
+    assert set(named) == BATCHES | {"binomial_draw"}
     for name, kernel in named.items():
         assert hasattr(kernel, "__wrapped__") == (name in BATCHES), name
 
@@ -174,6 +174,40 @@ def test_the_source_hands_out_the_generator_doubles(m):
     kernels._buffered(_record)(g1, m, seen)
     assert seen == [g2.random() for _ in range(m)]
     assert _state(g1) == _state(g2)
+
+
+# (cs, n, t_max) of one run: each extinction case, and runs that start
+# extinct, stop at once, are censored by their first hold, or land at
+# t_max (None: t_max is the first hold of the run, a landing above 0 from
+# 50 at c = 0.2)
+FILL_CASES = {case: CASES[case](1)[1:] for case in CASES
+              if case.startswith("extinction_batch") and not case.endswith("/record")}
+FILL_CASES.update({
+    "n_0": (prepare(Constant(0.2), 5), 0, 100),
+    "t_max_0": (prepare(Constant(0.2), 5), 5, 0),
+    "censored": (prepare(Constant(1e-9), 5), 5, 50),
+    "lands_at_t_max": (prepare(Constant(0.2), 50), 50, None),
+})
+
+
+@pytest.mark.parametrize("case", sorted(FILL_CASES))
+def test_trajectory_fill_is_one_recorded_run_of_the_walk(case):
+    cs, n, t_max = FILL_CASES[case]
+    walk = PY.extinction_batch.__wrapped__
+    if t_max is None:
+        t_max = int(walk(make_stream(SEED, 13).generator, _ints(1), cs, n, 10**4, True)[2][0])
+    g1, g2 = make_stream(SEED, 13).generator, make_stream(SEED, 13).generator
+    time = _ints(1)
+    path = _expand(walk(g2, time, cs, n, t_max, True), 1)[0] or [n]
+    out = np.full(t_max + 2, -7, dtype=np.int64)  # one entry past the longest path
+    assert kernels.trajectory_fill(g1, out, cs, n, t_max) == time[0]
+    assert out.tolist() == path + [-7] * (t_max + 2 - len(path))
+    assert _state(g1) == _state(g2)
+    expected = {"n_0": (0, [0]), "t_max_0": (-1, [5]), "censored": (-1, [5] * 51)}
+    if case in expected:
+        assert (time[0], path) == expected[case]
+    if case == "lands_at_t_max":
+        assert time[0] == -1 and path[:-1] == [n] * t_max and 0 < path[-1] < n
 
 
 def test_simulate_walks_chunk_by_chunk(monkeypatch):
