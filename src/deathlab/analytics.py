@@ -220,14 +220,20 @@ def implosion_expected_time(alpha: float, K: int) -> tuple[float, float]:
     """Partial sum of sum_k k^-(alpha+1) up to K, with an integral tail bound.
 
     The full series lies in [partial_sum, partial_sum + tail_bound] with
-    tail_bound = K^-alpha / alpha; it diverges for alpha <= 0.
+    tail_bound = K^-alpha / alpha; it diverges for alpha <= 0.  Terms are
+    summed in blocks of 2^16 whose sums ``math.fsum`` combines, so memory
+    does not grow with K; up to 2^16 terms this is one numpy sum.
     """
     alpha = float(alpha)
     if alpha <= 0:
         raise AnalyticsError(f"series diverges for alpha <= 0, got {alpha}")
     K = _check_count(K, "K")
-    terms = np.arange(1, K + 1, dtype=np.float64) ** (-(alpha + 1.0))
-    partial = float(terms.sum())
+    block = 1 << 16
+    partials = []
+    for start in range(1, K + 1, block):
+        k = np.arange(start, min(start + block, K + 1), dtype=np.float64)
+        partials.append(float((k ** (-(alpha + 1.0))).sum()))
+    partial = math.fsum(partials)
     tail = float(K) ** (-alpha) / alpha
     return partial, tail
 

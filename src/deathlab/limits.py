@@ -76,8 +76,11 @@ def _stage_rates(alpha: float, K: int) -> np.ndarray:
         raise AnalyticsError(f"implosion needs alpha > 0, got {alpha}")
     if K < 1:
         raise AnalyticsError(f"truncation level must be >= 1, got {K}")
-    # traversal order: level K first, then down to 1
-    return np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.0)
+    # traversal order: level K first, then down to 1.  A rate that
+    # overflows to inf is a stage of zero duration, the float limit of
+    # its mean k^-(alpha+1), so the overflow is not worth a warning.
+    with np.errstate(over="ignore"):
+        return np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.0)
 
 
 def implosion_batch(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,32 @@ class TestImplosionSeries:
     def test_brackets_zeta_three(self):
         partial, tail = implosion_expected_time(2.0, 10**4)
         assert partial <= ZETA_3 <= partial + tail
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("K", [1, 7, 1000, 2000, 10**4, 2**16])
+    def test_one_block_is_numpys_sum(self, K, alpha):
+        # up to 2^16 terms the partial sum is one numpy sum, bit for bit
+        terms = np.arange(1, K + 1, dtype=np.float64) ** -(alpha + 1.0)
+        assert implosion_expected_time(alpha, K)[0] == float(terms.sum())
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("K", [2**16 + 1, 10**6])
+    def test_blocks_stay_near_the_exact_sum(self, K, alpha):
+        # numpy's pairwise sum of one full block alone is up to about
+        # 3 eps (relative) from the correctly rounded sum: 1.8 eps at
+        # K=2^16+1, alpha=1, where the second block adds only 2^-34
+        exact = math.fsum(np.arange(1, K + 1, dtype=np.float64) ** -(alpha + 1.0))
+        partial = implosion_expected_time(alpha, K)[0]
+        assert abs(partial - exact) <= 4 * np.finfo(np.float64).eps * exact
+
+    def test_memory_does_not_grow_with_K(self):
+        tracemalloc.start()
+        try:
+            implosion_expected_time(1.0, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000  # all 10^6 terms at once take 8 MB, twice
 
     def test_diverges_for_nonpositive_alpha(self):
         with pytest.raises(AnalyticsError):

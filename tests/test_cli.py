@@ -380,6 +380,25 @@ def test_implode_outputs(runner, tmp_path):
     assert sweep[0] == "K,runs,mean,stderr,partial_sum,tail_bound"
 
 
+@pytest.mark.parametrize(
+    "alpha, sweep",
+    [("20", "10,20"), ("5", "10000,20000")],
+    ids=["stalled_partial_sums", "dipping_partial_sums"],
+)
+def test_implode_sweep_passes_when_partial_sums_stop_rising(runner, alpha, sweep):
+    # in floats the partial sums stall once terms fall below half an ulp,
+    # and pairwise rounding makes them dip by one ulp: neither is a failure
+    result = invoke(runner, ["implode", "--alpha", alpha, "--k-max", "30", "--runs", "1000", "--sweep", sweep])
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.filterwarnings("error")
+def test_implode_with_overflowing_stage_rates_is_silent(runner):
+    # 30^2001 overflows: an infinite rate is a stage of zero duration
+    result = invoke(runner, ["implode", "--alpha", "2000", "--k-max", "30", "--runs", "1000"])
+    assert result.exit_code == 0, result.output
+
+
 def test_verify_passes_and_is_deterministic(runner, tmp_path):
     args = ["verify", "--samples", "4000", "--out"]
     r1 = invoke(runner, args + [str(tmp_path / "v1.json")])

@@ -1,8 +1,9 @@
 """Report builders reject inputs they cannot report on before simulating."""
 
+import numpy as np
 import pytest
 
-from deathlab import experiments
+from deathlab import experiments, limits
 from deathlab.oracle import MAX_STATE
 from deathlab.regimes import Constant, JointPower
 
@@ -44,3 +45,17 @@ def test_passage_finite_mass_above_the_oracle_cap_says_so():
     row = _finite_mass_row(MAX_STATE + 1, 0.01, samples=50)
     assert row.oracle is None
     assert row.note == "no oracle"
+
+
+def _sweep_row_passes():
+    # the benchmark's implode invocation: K=1000, 65536 runs, sweep 10,100,1000
+    report, _, _ = experiments.build_implode_outputs(1.0, 1000, 65536, 0, sweep=[10, 100, 1000])
+    return next(row for row in report.rows if row.label.startswith("truncation sweep")).passed
+
+
+def test_implode_sweep_row_fails_on_wrong_stage_rates(monkeypatch):
+    assert _sweep_row_passes()
+    monkeypatch.setattr(
+        limits, "_stage_rates", lambda alpha, K: np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.2)
+    )
+    assert not _sweep_row_passes()
