@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import kernels
-from .analytics import AnalyticReport
+from .analytics import AnalyticReport, AnalyticsError
 from .experiments import (
     build_extinct_report,
     build_implode_outputs,
@@ -26,6 +26,7 @@ from .experiments import (
     build_verify_report,
     report_meta,
 )
+from .limits import check_sweep_levels
 from .oracle import MAX_STATE, MAX_TIME, state_distribution_history
 from .process import TrajectoryBatch, _check_n, simulate_trajectory
 from .regimes import MortalityRegime, RegimeError, from_dict, from_json, parse_inline, to_json
@@ -133,6 +134,10 @@ def _parse_t_grid(value) -> list[int]:
     if grid[0] < 0:
         raise click.UsageError(f"--t-grid entries must be >= 0, got {value!r}")
     return grid
+
+
+# the default --sweep of implode: the powers of ten up to --k-max
+_POWERS_OF_TEN = object()
 
 
 def _out_dir(out: str | None) -> Path | None:
@@ -409,7 +414,12 @@ def passage(k, regime_spec, n, samples, j_max, limit_n, limit_samples, lam, seed
 @click.option("--alpha", type=float, default=None, help="Rate exponent (default 1.0).")
 @click.option("--k-max", "k_max", type=int, default=None, help="Truncation level K (default 10000).")
 @click.option("--runs", type=int, default=None, help="Monte Carlo runs (default 100000).")
-@click.option("--sweep", default=None, help="Truncation sweep levels (default 10,100,1000,10000).")
+@click.option(
+    "--sweep",
+    default=None,
+    help="Truncation sweep levels, strictly increasing and each <= --k-max, read off the main runs "
+    "(default: the powers of ten up to --k-max).",
+)
 @click.option("--seed", type=int, default=None)
 @click.option("--workers", type=int, default=None)
 @click.option("--out", default=None)
@@ -418,15 +428,24 @@ def implode(alpha, k_max, runs, sweep, seed, workers, out, config_path):
     """Implosion of the limiting chain: totals vs the certified series."""
     params = _params(
         config_path,
-        {"alpha": 1.0, "k_max": 10**4, "runs": 10**5, "sweep": "10,100,1000,10000",
+        {"alpha": 1.0, "k_max": 10**4, "runs": 10**5, "sweep": _POWERS_OF_TEN,
          "seed": 0, "workers": 1, "out": None},
         {"k_max": 1, "runs": 2, "seed": 0, "workers": 1},
         alpha=alpha, k_max=k_max, runs=runs, sweep=sweep, seed=seed, workers=workers, out=out,
     )
-    sweep_list = None if params["sweep"] in (None, "") else _parse_int_list(params["sweep"], "--sweep", minimum=1)
+    k_max, sweep_list = params["k_max"], params["sweep"]
+    if sweep_list is _POWERS_OF_TEN:
+        sweep_list = [10**i for i in range(1, len(str(k_max)))]  # 10, 100, ... <= k_max
+    elif sweep_list in (None, ""):
+        sweep_list = None
+    else:
+        try:
+            sweep_list = check_sweep_levels(_parse_int_list(sweep_list, "--sweep", minimum=1), k_max)
+        except AnalyticsError as exc:
+            raise click.UsageError(f"--sweep: {exc}")
     try:
         report, sweep_rows, totals = build_implode_outputs(
-            params["alpha"], params["k_max"], params["runs"], params["seed"],
+            params["alpha"], k_max, params["runs"], params["seed"],
             sweep=sweep_list, workers=params["workers"],
         )
     except ValueError as exc:

@@ -36,7 +36,13 @@ from .analytics import (
     single_drop_prob,
     typical_extinction_time,
 )
-from .limits import implosion_batch, implosion_truncation_sweep, scaled_passage_batch, scaling_constant
+from .limits import (
+    check_sweep_levels,
+    implosion_batch,
+    implosion_truncation_sweep,
+    scaled_passage_batch,
+    scaling_constant,
+)
 from .oracle import (
     MAX_STATE,
     MAX_TIME,
@@ -448,8 +454,10 @@ def build_implode_outputs(
     """Implosion totals vs the certified series, plus the truncation sweep."""
     config = {"alpha": alpha, "K": K, "runs": runs, "sweep": sweep}
     report = AnalyticReport(meta=report_meta("implode", config, seed))
-    partial, tail = implosion_expected_time(alpha, K)  # rejects alpha before any stream is made
-    totals = implosion_batch(alpha, K, runs, make_stream(seed, 0), workers=workers)
+    # reject alpha and the sweep levels before any stream is made
+    partial, tail = implosion_expected_time(alpha, K)
+    levels = check_sweep_levels(sweep or (), K)
+    totals, moments = implosion_batch(alpha, K, runs, make_stream(seed, 0), workers=workers, levels=levels)
     mean = float(totals.mean())
     stderr = float(totals.std(ddof=1) / math.sqrt(runs))
     report.add(
@@ -484,19 +492,16 @@ def build_implode_outputs(
     )
     sweep_rows = []
     if sweep:
-        rows = implosion_truncation_sweep(alpha, sweep, max(runs // 10, 1000), make_stream(seed, 1), workers)
+        rows = implosion_truncation_sweep(alpha, levels, moments)
         # each partial-sum gap lies in [0, prev.tail_bound] up to rounding
         # (float partial sums stall, and pairwise sums dip by an ulp); the
-        # observed means must track them within noise, pairwise and pointwise
-        ok = all(
-            -1e-12 <= r.partial_sum - prev.partial_sum <= prev.tail_bound + 1e-12
-            for prev, r in zip(rows, rows[1:])
-        )
+        # observed means must track them within noise, pointwise and in the
+        # runs' paired gaps, whose closed form is known to the same rounding
+        ok = all(abs(r.mean - r.partial_sum) <= 4 * r.stderr for r in rows)
         for prev, r in zip(rows, rows[1:]):
-            se_diff = math.hypot(prev.stderr, r.stderr)
-            ok = ok and abs((r.mean - prev.mean) - (r.partial_sum - prev.partial_sum)) <= 4 * se_diff
-        for r in rows:
-            ok = ok and abs(r.mean - r.partial_sum) <= 4 * r.stderr
+            gap = r.partial_sum - prev.partial_sum
+            ok = ok and -1e-12 <= gap <= prev.tail_bound + 1e-12
+            ok = ok and abs(r.gap_mean - gap) <= 4 * r.gap_stderr + 1e-12
         report.add(
             ReportRow(
                 f"truncation sweep K={sweep[0]}..{sweep[-1]} [alpha={alpha:g}]",
@@ -755,7 +760,7 @@ def build_verify_report(
         int(round(batch.finite_fraction * samples)),
     )
 
-    totals = implosion_batch(1.0, 2000, samples, make_stream(seed, 21), workers=workers)
+    totals, _ = implosion_batch(1.0, 2000, samples, make_stream(seed, 21), workers=workers)
     partial, _ = implosion_expected_time(1.0, 2000)
     stderr = float(totals.std(ddof=1) / math.sqrt(samples))
     report.add(

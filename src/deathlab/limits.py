@@ -8,14 +8,20 @@ product is exact for every n), and the joint-power family with a_n = n^beta
 level-k Exponential(k^(alpha+1)) passage times crosses every level from a
 truncation K down to 0 in a time whose expectation stays bounded as K
 grows: the implosion signature.  ``scaled_passage_batch`` draws scaled
-passage times, ``implosion_batch`` draws traversal totals of the limiting
-chain, and ``implosion_truncation_sweep`` compares their means with the
-certified partial sums as K grows.
+passage times, and ``implosion_batch`` draws traversal totals of the
+limiting chain.  The truncation sweep draws nothing of its own: a run's
+total at a level L <= K is the sum of its stages k <= L, so
+``implosion_batch`` reads the moments of every sweep level, and of the gap
+between two levels, off the runs of the totals, and
+``implosion_truncation_sweep`` compares them with the certified partial
+sums.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,29 +89,100 @@ def _stage_rates(alpha: float, K: int) -> np.ndarray:
         return np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.0)
 
 
+def check_sweep_levels(levels: Sequence[int], K: int) -> list[int]:
+    """Sweep levels as a list: integers in [1, K], strictly increasing."""
+    levels = list(levels)
+    if levels and (levels[0] < 1 or levels[-1] > K):
+        raise AnalyticsError(f"sweep levels must lie in [1, K={K}], got {levels}")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise AnalyticsError(f"sweep levels must be strictly increasing, got {levels}")
+    return levels
+
+
+# (count, mean, sum of squared deviations from the mean) of a sample
+Moments = tuple[int, float, float]
+
+
+def _moments(values: np.ndarray) -> Moments:
+    """The moments of ``values``, which this overwrites."""
+    count = values.size
+    mean = float(values.sum()) / count
+    values -= mean
+    np.square(values, out=values)
+    return count, mean, float(values.sum())
+
+
+def _merge(a: Moments, b: Moments) -> Moments:
+    # Chan, Golub & LeVeque's pairwise update
+    count = a[0] + b[0]
+    delta = b[1] - a[1]
+    return count, a[1] + delta * b[0] / count, a[2] + b[2] + delta * delta * a[0] * b[0] / count
+
+
+def _stderr(m: Moments) -> float:
+    count, _, m2 = m
+    return math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0
+
+
 def implosion_batch(
     alpha: float,
     K: int,
     runs: int,
     rng: RngStream,
     workers: int = 1,
-) -> np.ndarray:
-    """Total implosion times for many runs (stage-vectorized)."""
-    rates = _stage_rates(alpha, K)
+    levels: Sequence[int] = (),
+) -> tuple[np.ndarray, tuple[list[Moments], list[Moments]]]:
+    """Total implosion times for many runs (stage-vectorized), and the
+    moments of the sweep ``levels`` read off the same runs.
 
-    def task(stream: RngStream, m: int) -> np.ndarray:
+    Each chunk draws one exponential array per stage, level K first.  The
+    moments are ``(level, gap)``: ``level[i]`` those of the runs' totals
+    over the stages k <= ``levels[i]``, ``gap[i]`` those of the paired
+    difference ``level[i + 1]`` minus ``level[i]``, the stages in
+    (``levels[i]``, ``levels[i + 1]``].  A level below K costs one copy of
+    the running totals when the loop reaches it.  Chunks are merged in
+    chunk order, so the moments do not depend on ``workers``.
+    """
+    rates = _stage_rates(alpha, K)
+    levels = check_sweep_levels(levels, K)
+    # stage i is level K - i: the totals before stage K - L are the stages above L
+    cuts = [K - L for L in reversed(levels)]
+
+    def task(stream: RngStream, m: int):
         totals = np.zeros(m, dtype=np.float64)
-        for rate in rates:
-            totals += sample_exponential_batch(stream, float(rate), m)
-        return totals
+        above = []  # per level, highest first: the stages above it (0.0 above K)
+        start = 0
+        for cut in cuts + [K]:
+            for rate in rates[start:cut]:
+                totals += sample_exponential_batch(stream, float(rate), m)
+            if cut < K:
+                above.append(totals.copy() if cut else 0.0)
+            start = cut
+        above.reverse()
+        scratch = np.empty(m, dtype=np.float64)
+        level, gap = [], []
+        for prefix in above:
+            np.subtract(totals, prefix, out=scratch)
+            level.append(_moments(scratch))
+        for low, high in zip(above, above[1:]):
+            np.subtract(low, high, out=scratch)
+            gap.append(_moments(scratch))
+        return totals, level, gap
 
     parts = run_chunked(rng, runs, task, workers)
-    return np.concatenate(parts) if parts else np.empty(0)
+    totals = np.concatenate([part[0] for part in parts]) if parts else np.empty(0)
+
+    def merged(j: int) -> list[Moments]:
+        return [functools.reduce(_merge, chunks) for chunks in zip(*(part[j] for part in parts))]
+
+    return totals, (merged(1), merged(2))
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One truncation level of the implosion sweep."""
+    """One truncation level of the implosion sweep.  ``gap_mean`` and
+    ``gap_stderr`` describe the runs' paired gap from the previous level
+    (``None`` at the first level)."""
 
     K: int
     runs: int
@@ -113,21 +190,21 @@ class SweepRow:
     stderr: float
     partial_sum: float
     tail_bound: float
+    gap_mean: float | None
+    gap_stderr: float | None
 
 
 def implosion_truncation_sweep(
     alpha: float,
-    K_sweep: list[int],
-    runs_per_K: int,
-    rng: RngStream,
-    workers: int = 1,
+    levels: list[int],
+    moments: tuple[list[Moments], list[Moments]],
 ) -> list[SweepRow]:
-    """Empirical implosion times against the certified partial sums."""
+    """The moments ``implosion_batch`` read at ``levels``, against the
+    certified partial sums.  Draws nothing."""
+    level, gap = moments
     rows = []
-    for i, K in enumerate(K_sweep):
-        totals = implosion_batch(alpha, K, runs_per_K, rng.substream(i), workers)
+    for K, m, g in zip(levels, level, [None] + gap):
         partial, tail = implosion_expected_time(alpha, K)
-        mean = float(totals.mean())
-        stderr = float(totals.std(ddof=1) / math.sqrt(runs_per_K)) if runs_per_K > 1 else 0.0
-        rows.append(SweepRow(K, runs_per_K, mean, stderr, partial, tail))
+        gap_mean, gap_stderr = (None, None) if g is None else (g[1], _stderr(g))
+        rows.append(SweepRow(K, m[0], m[1], _stderr(m), partial, tail, gap_mean, gap_stderr))
     return rows

@@ -41,7 +41,7 @@ from gof import family_misses
 
 SEED = 20250809
 # Stream ids are distinct across criteria, so no two criteria share draws:
-# 2-8 (criteria 2 and 3), 70-72 (7, 8), 80-81 (9), 400-442 (4), 501-530 (5).
+# 2-8 (criteria 2 and 3), 70-72 (7, 8), 80 (9), 400-442 (4), 501-530 (5).
 RUNTIME_ENFORCED = kernels.BACKEND == "numba"
 
 
@@ -239,7 +239,8 @@ def test_criterion_08_exponential_limit_joint_scaling():
 def test_criterion_09_implosion_moments_and_sweep():
     with criterion(9, "implosion time moments and truncation sweep, alpha=1, K=10^4", 60):
         alpha, K, runs = 1.0, 10**4, 10**5
-        totals = dl.implosion_batch(alpha, K, runs, dl.make_stream(SEED, 80), workers=4)
+        levels = [10, 100, 1000, 10**4]
+        totals, moments = dl.implosion_batch(alpha, K, runs, dl.make_stream(SEED, 80), workers=4, levels=levels)
         partial, _ = dl.implosion_expected_time(alpha, K)
         se_mean = float(totals.std(ddof=1)) / math.sqrt(runs)
         assert abs(float(totals.mean()) - partial) <= 3 * se_mean
@@ -248,18 +249,15 @@ def test_criterion_09_implosion_moments_and_sweep():
         m4 = float(np.mean((totals - totals.mean()) ** 4))
         se_var = math.sqrt(max(m4 - sample_var**2 * (runs - 3) / (runs - 1), 0.0) / runs)
         assert abs(sample_var - var_expected) <= 3 * se_var
-        sweep = dl.implosion_truncation_sweep(
-            alpha, [10, 100, 1000, 10**4], 10**4, dl.make_stream(SEED, 81), workers=4
-        )
-        partials = {row.K: row.partial_sum for row in sweep}
-        means = {row.K: row.mean for row in sweep}
-        errs = {row.K: row.stderr for row in sweep}
-        # partial-sum differences sit inside the smaller level's tail bound
-        for small, big in ((10, 100), (100, 1000), (1000, 10**4)):
-            gap = partials[big] - partials[small]
-            assert 0 < gap <= 1.0 / small
-            se_diff = math.hypot(errs[small], errs[big])
-            assert abs((means[big] - means[small]) - gap) <= 3 * se_diff, (small, big)
+        # the sweep levels are read off the same runs
+        sweep = dl.implosion_truncation_sweep(alpha, levels, moments)
+        assert [row.runs for row in sweep] == [runs] * len(levels)
+        # partial-sum differences sit inside the smaller level's tail bound,
+        # and the runs' paired gaps track them
+        for small, big in zip(sweep, sweep[1:]):
+            gap = big.partial_sum - small.partial_sum
+            assert 0 < gap <= 1.0 / small.K
+            assert abs(big.gap_mean - gap) <= 3 * big.gap_stderr, (small.K, big.K)
 
 
 def test_criterion_10_verify_determinism_across_workers(tmp_path):

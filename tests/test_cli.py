@@ -162,6 +162,9 @@ def no_streams(monkeypatch):
         (["extinct", "--t-grid=-1:5"], "--t-grid"),
         (["path", "--n", "3", "--regime", "joint_power:1,4", "--sweep", "0,10"], "--sweep"),
         (["implode", "--k-max", "10", "--runs", "100", "--sweep", "0,10"], "--sweep"),
+        (["implode", "--k-max", "1000", "--runs", "100", "--sweep", "100,10"], "--sweep"),
+        (["implode", "--k-max", "1000", "--runs", "100", "--sweep", "10,10"], "--sweep"),
+        (["implode", "--k-max", "30", "--runs", "100", "--sweep", "10,100"], "--sweep"),
         (["passage", "--k", "3", "--limit-n", "100"], "no scaling limit"),
         (["passage", "--k", "3", "--regime", "initial_power:1,1", "--limit-n", "100"], "lam > 0"),
         (["passage", "--k", "5", "--regime", "initial_power:1,1", "--lam", "1", "--limit-n", "3"],
@@ -178,6 +181,7 @@ def no_streams(monkeypatch):
     ids=["implode_runs_0", "simulate_samples_negative", "verify_samples_1", "verify_workers_0",
          "path_workers_0", "extinct_empty_t_grid", "extinct_negative_t_grid",
          "extinct_negative_t_range", "path_sweep_0", "implode_sweep_0",
+         "implode_sweep_falling", "implode_sweep_repeated", "implode_sweep_above_k_max",
          "passage_limit_without_scaling", "passage_limit_without_lam", "passage_limit_below_k",
          "extinct_ratio_n_1", "extinct_ratio_c_above_1", "passage_certain_death_oracle",
          "passage_certain_death_closed_form", "path_certain_death_at_3", "path_certain_death_at_top"],
@@ -260,6 +264,18 @@ def test_config_list_entries_fail_like_the_flag(runner, no_streams, tmp_path, co
     assert isinstance(result.exception, SystemExit)
     assert f"{flag} must be a list of integers" in result.output
     assert "Traceback" not in result.output
+
+
+def test_config_sweep_out_of_order_or_above_k_max_fails_like_the_flag(runner, no_streams, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for config, says in (
+        ({"k_max": 1000, "sweep": [100, 10]}, "--sweep: sweep levels must be strictly increasing"),
+        ({"k_max": 30, "sweep": [10, 100]}, "--sweep: sweep levels must lie in [1, K=30]"),
+    ):
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, ["implode", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert says in result.output
 
 
 def test_config_value_out_of_range_fails_like_the_flag(runner, no_streams, tmp_path):
@@ -378,17 +394,29 @@ def test_implode_outputs(runner, tmp_path):
     assert sum(int(line.split(",")[2]) for line in hist[1:]) == 4000
     sweep = (tmp_path / "implode_sweep.csv").read_text().splitlines()
     assert sweep[0] == "K,runs,mean,stderr,partial_sum,tail_bound"
+    # the sweep is read off the main runs
+    assert [line.split(",")[:2] for line in sweep[1:]] == [["10", "4000"], ["50", "4000"]]
+
+
+def test_implode_default_sweep_is_the_powers_of_ten_up_to_k_max(runner, tmp_path):
+    result = invoke(runner, ["implode", "--k-max", "999", "--runs", "200", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    sweep = (tmp_path / "implode_sweep.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in sweep[1:]] == ["10", "100"]
+    result = invoke(runner, ["implode", "--k-max", "9", "--runs", "200"])
+    assert result.exit_code == 0, result.output
+    assert "truncation sweep" not in result.output
 
 
 @pytest.mark.parametrize(
-    "alpha, sweep",
-    [("20", "10,20"), ("5", "10000,20000")],
+    "alpha, k_max, sweep",
+    [("20", "30", "10,20"), ("5", "20000", "10000,20000")],
     ids=["stalled_partial_sums", "dipping_partial_sums"],
 )
-def test_implode_sweep_passes_when_partial_sums_stop_rising(runner, alpha, sweep):
+def test_implode_sweep_passes_when_partial_sums_stop_rising(runner, alpha, k_max, sweep):
     # in floats the partial sums stall once terms fall below half an ulp,
     # and pairwise rounding makes them dip by one ulp: neither is a failure
-    result = invoke(runner, ["implode", "--alpha", alpha, "--k-max", "30", "--runs", "1000", "--sweep", sweep])
+    result = invoke(runner, ["implode", "--alpha", alpha, "--k-max", k_max, "--runs", "1000", "--sweep", sweep])
     assert result.exit_code == 0, result.output
 
 

@@ -59,3 +59,22 @@ def test_implode_sweep_row_fails_on_wrong_stage_rates(monkeypatch):
         limits, "_stage_rates", lambda alpha, K: np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.2)
     )
     assert not _sweep_row_passes()
+
+
+def test_implode_sweep_row_fails_on_wrong_rates_at_the_lowest_level(monkeypatch):
+    # k^2.2 only for k <= 10: every gap between sweep levels is right, and
+    # only the level totals, which all hold the stages k <= 10, can tell
+    def rates(alpha, K):
+        k = np.arange(K, 0, -1, dtype=np.float64)
+        return np.where(k <= 10, k**2.2, k ** (alpha + 1.0))
+
+    monkeypatch.setattr(limits, "_stage_rates", rates)
+    assert not _sweep_row_passes()
+
+
+def test_implode_rejects_bad_sweep_levels_before_simulating(monkeypatch):
+    monkeypatch.setattr(experiments, "implosion_batch", _no_simulation)
+    monkeypatch.setattr(experiments, "make_stream", _no_simulation)
+    for sweep in ([100, 10], [10, 10], [10, 2000]):
+        with pytest.raises(ValueError, match="sweep levels"):
+            experiments.build_implode_outputs(1.0, 1000, 100, 0, sweep=sweep)

@@ -19,6 +19,8 @@ from deathlab import (
     scaling_constant,
     wilson_interval,
 )
+from deathlab._parallel import CHUNK_SIZE, chunk_sizes
+from deathlab.samplers import sample_exponential_batch
 from deathlab.stats import SampleSummary
 
 
@@ -68,13 +70,13 @@ def test_scaled_passage_exponential_limit_joint_scaling():
 
 def test_simulate_implosion_single_stage():
     # K=1 totals are a plain Exponential(1): unit mean and sd
-    totals = implosion_batch(1.0, 1, 10**5, make_stream(22, 50))
+    totals, _ = implosion_batch(1.0, 1, 10**5, make_stream(22, 50))
     assert abs(float(totals.mean()) - 1.0) < 3 / math.sqrt(10**5)
 
 
 def test_implosion_batch_moments():
     alpha, K, runs = 1.0, 1000, 2 * 10**4
-    totals = implosion_batch(alpha, K, runs, make_stream(22, 100))
+    totals, _ = implosion_batch(alpha, K, runs, make_stream(22, 100))
     partial, _ = implosion_expected_time(alpha, K)
     se = totals.std(ddof=1) / math.sqrt(runs)
     assert abs(totals.mean() - partial) < 4 * se
@@ -91,16 +93,67 @@ def test_implosion_errors():
         implosion_batch(1.0, 0, 100, make_stream(0, 0))
 
 
+def _sweep(alpha, K, levels, runs, rng, workers=1):
+    _, moments = implosion_batch(alpha, K, runs, rng, workers, levels=levels)
+    return implosion_truncation_sweep(alpha, levels, moments)
+
+
 def test_truncation_sweep_tracks_partial_sums():
-    rows = implosion_truncation_sweep(1.0, [10, 100, 1000], 5000, make_stream(23, 0))
+    rows = _sweep(1.0, 1000, [10, 100, 1000], 5000, make_stream(23, 0))
     partials = [r.partial_sum for r in rows]
     assert all(b > a for a, b in zip(partials, partials[1:]))
+    assert [r.runs for r in rows] == [5000] * 3
     for r in rows:
         assert abs(r.mean - r.partial_sum) < 4 * r.stderr
         assert r.tail_bound == pytest.approx(1.0 / r.K, rel=1e-12)
+    assert rows[0].gap_mean is None and rows[0].gap_stderr is None
+    for prev, r in zip(rows, rows[1:]):
+        # paired gaps: far tighter than the levels' own errors
+        assert abs(r.gap_mean - (r.partial_sum - prev.partial_sum)) < 4 * r.gap_stderr
+        assert r.gap_stderr < prev.stderr
     # faster stabilization at alpha = 2: smaller tail at equal K
-    rows2 = implosion_truncation_sweep(2.0, [10, 100], 2000, make_stream(23, 1))
+    rows2 = _sweep(2.0, 100, [10, 100], 2000, make_stream(23, 1))
     assert rows2[0].tail_bound < rows[0].tail_bound
+
+
+def test_sweep_levels_leave_the_totals_alone():
+    plain, moments = implosion_batch(1.0, 300, 20000, make_stream(25, 0))
+    assert moments == ([], [])
+    swept, _ = implosion_batch(1.0, 300, 20000, make_stream(25, 0), levels=[3, 30, 300])
+    assert np.array_equal(plain, swept)
+    below_k, _ = implosion_batch(1.0, 300, 20000, make_stream(25, 0), levels=[1, 299])
+    assert np.array_equal(plain, below_k)
+
+
+def test_level_and_gap_moments_match_a_reference_loop():
+    alpha, K, levels, runs = 1.0, 40, [1, 5, 17, 40], 2 * CHUNK_SIZE + 7
+    root = make_stream(25, 1)
+    totals, (level, gap) = implosion_batch(alpha, K, runs, root, workers=2, levels=levels)
+    # rebuild each run's stages chunk by chunk, level K first, on the same substreams
+    rates = np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.0)
+    chunks = []
+    for i, m in enumerate(chunk_sizes(runs)):
+        stream = root.substream(i)
+        chunks.append(np.array([sample_exponential_batch(stream, float(rate), m) for rate in rates]))
+    stages = np.concatenate(chunks, axis=1)
+    assert np.array_equal(stages.sum(axis=0), totals)
+    expected = [stages[K - L :].sum(axis=0) for L in levels]  # the stages k <= L
+    expected_gaps = [stages[K - high : K - low].sum(axis=0) for low, high in zip(levels, levels[1:])]
+    for (count, mean, m2), values in zip(level + gap, expected + expected_gaps):
+        assert count == runs
+        assert mean == pytest.approx(values.mean(), rel=1e-12)
+        assert m2 / (count - 1) == pytest.approx(values.var(ddof=1), rel=1e-12)
+
+
+def test_sweep_rows_do_not_depend_on_workers():
+    rows = [_sweep(1.0, 500, [10, 100, 500], 3 * CHUNK_SIZE + 11, make_stream(25, 2), w) for w in (1, 2, 8)]
+    assert rows[0] == rows[1] == rows[2]
+
+
+@pytest.mark.parametrize("levels", [[100, 10], [10, 10], [10, 201], [0, 10]])
+def test_sweep_levels_out_of_order_or_range_are_rejected(levels):
+    with pytest.raises(AnalyticsError):
+        implosion_batch(1.0, 200, 100, make_stream(25, 3), levels=levels)
 
 
 def test_batches_are_deterministic_and_worker_invariant():
@@ -108,6 +161,7 @@ def test_batches_are_deterministic_and_worker_invariant():
     b = scaled_passage_batch(3, 100, JointPower(1.0, 3.0), 5000, make_stream(24, 0), workers=4)
     assert a.finite_fraction == b.finite_fraction
     assert np.array_equal(a.scaled_times, b.scaled_times)
-    ta = implosion_batch(1.0, 200, 10**4, make_stream(24, 1), workers=1)
-    tb = implosion_batch(1.0, 200, 10**4, make_stream(24, 1), workers=8)
+    ta, ma = implosion_batch(1.0, 200, 10**5, make_stream(24, 1), workers=1, levels=[10, 200])
+    tb, mb = implosion_batch(1.0, 200, 10**5, make_stream(24, 1), workers=8, levels=[10, 200])
     assert np.array_equal(ta, tb)
+    assert ma == mb
