@@ -59,17 +59,23 @@ def typical_extinction_time(n: int, c: float) -> float:
     return -math.log(n) / math.log1p(-c)
 
 
+def expected_extinction_terms(n: int, c: float) -> int:
+    """The number of terms ``expected_extinction_time`` sums: about
+    ln(n / (MEAN_TAIL_TOL c)) / c."""
+    n = _check_count(n, "n")
+    c = _check_prob_open(c)
+    # tail after T: sum_t n q^t = n q^T / c
+    return max(1, math.ceil((math.log(MEAN_TAIL_TOL * c) - math.log(n)) / math.log1p(-c)))
+
+
 def expected_extinction_time(n: int, c: float) -> float:
     """Exact E[extinction time from n] by summing the survival function.
 
     E = sum_{t>=0} (1 - (1-(1-c)^t)^n), truncated once the bound
     n (1-c)^t / c on the remaining tail drops below MEAN_TAIL_TOL.
     """
-    n = _check_count(n, "n")
-    c = _check_prob_open(c)
+    t_stop = expected_extinction_terms(n, c)
     lnq = math.log1p(-c)
-    # tail after T: sum_t n q^t = n q^T / c
-    t_stop = max(1, math.ceil((math.log(MEAN_TAIL_TOL * c) - math.log(n)) / lnq))
     total = 0.0
     block = 1 << 16
     for start in range(0, t_stop, block):
@@ -210,9 +216,17 @@ def limit_passage_rate(regime: MortalityRegime, k: int, lam: float | None = None
     if isinstance(regime, InitialPower):
         if lam is None or lam <= 0:
             raise AnalyticsError("initial-state scaling needs lam > 0")
-        return k * float(lam)
+        rate = k * float(lam)
+        if rate == math.inf:
+            raise AnalyticsError(f"limiting rate k*lam overflows a double at k={k}, lam={lam:g}")
+        return rate
     if isinstance(regime, JointPower):
-        return float(k) ** (regime.alpha + 1.0)
+        try:
+            return float(k) ** (regime.alpha + 1.0)
+        except OverflowError:
+            raise AnalyticsError(
+                f"limiting rate k^(alpha+1) overflows a double at k={k}, alpha={regime.alpha:g}"
+            ) from None
     raise AnalyticsError(f"no scaling limit implemented for {type(regime).__name__}")
 
 

@@ -14,10 +14,11 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 import numpy as np
 
 from . import kernels
-from .analytics import AnalyticReport, AnalyticsError
+from .analytics import AnalyticsError
 from .experiments import (
     build_extinct_report,
     build_implode_outputs,
@@ -28,13 +29,9 @@ from .experiments import (
 )
 from .limits import check_sweep_levels
 from .oracle import MAX_STATE, MAX_TIME, state_distribution_history
-from .process import TrajectoryBatch, _check_n, simulate_trajectory
+from .process import TrajectoryBatch, _check_n, prepare_run, simulate_trajectory
 from .regimes import MortalityRegime, RegimeError, from_dict, from_json, parse_inline, to_json
 from .rng import make_stream
-
-
-# the parameters that take a real number, each a finite one
-_FLOATS = ("tolerance", "ratio_c", "lam", "alpha")
 
 
 def _finite(value: int | float) -> bool:
@@ -44,16 +41,20 @@ def _finite(value: int | float) -> bool:
         return False
 
 
-def _params(config_path: str | None, defaults: dict, minimums: dict, **flags) -> dict:
-    """The command's parameters: its defaults, overridden by the JSON config
-    file (whose fields must be keys of ``defaults``), then by the flags the
-    user gave.  Each key of ``minimums`` is an integer parameter and its
-    lowest allowed value; a value outside that range is a usage error here,
-    before any stream is made, whether it came from a flag or the file.
-    ``None`` stays allowed where it is the default (auto or disabled).  A
-    parameter of ``_FLOATS`` must be a finite number, and ``tolerance``
-    one >= 0."""
-    params = dict(defaults)
+def _params(config_path: str | None, flags: dict, minimums: dict) -> dict:
+    """The command's parameters: the values click parsed, each option's
+    default where its flag is absent, with the fields of the JSON config
+    file (each one of the command's parameters) filling every parameter
+    not typed on the command line.  A filled parameter's source becomes
+    ``DEFAULT_MAP``, so only an absent one still reads ``DEFAULT``.  Each
+    key of ``minimums`` is an integer parameter and its lowest allowed
+    value; a value outside that range is a usage error here, before any
+    stream is made, whether it came from a flag or the file.  ``None``
+    stays allowed where it is the option's default (auto or disabled).  A
+    ``FLOAT`` parameter must be a finite number, and ``tolerance`` one
+    >= 0."""
+    ctx = click.get_current_context()
+    params = dict(flags)
     if config_path is not None:
         try:
             data = json.loads(Path(config_path).read_text(encoding="utf-8"))
@@ -63,25 +64,25 @@ def _params(config_path: str | None, defaults: dict, minimums: dict, **flags) ->
             raise click.UsageError(f"config is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise click.UsageError("config must be a JSON object")
-        unknown = sorted(set(data) - set(defaults))
+        unknown = sorted(set(data) - set(flags))
         if unknown:
             raise click.UsageError(f"unknown config field(s): {', '.join(unknown)}")
-        params.update(data)
-    params.update({key: value for key, value in flags.items() if value is not None})
-    for key, low in minimums.items():
-        value = params[key]
-        if value is None and defaults[key] is None:
+        for key, value in data.items():
+            if ctx.get_parameter_source(key) is not ParameterSource.COMMANDLINE:
+                params[key] = value
+                ctx.set_parameter_source(key, ParameterSource.DEFAULT_MAP)
+    for option in ctx.command.params:
+        key, value = option.name, params.get(option.name)
+        if value is None and option.default is None:
             continue
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            flag = "--" + key.replace("_", "-")
+        flag, low = "--" + key.replace("_", "-"), minimums.get(key)
+        if low is not None and (isinstance(value, bool) or not isinstance(value, int) or value < low):
             raise click.UsageError(f"{flag} must be an integer >= {low}, got {value!r}")
-    for key in _FLOATS:
-        value = params.get(key)
-        if key not in defaults or (value is None and defaults[key] is None):
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not _finite(value):
-            raise click.UsageError(f"--{key.replace('_', '-')} must be a finite number, got {value!r}")
-    if "tolerance" in defaults and not params["tolerance"] >= 0:
+        if option.type is click.FLOAT and (
+            isinstance(value, bool) or not isinstance(value, (int, float)) or not _finite(value)
+        ):
+            raise click.UsageError(f"{flag} must be a finite number, got {value!r}")
+    if "tolerance" in params and not params["tolerance"] >= 0:
         raise click.UsageError(f"--tolerance must be >= 0, got {params['tolerance']!r}")
     return params
 
@@ -134,10 +135,6 @@ def _parse_t_grid(value) -> list[int]:
     if grid[0] < 0:
         raise click.UsageError(f"--t-grid entries must be >= 0, got {value!r}")
     return grid
-
-
-# the default --sweep of implode: the powers of ten up to --k-max
-_POWERS_OF_TEN = object()
 
 
 def _out_dir(out: str | None) -> Path | None:
@@ -193,14 +190,24 @@ def _write_trajectories(path: Path, batch: TrajectoryBatch) -> None:
             fh.write("".join(table[cells.ravel()].tolist()))
 
 
-def _emit_report(report: AnalyticReport, out: Path | None, name: str) -> None:
+def _run(build, out: str | Path | None, report_name: str, tables) -> None:
+    """The tail of a report command.  ``build()`` returns the report and
+    the outputs that ``tables`` turns into ``(file, header, rows)`` side
+    tables; a ``ValueError`` from it exits 2 before anything is written.
+    With ``out``, the side tables and then the report's JSON are written
+    there.  The report is printed, and a failed row exits 1."""
+    try:
+        report, *outputs = build()
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    out_path = _out_dir(out)
+    if out_path is not None:
+        for name, header, rows in tables(*outputs):
+            _write_csv(out_path / name, header, rows)
     click.echo(report.render_text())
-    if out is not None:
-        (out / name).write_text(report.to_json(), encoding="utf-8")
-        click.echo(f"wrote {out / name}")
-
-
-def _finish(report: AnalyticReport) -> None:
+    if out_path is not None:
+        (out_path / report_name).write_text(report.to_json(), encoding="utf-8")
+        click.echo(f"wrote {out_path / report_name}")
     if not report.passed:
         sys.exit(1)
 
@@ -212,24 +219,22 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--n", type=int, default=None, help="Initial population (>= 1).")
-@click.option("--regime", "regime_spec", default=None, help="Inline regime, e.g. constant:0.5.")
-@click.option("--samples", type=int, default=None, help="Number of trajectories.")
+@click.option("--n", type=int, default=5, help="Initial population (>= 1).")
+@click.option("--regime", default="constant:0.5", help="Inline regime, e.g. constant:0.5.")
+@click.option("--samples", type=int, default=1, help="Number of trajectories.")
 @click.option("--t-max", type=int, default=None, help="Censoring horizon (default: auto).")
-@click.option("--seed", type=int, default=None, help="Stream seed (default 0).")
-@click.option("--out", default=None, help="Output directory.")
+@click.option("--seed", type=int, default=0, help="Stream seed (default 0).")
+@click.option("--out", default="deathlab-out", help="Output directory.")
 @click.option("--config", "config_path", default=None, help="JSON config file.")
-def simulate(n, regime_spec, samples, t_max, seed, out, config_path):
+def simulate(config_path, **flags):
     """Simulate trajectories; write trajectories.csv and summary.json."""
-    params = _params(
-        config_path,
-        {"n": 5, "samples": 1, "t_max": None, "seed": 0, "out": "deathlab-out", "regime": "constant:0.5"},
-        {"samples": 1, "t_max": 1, "seed": 0},  # n: the process layer names it a population
-        n=n, regime=regime_spec, samples=samples, t_max=t_max, seed=seed, out=out,
-    )
+    # no minimum for n: the process layer checks it and names it a population
+    params = _params(config_path, flags, {"samples": 1, "t_max": 1, "seed": 0})
     regime = _resolve_regime(params["regime"])
     try:
-        n = _check_n(params["n"])  # the process layer's check, before any stream is made
+        # the process layer's checks, before any stream is made
+        n = _check_n(params["n"])
+        prepare_run(regime, n, params["t_max"])
         root = make_stream(params["seed"], 0)
         batch = simulate_trajectory(n, regime, root, params["t_max"], runs=params["samples"])
         runs = [
@@ -267,30 +272,23 @@ def simulate(n, regime_spec, samples, t_max, seed, out, config_path):
 
 
 @main.command()
-@click.option("--n", type=int, default=None, help="Initial population (default 20).")
-@click.option("--regime", "regime_spec", default=None, help="Constant or initial-power regime.")
-@click.option("--t-grid", default=None, help="Time grid, e.g. 0:60 or 0,5,10.")
-@click.option("--samples", type=int, default=None, help="Monte Carlo runs (default 100000).")
-@click.option("--ratio-n", type=int, default=None, help="Scale for the tau/d_n experiment (0 disables).")
-@click.option("--ratio-c", type=float, default=None, help="Mortality for the ratio experiment.")
-@click.option("--ratio-samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--workers", type=int, default=None)
-@click.option("--tolerance", type=float, default=None)
+@click.option("--n", type=int, default=20, help="Initial population (default 20).")
+@click.option("--regime", default="constant:0.3", help="Constant or initial-power regime.")
+@click.option("--t-grid", default="0:60", help="Time grid, e.g. 0:60 or 0,5,10.")
+@click.option("--samples", type=int, default=10**5, help="Monte Carlo runs (default 100000).")
+@click.option("--ratio-n", type=int, default=10**6, help="Scale for the tau/d_n experiment (0 disables).")
+@click.option("--ratio-c", type=float, default=0.1, help="Mortality for the ratio experiment.")
+@click.option("--ratio-samples", type=int, default=10**4)
+@click.option("--seed", type=int, default=0)
+@click.option("--workers", type=int, default=1)
+@click.option("--tolerance", type=float, default=1e-12)
 @click.option("--out", default=None, help="Output directory.")
 @click.option("--config", "config_path", default=None, help="JSON config file.")
-def extinct(n, regime_spec, t_grid, samples, ratio_n, ratio_c, ratio_samples, seed, workers, tolerance, out, config_path):
+def extinct(config_path, **flags):
     """Extinction CDF: closed form vs oracle vs Monte Carlo, plus the
     tau/d_n ratio experiment."""
     params = _params(
-        config_path,
-        {"n": 20, "regime": "constant:0.3", "t_grid": "0:60", "samples": 10**5,
-         "ratio_n": 10**6, "ratio_c": 0.1, "ratio_samples": 10**4, "seed": 0,
-         "workers": 1, "tolerance": 1e-12, "out": None},
-        {"n": 1, "samples": 1, "ratio_n": 0, "ratio_samples": 2, "seed": 0, "workers": 1},
-        n=n, regime=regime_spec, t_grid=t_grid, samples=samples, ratio_n=ratio_n,
-        ratio_c=ratio_c, ratio_samples=ratio_samples, seed=seed, workers=workers,
-        tolerance=tolerance, out=out,
+        config_path, flags, {"n": 1, "samples": 1, "ratio_n": 0, "ratio_samples": 2, "seed": 0, "workers": 1}
     )
     if params["ratio_n"]:  # 0 turns the ratio experiment off
         if params["ratio_n"] < 2:
@@ -299,206 +297,159 @@ def extinct(n, regime_spec, t_grid, samples, ratio_n, ratio_c, ratio_samples, se
             raise click.UsageError(f"--ratio-c must lie in (0,1), got {params['ratio_c']!r}")
     regime = _resolve_regime(params["regime"])
     grid = _parse_t_grid(params["t_grid"])
-    try:
-        report, csv_rows = build_extinct_report(
-            params["n"], regime, grid, params["samples"], params["seed"],
-            workers=params["workers"], tolerance=params["tolerance"],
-            ratio_n=params["ratio_n"] or None, ratio_c=params["ratio_c"],
-            ratio_samples=params["ratio_samples"],
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    out_path = _out_dir(params["out"])
-    if out_path is not None:
-        _write_csv(
-            out_path / "extinct_cdf.csv",
+
+    def tables(csv_rows):
+        yield (
+            "extinct_cdf.csv",
             ["t", "closed_form", "oracle", "monte_carlo"],
             [(t, cf, "" if dp is None else dp, mc) for t, cf, dp, mc in csv_rows],
         )
         if params["n"] <= MAX_STATE and max(grid) <= MAX_TIME:
             history = state_distribution_history(params["n"], regime, max(grid))
-            _write_csv(
-                out_path / "state_distribution.csv",
-                ["t", "state", "mass"],
-                [
-                    (t, x, float(history[t, x]))
-                    for t in range(history.shape[0])
-                    for x in range(history.shape[1])
-                ],
-            )
-    _emit_report(report, out_path, "extinct_report.json")
-    _finish(report)
+            yield "state_distribution.csv", ["t", "state", "mass"], [
+                (t, x, float(history[t, x])) for t in range(history.shape[0]) for x in range(history.shape[1])
+            ]
+
+    _run(
+        lambda: build_extinct_report(
+            params["n"], regime, grid, params["samples"], params["seed"],
+            workers=params["workers"], tolerance=params["tolerance"],
+            ratio_n=params["ratio_n"] or None, ratio_c=params["ratio_c"],
+            ratio_samples=params["ratio_samples"],
+        ),
+        params["out"], "extinct_report.json", tables,
+    )
 
 
 @main.command()
-@click.option("--n", type=int, default=None, help="Initial population (default 5).")
-@click.option("--regime", "regime_spec", default=None, help="Any regime (default constant:0.1).")
-@click.option("--samples", type=int, default=None, help="Monte Carlo runs (default 100000).")
+@click.option("--n", type=int, default=5, help="Initial population (default 5).")
+@click.option("--regime", default="constant:0.1", help="Any regime (default constant:0.1).")
+@click.option("--samples", type=int, default=10**5, help="Monte Carlo runs (default 100000).")
 @click.option("--sweep", default=None, help="Joint-regime bound sweep, e.g. 10,100,1000.")
-@click.option("--seed", type=int, default=None)
-@click.option("--workers", type=int, default=None)
-@click.option("--tolerance", type=float, default=None)
+@click.option("--seed", type=int, default=0)
+@click.option("--workers", type=int, default=1)
+@click.option("--tolerance", type=float, default=1e-12)
 @click.option("--out", default=None)
 @click.option("--config", "config_path", default=None)
-def path(n, regime_spec, samples, sweep, seed, workers, tolerance, out, config_path):
+def path(config_path, **flags):
     """Single-drop extinction: per-level and whole-path probabilities with
     their lower bounds."""
-    params = _params(
-        config_path,
-        {"n": 5, "regime": "constant:0.1", "samples": 10**5, "sweep": None,
-         "seed": 0, "workers": 1, "tolerance": 1e-12, "out": None},
-        {"n": 0, "samples": 1, "seed": 0, "workers": 1},
-        n=n, regime=regime_spec, samples=samples, sweep=sweep, seed=seed,
-        workers=workers, tolerance=tolerance, out=out,
-    )
+    params = _params(config_path, flags, {"n": 0, "samples": 1, "seed": 0, "workers": 1})
     regime = _resolve_regime(params["regime"])
-    sweep_list = None if params["sweep"] is None else _parse_int_list(params["sweep"], "--sweep", minimum=1)
-    try:
-        report, sweep_rows = build_path_report(
+    sweep = None if params["sweep"] is None else _parse_int_list(params["sweep"], "--sweep", minimum=1)
+    _run(
+        lambda: build_path_report(
             params["n"], regime, params["samples"], params["seed"],
-            workers=params["workers"], tolerance=params["tolerance"], sweep=sweep_list,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    out_path = _out_dir(params["out"])
-    if out_path is not None and sweep_rows:
-        _write_csv(out_path / "path_bound_sweep.csv", ["n", "lower_bound"], sweep_rows)
-    _emit_report(report, out_path, "path_report.json")
-    _finish(report)
+            workers=params["workers"], tolerance=params["tolerance"], sweep=sweep,
+        ),
+        params["out"], "path_report.json",
+        lambda sweep_rows: [("path_bound_sweep.csv", ["n", "lower_bound"], sweep_rows)] if sweep_rows else [],
+    )
 
 
 @main.command()
-@click.option("--k", type=int, default=None, help="Watched state (default 3).")
-@click.option("--regime", "regime_spec", default=None, help="Any regime (default constant:0.3).")
+@click.option("--k", type=int, default=3, help="Watched state (default 3).")
+@click.option("--regime", default="constant:0.3", help="Any regime (default constant:0.3).")
 @click.option("--n", type=int, default=None, help="Initial-state context (default k).")
-@click.option("--samples", type=int, default=None, help="Monte Carlo runs (default 100000).")
-@click.option("--j-max", type=int, default=None, help="pmf rows to verify (default 8).")
+@click.option("--samples", type=int, default=10**5, help="Monte Carlo runs (default 100000).")
+@click.option("--j-max", type=int, default=8, help="pmf rows to verify (default 8).")
 @click.option("--limit-n", type=int, default=None, help="Scale for the exponential-limit check.")
 @click.option("--limit-samples", type=int, default=None)
 @click.option("--lam", type=float, default=None, help="Target of a_n c_n for initial-power scaling.")
-@click.option("--seed", type=int, default=None)
-@click.option("--workers", type=int, default=None)
-@click.option("--tolerance", type=float, default=None)
+@click.option("--seed", type=int, default=0)
+@click.option("--workers", type=int, default=1)
+@click.option("--tolerance", type=float, default=1e-12)
 @click.option("--out", default=None)
 @click.option("--config", "config_path", default=None)
-def passage(k, regime_spec, n, samples, j_max, limit_n, limit_samples, lam, seed, workers, tolerance, out, config_path):
+def passage(config_path, **flags):
     """First-passage law from k: pmf, MGF identities, scaled-limit KS."""
     params = _params(
-        config_path,
-        {"k": 3, "regime": "constant:0.3", "n": None, "samples": 10**5, "j_max": 8,
-         "limit_n": None, "limit_samples": None, "lam": None, "seed": 0, "workers": 1,
-         "tolerance": 1e-12, "out": None},
-        {"k": 1, "n": 1, "samples": 1, "j_max": 1, "limit_n": 1, "limit_samples": 1, "seed": 0,
-         "workers": 1},
-        k=k, regime=regime_spec, n=n, samples=samples, j_max=j_max, limit_n=limit_n,
-        limit_samples=limit_samples, lam=lam, seed=seed, workers=workers,
-        tolerance=tolerance, out=out,
+        config_path, flags,
+        {"k": 1, "n": 1, "samples": 1, "j_max": 1, "limit_n": 1, "limit_samples": 1, "seed": 0, "workers": 1},
     )
     regime = _resolve_regime(params["regime"])
-    try:
-        report, scaled = build_passage_report(
+    _run(
+        lambda: build_passage_report(
             params["k"], regime, params["samples"], params["seed"], n=params["n"],
             workers=params["workers"], tolerance=params["tolerance"], j_max=params["j_max"],
             limit_n=params["limit_n"], limit_samples=params["limit_samples"], lam=params["lam"],
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    out_path = _out_dir(params["out"])
-    if out_path is not None and scaled is not None:
-        _write_csv(out_path / "scaled_passage_times.csv", ["scaled_time"], [(float(v),) for v in scaled])
-    _emit_report(report, out_path, "passage_report.json")
-    _finish(report)
+        ),
+        params["out"], "passage_report.json",
+        lambda scaled: [] if scaled is None else [
+            ("scaled_passage_times.csv", ["scaled_time"], [(float(v),) for v in scaled])
+        ],
+    )
 
 
 @main.command()
-@click.option("--alpha", type=float, default=None, help="Rate exponent (default 1.0).")
-@click.option("--k-max", "k_max", type=int, default=None, help="Truncation level K (default 10000).")
-@click.option("--runs", type=int, default=None, help="Monte Carlo runs (default 100000).")
+@click.option("--alpha", type=float, default=1.0, help="Rate exponent (default 1.0).")
+@click.option("--k-max", type=int, default=10**4, help="Truncation level K (default 10000).")
+@click.option("--runs", type=int, default=10**5, help="Monte Carlo runs (default 100000).")
 @click.option(
     "--sweep",
     default=None,
     help="Truncation sweep levels, strictly increasing and each <= --k-max, read off the main runs "
     "(default: the powers of ten up to --k-max).",
 )
-@click.option("--seed", type=int, default=None)
-@click.option("--workers", type=int, default=None)
+@click.option("--seed", type=int, default=0)
+@click.option("--workers", type=int, default=1)
 @click.option("--out", default=None)
 @click.option("--config", "config_path", default=None)
-def implode(alpha, k_max, runs, sweep, seed, workers, out, config_path):
+def implode(config_path, **flags):
     """Implosion of the limiting chain: totals vs the certified series."""
-    params = _params(
-        config_path,
-        {"alpha": 1.0, "k_max": 10**4, "runs": 10**5, "sweep": _POWERS_OF_TEN,
-         "seed": 0, "workers": 1, "out": None},
-        {"k_max": 1, "runs": 2, "seed": 0, "workers": 1},
-        alpha=alpha, k_max=k_max, runs=runs, sweep=sweep, seed=seed, workers=workers, out=out,
-    )
-    k_max, sweep_list = params["k_max"], params["sweep"]
-    if sweep_list is _POWERS_OF_TEN:
-        sweep_list = [10**i for i in range(1, len(str(k_max)))]  # 10, 100, ... <= k_max
-    elif sweep_list in (None, ""):
-        sweep_list = None
+    params = _params(config_path, flags, {"k_max": 1, "runs": 2, "seed": 0, "workers": 1})
+    k_max, sweep = params["k_max"], params["sweep"]
+    if click.get_current_context().get_parameter_source("sweep") is ParameterSource.DEFAULT:
+        sweep = [10**i for i in range(1, len(str(k_max)))]  # absent everywhere: 10, 100, ... <= k_max
+    elif sweep in (None, ""):
+        sweep = None
     else:
         try:
-            sweep_list = check_sweep_levels(_parse_int_list(sweep_list, "--sweep", minimum=1), k_max)
+            sweep = check_sweep_levels(_parse_int_list(sweep, "--sweep", minimum=1), k_max)
         except AnalyticsError as exc:
             raise click.UsageError(f"--sweep: {exc}")
-    try:
-        report, sweep_rows, totals = build_implode_outputs(
-            params["alpha"], k_max, params["runs"], params["seed"],
-            sweep=sweep_list, workers=params["workers"],
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    out_path = _out_dir(params["out"])
-    if out_path is not None:
+
+    def tables(sweep_rows, totals):
         if sweep_rows:
-            _write_csv(
-                out_path / "implode_sweep.csv",
+            yield (
+                "implode_sweep.csv",
                 ["K", "runs", "mean", "stderr", "partial_sum", "tail_bound"],
                 [(r.K, r.runs, r.mean, r.stderr, r.partial_sum, r.tail_bound) for r in sweep_rows],
             )
         counts, edges = np.histogram(totals, bins=50)
-        _write_csv(
-            out_path / "implode_hist.csv",
-            ["bin_left", "bin_right", "count"],
-            [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(counts.size)],
-        )
-    _emit_report(report, out_path, "implode_report.json")
-    _finish(report)
+        rows = [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(counts.size)]
+        yield "implode_hist.csv", ["bin_left", "bin_right", "count"], rows
+
+    _run(
+        lambda: build_implode_outputs(
+            params["alpha"], k_max, params["runs"], params["seed"], sweep=sweep, workers=params["workers"]
+        ),
+        params["out"], "implode_report.json", tables,
+    )
 
 
 @main.command()
-@click.option("--seed", type=int, default=None, help="Stream seed (default 0).")
-@click.option("--workers", type=int, default=None, help="Worker threads (default 1).")
-@click.option("--tolerance", type=float, default=None, help="Identity tolerance (default 1e-12).")
-@click.option("--samples", type=int, default=None, help="Monte Carlo batch size (default 20000).")
+@click.option("--seed", type=int, default=0, help="Stream seed (default 0).")
+@click.option("--workers", type=int, default=1, help="Worker threads (default 1).")
+@click.option("--tolerance", type=float, default=1e-12, help="Identity tolerance (default 1e-12).")
+@click.option("--samples", type=int, default=20000, help="Monte Carlo batch size (default 20000).")
 @click.option("--out", default=None, help="Path of the JSON report to write.")
 @click.option("--config", "config_path", default=None)
-def verify(seed, workers, tolerance, samples, out, config_path):
+def verify(config_path, **flags):
     """Run the full oracle-vs-closed-form identity suite; exit 0 iff all
     rows pass."""
-    params = _params(
-        config_path,
-        {"seed": 0, "workers": 1, "tolerance": 1e-12, "samples": 20000, "out": None},
-        {"seed": 0, "workers": 1, "samples": 2},
-        seed=seed, workers=workers, tolerance=tolerance, samples=samples, out=out,
+    params = _params(config_path, flags, {"seed": 0, "workers": 1, "samples": 2})
+    out = None if params["out"] is None else Path(params["out"])  # the report's own file
+    kernels.warmup()
+    _run(
+        lambda: (
+            build_verify_report(
+                params["seed"], workers=params["workers"], tolerance=params["tolerance"],
+                samples=params["samples"],
+            ),
+        ),
+        out and out.parent, out and out.name, lambda: [],
     )
-    try:
-        kernels.warmup()
-        report = build_verify_report(
-            params["seed"], workers=params["workers"], tolerance=params["tolerance"],
-            samples=params["samples"],
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    click.echo(report.render_text())
-    if params["out"] is not None:
-        out_file = Path(params["out"])
-        out_file.parent.mkdir(parents=True, exist_ok=True)
-        out_file.write_text(report.to_json(), encoding="utf-8")
-        click.echo(f"wrote {out_file}")
-    _finish(report)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from . import kernels
 from .analytics import (
     AnalyticReport,
     ReportRow,
+    expected_extinction_terms,
     expected_extinction_time,
     extinction_cdf,
     implosion_expected_time,
@@ -44,6 +45,7 @@ from .limits import (
     scaling_constant,
 )
 from .oracle import (
+    MAX_SERIES_TERMS,
     MAX_STATE,
     MAX_TIME,
     exact_extinction_curve,
@@ -54,7 +56,14 @@ from .oracle import (
     mgf_series_cost,
     state_distribution_history,
 )
-from .process import drop_distribution, extinction_time_batch, first_passage_batch, single_drop_batch
+from .process import (
+    check_departure,
+    drop_distribution,
+    extinction_time_batch,
+    first_passage_batch,
+    prepare_run,
+    single_drop_batch,
+)
 from .regimes import (
     Constant,
     InitialPower,
@@ -223,6 +232,13 @@ def build_extinct_report(
     c = mortality(regime, 1, n)
     if ratio_n is not None:
         typical_extinction_time(ratio_n, ratio_c)  # rejects ratio_n and ratio_c before any draw
+        terms = expected_extinction_terms(ratio_n, ratio_c)
+        if terms > MAX_SERIES_TERMS:
+            raise ValueError(
+                f"the exact mean of tau sums {terms} terms at n={ratio_n}, c={ratio_c:g}; "
+                f"the cap is {MAX_SERIES_TERMS}"
+            )
+    prepare_run(regime, n, None)  # the Monte Carlo runs' horizon and holds, before any stream
     report = AnalyticReport(meta=report_meta("extinct", config, seed))
     t_max = max(t_grid)
     oracle_curve = None
@@ -383,6 +399,7 @@ def build_passage_report(
             raise ValueError(f"limit check needs k <= limit_n, got k={k}, limit_n={limit_n}")
         rate = limit_passage_rate(regime, k, lam)
         scaling_constant(regime, k, limit_n, lam)  # raises where no a_n exists
+        check_departure(k, mortality(regime, k, limit_n))
     report = AnalyticReport(meta=report_meta("passage", config, seed))
     c = mortality(regime, k, n_ctx)
     tag = f"k={k}, c={c:g}"
@@ -390,6 +407,7 @@ def build_passage_report(
     # their range fails before anything is drawn
     pmf_oracle = exact_passage_law(k, c, j_max)[0] if k <= MAX_STATE else None
     pmf_closed = [passage_pmf(k, c, j) for j in range(1, j_max + 1)]
+    check_departure(k, c)
     times, codes = first_passage_batch(k, regime, make_stream(seed, 0), samples, n=n_ctx, workers=workers)
     finite_mask = codes == kernels.FINITE
     for j, closed in enumerate(pmf_closed, 1):

@@ -111,6 +111,10 @@ _ENV_FLAG = "DEATHLAB_NO_NUMBA"
 # also uses for inversion; longer walks give way to rejection.
 _WALK_MAX = 14.0
 
+# the most steps one drawn hold or maximum of geometrics can take; the
+# number stays an exact float and an int64
+HOLD_CAP = 4.6e18
+
 # first-passage outcome codes; only the stepped reference censors
 FINITE = 0
 JUMPED_OVER = 1
@@ -255,10 +259,10 @@ def _build_backend(jit: bool) -> SimpleNamespace:
     @wrap
     def _hold(gen, lq):
         # Geometric holding time on {1,2,...} with stay chance e^lq < 1 per
-        # step, by inversion; lq = k ln(1-c).  A float, capped at 4.6e18.
+        # step, by inversion; lq = k ln(1-c).  A float, capped at HOLD_CAP.
         x = math.log1p(-gen.random()) / lq
-        if x >= 4.6e18:
-            return 4.6e18
+        if x >= HOLD_CAP:
+            return HOLD_CAP
         return math.floor(x) + 1.0
 
     _level = wrap(_level_constants)
@@ -314,8 +318,8 @@ def _build_backend(jit: bool) -> SimpleNamespace:
                 tf = math.ceil(math.log(-z) / math.log1p(-c))
                 if tf < 1.0:
                     tf = 1.0
-                elif tf > 4.6e18:
-                    tf = 4.6e18
+                elif tf > HOLD_CAP:
+                    tf = HOLD_CAP
             out[i] = int(tf)
 
     @wrap
@@ -517,7 +521,7 @@ def _holds(u, lq):
     over a list, and the rest exact IEEE operations in numpy."""
     with np.errstate(over="ignore"):  # a hold past the cap may divide to inf
         x = _mapped(math.log1p, -u) / lq
-    return np.where(x >= 4.6e18, 4.6e18, np.floor(x) + 1.0).astype(np.int64)
+    return np.where(x >= HOLD_CAP, HOLD_CAP, np.floor(x) + 1.0).astype(np.int64)
 
 
 def _walk(target, mass, ratio, k):
@@ -593,7 +597,6 @@ def _array_entries(py: SimpleNamespace) -> dict:
     @functools.wraps(py.extinction_batch)
     def extinction_batch(gen, out, cs, n, t_max, record=False):
         out[:] = 0 if n == 0 else -1
-        t_max = min(t_max, np.iinfo(np.int64).max)  # times stay int64
         run = np.arange(out.shape[0] if n > 0 and t_max > 0 else 0)  # live runs, in run order
         k = np.full(run.size, n, dtype=np.int64)
         t = np.zeros(run.size, dtype=np.int64)
@@ -681,7 +684,7 @@ def _array_entries(py: SimpleNamespace) -> dict:
         z = _mapped(math.expm1, log_u / float(n))  # u^(1/n) - 1
         tf = np.ceil(_mapped(math.log, -z) / math.log1p(-c))
         out[:] = 1
-        out[drawn] = np.where(tf < 1.0, 1.0, np.minimum(tf, 4.6e18))
+        out[drawn] = np.where(tf < 1.0, 1.0, np.minimum(tf, HOLD_CAP))
 
     return {
         "extinction_batch": extinction_batch,

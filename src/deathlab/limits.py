@@ -53,9 +53,17 @@ def scaling_constant(regime: MortalityRegime, k: int, n: int, lam: float | None 
     if isinstance(regime, InitialPower):
         if lam is None or lam <= 0:
             raise AnalyticsError("initial-state scaling needs lam > 0")
-        return lam / mortality(regime, k, n)
+        a_n = lam / mortality(regime, k, n)
+        if a_n == math.inf:
+            raise AnalyticsError(f"scaling constant lam/c overflows a double at n={n}, lam={lam:g}")
+        return a_n
     if isinstance(regime, JointPower):
-        return float(n) ** regime.beta
+        try:
+            return float(n) ** regime.beta
+        except OverflowError:
+            raise AnalyticsError(
+                f"scaling constant n^beta overflows a double at n={n}, beta={regime.beta:g}"
+            ) from None
     raise AnalyticsError(f"no scaling limit implemented for {type(regime).__name__}")
 
 

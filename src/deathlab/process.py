@@ -31,6 +31,13 @@ CENSOR_TARGET = 1e-9
 # the stepped first-passage reference gives up after this many steps
 STEPPED_T_MAX = 10**6
 
+# a censoring horizon is an int64
+MAX_HORIZON = np.iinfo(np.int64).max
+
+# a level whose departure rate -ln(1-p) lies below this reaches the
+# kernels' cap on a hold with chance exp(-rate * HOLD_CAP) above 2^-53
+_MIN_DEPARTURE_RATE = 53 * math.log(2) / kernels.HOLD_CAP
+
 
 class ProcessError(ValueError):
     """Invalid simulation parameters."""
@@ -78,8 +85,9 @@ def _check_n(n: int, minimum: int = 1) -> int:
     return n
 
 
-def _censor_horizon(cs: np.ndarray, n: int) -> int:
-    """Steps needed to push the censoring probability below CENSOR_TARGET.
+def _censor_horizon(cs: np.ndarray, n: int) -> float:
+    """Steps needed to push the censoring probability below CENSOR_TARGET,
+    not rounded, and infinite where the mortality underflows the bound.
 
     P(alive at t) <= n * (1 - c_min)**t, with c_min the smallest mortality
     on the way down; invert that bound.
@@ -87,8 +95,20 @@ def _censor_horizon(cs: np.ndarray, n: int) -> int:
     c_min = float(cs.min())
     if c_min >= 1.0:
         return max(n, 1)
-    t = (math.log(CENSOR_TARGET) - math.log(n)) / math.log1p(-c_min)
-    return max(1, math.ceil(t))
+    return max(1.0, (math.log(CENSOR_TARGET) - math.log(n)) / math.log1p(-c_min))
+
+
+def check_departure(k: int, c: float) -> None:
+    """Refuse level k at mortality c where a hold, Geometric(p) with
+    departure chance p = 1-(1-c)^k, reaches the cap of
+    ``kernels.HOLD_CAP`` steps with chance above 2^-53: p below about
+    8e-18."""
+    rate = math.inf if c >= 1.0 else -k * math.log1p(-c)  # -ln(1-p)
+    if rate < _MIN_DEPARTURE_RATE:
+        raise ProcessError(
+            f"departure chance {-math.expm1(-rate):.3g} from k={k} (c={c:g}) lies below 8e-18: "
+            f"holds would reach the cap of {kernels.HOLD_CAP:g} steps"
+        )
 
 
 def step(x: int, c: float, rng: RngStream) -> int:
@@ -98,14 +118,24 @@ def step(x: int, c: float, rng: RngStream) -> int:
     return x - int(kernels.binomial_draw(rng.generator, x, c))
 
 
-def _prepare_run(regime: MortalityRegime, n: int, t_max: int | None) -> tuple[np.ndarray, int]:
-    """Mortality array and censoring horizon of a run from n, before any draw."""
+def prepare_run(regime: MortalityRegime, n: int, t_max: int | None) -> tuple[np.ndarray, int]:
+    """Mortality array and censoring horizon of a run from n, before any
+    draw.  The horizon stays an int64.  Where a hold capped at
+    ``kernels.HOLD_CAP`` would end before it, every level's departure must
+    be likely enough that no hold reaches the cap; below the cap a capped
+    hold is censored, as the hold it stands for would be."""
     cs = prepare(regime, n)
     if t_max is None:
-        return cs, _censor_horizon(cs, n)
-    if t_max < 1:
+        t_max = _censor_horizon(cs, n)
+    elif t_max < 1:
         raise ProcessError(f"t_max must be >= 1, got {t_max}")
-    return cs, int(t_max)
+    t_max = math.ceil(min(t_max, MAX_HORIZON))
+    if t_max >= kernels.HOLD_CAP:
+        levels = np.arange(1, cs.size)  # the levels above share the last entry's c and depart faster
+        with np.errstate(divide="ignore"):  # certain death departs at rate inf
+            k = int(np.argmin(levels * -np.log1p(-cs[1:]))) + 1
+        check_departure(k, float(cs[k]))
+    return cs, t_max
 
 
 def simulate_trajectory(
@@ -126,7 +156,7 @@ def simulate_trajectory(
     once.
     """
     n = _check_n(n)
-    cs, t_max = _prepare_run(regime, n, t_max)
+    cs, t_max = prepare_run(regime, n, t_max)
     if t_max > MAX_RECORDED_STEPS:
         raise ProcessError(
             f"recording {t_max} steps would need too much memory; lower t_max"
@@ -159,7 +189,7 @@ def extinction_time_batch(
 ) -> np.ndarray:
     """Extinction times for ``samples`` independent runs (-1 = censored)."""
     n = _check_n(n)
-    cs, t_max = _prepare_run(regime, n, t_max)
+    cs, t_max = prepare_run(regime, n, t_max)
     if samples == 0:
         return np.empty(0, dtype=np.int64)
 
@@ -234,6 +264,8 @@ def first_passage_batch(
     if not k <= n:
         raise ProcessError(f"need k <= n, got k={k}, n={n}")
     c = mortality(regime, k, n)
+    if not stepped:
+        check_departure(k, c)
     if samples == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 

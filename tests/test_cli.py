@@ -119,6 +119,26 @@ def test_simulate_records_the_population_as_an_integer(runner, tmp_path):
     assert type(json.loads((tmp_path / "a" / "summary.json").read_text())["meta"]["config"]["n"]) is int
 
 
+@pytest.mark.parametrize(
+    "flags, drawn",
+    [(["--samples", "100000"], 100000), ([], 50)],
+    ids=["typed_flag_at_its_default_beats_the_config", "config_fills_an_absent_flag"],
+)
+def test_config_fills_only_the_flags_not_typed(runner, tmp_path, monkeypatch, flags, drawn):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 50}))
+    seen = []
+
+    def build(n, regime, samples, seed, **kwargs):
+        seen.append(samples)
+        raise _Drew()
+
+    monkeypatch.setattr(cli, "build_path_report", build)
+    result = runner.invoke(main, ["path", "--config", str(cfg), *flags])
+    assert isinstance(result.exception, _Drew), result.output
+    assert seen == [drawn]
+
+
 def test_config_rejects_unknown_field(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 4, "mystery_knob": 1}))
@@ -177,6 +197,25 @@ def no_streams(monkeypatch):
         (["passage", "--k", "40", "--n", "40", "--regime", "joint_power:1,1"], "c must lie in (0,1), got 1.0"),
         (["path", "--n", "6", "--regime", json.dumps(CERTAIN_AT_3)], "c must lie in (0,1), got 1.0"),
         (["path", "--n", "2", "--regime", "joint_power:1,1"], "c must lie in (0,1), got 1.0"),
+        # scaling limits beyond the largest double
+        (["passage", "--k", "2", "--regime", "joint_power:1,100", "--limit-n", "10000000"],
+         "n^beta overflows a double"),
+        (["passage", "--k", "10", "--regime", "joint_power:400,400", "--limit-n", "10"],
+         "k^(alpha+1) overflows a double"),
+        (["passage", "--k", "3", "--regime", "initial_power:0.1,1", "--lam", "1e300",
+          "--limit-n", "1000000000"],
+         "lam/c overflows a double"),
+        (["passage", "--k", "3", "--regime", "initial_power:1,1", "--lam", "1e308", "--limit-n", "10"],
+         "k*lam overflows a double"),
+        # holds that would reach the kernels' cap, and a horizon past int64
+        (["simulate", "--regime", "constant:5e-324", "--n", "5"], "lies below 8e-18"),
+        (["extinct", "--regime", "constant:5e-324", "--ratio-n", "0", "--n", "5", "--t-grid", "0:5"],
+         "lies below 8e-18"),
+        (["passage", "--k", "2", "--regime", "joint_power:1,6", "--limit-n", "100000", "--samples", "2000"],
+         "lies below 8e-18"),
+        # an exact mean of tau that would sum 5.8e10 terms
+        (["extinct", "--ratio-c", "1e-9", "--ratio-samples", "100", "--samples", "100", "--n", "5",
+          "--t-grid", "0:3"], "the cap is 100000000"),
     ],
     ids=["implode_runs_0", "simulate_samples_negative", "verify_samples_1", "verify_workers_0",
          "path_workers_0", "extinct_empty_t_grid", "extinct_negative_t_grid",
@@ -184,7 +223,11 @@ def no_streams(monkeypatch):
          "implode_sweep_falling", "implode_sweep_repeated", "implode_sweep_above_k_max",
          "passage_limit_without_scaling", "passage_limit_without_lam", "passage_limit_below_k",
          "extinct_ratio_n_1", "extinct_ratio_c_above_1", "passage_certain_death_oracle",
-         "passage_certain_death_closed_form", "path_certain_death_at_3", "path_certain_death_at_top"],
+         "passage_certain_death_closed_form", "path_certain_death_at_3", "path_certain_death_at_top",
+         "passage_scaling_constant_overflow", "passage_limit_rate_overflow",
+         "passage_initial_power_scaling_overflow", "passage_initial_power_rate_overflow",
+         "simulate_capped_holds", "extinct_capped_holds", "passage_limit_capped_holds",
+         "extinct_ratio_mean_too_long"],
 )
 def test_out_of_range_parameter_exits_2_before_any_stream(runner, no_streams, args, says):
     result = runner.invoke(main, args)

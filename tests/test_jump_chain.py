@@ -148,11 +148,11 @@ def _last_move(paths):
     return np.argmax(paths == paths[:, -1:], axis=1)
 
 
-def _drawn_paths(source, n, regime, stream_id, t_max, m):
-    """m paths as in ``_paths``: run by run from ``trajectory_fill``, or one
-    batch of ``simulate_trajectory``, the extinction walk with its holds."""
-    if source == "fill":
-        return _paths(kernels.trajectory_fill, make_stream(SEED, stream_id).generator, prepare(regime, n), n, t_max, m)
+def _drawn_paths(n, regime, stream_id, t_max, m):
+    """m paths as in ``_paths``, from one batch of ``simulate_trajectory``:
+    the extinction walk with its holds.  ``trajectory_fill`` is one
+    recorded run of the same walk, draw for draw
+    (``tests/test_uniform_source.py``), so these laws cover it too."""
     batch = simulate_trajectory(n, regime, make_stream(SEED, stream_id), t_max, runs=m)
     paths = np.zeros((m, t_max + 1), dtype=np.int64)
     run = np.repeat(np.arange(m), batch.lengths)
@@ -160,14 +160,13 @@ def _drawn_paths(source, n, regime, stream_id, t_max, m):
     return paths
 
 
-@pytest.mark.parametrize("source, offset", [("fill", 4), ("simulate", 7)])
 @pytest.mark.parametrize("case", CASES)
-def test_trajectory_marginals_match_dp(case, source, offset):
+def test_trajectory_marginals_match_dp(case):
     # paths censored at the median extinction time, so half of them are
     # filled to t_max by the hold that outlasts it
     n, regime, block = CASES[case]
     m, t_max = 3000, _median_time(n, regime)
-    paths = _drawn_paths(source, n, regime, block + offset, t_max, m)
+    paths = _drawn_paths(n, regime, block + 7, t_max, m)
     assert np.all(paths[:, 0] == n)
     assert np.all(np.diff(paths, axis=1) <= 0)
     history = state_distribution_history(n, regime, t_max)
@@ -177,14 +176,13 @@ def test_trajectory_marginals_match_dp(case, source, offset):
         assert p > LEVEL, (case, t, p)
 
 
-@pytest.mark.parametrize("source, offset", [("fill", 5), ("simulate", 8)])
 @pytest.mark.parametrize("case", CASES)
-def test_trajectory_matches_stepped_reference(case, source, offset):
+def test_trajectory_matches_stepped_reference(case):
     n, regime, block = CASES[case]
     m, t_max = 2000, _median_time(n, regime)
-    fast = _drawn_paths(source, n, regime, block + offset, t_max, m)
-    slow = _paths(stepped.trajectory_fill, make_stream(SEED, block + offset + 1).generator, prepare(regime, n), n,
-                  t_max, m)
+    fast = _drawn_paths(n, regime, block + 8, t_max, m)
+    gen = make_stream(SEED, block + 9).generator
+    slow = _paths(stepped.trajectory_fill, gen, prepare(regime, n), n, t_max, m)
     crit = ks_two_sample_critical(m, m, LEVEL)
     # the state halfway, and the time of the last departure seen by t_max
     assert ks_two_sample(fast[:, t_max // 2], slow[:, t_max // 2]) < crit, case

@@ -253,6 +253,24 @@ def test_default_t_max_bounds_censoring():
     assert 5 * 0.5**t < 1e-9 <= 5 * 0.5 ** (t - 1)
 
 
+def test_horizon_stays_int64_and_holds_stay_below_the_cap():
+    # an explicit horizon past int64 is clamped, as the automatic one is
+    times = extinction_time_batch(5, Constant(0.5), make_stream(0, 0), 100, t_max=10**30)
+    assert times.dtype == np.int64 and np.all(times > 0)
+    # where a hold would reach the cap of 4.6e18 steps before the horizon, refused
+    for call in (
+        lambda: extinction_time_batch(5, Constant(1e-20), make_stream(0, 0), 1),
+        lambda: extinction_time_batch(5, Constant(5e-324), make_stream(0, 0), 1),
+        lambda: first_passage_batch(2, Constant(1e-20), make_stream(0, 0), 1),
+    ):
+        with pytest.raises(ProcessError, match="below 8e-18"):
+            call()
+    # below the cap a capped hold is censored, as the hold it stands for is
+    assert np.all(extinction_time_batch(5, Constant(1e-20), make_stream(0, 0), 10, t_max=100) == -1)
+    # the stepped reference draws no holds
+    first_passage_batch(2, Constant(1e-20), make_stream(0, 0), 0, stepped=True)
+
+
 def test_batches_worker_count_invariant():
     kwargs = dict(n=20, regime=Constant(0.3), samples=3 * 10**4)
     a = extinction_time_batch(rng=make_stream(9, 0), workers=1, **kwargs)
