@@ -36,7 +36,8 @@ def _check_prob_open(c: float, name: str = "c") -> float:
 
 
 def _check_count(k: int, name: str, minimum: int = 1) -> int:
-    if k != int(k) or k < minimum:
+    # int() of infinity or nan raises, but not this module's domain error
+    if k != k or k in (math.inf, -math.inf) or k != int(k) or k < minimum:
         raise AnalyticsError(f"{name} must be an integer >= {minimum}, got {k}")
     return int(k)
 
@@ -290,15 +291,17 @@ class ReportRow:
         trials: int,
         level: float = 0.99,
         note: str = "",
+        oracle: float | None = None,
+        tol: float = 1e-12,
     ) -> "ReportRow":
-        """Binary-event row: pass iff the closed form sits in the score interval."""
+        """Binary-event row: pass iff the closed form sits in the score
+        interval and, given an oracle, matches it to ``tol``."""
         from .stats import wilson_interval
 
         low, high = wilson_interval(successes, trials, level)
-        estimate = successes / trials
-        passed = low <= closed_form <= high
-        half = (high - low) / 2.0
-        return cls(label, closed_form, None, (estimate, half), passed, note or f"Wilson {level:g}")
+        passed = low <= closed_form <= high and (oracle is None or abs(closed_form - oracle) <= tol)
+        mc = (successes / trials, (high - low) / 2.0)
+        return cls(label, closed_form, oracle, mc, passed, note or f"Wilson {level:g}")
 
     def to_json_dict(self) -> dict:
         return {

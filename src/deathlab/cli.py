@@ -137,13 +137,20 @@ def _parse_t_grid(value) -> list[int]:
     return grid
 
 
-def _out_dir(out: str | None) -> Path | None:
-    # called once the report or batch is built, so a rejected command
-    # leaves no directory behind
+def _check_out(out: str | Path | None, names) -> Path | None:
+    """The ``--out`` directory, refused with exit 2 before any stream where
+    the files ``names`` could not be written in it: a file stands at the
+    directory's place or above it, or a directory at a file's place.  It is
+    made only once the run is done, so a rejected command leaves none."""
     if out is None:
         return None
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise click.UsageError(f"--out: {existing} is not a directory")
+    for name in names:
+        if (path / name).is_dir():
+            raise click.UsageError(f"--out: {path / name} is a directory, not a file")
     return path
 
 
@@ -193,15 +200,17 @@ def _write_trajectories(path: Path, batch: TrajectoryBatch) -> None:
 def _run(build, out: str | Path | None, report_name: str, tables) -> None:
     """The tail of a report command.  ``build()`` returns the report and
     the outputs that ``tables`` turns into ``(file, header, rows)`` side
-    tables; a ``ValueError`` from it exits 2 before anything is written.
+    tables; a ``ValueError`` from it exits 2 before anything is written,
+    and so does an ``out`` that ``_check_out`` refuses, before ``build()``.
     With ``out``, the side tables and then the report's JSON are written
     there.  The report is printed, and a failed row exits 1."""
+    out_path = _check_out(out, [report_name])
     try:
         report, *outputs = build()
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    out_path = _out_dir(out)
     if out_path is not None:
+        out_path.mkdir(parents=True, exist_ok=True)
         for name, header, rows in tables(*outputs):
             _write_csv(out_path / name, header, rows)
     click.echo(report.render_text())
@@ -231,10 +240,11 @@ def simulate(config_path, **flags):
     # no minimum for n: the process layer checks it and names it a population
     params = _params(config_path, flags, {"samples": 1, "t_max": 1, "seed": 0})
     regime = _resolve_regime(params["regime"])
+    out_path = _check_out(params["out"], ["trajectories.csv", "summary.json"])
     try:
         # the process layer's checks, before any stream is made
         n = _check_n(params["n"])
-        prepare_run(regime, n, params["t_max"])
+        prepare_run(regime, n, params["t_max"], record=True)
         root = make_stream(params["seed"], 0)
         batch = simulate_trajectory(n, regime, root, params["t_max"], runs=params["samples"])
         runs = [
@@ -263,7 +273,7 @@ def simulate(config_path, **flags):
         ),
         "runs": runs,
     }
-    out_path = _out_dir(params["out"])
+    out_path.mkdir(parents=True, exist_ok=True)
     _write_trajectories(out_path / "trajectories.csv", batch)
     (out_path / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -2,11 +2,15 @@
 
 Each builder runs an experiment against its closed forms and brute-force
 oracles and returns an :class:`AnalyticReport` (plus any sample-level
-data).  Statistical rows use 99.99% score intervals and 0.05%-level KS
-thresholds.  Those levels hold per row, not per report, and near 0 and 1
-a Wilson interval can miss the exact value after one chance miss, so a
-report with many rows fails at some seeds; the pinned acceptance
-tolerances (99% / 1%) live in the acceptance test suite.
+data).  Each kind of row has one helper, shared by ``verify`` and the
+commands: ``_grid_row``, ``_ks_row``, ``_mean_row``, ``ReportRow.wilson``
+(with the oracle where one exists), ``_finite_hits``,
+``_scaled_passage_rows`` and ``_ratio_rows``.  Statistical rows use 99.99%
+score intervals and 0.05%-level KS thresholds.  Those levels hold per row,
+not per report, and near 0 and 1 a Wilson interval can miss the exact
+value after one chance miss, so a report with many rows fails at some
+seeds; the pinned acceptance tolerances (99% / 1%) live in the acceptance
+test suite.
 """
 
 from __future__ import annotations
@@ -144,30 +148,49 @@ def _ks_row(label: str, distance: float, critical: float, note: str = "") -> Rep
     )
 
 
+def _worst(points, gap):
+    """The first of ``points`` whose ``gap`` is largest."""
+    return max(points, key=gap)
+
+
 def _grid_row(label: str, points, tol: float, note: str = "") -> ReportRow:
     """Closed form vs oracle at the first grid point where they differ most;
     ``points`` yields ``(closed, oracle, where)``."""
-    worst = (0.0, None, None, "")
-    for closed, oracle, where in points:
-        diff = abs(closed - oracle)
-        if diff > worst[0]:
-            worst = (diff, closed, oracle, where)
-    return ReportRow.compare(
-        f"{label} (grid worst: {worst[3]})", worst[1], oracle=worst[2], tol=tol, note=note
-    )
+    closed, oracle, where = _worst(points, lambda p: abs(p[0] - p[1]))
+    return ReportRow.compare(f"{label} (grid worst: {where})", closed, oracle=oracle, tol=tol, note=note)
 
 
-def _with_oracle(row: ReportRow, oracle: float | None, tol: float) -> ReportRow:
-    # a Monte Carlo row with an oracle also needs the closed form to match it
-    if oracle is not None:
-        row.oracle = oracle
-        row.passed = row.passed and abs(row.closed_form - oracle) <= tol
-    return row
+def _mean_row(label: str, expected: float, values: np.ndarray, note: str = "") -> ReportRow:
+    """The sample mean of ``values`` within four standard errors of ``expected``."""
+    stderr = float(values.std(ddof=1) / math.sqrt(values.size))
+    return ReportRow.compare(label, expected, monte_carlo=(float(values.mean()), 4 * stderr), note=note)
 
 
-def _exponential_ks_row(label: str, scaled_times: np.ndarray, rate: float) -> ReportRow:
-    dist = ks_statistic(SampleSummary.from_samples(scaled_times), exponential_cdf_callable(rate))
-    return _ks_row(label, dist, ks_critical_value(scaled_times.size, KS_LEVEL))
+def _finite_hits(
+    k: int, regime: MortalityRegime, stream: RngStream, samples: int, n: int | None, workers: int
+) -> int:
+    """Fresh starts at k (in the context of n) whose first departure lands at k-1."""
+    _, codes = first_passage_batch(k, regime, stream, samples, n=n, workers=workers)
+    return int(np.count_nonzero(codes == kernels.FINITE))
+
+
+def _scaled_passage_rows(
+    report: AnalyticReport, k: int, n: int, regime: MortalityRegime, samples: int, stream: RngStream,
+    rate: float, where: str, mass_label: str | None = None, lam: float | None = None, workers: int = 1,
+) -> np.ndarray:
+    """KS row of the scaled passage times from k at scale n against
+    Exponential(rate) and, given ``mass_label``, the Wilson row of their
+    finite mass; returns the scaled times."""
+    batch = scaled_passage_batch(k, n, regime, samples, stream, lam=lam, workers=workers)
+    times = batch.scaled_times
+    dist = ks_statistic(SampleSummary.from_samples(times), exponential_cdf_callable(rate))
+    critical = ks_critical_value(times.size, KS_LEVEL)
+    report.add(_ks_row(f"scaled passage vs Exponential({rate:g}) [{where}]", dist, critical))
+    if mass_label is not None:
+        closed = single_drop_prob(k, mortality(regime, k, n))
+        hits = int(round(batch.finite_fraction * samples))
+        report.add(ReportRow.wilson(mass_label, closed, hits, samples, MC_LEVEL))
+    return times
 
 
 def _ratio_rows(
@@ -178,15 +201,8 @@ def _ratio_rows(
     value."""
     d = typical_extinction_time(n, c)
     ratios = sample_max_geometric_batch(stream, n, c, samples) / d
-    summary = SampleSummary.from_samples(ratios)
-    report.add(
-        ReportRow.compare(
-            f"mean tau/d_n [{tag}]",
-            expected_extinction_time(n, c) / d,
-            monte_carlo=(summary.mean, 4 * summary.stderr),
-            note="exact mean by survival-function summation",
-        )
-    )
+    note = "exact mean by survival-function summation"
+    report.add(_mean_row(f"mean tau/d_n [{tag}]", expected_extinction_time(n, c) / d, ratios, note))
     report.add(
         ReportRow.wilson(
             f"P(|tau/d_n - 1| > {RATIO_EPS:g}) [{tag}]",
@@ -252,8 +268,8 @@ def build_extinct_report(
         closed = extinction_cdf(n, c, t)
         dp = None if oracle_curve is None else float(oracle_curve[t])
         hits = int(np.count_nonzero((times >= 0) & (times <= t)))
-        row = ReportRow.wilson(f"P(extinct by t={t}) [n={n}, {tag}]", closed, hits, samples, MC_LEVEL)
-        report.add(_with_oracle(row, dp, tolerance))
+        label = f"P(extinct by t={t}) [n={n}, {tag}]"
+        report.add(ReportRow.wilson(label, closed, hits, samples, MC_LEVEL, oracle=dp, tol=tolerance))
         csv_rows.append((t, closed, dp, hits / samples))
     if censored:
         report.add(
@@ -299,21 +315,18 @@ def build_path_report(
     oracles = [float(exact_jump_law(k, c_k)[0]) for k, c_k in enumerate(mortalities[:MAX_STATE], 1)]
     for idx, k in enumerate(range(1, n + 1)):
         orac = oracles[idx] if k <= MAX_STATE else None
-        _, codes = first_passage_batch(k, regime, make_stream(seed, idx), samples, n=n, workers=workers)
-        finite = int(np.count_nonzero(codes == kernels.FINITE))
-        row = ReportRow.wilson(f"P(single drop from k={k}) [{tag}]", closed[idx], finite, samples, MC_LEVEL)
-        report.add(_with_oracle(row, orac, tolerance))
+        hits = _finite_hits(k, regime, make_stream(seed, idx), samples, n, workers)
+        label = f"P(single drop from k={k}) [{tag}]"
+        report.add(ReportRow.wilson(label, closed[idx], hits, samples, MC_LEVEL, oracle=orac, tol=tolerance))
     closed_path = single_drop_path_prob(n, mortalities)
     flags = single_drop_batch(n, regime, make_stream(seed, n + 1), samples, workers=workers)
-    row = ReportRow.wilson(
-        f"P(all drops single, n={n}) [{tag}]",
-        closed_path,
-        int(np.count_nonzero(flags)),
-        samples,
-        MC_LEVEL,
-    )
     orac_path = exact_single_drop_path_prob(n, regime) if n <= MAX_STATE else None
-    report.add(_with_oracle(row, orac_path, tolerance))
+    report.add(
+        ReportRow.wilson(
+            f"P(all drops single, n={n}) [{tag}]", closed_path, int(np.count_nonzero(flags)), samples,
+            MC_LEVEL, oracle=orac_path, tol=tolerance,
+        )
+    )
     bound = _applicable_bound(n, regime, mortalities)
     if bound is not None:
         label, value = bound
@@ -413,20 +426,17 @@ def build_passage_report(
     for j, closed in enumerate(pmf_closed, 1):
         hits = int(np.count_nonzero(finite_mask & (times == j)))
         orac = None if pmf_oracle is None else float(pmf_oracle[j - 1])
-        row = ReportRow.wilson(f"P(T=j) at j={j} [{tag}]", closed, hits, samples, MC_LEVEL)
-        report.add(_with_oracle(row, orac, tolerance))
+        label = f"P(T=j) at j={j} [{tag}]"
+        report.add(ReportRow.wilson(label, closed, hits, samples, MC_LEVEL, oracle=orac, tol=tolerance))
     closed_mass = single_drop_prob(k, c)
     # T is finite iff the first departure removes exactly one individual
     mass_oracle = float(exact_jump_law(k, c)[0]) if k <= MAX_STATE else None
-    row = ReportRow.wilson(
-        f"P(T finite) [{tag}]",
-        closed_mass,
-        int(np.count_nonzero(finite_mask)),
-        samples,
-        MC_LEVEL,
-        note="" if mass_oracle is not None else "no oracle",
+    report.add(
+        ReportRow.wilson(
+            f"P(T finite) [{tag}]", closed_mass, int(np.count_nonzero(finite_mask)), samples, MC_LEVEL,
+            note="" if mass_oracle is not None else "no oracle", oracle=mass_oracle, tol=tolerance,
+        )
     )
-    report.add(_with_oracle(row, mass_oracle, tolerance))
     for frac, tol_factor in MGF_FRACTIONS:
         s = frac * passage_mgf_domain(k, c)
         closed = passage_mgf(k, c, s)
@@ -440,24 +450,10 @@ def build_passage_report(
             )
     scaled = None
     if limit_n is not None:
-        m = limit_samples or samples
-        batch = scaled_passage_batch(
-            k, limit_n, regime, m, make_stream(seed, 1), lam=lam, workers=workers
+        scaled = _scaled_passage_rows(
+            report, k, limit_n, regime, limit_samples or samples, make_stream(seed, 1), rate,
+            f"k={k}, n={limit_n}", f"P(T finite) at scale n={limit_n} [k={k}]", lam=lam, workers=workers,
         )
-        finite_count = int(round(batch.finite_fraction * m))
-        label = f"scaled passage vs Exponential({rate:g}) [k={k}, n={limit_n}]"
-        report.add(_exponential_ks_row(label, batch.scaled_times, rate))
-        c_limit = mortality(regime, k, limit_n)
-        report.add(
-            ReportRow.wilson(
-                f"P(T finite) at scale n={limit_n} [k={k}]",
-                single_drop_prob(k, c_limit),
-                finite_count,
-                m,
-                MC_LEVEL,
-            )
-        )
-        scaled = batch.scaled_times
     return report, scaled
 
 
@@ -476,16 +472,9 @@ def build_implode_outputs(
     partial, tail = implosion_expected_time(alpha, K)
     levels = check_sweep_levels(sweep or (), K)
     totals, moments = implosion_batch(alpha, K, runs, make_stream(seed, 0), workers=workers, levels=levels)
+    label = f"mean implosion time [alpha={alpha:g}, K={K}]"
+    report.add(_mean_row(label, partial, totals, "expected value = partial sum"))
     mean = float(totals.mean())
-    stderr = float(totals.std(ddof=1) / math.sqrt(runs))
-    report.add(
-        ReportRow.compare(
-            f"mean implosion time [alpha={alpha:g}, K={K}]",
-            partial,
-            monte_carlo=(mean, 4 * stderr),
-            note="expected value = partial sum",
-        )
-    )
     var_expected, _ = implosion_expected_time(2 * alpha + 1, K)
     sample_var = float(totals.var(ddof=1))
     m4 = float(np.mean((totals - mean) ** 4))
@@ -570,14 +559,14 @@ def build_verify_report(
 
     report.add(_grid_row("DP state law vs thinned binomial", thinned_binomial_points(), tol))
 
-    worst_rel, at = 0.0, ""
-    for c in (0.05, 0.3, 0.5, 0.95):
-        for t in range(0, 51):
-            closed = extinction_cdf(1, c, t)
-            geom = -math.expm1(t * math.log1p(-c))
-            rel = abs(closed - geom) / max(geom, 1e-300)
-            if rel > worst_rel and t > 0:
-                worst_rel, at = rel, f"c={c}, t={t}"
+    def geometric_errors():
+        # (relative error, where) of the n=1 CDF against the geometric CDF
+        for c in (0.05, 0.3, 0.5, 0.95):
+            for t in range(1, 51):
+                geom = -math.expm1(t * math.log1p(-c))
+                yield abs(extinction_cdf(1, c, t) - geom) / geom, f"c={c}, t={t}"
+
+    worst_rel, at = _worst(geometric_errors(), lambda e: e[0])
     report.add(
         ReportRow(
             f"extinction CDF at n=1 vs geometric CDF (worst rel: {at})",
@@ -622,16 +611,14 @@ def build_verify_report(
             exact = single_drop_path_prob(n, mortality_vector(joint, n))
             yield exact, path_prob_lower_bound_joint(n, joint.alpha, joint.beta), f"joint n={n}"
 
-    ok, tight = True, (math.inf, None, None, "")
-    for exact, bound, where in bound_points():
-        ok = ok and bound <= exact + tol
-        if exact - bound < tight[0]:
-            tight = (exact - bound, exact, bound, where)
+    bounds = list(bound_points())
+    ok = all(bound <= exact + tol for exact, bound, _ in bounds)
+    exact, bound, where = _worst(bounds, lambda b: b[1] - b[0])  # the tightest
     report.add(
         ReportRow(
-            f"lower bounds <= exact path prob (tightest: {tight[3]})",
-            tight[1],
-            tight[2],
+            f"lower bounds <= exact path prob (tightest: {where})",
+            exact,
+            bound,
             None,
             ok,
             "three bound families over their grids",
@@ -650,20 +637,17 @@ def build_verify_report(
         )
     )
 
-    ok, worst = True, (0.0, None, None, "")
+    brackets = []  # (total mass, series sum, its tail bound, where)
     for k, c in ((3, 0.3), (5, 0.1), (10, 0.5)):
         law, tail = exact_passage_law(k, c, 400)
-        cum = float(law.sum())
-        target = single_drop_prob(k, c)
-        ok = ok and (cum - tol <= target <= cum + tail + tol)
-        gap = abs(target - (cum + tail / 2))
-        if gap > worst[0]:
-            worst = (gap, target, cum + tail / 2, f"k={k}, c={c}")
+        brackets.append((single_drop_prob(k, c), float(law.sum()), tail, f"k={k}, c={c}"))
+    ok = all(cum - tol <= mass <= cum + tail + tol for mass, cum, tail, _ in brackets)
+    mass, cum, tail, where = _worst(brackets, lambda b: abs(b[0] - (b[1] + b[2] / 2)))
     report.add(
         ReportRow(
-            f"passage pmf series brackets total mass (worst: {worst[3]})",
-            worst[1],
-            worst[2],
+            f"passage pmf series brackets total mass (worst: {where})",
+            mass,
+            cum + tail / 2,
             None,
             ok,
             "oracle = bracket midpoint",
@@ -714,9 +698,6 @@ def build_verify_report(
         )
 
     # --- Monte Carlo corroboration ---------------------------------------
-    def wilson_row(label: str, closed: float, hits: int) -> None:
-        report.add(ReportRow.wilson(label, closed, hits, samples, MC_LEVEL))
-
     two_sample_critical = ks_two_sample_critical(samples, samples, KS_LEVEL)
     ext = extinction_time_batch(50, Constant(0.2), make_stream(seed, 10), samples, workers=workers)
     dist = ks_statistic(
@@ -733,26 +714,17 @@ def build_verify_report(
     _ratio_rows(report, 10**6, 0.1, samples, make_stream(seed, 12), "n=10^6, c=0.1")
 
     for i, (k, c) in enumerate(((3, 0.3), (10, 0.1))):
-        _, codes = first_passage_batch(k, Constant(c), make_stream(seed, 13 + i), samples, workers=workers)
-        wilson_row(
-            f"P(single drop from k={k}) MC [c={c}]",
-            single_drop_prob(k, c),
-            int(np.count_nonzero(codes == kernels.FINITE)),
-        )
+        hits = _finite_hits(k, Constant(c), make_stream(seed, 13 + i), samples, None, workers)
+        label = f"P(single drop from k={k}) MC [c={c}]"
+        report.add(ReportRow.wilson(label, single_drop_prob(k, c), hits, samples, MC_LEVEL))
 
     flags = single_drop_batch(5, Constant(0.1), make_stream(seed, 15), samples, workers=workers)
-    wilson_row(
-        "P(all drops single, n=5) MC [c=0.1]",
-        single_drop_path_prob(5, [0.1] * 5),
-        int(np.count_nonzero(flags)),
-    )
+    closed, hits = single_drop_path_prob(5, [0.1] * 5), int(np.count_nonzero(flags))
+    report.add(ReportRow.wilson("P(all drops single, n=5) MC [c=0.1]", closed, hits, samples, MC_LEVEL))
 
     times, codes = first_passage_batch(2, Constant(0.5), make_stream(seed, 16), samples, workers=workers)
-    wilson_row(
-        "P(T=1) from k=2 MC [c=0.5]",
-        passage_pmf(2, 0.5, 1),
-        int(np.count_nonzero((codes == kernels.FINITE) & (times == 1))),
-    )
+    closed, hits = passage_pmf(2, 0.5, 1), int(np.count_nonzero((codes == kernels.FINITE) & (times == 1)))
+    report.add(ReportRow.wilson("P(T=1) from k=2 MC [c=0.5]", closed, hits, samples, MC_LEVEL))
 
     # stepped holding times obey the geometric law the O(1) sampler assumes
     hold, _ = first_passage_batch(
@@ -765,28 +737,17 @@ def build_verify_report(
         _ks_row("stepped holding at k=3 vs geometric draws [c=0.3]", dist, two_sample_critical)
     )
 
-    batch = scaled_passage_batch(3, 10**4, InitialPower(1.0, 1.0), samples, make_stream(seed, 19), lam=1.0, workers=workers)
-    label = "scaled passage vs Exponential(3) [k=3, lam=1, n=10^4]"
-    report.add(_exponential_ks_row(label, batch.scaled_times, 3.0))
-
-    batch = scaled_passage_batch(2, 10**3, JointPower(1.0, 3.0), samples, make_stream(seed, 20), workers=workers)
-    label = "scaled passage vs Exponential(4) [k=2, alpha=1, beta=3, n=10^3]"
-    report.add(_exponential_ks_row(label, batch.scaled_times, 4.0))
-    wilson_row(
-        "P(T finite) at scale n=10^3 [k=2, alpha=1, beta=3]",
-        single_drop_prob(2, mortality(JointPower(1.0, 3.0), 2, 10**3)),
-        int(round(batch.finite_fraction * samples)),
+    _scaled_passage_rows(
+        report, 3, 10**4, InitialPower(1.0, 1.0), samples, make_stream(seed, 19), 3.0,
+        "k=3, lam=1, n=10^4", lam=1.0, workers=workers,
+    )
+    _scaled_passage_rows(
+        report, 2, 10**3, JointPower(1.0, 3.0), samples, make_stream(seed, 20), 4.0,
+        "k=2, alpha=1, beta=3, n=10^3", "P(T finite) at scale n=10^3 [k=2, alpha=1, beta=3]", workers=workers,
     )
 
     totals, _ = implosion_batch(1.0, 2000, samples, make_stream(seed, 21), workers=workers)
     partial, _ = implosion_expected_time(1.0, 2000)
-    stderr = float(totals.std(ddof=1) / math.sqrt(samples))
-    report.add(
-        ReportRow.compare(
-            "mean implosion time [alpha=1, K=2000]",
-            partial,
-            monte_carlo=(float(totals.mean()), 4 * stderr),
-        )
-    )
+    report.add(_mean_row("mean implosion time [alpha=1, K=2000]", partial, totals))
 
     return report

@@ -118,12 +118,16 @@ def step(x: int, c: float, rng: RngStream) -> int:
     return x - int(kernels.binomial_draw(rng.generator, x, c))
 
 
-def prepare_run(regime: MortalityRegime, n: int, t_max: int | None) -> tuple[np.ndarray, int]:
+def prepare_run(
+    regime: MortalityRegime, n: int, t_max: int | None, record: bool = False
+) -> tuple[np.ndarray, int]:
     """Mortality array and censoring horizon of a run from n, before any
     draw.  The horizon stays an int64.  Where a hold capped at
     ``kernels.HOLD_CAP`` would end before it, every level's departure must
     be likely enough that no hold reaches the cap; below the cap a capped
-    hold is censored, as the hold it stands for would be."""
+    hold is censored, as the hold it stands for would be.  A run whose
+    path is recorded (``record``) may not last beyond
+    ``MAX_RECORDED_STEPS``."""
     cs = prepare(regime, n)
     if t_max is None:
         t_max = _censor_horizon(cs, n)
@@ -135,6 +139,8 @@ def prepare_run(regime: MortalityRegime, n: int, t_max: int | None) -> tuple[np.
         with np.errstate(divide="ignore"):  # certain death departs at rate inf
             k = int(np.argmin(levels * -np.log1p(-cs[1:]))) + 1
         check_departure(k, float(cs[k]))
+    if record and t_max > MAX_RECORDED_STEPS:
+        raise ProcessError(f"recording {t_max} steps would need too much memory; lower t_max")
     return cs, t_max
 
 
@@ -156,11 +162,7 @@ def simulate_trajectory(
     once.
     """
     n = _check_n(n)
-    cs, t_max = prepare_run(regime, n, t_max)
-    if t_max > MAX_RECORDED_STEPS:
-        raise ProcessError(
-            f"recording {t_max} steps would need too much memory; lower t_max"
-        )
+    cs, t_max = prepare_run(regime, n, t_max, record=True)
 
     def task(stream: RngStream, m: int):
         out = np.empty(m, dtype=np.int64)

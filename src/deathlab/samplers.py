@@ -34,7 +34,8 @@ def _check_prob(c: float, *, allow_zero: bool, allow_one: bool, name: str = "c")
 
 
 def _check_count(x: int, name: str, minimum: int = 0) -> int:
-    if x != int(x):
+    # int() of infinity or nan raises, but not this module's domain error
+    if x != x or x in (float("inf"), float("-inf")) or x != int(x):
         raise SamplerError(f"{name} must be an integer, got {x}")
     x = int(x)
     if x < minimum:

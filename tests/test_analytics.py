@@ -331,6 +331,14 @@ class TestReport:
         assert row.passed
         assert not ReportRow.wilson("x", 0.9, 5000, 10000, 0.99).passed
 
+    def test_wilson_row_with_oracle(self):
+        # the closed form sits in the interval; the oracle decides
+        near = ReportRow.wilson("x", 0.5, 5000, 10000, 0.99, oracle=0.5 + 1e-13, tol=1e-12)
+        far = ReportRow.wilson("x", 0.5, 5000, 10000, 0.99, oracle=0.5 + 1e-9, tol=1e-12)
+        assert near.passed and near.oracle == 0.5 + 1e-13
+        assert not far.passed and far.oracle == 0.5 + 1e-9
+        assert not ReportRow.wilson("x", 0.9, 5000, 10000, 0.99, oracle=0.9).passed
+
     def test_render_and_json(self):
         report = AnalyticReport(meta={"command": "test"})
         report.add(ReportRow.compare("alpha", 1.0, oracle=1.0))
@@ -376,3 +384,18 @@ def test_single_drop_prob_underflows_gracefully():
 )
 def test_passage_pmf_decreasing_in_j(k, c, j):
     assert passage_pmf(k, c, j + 1) <= passage_pmf(k, c, j)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: extinction_cdf(x, 0.3, 1),
+        lambda x: passage_pmf(2, 0.3, x),
+        lambda x: implosion_expected_time(1.0, x),
+    ],
+    ids=["extinction_cdf_n", "passage_pmf_j", "implosion_K"],
+)
+def test_non_finite_count_is_a_domain_error(call, bad):
+    with pytest.raises(AnalyticsError, match="must be an integer"):
+        call(bad)

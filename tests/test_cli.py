@@ -209,6 +209,8 @@ def no_streams(monkeypatch):
          "k*lam overflows a double"),
         # holds that would reach the kernels' cap, and a horizon past int64
         (["simulate", "--regime", "constant:5e-324", "--n", "5"], "lies below 8e-18"),
+        # an automatic horizon of 2.2e10 steps, too long to record
+        (["simulate", "--regime", "constant:1e-9", "--n", "5"], "recording 22332703739 steps"),
         (["extinct", "--regime", "constant:5e-324", "--ratio-n", "0", "--n", "5", "--t-grid", "0:5"],
          "lies below 8e-18"),
         (["passage", "--k", "2", "--regime", "joint_power:1,6", "--limit-n", "100000", "--samples", "2000"],
@@ -226,7 +228,8 @@ def no_streams(monkeypatch):
          "passage_certain_death_closed_form", "path_certain_death_at_3", "path_certain_death_at_top",
          "passage_scaling_constant_overflow", "passage_limit_rate_overflow",
          "passage_initial_power_scaling_overflow", "passage_initial_power_rate_overflow",
-         "simulate_capped_holds", "extinct_capped_holds", "passage_limit_capped_holds",
+         "simulate_capped_holds", "simulate_recording_too_long", "extinct_capped_holds",
+         "passage_limit_capped_holds",
          "extinct_ratio_mean_too_long"],
 )
 def test_out_of_range_parameter_exits_2_before_any_stream(runner, no_streams, args, says):
@@ -255,6 +258,29 @@ def test_rejected_command_makes_no_out_directory(runner, no_streams, tmp_path, a
     result = runner.invoke(main, args + ["--out", str(out / "verify.json" if args[0] == "verify" else out)])
     assert result.exit_code == 2, result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, out, says",
+    [
+        (["verify", "--samples", "2000"], "", ". is a directory, not a file"),
+        (["verify"], "dir", "dir is a directory, not a file"),
+        (["path", "--n", "3", "--samples", "100"], "file", "file is not a directory"),
+        (["simulate", "--n", "3"], "file", "file is not a directory"),
+        (["extinct"], os.path.join("file", "sub"), "file is not a directory"),
+    ],
+    ids=["verify_empty", "verify_directory", "path_file", "simulate_file", "extinct_below_file"],
+)
+def test_unwritable_out_exits_2_before_any_stream(runner, no_streams, tmp_path, monkeypatch, args, out, says):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    result = runner.invoke(main, args + ["--out", out])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"--out: {says}" in result.output
+    assert "Traceback" not in result.output
+    assert sorted(os.listdir(tmp_path)) == ["dir", "file"] and not os.listdir(tmp_path / "dir")
 
 
 # regime JSON of the wrong type, each at a run from n = 2, and what the error names
@@ -488,6 +514,28 @@ def test_verify_worker_invariance(runner, tmp_path):
         )
         assert result.exit_code == 0
     assert (tmp_path / "w1.json").read_bytes() == (tmp_path / "w4.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["path", "--n", "5", "--samples", "20000"],
+        ["passage", "--k", "2", "--regime", "joint_power:1,3", "--n", "1000", "--limit-n", "1000",
+         "--samples", "20000"],
+        ["implode", "--k-max", "100", "--runs", "40000"],
+        ["extinct", "--samples", "20000", "--ratio-samples", "100", "--t-grid", "0:30"],
+    ],
+    ids=["path", "passage_limit", "implode", "extinct"],
+)
+def test_report_files_do_not_depend_on_workers(runner, tmp_path, args):
+    # each batch spans more than one chunk of 16384, so two workers share it
+    files = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        result = invoke(runner, args + ["--workers", str(workers), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        files.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert files[0] == files[1]
 
 
 def test_verify_fails_at_impossible_tolerance(runner):

@@ -1,9 +1,12 @@
 """Report builders reject inputs they cannot report on before simulating."""
 
+import json
+
 import numpy as np
 import pytest
 
 from deathlab import experiments, limits
+from deathlab.analytics import AnalyticReport
 from deathlab.oracle import MAX_STATE
 from deathlab.regimes import Constant, JointPower
 
@@ -78,3 +81,16 @@ def test_implode_rejects_bad_sweep_levels_before_simulating(monkeypatch):
     for sweep in ([100, 10], [10, 10], [10, 2000]):
         with pytest.raises(ValueError, match="sweep levels"):
             experiments.build_implode_outputs(1.0, 1000, 100, 0, sweep=sweep)
+
+
+def test_grid_row_of_an_exactly_agreeing_grid_shows_its_first_point():
+    row = experiments._grid_row("x", [(0.5, 0.5, "a"), (0.25, 0.25, "b")], 1e-12)
+    assert row.passed
+    assert (row.label, row.closed_form, row.oracle) == ("x (grid worst: a)", 0.5, 0.5)
+    assert json.loads(AnalyticReport(rows=[row]).to_json())["pass"] is True
+
+
+def test_grid_row_shows_the_first_worst_point():
+    points = [(1.0, 1.0, "a"), (1.0, 1.5, "b"), (2.0, 1.5, "c"), (2.0, 2.25, "d")]
+    row = experiments._grid_row("x", points, 1e-12)
+    assert (row.label, row.closed_form, row.oracle, row.passed) == ("x (grid worst: b)", 1.0, 1.5, False)

@@ -107,6 +107,12 @@ def test_binomial_domain_errors():
         step(2**53 + 1, 0.5, s)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_max_geometric_non_finite_n_is_a_domain_error(bad):
+    with pytest.raises(SamplerError, match="must be an integer"):
+        sample_max_geometric_batch(make_stream(0, 0), bad, 0.3, 3)
+
+
 def test_geometric_certain_death():
     s = make_stream(0, 1)
     assert np.all(sample_geometric_batch(s, 1.0, 100) == 1)
