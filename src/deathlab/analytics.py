@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .regimes import InitialPower, JointPower, MortalityRegime
 
 # expected_extinction_time stops once its remaining tail is below this
 MEAN_TAIL_TOL = 1e-10
+
+SUM_BLOCK = 1 << 16
 
 
 class AnalyticsError(ValueError):
@@ -40,6 +42,19 @@ def _check_count(k: int, name: str, minimum: int = 1) -> int:
     if k != k or k in (math.inf, -math.inf) or k != int(k) or k < minimum:
         raise AnalyticsError(f"{name} must be an integer >= {minimum}, got {k}")
     return int(k)
+
+
+def block_sum(terms: Callable[[np.ndarray], np.ndarray], start: int, stop: int) -> float:
+    """Sum of ``terms(x)`` over the float64 x = start, ..., stop-1: numpy
+    sums over blocks of SUM_BLOCK, combined by ``math.fsum``, so memory does
+    not grow with the count.  Up to SUM_BLOCK terms, one numpy sum."""
+    sums = []
+    for a in range(start, stop, SUM_BLOCK):
+        # x lives until the next block's is made: freed first, the heap top
+        # went back to the OS and was faulted in again each block (2x time)
+        x = np.arange(a, min(a + SUM_BLOCK, stop), dtype=np.float64)
+        sums.append(float(terms(x).sum()))
+    return math.fsum(sums)
 
 
 def extinction_cdf(n: int, c: float, t: int) -> float:
@@ -77,14 +92,8 @@ def expected_extinction_time(n: int, c: float) -> float:
     """
     t_stop = expected_extinction_terms(n, c)
     lnq = math.log1p(-c)
-    total = 0.0
-    block = 1 << 16
-    for start in range(0, t_stop, block):
-        t = np.arange(start, min(start + block, t_stop), dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            survival = -np.expm1(n * np.log1p(-np.exp(t * lnq)))
-        total += float(survival.sum())
-    return total
+    with np.errstate(divide="ignore"):
+        return block_sum(lambda t: -np.expm1(n * np.log1p(-np.exp(t * lnq))), 0, t_stop)
 
 
 def single_drop_prob(k: int, c: float) -> float:
@@ -129,11 +138,19 @@ def single_drop_path_prob(n: int, mortalities: Sequence[float]) -> float:
     return math.exp(log_total)
 
 
+def _pairs(n: int) -> float:
+    """n(n-1)/2 as a float: the exponent of the path-probability bounds."""
+    try:
+        return n * (n - 1) / 2
+    except OverflowError:
+        raise AnalyticsError(f"n(n-1)/2 overflows a double at n={n}") from None
+
+
 def path_prob_lower_bound_constant(n: int, c: float) -> float:
     """Lower bound (1-c)^(n(n-1)/2) on the single-drop path probability."""
     n = _check_count(n, "n", minimum=0)
     c = _check_prob_open(c)
-    return math.exp((n * (n - 1) / 2) * math.log1p(-c))
+    return math.exp(_pairs(n) * math.log1p(-c))
 
 
 def path_prob_lower_bound_state(n: int, mortalities: Sequence[float]) -> float:
@@ -168,7 +185,7 @@ def path_prob_lower_bound_joint(n: int, alpha: float, beta: float) -> float:
     if beta == alpha:
         return 0.0
     base = math.exp((alpha - beta) * math.log(n))  # n^(alpha-beta) in (0,1)
-    return math.exp((n * (n - 1) / 2) * math.log1p(-base))
+    return math.exp(_pairs(n) * math.log1p(-base))
 
 
 def passage_pmf(k: int, c: float, j: int) -> float:
@@ -235,20 +252,14 @@ def implosion_expected_time(alpha: float, K: int) -> tuple[float, float]:
     """Partial sum of sum_k k^-(alpha+1) up to K, with an integral tail bound.
 
     The full series lies in [partial_sum, partial_sum + tail_bound] with
-    tail_bound = K^-alpha / alpha; it diverges for alpha <= 0.  Terms are
-    summed in blocks of 2^16 whose sums ``math.fsum`` combines, so memory
-    does not grow with K; up to 2^16 terms this is one numpy sum.
+    tail_bound = K^-alpha / alpha; it diverges for alpha <= 0.  The
+    partial sum is a ``block_sum``.
     """
     alpha = float(alpha)
     if alpha <= 0:
         raise AnalyticsError(f"series diverges for alpha <= 0, got {alpha}")
     K = _check_count(K, "K")
-    block = 1 << 16
-    partials = []
-    for start in range(1, K + 1, block):
-        k = np.arange(start, min(start + block, K + 1), dtype=np.float64)
-        partials.append(float((k ** (-(alpha + 1.0))).sum()))
-    partial = math.fsum(partials)
+    partial = block_sum(lambda k: k ** (-(alpha + 1.0)), 1, K + 1)
     tail = float(K) ** (-alpha) / alpha
     return partial, tail
 

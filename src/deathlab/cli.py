@@ -121,6 +121,15 @@ def _parse_int_list(value, flag: str, minimum: int) -> list[int]:
     return out
 
 
+def _parse_sweep(value, k_max: int | None = None) -> list[int]:
+    """A ``--sweep`` list as ``limits.check_sweep_levels`` accepts it:
+    strictly increasing and, given ``k_max``, at most ``k_max``."""
+    try:
+        return check_sweep_levels(_parse_int_list(value, "--sweep", minimum=1), k_max)
+    except AnalyticsError as exc:
+        raise click.UsageError(f"--sweep: {exc}")
+
+
 def _parse_t_grid(value) -> list[int]:
     text = str(value)
     if isinstance(value, list) or ":" not in text:
@@ -197,14 +206,17 @@ def _write_trajectories(path: Path, batch: TrajectoryBatch) -> None:
             fh.write("".join(table[cells.ravel()].tolist()))
 
 
-def _run(build, out: str | Path | None, report_name: str, tables) -> None:
+def _run(build, out: str | Path | None, names, tables) -> None:
     """The tail of a report command.  ``build()`` returns the report and
     the outputs that ``tables`` turns into ``(file, header, rows)`` side
     tables; a ``ValueError`` from it exits 2 before anything is written,
-    and so does an ``out`` that ``_check_out`` refuses, before ``build()``.
-    With ``out``, the side tables and then the report's JSON are written
-    there.  The report is printed, and a failed row exits 1."""
-    out_path = _check_out(out, [report_name])
+    and so does an ``out`` that ``_check_out`` refuses for any of
+    ``names``, before ``build()``.  ``names`` are the report's JSON file,
+    then every side table ``tables`` may write.  With ``out``, the side
+    tables and then the report's JSON are written there.  The report is
+    printed, and a failed row exits 1."""
+    report_name = names[0]
+    out_path = _check_out(out, names)
     try:
         report, *outputs = build()
     except ValueError as exc:
@@ -327,7 +339,7 @@ def extinct(config_path, **flags):
             ratio_n=params["ratio_n"] or None, ratio_c=params["ratio_c"],
             ratio_samples=params["ratio_samples"],
         ),
-        params["out"], "extinct_report.json", tables,
+        params["out"], ("extinct_report.json", "extinct_cdf.csv", "state_distribution.csv"), tables,
     )
 
 
@@ -346,13 +358,13 @@ def path(config_path, **flags):
     their lower bounds."""
     params = _params(config_path, flags, {"n": 0, "samples": 1, "seed": 0, "workers": 1})
     regime = _resolve_regime(params["regime"])
-    sweep = None if params["sweep"] is None else _parse_int_list(params["sweep"], "--sweep", minimum=1)
+    sweep = None if params["sweep"] is None else _parse_sweep(params["sweep"])
     _run(
         lambda: build_path_report(
             params["n"], regime, params["samples"], params["seed"],
             workers=params["workers"], tolerance=params["tolerance"], sweep=sweep,
         ),
-        params["out"], "path_report.json",
+        params["out"], ("path_report.json", "path_bound_sweep.csv"),
         lambda sweep_rows: [("path_bound_sweep.csv", ["n", "lower_bound"], sweep_rows)] if sweep_rows else [],
     )
 
@@ -384,7 +396,7 @@ def passage(config_path, **flags):
             workers=params["workers"], tolerance=params["tolerance"], j_max=params["j_max"],
             limit_n=params["limit_n"], limit_samples=params["limit_samples"], lam=params["lam"],
         ),
-        params["out"], "passage_report.json",
+        params["out"], ("passage_report.json", "scaled_passage_times.csv"),
         lambda scaled: [] if scaled is None else [
             ("scaled_passage_times.csv", ["scaled_time"], [(float(v),) for v in scaled])
         ],
@@ -414,10 +426,7 @@ def implode(config_path, **flags):
     elif sweep in (None, ""):
         sweep = None
     else:
-        try:
-            sweep = check_sweep_levels(_parse_int_list(sweep, "--sweep", minimum=1), k_max)
-        except AnalyticsError as exc:
-            raise click.UsageError(f"--sweep: {exc}")
+        sweep = _parse_sweep(sweep, k_max)
 
     def tables(sweep_rows, totals):
         if sweep_rows:
@@ -434,7 +443,7 @@ def implode(config_path, **flags):
         lambda: build_implode_outputs(
             params["alpha"], k_max, params["runs"], params["seed"], sweep=sweep, workers=params["workers"]
         ),
-        params["out"], "implode_report.json", tables,
+        params["out"], ("implode_report.json", "implode_sweep.csv", "implode_hist.csv"), tables,
     )
 
 
@@ -458,7 +467,7 @@ def verify(config_path, **flags):
                 samples=params["samples"],
             ),
         ),
-        out and out.parent, out and out.name, lambda: [],
+        out and out.parent, (out and out.name,), lambda: [],
     )
 
 

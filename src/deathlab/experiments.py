@@ -179,13 +179,17 @@ def _scaled_passage_rows(
     rate: float, where: str, mass_label: str | None = None, lam: float | None = None, workers: int = 1,
 ) -> np.ndarray:
     """KS row of the scaled passage times from k at scale n against
-    Exponential(rate) and, given ``mass_label``, the Wilson row of their
-    finite mass; returns the scaled times."""
+    Exponential(rate), failed where no passage was finite, and, given
+    ``mass_label``, the Wilson row of their finite mass; returns the
+    scaled times."""
     batch = scaled_passage_batch(k, n, regime, samples, stream, lam=lam, workers=workers)
     times = batch.scaled_times
-    dist = ks_statistic(SampleSummary.from_samples(times), exponential_cdf_callable(rate))
-    critical = ks_critical_value(times.size, KS_LEVEL)
-    report.add(_ks_row(f"scaled passage vs Exponential({rate:g}) [{where}]", dist, critical))
+    label = f"scaled passage vs Exponential({rate:g}) [{where}]"
+    if times.size:
+        dist = ks_statistic(SampleSummary.from_samples(times), exponential_cdf_callable(rate))
+        report.add(_ks_row(label, dist, ks_critical_value(times.size, KS_LEVEL)))
+    else:
+        report.add(ReportRow(label, 0.0, None, None, False, "no finite passage in the sample to test"))
     if mass_label is not None:
         closed = single_drop_prob(k, mortality(regime, k, n))
         hits = int(round(batch.finite_fraction * samples))
@@ -309,8 +313,11 @@ def build_path_report(
     report = AnalyticReport(meta=report_meta("path", config, seed))
     tag = describe(regime)
     mortalities = mortality_vector(regime, n)
-    # every level's closed form and oracle before the first stream, so a
-    # level out of their range fails before anything is drawn
+    # every level's closed form and oracle, and the sweep's bounds, before
+    # the first stream, so a value out of their range fails before
+    # anything is drawn
+    sweep = check_sweep_levels(sweep or ())
+    sweep_rows = [(m, path_prob_lower_bound_joint(m, regime.alpha, regime.beta)) for m in sweep]
     closed = [single_drop_prob(k, c_k) for k, c_k in enumerate(mortalities, 1)]
     oracles = [float(exact_jump_law(k, c_k)[0]) for k, c_k in enumerate(mortalities[:MAX_STATE], 1)]
     for idx, k in enumerate(range(1, n + 1)):
@@ -336,9 +343,8 @@ def build_path_report(
                 "lower bound must not exceed the exact value",
             )
         )
-    sweep_rows = []
     if sweep:
-        values = [path_prob_lower_bound_joint(m, regime.alpha, regime.beta) for m in sweep]
+        values = [value for _, value in sweep_rows]
         increasing = all(b > a for a, b in zip(values, values[1:]))
         report.add(
             ReportRow(
@@ -350,7 +356,6 @@ def build_path_report(
                 "monotone increase toward 1",
             )
         )
-        sweep_rows = list(zip(sweep, values))
     return report, sweep_rows
 
 
@@ -412,7 +417,9 @@ def build_passage_report(
             raise ValueError(f"limit check needs k <= limit_n, got k={k}, limit_n={limit_n}")
         rate = limit_passage_rate(regime, k, lam)
         scaling_constant(regime, k, limit_n, lam)  # raises where no a_n exists
-        check_departure(k, mortality(regime, k, limit_n))
+        c_limit = mortality(regime, k, limit_n)
+        single_drop_prob(k, c_limit)  # the finite mass; raises at c = 1, where no passage is finite
+        check_departure(k, c_limit)
     report = AnalyticReport(meta=report_meta("passage", config, seed))
     c = mortality(regime, k, n_ctx)
     tag = f"k={k}, c={c:g}"

@@ -97,11 +97,13 @@ def _stage_rates(alpha: float, K: int) -> np.ndarray:
         return np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.0)
 
 
-def check_sweep_levels(levels: Sequence[int], K: int) -> list[int]:
-    """Sweep levels as a list: integers in [1, K], strictly increasing."""
+def check_sweep_levels(levels: Sequence[int], K: int | None = None) -> list[int]:
+    """Sweep levels as a list: integers >= 1, strictly increasing, and at
+    most K where K is given."""
     levels = list(levels)
-    if levels and (levels[0] < 1 or levels[-1] > K):
-        raise AnalyticsError(f"sweep levels must lie in [1, K={K}], got {levels}")
+    if levels and (levels[0] < 1 or K is not None and levels[-1] > K):
+        bounds = "be >= 1" if K is None else f"lie in [1, K={K}]"
+        raise AnalyticsError(f"sweep levels must {bounds}, got {levels}")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise AnalyticsError(f"sweep levels must be strictly increasing, got {levels}")
     return levels

@@ -2,10 +2,12 @@
 
 Everything here re-derives its answer from the raw binomial transition
 law, never from the closed forms in :mod:`deathlab.analytics`, so that
-agreement between the two is evidence rather than tautology.  Instances
-are capped at desk scale (n <= 30, t <= 200); the dynamic program runs in
-extended precision to keep accumulation error far below the 1e-12
-comparison tolerances.
+agreement between the two is evidence rather than tautology.  The one
+thing shared with that module is ``block_sum``, which only adds up the
+terms it is given: arithmetic, not a closed form.  Instances are capped at
+desk scale (n <= 30, t <= 200); the dynamic program runs in extended
+precision to keep accumulation error far below the 1e-12 comparison
+tolerances.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 
 import numpy as np
 
+from .analytics import block_sum
 from .regimes import MortalityRegime, mortality
 
 MAX_STATE = 30
@@ -125,8 +128,9 @@ def exact_passage_law(k: int, c: float, j_max: int) -> tuple[np.ndarray, float]:
     return pmf, float(tail)
 
 
-def mgf_series_cost(k: int, c: float, s: float, tol: float = 1e-12) -> int:
-    """Terms the summation oracle needs before its tail bound reaches tol."""
+def _mgf_series(k: int, c: float, s: float, tol: float) -> tuple[int, float, float]:
+    """(terms, log of the first term, log of the ratio) of the MGF series:
+    the first ``terms`` of first * ratio^(j-1) leave a tail below tol."""
     if not 1 <= k <= MAX_STATE:
         raise OracleError(f"oracle handles 1 <= k <= {MAX_STATE}, got k={k}")
     if not 0 < c < 1:
@@ -140,25 +144,22 @@ def mgf_series_cost(k: int, c: float, s: float, tol: float = 1e-12) -> int:
     log_first = s + math.log(k) + (k - 1) * lnq + math.log(c)
     # smallest J with first * ratio^J / (1 - ratio) < tol
     log_tail_target = math.log(tol) + math.log(-math.expm1(log_ratio)) - log_first
-    return max(1, math.ceil(log_tail_target / log_ratio))
+    return max(1, math.ceil(log_tail_target / log_ratio)), log_first, log_ratio
+
+
+def mgf_series_cost(k: int, c: float, s: float, tol: float = 1e-12) -> int:
+    """Terms the summation oracle needs before its tail bound reaches tol."""
+    return _mgf_series(k, c, s, tol)[0]
 
 
 def mgf_by_summation(k: int, c: float, s: float, tol: float = 1e-12) -> float:
     """Sum e^(s j) P(T_k = j) until the geometric tail drops below tol.
 
-    Terms are evaluated directly as exp(log_first + (j-1) log_ratio) in
-    vectorized blocks: a multiplicative recurrence would accumulate one
-    ulp per term, visible over the ~10^7 terms slow series need.
+    Terms are evaluated directly as exp(log_first + (j-1) log_ratio) and
+    added by ``block_sum``: a multiplicative recurrence would accumulate
+    one ulp per term, visible over the ~10^7 terms slow series need.
     """
-    n_terms = mgf_series_cost(k, c, s, tol)
+    n_terms, log_first, log_ratio = _mgf_series(k, c, s, tol)
     if n_terms > MAX_SERIES_TERMS:
         raise OracleError(f"series needs {n_terms} terms to reach tol={tol}; cap is {MAX_SERIES_TERMS}")
-    lnq = math.log1p(-c)
-    log_ratio = s + k * lnq
-    log_first = s + math.log(k) + (k - 1) * lnq + math.log(c)
-    block = 1 << 17
-    partials = []
-    for start in range(0, n_terms, block):
-        j = np.arange(start, min(start + block, n_terms), dtype=np.float64)
-        partials.append(float(np.exp(log_first + j * log_ratio).sum()))
-    return math.fsum(partials)
+    return block_sum(lambda j: np.exp(log_first + j * log_ratio), 0, n_terms)

@@ -111,6 +111,23 @@ def check_departure(k: int, c: float) -> None:
         )
 
 
+def _run_batch(rng: RngStream, samples: int, dtypes, kernel, workers: int = 1) -> list:
+    """Chunk i of the runs on ``rng.substream(i)``, into fresh arrays of
+    ``dtypes`` filled by ``kernel(generator, *arrays)``: each array joined
+    in chunk order (empty at 0 samples, nothing drawn), then what ``kernel``
+    returned per chunk.  ``run_chunked`` and ``kernels`` are looked up per
+    call, where ``perfbench/spans.py`` wraps them."""
+
+    def task(stream: RngStream, m: int):
+        outs = [np.empty(m, dtype=dtype) for dtype in dtypes]
+        return outs, kernel(stream.generator, *outs)
+
+    parts = run_chunked(rng, samples, task, workers)
+    joined = [np.concatenate([np.empty(0, dtype)] + [outs[i] for outs, _ in parts])
+              for i, dtype in enumerate(dtypes)]
+    return [*joined, [returned for _, returned in parts]]
+
+
 def step(x: int, c: float, rng: RngStream) -> int:
     """One transition: x minus a Binomial(x, c) batch of deaths."""
     x = _check_n(x)
@@ -164,16 +181,14 @@ def simulate_trajectory(
     n = _check_n(n)
     cs, t_max = prepare_run(regime, n, t_max, record=True)
 
-    def task(stream: RngStream, m: int):
-        out = np.empty(m, dtype=np.int64)
-        return out, kernels.extinction_batch(stream.generator, out, cs, n, t_max, True)
-
-    parts = run_chunked(rng, runs, task)
-    empty = np.empty(0, dtype=np.int64)
-    times = np.concatenate([empty] + [out for out, _ in parts])
+    times, parts = _run_batch(
+        rng, runs, [np.int64],
+        lambda gen, out: (out.size, kernels.extinction_batch(gen, out, cs, n, t_max, True)),
+    )
     # the pieces (run, state, steps) of every chunk, its runs numbered on
     # from the chunk before
-    starts = np.cumsum([0] + [out.size for out, _ in parts])
+    starts = np.cumsum([0] + [size for size, _ in parts])
+    empty = np.empty(0, dtype=np.int64)
     run = np.concatenate([empty] + [pieces[0] + start for (_, pieces), start in zip(parts, starts)])
     state, steps = (np.concatenate([empty] + [pieces[j] for _, pieces in parts]) for j in (1, 2))
     order = np.argsort(run, kind="stable")
@@ -192,15 +207,10 @@ def extinction_time_batch(
     """Extinction times for ``samples`` independent runs (-1 = censored)."""
     n = _check_n(n)
     cs, t_max = prepare_run(regime, n, t_max)
-    if samples == 0:
-        return np.empty(0, dtype=np.int64)
-
-    def task(stream: RngStream, m: int) -> np.ndarray:
-        out = np.empty(m, dtype=np.int64)
-        kernels.extinction_batch(stream.generator, out, cs, n, t_max)
-        return out
-
-    return np.concatenate(run_chunked(rng, samples, task, workers))
+    times, _ = _run_batch(
+        rng, samples, [np.int64], lambda gen, out: kernels.extinction_batch(gen, out, cs, n, t_max), workers
+    )
+    return times
 
 
 def single_drop_batch(
@@ -215,15 +225,10 @@ def single_drop_batch(
     if n == 0:
         return np.ones(samples, dtype=bool)
     cs = prepare(regime, n)
-    if samples == 0:
-        return np.empty(0, dtype=bool)
-
-    def task(stream: RngStream, m: int) -> np.ndarray:
-        out = np.empty(m, dtype=np.uint8)
-        kernels.single_drop_batch(stream.generator, out, cs, n)
-        return out
-
-    return np.concatenate(run_chunked(rng, samples, task, workers)).astype(bool)
+    flags, _ = _run_batch(
+        rng, samples, [np.uint8], lambda gen, out: kernels.single_drop_batch(gen, out, cs, n), workers
+    )
+    return flags.astype(bool)
 
 
 def drop_distribution(k: int, c: float) -> np.ndarray:
@@ -268,19 +273,12 @@ def first_passage_batch(
     c = mortality(regime, k, n)
     if not stepped:
         check_departure(k, c)
-    if samples == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
-    def task(stream: RngStream, m: int) -> tuple[np.ndarray, np.ndarray]:
-        out_j = np.empty(m, dtype=np.int64)
-        out_code = np.empty(m, dtype=np.int64)
+    def kernel(gen, out_j, out_code) -> None:
         if stepped:
-            kernels.first_passage_stepped_batch(stream.generator, k, c, STEPPED_T_MAX, out_j, out_code)
+            kernels.first_passage_stepped_batch(gen, k, c, STEPPED_T_MAX, out_j, out_code)
         else:
-            kernels.first_passage_batch(stream.generator, k, c, out_j, out_code)
-        return out_j, out_code
+            kernels.first_passage_batch(gen, k, c, out_j, out_code)
 
-    parts = run_chunked(rng, samples, task, workers)
-    times = np.concatenate([p[0] for p in parts])
-    codes = np.concatenate([p[1] for p in parts])
+    times, codes, _ = _run_batch(rng, samples, [np.int64, np.int64], kernel, workers)
     return times, codes

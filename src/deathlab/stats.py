@@ -1,8 +1,9 @@
 """Statistical machinery linking Monte Carlo output to closed forms.
 
-Covers what the report builders need: sample summaries, one- and
-two-sample Kolmogorov-Smirnov statistics with asymptotic critical
-values, and Wilson score intervals.  The pooled chi-square test of the
+Covers what the report builders need: the sorted sample a one-sample
+Kolmogorov-Smirnov statistic reads, one- and two-sample KS statistics with
+asymptotic critical values, and Wilson score intervals.  Sample means and
+their standard errors are computed where a report row needs them.  The pooled chi-square test of the
 discrete samplers lives with the tests (``tests/gof.py``), so importing
 the package does not import scipy.
 """
@@ -23,11 +24,9 @@ class StatsError(ValueError):
 
 @dataclass(frozen=True)
 class SampleSummary:
-    """Count, mean, standard error, and a sorted copy for CDF queries."""
+    """Count and a sorted copy of a sample, for CDF queries."""
 
     count: int
-    mean: float
-    stderr: float
     sorted_values: np.ndarray
 
     @classmethod
@@ -35,10 +34,7 @@ class SampleSummary:
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise StatsError("need a nonempty one-dimensional sample")
-        count = int(arr.size)
-        mean = float(arr.mean())
-        stderr = float(arr.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-        return cls(count, mean, stderr, np.sort(arr))
+        return cls(int(arr.size), np.sort(arr))
 
 
 def ks_statistic(

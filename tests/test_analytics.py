@@ -28,6 +28,7 @@ from deathlab import (
     single_drop_prob,
     typical_extinction_time,
 )
+from deathlab.analytics import SUM_BLOCK, block_sum, expected_extinction_terms, expected_extinction_time
 from deathlab.oracle import exact_single_drop_path_prob
 
 ZETA_3 = 1.2020569031595943  # reference constant for sum k^-3
@@ -209,6 +210,11 @@ class TestLowerBounds:
             path_prob_lower_bound_state(3, [0.5, 1.5, 0.5])
         with pytest.raises(AnalyticsError):
             path_prob_lower_bound_joint(5, 2.0, 1.0)
+        # the exponent n(n-1)/2 beyond the largest double
+        with pytest.raises(AnalyticsError, match=r"n\(n-1\)/2 overflows a double"):
+            path_prob_lower_bound_constant(10**160, 0.5)
+        with pytest.raises(AnalyticsError, match=r"n\(n-1\)/2 overflows a double"):
+            path_prob_lower_bound_joint(10**160, 1.0, 4.0)
 
 
 class TestPassagePmf:
@@ -270,6 +276,38 @@ class TestLimitPassageRate:
             limit_passage_rate(Constant(0.3), 2)
         with pytest.raises(AnalyticsError):
             limit_passage_rate(InitialPower(1.0, 1.0), 2)  # lam missing
+
+
+class TestBlockSum:
+    # (terms, first argument) of the three series block_sum adds up
+    SERIES = {
+        "implosion": (lambda k: k**-2.0, 1),
+        "mean extinction": (lambda t: -np.expm1(1e6 * np.log1p(-np.exp(t * math.log1p(-1e-3)))), 1),
+        "mgf": (lambda j: np.exp(-3.0 + j * -1e-4), 0),
+    }
+
+    @pytest.mark.parametrize("count", [1, 7, 1000, SUM_BLOCK])
+    @pytest.mark.parametrize("series", sorted(SERIES))
+    def test_up_to_one_block_is_one_numpy_sum(self, series, count):
+        terms, start = self.SERIES[series]
+        expected = float(terms(np.arange(start, start + count, dtype=np.float64)).sum())
+        assert block_sum(terms, start, start + count) == expected
+
+    @pytest.mark.parametrize("count", [SUM_BLOCK + 1, 3 * SUM_BLOCK + 5])
+    @pytest.mark.parametrize("series", sorted(SERIES))
+    def test_beyond_one_block_fsum_adds_the_block_sums(self, series, count):
+        terms, start = self.SERIES[series]
+        x = np.arange(start, start + count, dtype=np.float64)
+        expected = math.fsum(float(terms(x[i : i + SUM_BLOCK]).sum()) for i in range(0, count, SUM_BLOCK))
+        assert block_sum(terms, start, start + count) == expected
+
+    @pytest.mark.parametrize("n, c", [(10, 0.3), (10**6, 0.1), (10**6, 1e-3)])
+    def test_mean_extinction_time_in_one_block_is_one_numpy_sum(self, n, c):
+        t = np.arange(expected_extinction_terms(n, c), dtype=np.float64)
+        assert t.size <= SUM_BLOCK
+        with np.errstate(divide="ignore"):
+            survival = -np.expm1(n * np.log1p(-np.exp(t * math.log1p(-c))))
+        assert expected_extinction_time(n, c) == float(survival.sum())
 
 
 class TestImplosionSeries:

@@ -181,12 +181,21 @@ def no_streams(monkeypatch):
         (["extinct", "--t-grid=-1,5"], "--t-grid"),
         (["extinct", "--t-grid=-1:5"], "--t-grid"),
         (["path", "--n", "3", "--regime", "joint_power:1,4", "--sweep", "0,10"], "--sweep"),
+        (["path", "--n", "3", "--regime", "joint_power:1,4", "--samples", "1000", "--sweep", "100,10"],
+         "--sweep: sweep levels must be strictly increasing"),
+        (["path", "--n", "3", "--regime", "joint_power:1,4", "--samples", "1000", "--sweep", "10,10"],
+         "--sweep: sweep levels must be strictly increasing"),
+        (["path", "--n", "3", "--regime", "joint_power:1,4", "--samples", "1000", "--sweep", "10,1" + "0" * 160],
+         "n(n-1)/2 overflows a double"),
         (["implode", "--k-max", "10", "--runs", "100", "--sweep", "0,10"], "--sweep"),
         (["implode", "--k-max", "1000", "--runs", "100", "--sweep", "100,10"], "--sweep"),
         (["implode", "--k-max", "1000", "--runs", "100", "--sweep", "10,10"], "--sweep"),
         (["implode", "--k-max", "30", "--runs", "100", "--sweep", "10,100"], "--sweep"),
         (["passage", "--k", "3", "--limit-n", "100"], "no scaling limit"),
         (["passage", "--k", "3", "--regime", "initial_power:1,1", "--limit-n", "100"], "lam > 0"),
+        # certain death at the limit level: no passage is finite there
+        (["passage", "--k", "2", "--n", "10", "--regime", "joint_power:1,1", "--limit-n", "2", "--samples", "2000"],
+         "c must lie in (0,1), got 1.0"),
         (["passage", "--k", "5", "--regime", "initial_power:1,1", "--lam", "1", "--limit-n", "3"],
          "k <= limit_n"),
         (["extinct", "--ratio-n", "1"], "--ratio-n must be 0 or an integer >= 2, got 1"),
@@ -221,9 +230,11 @@ def no_streams(monkeypatch):
     ],
     ids=["implode_runs_0", "simulate_samples_negative", "verify_samples_1", "verify_workers_0",
          "path_workers_0", "extinct_empty_t_grid", "extinct_negative_t_grid",
-         "extinct_negative_t_range", "path_sweep_0", "implode_sweep_0",
+         "extinct_negative_t_range", "path_sweep_0", "path_sweep_falling", "path_sweep_repeated",
+         "path_sweep_bound_overflow", "implode_sweep_0",
          "implode_sweep_falling", "implode_sweep_repeated", "implode_sweep_above_k_max",
-         "passage_limit_without_scaling", "passage_limit_without_lam", "passage_limit_below_k",
+         "passage_limit_without_scaling", "passage_limit_without_lam", "passage_limit_certain_death",
+         "passage_limit_below_k",
          "extinct_ratio_n_1", "extinct_ratio_c_above_1", "passage_certain_death_oracle",
          "passage_certain_death_closed_form", "path_certain_death_at_3", "path_certain_death_at_top",
          "passage_scaling_constant_overflow", "passage_limit_rate_overflow",
@@ -268,19 +279,34 @@ def test_rejected_command_makes_no_out_directory(runner, no_streams, tmp_path, a
         (["path", "--n", "3", "--samples", "100"], "file", "file is not a directory"),
         (["simulate", "--n", "3"], "file", "file is not a directory"),
         (["extinct"], os.path.join("file", "sub"), "file is not a directory"),
+        # a directory at the place of a side table
+        (["extinct", "--samples", "2000", "--ratio-n", "0"], "tables",
+         os.path.join("tables", "extinct_cdf.csv") + " is a directory, not a file"),
+        (["path", "--n", "3", "--samples", "100"], "tables",
+         os.path.join("tables", "path_bound_sweep.csv") + " is a directory, not a file"),
+        (["passage"], "tables", os.path.join("tables", "scaled_passage_times.csv") + " is a directory, not a file"),
+        (["implode", "--k-max", "100", "--runs", "100"], "tables",
+         os.path.join("tables", "implode_hist.csv") + " is a directory, not a file"),
     ],
-    ids=["verify_empty", "verify_directory", "path_file", "simulate_file", "extinct_below_file"],
+    ids=["verify_empty", "verify_directory", "path_file", "simulate_file", "extinct_below_file",
+         "extinct_table_directory", "path_table_directory", "passage_table_directory",
+         "implode_table_directory"],
 )
 def test_unwritable_out_exits_2_before_any_stream(runner, no_streams, tmp_path, monkeypatch, args, out, says):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("")
     (tmp_path / "dir").mkdir()
+    tables = ["extinct_cdf.csv", "implode_hist.csv", "path_bound_sweep.csv", "scaled_passage_times.csv"]
+    for name in tables:
+        (tmp_path / "tables" / name).mkdir(parents=True)
     result = runner.invoke(main, args + ["--out", out])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert f"--out: {says}" in result.output
     assert "Traceback" not in result.output
-    assert sorted(os.listdir(tmp_path)) == ["dir", "file"] and not os.listdir(tmp_path / "dir")
+    assert sorted(os.listdir(tmp_path)) == ["dir", "file", "tables"] and not os.listdir(tmp_path / "dir")
+    assert sorted(os.listdir(tmp_path / "tables")) == tables
+    assert not any(os.listdir(tmp_path / "tables" / name) for name in tables)
 
 
 # regime JSON of the wrong type, each at a run from n = 2, and what the error names

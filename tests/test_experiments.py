@@ -50,6 +50,17 @@ def test_passage_finite_mass_above_the_oracle_cap_says_so():
     assert row.note == "no oracle"
 
 
+def test_passage_limit_without_a_finite_passage_fails_its_ks_row():
+    # at n = 6 a passage from k = 5 is finite with chance 0.0032, and none
+    # of these 10 runs makes one: the KS row has no sample to test
+    report, scaled = experiments.build_passage_report(
+        5, JointPower(1.0, 1.0), 2000, 0, n=10, limit_n=6, limit_samples=10
+    )
+    row = next(row for row in report.rows if row.label.startswith("scaled passage"))
+    assert scaled.size == 0
+    assert not row.passed and row.note == "no finite passage in the sample to test"
+
+
 def _sweep_row_passes():
     # the benchmark's implode invocation: K=1000, 65536 runs, sweep 10,100,1000
     report, _, _ = experiments.build_implode_outputs(1.0, 1000, 65536, 0, sweep=[10, 100, 1000])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,8 @@ from deathlab import (
     wilson_interval,
 )
 from deathlab.experiments import exceedance_probability
-from deathlab.oracle import MAX_TIME
+from deathlab.analytics import SUM_BLOCK
+from deathlab.oracle import MAX_TIME, mgf_series_cost
 
 
 def test_point_mass_at_time_zero():
@@ -185,3 +188,22 @@ def test_mgf_summation_rejects_divergent_arguments():
     with pytest.raises(OracleError):
         mgf_by_summation(2, 0.5, passage_mgf_domain(2, 0.5) + 0.01)
 
+
+
+@pytest.mark.parametrize(
+    "k, c, frac, tol",
+    [(3, 0.3, 0.5, 1e-13), (3, 0.05, 0.99, 1e-13), (2, 0.01, 0.99, 1e-12), (2, 0.002, 0.99, 1e-13)],
+)
+def test_mgf_series_adds_up_its_terms(k, c, frac, tol):
+    # e^(s j) P(T_k = j) for j = 1, 2, ...: one numpy sum up to one block,
+    # and within 4 eps of the correctly rounded sum beyond it
+    s = frac * passage_mgf_domain(k, c)
+    lnq = math.log1p(-c)
+    j = np.arange(mgf_series_cost(k, c, s, tol), dtype=np.float64)
+    terms = np.exp(s + math.log(k) + (k - 1) * lnq + math.log(c) + j * (s + k * lnq))
+    series = mgf_by_summation(k, c, s, tol)
+    if terms.size <= SUM_BLOCK:
+        assert series == float(terms.sum())
+    else:
+        exact = math.fsum(terms)
+        assert abs(series - exact) <= 4 * np.finfo(np.float64).eps * exact

@@ -31,6 +31,7 @@ from deathlab import (
     wilson_interval,
 )
 from deathlab import kernels
+from deathlab.rng import RngStream
 from deathlab.stats import SampleSummary
 from gof import chi_square_gof
 
@@ -269,6 +270,25 @@ def test_horizon_stays_int64_and_holds_stay_below_the_cap():
     assert np.all(extinction_time_batch(5, Constant(1e-20), make_stream(0, 0), 10, t_max=100) == -1)
     # the stepped reference draws no holds
     first_passage_batch(2, Constant(1e-20), make_stream(0, 0), 0, stepped=True)
+
+
+def test_batches_at_zero_samples_are_typed_and_empty_and_draw_nothing(monkeypatch):
+    def refuse(self, index):
+        raise AssertionError("a substream was made")
+
+    monkeypatch.setattr(RngStream, "substream", refuse)
+    rng = make_stream(0, 0)
+    batch = simulate_trajectory(5, Constant(0.3), rng, runs=0)
+    arrays = [
+        (extinction_time_batch(5, Constant(0.3), rng, 0), np.int64),
+        (single_drop_batch(5, Constant(0.3), rng, 0), np.bool_),
+        *zip(first_passage_batch(3, Constant(0.3), rng, 0), (np.int64, np.int64)),
+        *zip(first_passage_batch(3, Constant(0.3), rng, 0, stepped=True), (np.int64, np.int64)),
+        (batch.states, np.int64), (batch.lengths, np.int64), (batch.extinction_times, np.int64),
+    ]
+    for array, dtype in arrays:
+        assert array.shape == (0,) and array.dtype == dtype
+    assert rng.generator.random() == make_stream(0, 0).generator.random()
 
 
 def test_batches_worker_count_invariant():
