@@ -192,8 +192,7 @@ def _scaled_passage_rows(
         report.add(ReportRow(label, 0.0, None, None, False, "no finite passage in the sample to test"))
     if mass_label is not None:
         closed = single_drop_prob(k, mortality(regime, k, n))
-        hits = int(round(batch.finite_fraction * samples))
-        report.add(ReportRow.wilson(mass_label, closed, hits, samples, MC_LEVEL))
+        report.add(ReportRow.wilson(mass_label, closed, batch.finite_count, samples, MC_LEVEL))
     return times
 
 
@@ -344,8 +343,9 @@ def build_path_report(
             )
         )
     if sweep:
+        # the bound rounds to 1.0 once n(n-1)/2 n^(alpha-beta) falls below 2^-53
         values = [value for _, value in sweep_rows]
-        increasing = all(b > a for a, b in zip(values, values[1:]))
+        increasing = all(b > a or a == b == 1.0 for a, b in zip(values, values[1:]))
         report.add(
             ReportRow(
                 f"bound sweep n={sweep[0]}..{sweep[-1]} [{tag}]",
@@ -360,6 +360,10 @@ def build_path_report(
 
 
 def _applicable_bound(n, regime, mortalities):
+    """The lower bound of the regime's family, or None: a Table has none, and
+    the empty path (n = 0) has probability 1 and no bound to check."""
+    if n == 0:
+        return None
     if isinstance(regime, Constant):
         return (
             f"(1-c)^(n(n-1)/2) lower bound [n={n}]",

@@ -26,8 +26,13 @@ deaths conditioned on at least one.  One landing draw serves every
 kernel: it inverts the conditional pmf from one death upward while that
 walk is expected to take at most 14 steps (the inversion cutover of the
 binomial draw) and rejects zero-death binomial draws above that.  A lone
-individual and certain death land at 0 without a draw.  A level costs
-about two uniforms, however long the chain holds there.
+individual and certain death land at 0 without a draw; certain death
+holds one step, on a uniform of its own.  A level costs about two
+uniforms, however long the chain holds there.  These landing rules are
+stated once, in ``_level_constants(k, c)``: the level's constants and
+what its landing draws, which every kernel of both builds reads (the
+Python build's ``_level_table`` is that function over the levels of a
+round).
 
 ``extinction_batch`` is the one walk of the chain, round-major: each round
 draws the hold of every live run, in run order, and censors a run whose
@@ -46,9 +51,10 @@ the walk's first test, u (1-(1-c)^k) <= k c (1-c)^(k-1).
 ``single_drop_batch`` walks the jump chain alone, level-major like
 ``extinction_batch``: at each level n, n-1, ..., 2 every run still
 dropping one at a time takes that level's test, in run order, and a run
-that fails drops out.  Certain death ends every live run without a draw,
-and no run draws at state 1.  ``first_passage_batch`` draws the hold and
-then the test for one level, uncensored.  The landing draw takes a
+that fails drops out.  Certain death fails every live run without a
+draw, and no run draws at state 1.  ``first_passage_batch`` is one round
+of the extinction walk at one level, uncensored: every sample's hold in
+order, then every sample's landing in order.  The landing draw takes a
 level's constants from its caller, computed once per level or batch.
 
 Each build exports ``binomial_draw`` (the primitive of ``process.step``
@@ -72,10 +78,11 @@ count and recorded path is the source's.
   the last bit on a few percent of inputs.  Temporaries are O(live runs)
   or O(one block), never O(n).  Rejection landings, which take a varying
   number of uniforms, run the scalar binomial draw on the block source
-  below, and ``first_passage_batch`` runs its whole source there at a
-  rejection level.  ``extinction_batch`` joins the recorded pieces once
-  at the end; their order across runs may differ from the source's,
-  their order within a run does not.
+  below.  ``single_drop_batch`` and ``first_passage_batch`` share one
+  step, the single-death outcomes of a level's landings.
+  ``extinction_batch`` joins the recorded pieces once at the end; their
+  order across runs may differ from the source's, their order within a
+  run does not.
 - ``first_passage_stepped_batch`` runs the scalar source on a block
   source instead of the generator.  The source still sees
   ``gen.random()`` calls and answers with the same Philox doubles as
@@ -111,6 +118,9 @@ _ENV_FLAG = "DEATHLAB_NO_NUMBA"
 # also uses for inversion; longer walks give way to rejection.
 _WALK_MAX = 14.0
 
+# what a departure from a level draws for its landing
+_NO_DRAW, _WALKS, _REJECTS = 0, 1, 2
+
 # the most steps one drawn hold or maximum of geometrics can take; the
 # number stays an exact float and an int64
 HOLD_CAP = 4.6e18
@@ -145,11 +155,24 @@ _MAX_BLOCK = 1024
 
 
 def _level_constants(k, c):
-    """The constants of state k at mortality c < 1, with the expressions of
-    the landing draw: lq = ln (1-c)^k, the departure chance total =
-    1-(1-c)^k and the single-death chance mass = k c (1-c)^(k-1)."""
+    """The landing rules of state k at mortality c in (0, 1], stated once
+    for every kernel: lq = ln (1-c)^k, the departure chance total =
+    1-(1-c)^k, the single-death chance mass = k c (1-c)^(k-1), ratio =
+    c/(1-c), and what a landing draws.  Certain death holds one step (lq =
+    -inf) and lands at 0 without a draw, as a lone individual does; any
+    other level walks the pmf unless that walk would be long, and rejects
+    there."""
+    if c >= 1.0:
+        return -math.inf, 1.0, 0.0, 0.0, _NO_DRAW
     lq = k * math.log1p(-c)
-    return lq, -math.expm1(lq), k * (c / (1.0 - c)) * math.exp(lq)
+    total = -math.expm1(lq)
+    ratio = c / (1.0 - c)
+    kind = _WALKS
+    if k == 1:
+        kind = _NO_DRAW
+    elif k * c > _WALK_MAX * total:
+        kind = _REJECTS
+    return lq, total, k * ratio * math.exp(lq), ratio, kind
 
 
 def numba_disabled() -> bool:
@@ -268,13 +291,13 @@ def _build_backend(jit: bool) -> SimpleNamespace:
     _level = wrap(_level_constants)
 
     @wrap
-    def _conditional_deaths(gen, k, c, total, mass):
-        # Binomial(k, c) conditioned on >= 1, i.e. the departure jump law,
-        # for c < 1 with total and mass from _level(k, c); a lone
-        # individual lands at 0 without a draw
-        if k == 1:
+    def _conditional_deaths(gen, k, c, level):
+        # deaths in a departure from k by the jump law, Binomial(k, c)
+        # conditioned on >= 1, with level = _level(k, c)
+        _, total, mass, ratio, kind = level
+        if kind == _NO_DRAW:
             return k
-        if k * c > _WALK_MAX * total:
+        if kind == _REJECTS:
             # the walk below would be long: rejection on the raw binomial,
             # which departs with chance total, close to 1 here
             while True:
@@ -284,7 +307,6 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         # invert the conditional pmf from one death upward; the walk takes
         # k*c / total steps on average, and lands on one death exactly when
         # its first test, u <= mass, holds
-        ratio = c / (1.0 - c)
         u = gen.random() * total
         b = 1
         acc = mass
@@ -296,26 +318,22 @@ def _build_backend(jit: bool) -> SimpleNamespace:
 
     @wrap
     def geometric_batch(gen, c, out):
-        # Geometric on {1,2,...} with P(t) = (1-c)^(t-1) c, by inversion
-        if c >= 1.0:
-            out[:] = 1
-            return
-        lq = math.log1p(-c)
+        # Geometric on {1,2,...} with P(t) = (1-c)^(t-1) c, by inversion:
+        # the hold of a lone individual
+        lq = _level(1, c)[0]
         for i in range(out.shape[0]):
             out[i] = int(_hold(gen, lq))
 
     @wrap
     def max_geometric_batch(gen, n, c, out):
         # max of n iid Geometric(c): invert CDF (1-(1-c)^t)^n in log space
-        if c >= 1.0:
-            out[:] = 1
-            return
+        lq = _level(1, c)[0]
         for i in range(out.shape[0]):
             tf = 1.0
             u = gen.random()
             if u > 0.0:
                 z = math.expm1(math.log(u) / n)  # u^(1/n) - 1, stays accurate for huge n
-                tf = math.ceil(math.log(-z) / math.log1p(-c))
+                tf = math.ceil(math.log(-z) / lq)
                 if tf < 1.0:
                     tf = 1.0
                 elif tf > HOLD_CAP:
@@ -341,8 +359,8 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         # round-major: each round draws the hold of every live run, in run
         # order, and censors a run whose hold outlasts t_max; then one
         # landing uniform for each departing run whose level walks the pmf,
-        # in run order; then the rejection landings, by run index.  k = 1
-        # and certain death land at 0 without a draw.  With record, also
+        # in run order; then the rejection landings, by run index.  With
+        # record, also
         # the paths, as pieces (run, state, steps) in time order per run:
         # each hold, cut at t_max; state 0 once at extinction; and the
         # state a run lands at at t_max.
@@ -360,10 +378,8 @@ def _build_backend(jit: bool) -> SimpleNamespace:
                 lands[i] = 0
                 k = int(ks[i])
                 if k > 0:
-                    c = float(cs[min(k, last)])
-                    # ln (1-c)^k; certain death holds for exactly one step
-                    lq = -math.inf if c >= 1.0 else k * math.log1p(-c)
-                    hold = int(_hold(gen, lq))
+                    level = _level(k, float(cs[min(k, last)]))
+                    hold = int(_hold(gen, level[0]))
                     if record:
                         pieces = _put(pieces, used, i, k, min(hold, t_max + 1 - ts[i]))
                         used += 1
@@ -372,17 +388,13 @@ def _build_backend(jit: bool) -> SimpleNamespace:
                         live -= 1
                     else:
                         ts[i] += hold
-                        lands[i] = 2 if k > 1 and c < 1.0 and k * c > _WALK_MAX * -math.expm1(lq) else 1
+                        lands[i] = 2 if level[4] == _REJECTS else 1
             for branch in (1, 2):
                 for i in range(m):
                     if lands[i] == branch:
                         k = int(ks[i])
                         c = float(cs[min(k, last)])
-                        if c >= 1.0:
-                            k = 0
-                        else:
-                            _, total, mass = _level(k, c)
-                            k -= _conditional_deaths(gen, k, c, total, mass)
+                        k -= _conditional_deaths(gen, k, c, _level(k, c))
                         ks[i] = k
                         if k == 0:
                             out[i] = ts[i]
@@ -401,8 +413,7 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         # departure, drawn level-major: at each level k = n, ..., 2 every
         # run still dropping one at a time takes the level's single-death
         # test, in run order, and a run that fails drops out.  Holding times
-        # do not matter, state 1 can only drop to 0, and certain death takes
-        # all k >= 2 at once.
+        # do not matter, and state 1 can only drop to 0.
         out[:] = 0
         last = cs.shape[0] - 1
         live = np.arange(out.shape[0])  # the runs still in, in live[:count]
@@ -411,12 +422,10 @@ def _build_backend(jit: bool) -> SimpleNamespace:
             if count == 0:
                 return
             c = float(cs[min(k, last)])
-            if c >= 1.0:
-                return
-            _, total, mass = _level(k, c)
+            level = _level(k, c)
             kept = 0
             for j in range(count):
-                if _conditional_deaths(gen, k, c, total, mass) == 1:
+                if _conditional_deaths(gen, k, c, level) == 1:
                     live[kept] = live[j]
                     kept += 1
             count = kept
@@ -424,18 +433,14 @@ def _build_backend(jit: bool) -> SimpleNamespace:
 
     @wrap
     def first_passage_batch(gen, k, c, out_j, out_code):
-        # Exact two-stage draw of the first departure from state k: the
-        # holding time is Geometric(1-(1-c)^k), independent of the landing
-        # state, whose law is the jump law given departure.  Certain death
-        # leaves after one step, without a draw.
-        if c >= 1.0:
-            out_j[:] = 1
-            out_code[:] = FINITE if k == 1 else JUMPED_OVER
-            return
-        lq, total, mass = _level(k, c)
+        # The first departure from state k, drawn as one round of the
+        # extinction walk: every sample's hold, Geometric(1-(1-c)^k), in
+        # order, then every landing, by the jump law, in order.
+        level = _level(k, c)
         for i in range(out_j.shape[0]):
-            out_j[i] = int(_hold(gen, lq))
-            out_code[i] = FINITE if _conditional_deaths(gen, k, c, total, mass) == 1 else JUMPED_OVER
+            out_j[i] = int(_hold(gen, level[0]))
+        for i in range(out_j.shape[0]):
+            out_code[i] = FINITE if _conditional_deaths(gen, k, c, level) == 1 else JUMPED_OVER
 
     @wrap
     def first_passage_stepped_batch(gen, k, c, t_max, out_j, out_code):
@@ -545,28 +550,15 @@ def _walk(target, mass, ratio, k):
         on = (target > acc) & (b < k)
 
 
-# what a departure from a level draws for its landing
-_NO_DRAW, _WALKS, _REJECTS = 0, 1, 2
-
-
 def _level_table(k, cs):
-    """The constants of the levels that the runs at states ``k`` stand at:
-    each run's index into them, and per level c, lq (-inf at certain death,
-    which holds one step), total, mass, ratio = c/(1-c) and what its
-    landing draws, from ``_level_constants`` once per level."""
+    """The levels that the runs at states ``k`` stand at: each run's index
+    into them, and per level c and the constants lq, total, mass, ratio
+    and kind of ``_level_constants``."""
     last = cs.shape[0] - 1
     levels, at = np.unique(k, return_inverse=True)
-    c = np.array([float(cs[min(j, last)]) for j in levels.tolist()])
-    lq = np.full(c.size, -np.inf)
-    total, mass, ratio = np.ones(c.size), np.zeros(c.size), np.zeros(c.size)
-    kind = np.full(c.size, _NO_DRAW)
-    for i, (j, cj) in enumerate(zip(levels.tolist(), c.tolist())):
-        if cj < 1.0:
-            lq[i], total[i], mass[i] = _level_constants(j, cj)
-            ratio[i] = cj / (1.0 - cj)
-            if j > 1:
-                kind[i] = _REJECTS if j * cj > _WALK_MAX * total[i] else _WALKS
-    return at, c, lq, total, mass, ratio, kind
+    c = [float(cs[min(j, last)]) for j in levels.tolist()]
+    columns = zip(*map(_level_constants, levels.tolist(), c))
+    return (at, np.array(c), *map(np.array, columns))
 
 
 def _array_entries(py: SimpleNamespace) -> dict:
@@ -592,7 +584,16 @@ def _array_entries(py: SimpleNamespace) -> dict:
         return out
 
     rejections = _buffered(rejection_deaths)
-    scalar_passage = _buffered(py.first_passage_batch)
+
+    def single_deaths(gen, k, c, m):
+        # whether each of m landing draws from k at mortality c, in order,
+        # kills exactly one
+        _, total, mass, _, kind = _level_constants(k, c)
+        if kind == _WALKS:
+            return gen.random(m) * total <= mass
+        if kind == _REJECTS:
+            return np.equal(rejections(gen, [k] * m, [c] * m), 1)
+        return np.full(m, k == 1)
 
     @functools.wraps(py.extinction_batch)
     def extinction_batch(gen, out, cs, n, t_max, record=False):
@@ -637,52 +638,26 @@ def _array_entries(py: SimpleNamespace) -> dict:
         for k in range(n, 1, -1):
             if not live.size:
                 return
-            c = float(cs[min(k, last)])
-            if c >= 1.0:
-                return
-            _, total, mass = _level_constants(k, c)
-            if k * c > _WALK_MAX * total:
-                passed = np.equal(rejections(gen, [k] * live.size, [c] * live.size), 1)
-            else:
-                passed = gen.random(live.size) * total <= mass
-            live = live[passed]
+            live = live[single_deaths(gen, k, float(cs[min(k, last)]), live.size)]
         out[live] = 1
 
     @functools.wraps(py.first_passage_batch)
     def first_passage_batch(gen, k, c, out_j, out_code):
-        if c >= 1.0:
-            out_j[:] = 1
-            out_code[:] = FINITE if k == 1 else JUMPED_OVER
-            return
-        lq, total, mass = _level_constants(k, c)
-        if k == 1:
-            out_j[:] = _holds(gen.random(out_j.shape[0]), lq)
-            out_code[:] = FINITE
-        elif k * c > _WALK_MAX * total:
-            return scalar_passage(gen, k, c, out_j, out_code)
-        else:
-            # hold, test, hold, test, ...: one block, split into two columns
-            u = gen.random(2 * out_j.shape[0])
-            out_j[:] = _holds(u[0::2], lq)
-            out_code[:] = np.where(u[1::2] * total <= mass, FINITE, JUMPED_OVER)
+        m = out_j.shape[0]
+        out_j[:] = _holds(gen.random(m), _level_constants(k, c)[0])
+        out_code[:] = np.where(single_deaths(gen, k, c, m), FINITE, JUMPED_OVER)
 
     @functools.wraps(py.geometric_batch)
     def geometric_batch(gen, c, out):
-        if c >= 1.0:
-            out[:] = 1
-        else:
-            out[:] = _holds(gen.random(out.shape[0]), math.log1p(-c))
+        out[:] = _holds(gen.random(out.shape[0]), _level_constants(1, c)[0])
 
     @functools.wraps(py.max_geometric_batch)
     def max_geometric_batch(gen, n, c, out):
-        if c >= 1.0:
-            out[:] = 1
-            return
         u = gen.random(out.shape[0])
         drawn = u > 0.0  # u = 0 gives 1 without a logarithm
         log_u = _mapped(math.log, u[drawn])
         z = _mapped(math.expm1, log_u / float(n))  # u^(1/n) - 1
-        tf = np.ceil(_mapped(math.log, -z) / math.log1p(-c))
+        tf = np.ceil(_mapped(math.log, -z) / _level_constants(1, c)[0])
         out[:] = 1
         out[drawn] = np.where(tf < 1.0, 1.0, np.minimum(tf, HOLD_CAP))
 

@@ -38,13 +38,15 @@ from . import kernels
 
 @dataclass(frozen=True)
 class ScaledPassageBatch:
-    """Monte Carlo batch of scaled passage times T/a_n from state k."""
+    """Monte Carlo batch of scaled passage times T/a_n from state k: the
+    ``finite_count`` of ``num_samples`` passages that land at k-1, and
+    their times."""
 
     k: int
     n: int
     a_n: float
     num_samples: int
-    finite_fraction: float
+    finite_count: int
     scaled_times: np.ndarray
 
 
@@ -80,9 +82,8 @@ def scaled_passage_batch(
     a_n = scaling_constant(regime, k, n, lam)
     times, codes = first_passage_batch(k, regime, rng, num_samples, n=n, workers=workers)
     finite = codes == kernels.FINITE
-    fraction = float(np.count_nonzero(finite)) / num_samples if num_samples else 0.0
     scaled = times[finite].astype(np.float64) / a_n
-    return ScaledPassageBatch(k, n, a_n, num_samples, fraction, scaled)
+    return ScaledPassageBatch(k, n, a_n, num_samples, int(np.count_nonzero(finite)), scaled)
 
 
 def _stage_rates(alpha: float, K: int) -> np.ndarray:

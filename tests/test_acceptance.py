@@ -231,8 +231,7 @@ def test_criterion_08_exponential_limit_joint_scaling():
         crit = dl.ks_critical_value(batch.scaled_times.size, 0.01)
         assert dist < crit, f"KS {dist:.5f} >= {crit:.5f}"
         c_kn = dl.mortality(regime, k, n)
-        finite = int(round(batch.finite_fraction * m))
-        low, high = dl.wilson_interval(finite, m, 0.99)
+        low, high = dl.wilson_interval(batch.finite_count, m, 0.99)
         assert low <= dl.single_drop_prob(k, c_kn) <= high
 
 

@@ -8,7 +8,7 @@ import pytest
 from deathlab import experiments, limits
 from deathlab.analytics import AnalyticReport
 from deathlab.oracle import MAX_STATE
-from deathlab.regimes import Constant, JointPower
+from deathlab.regimes import Constant, InitialPower, JointPower, StatePower, Table
 
 
 def _no_simulation(*args, **kwargs):
@@ -26,6 +26,33 @@ def test_path_report_rejects_sweep_without_joint_regime_before_simulating(monkey
     monkeypatch.setattr(experiments, "single_drop_batch", _no_simulation)
     with pytest.raises(ValueError, match="joint-power regime only"):
         experiments.build_path_report(3, Constant(0.3), 100, 0, sweep=[10, 100])
+
+
+@pytest.mark.parametrize(
+    "regime", [Constant(0.3), InitialPower(0.5, 1.0), StatePower(0.5, 0.5), JointPower(1.0, 4.0),
+               Table({(1, 1): 0.5})],
+)
+def test_the_empty_path_has_probability_one_in_every_family(regime):
+    # n = 0 has no level: the whole-path row alone, and no family's bound
+    report, _ = experiments.build_path_report(0, regime, 100, 0)
+    assert [(row.label.split(" [")[0], row.closed_form, row.passed) for row in report.rows] == [
+        ("P(all drops single, n=0)", 1.0, True)
+    ]
+
+
+def _bound_sweep(beta, sweep):
+    report, rows = experiments.build_path_report(3, JointPower(1.0, beta), 100, 0, sweep=sweep)
+    row = next(row for row in report.rows if row.label.startswith("bound sweep"))
+    return [value for _, value in rows], row.passed
+
+
+def test_bound_sweep_accepts_equal_neighbours_only_at_one():
+    # at beta - alpha = 3 the bound rounds to 1.0 once n(n-1)/2 n^-3 < 2^-53
+    values, passed = _bound_sweep(4.0, [10, 10**20, 10**21])
+    assert values[0] < values[1] == values[2] == 1.0 and passed
+    # at beta - alpha = 1 it falls toward 0
+    values, passed = _bound_sweep(2.0, [10, 100, 1000])
+    assert values[0] > values[1] > values[2] and not passed
 
 
 def _finite_mass_row(k, c, samples=200):

@@ -13,9 +13,8 @@ path, a ``Table`` entry with c = 1, and a dense regime whose landings from
 the top levels take the rejection draw.
 
 The last tests pin the draw order of the batches.  Test-side copies of
-the full landing draw, run sample by sample for first passages,
-level-major for single drops and round-major for extinction times and
-paths, must draw what the active build, the Python build's entry points
+the full landing draw, level-major for single drops and round-major for
+first passages (one round), extinction times and paths, must draw what the active build, the Python build's entry points
 and their scalar source draw, up to the generator's end position.
 
 Every statistical check runs at level 0.001, so the fifty or so of them
@@ -290,12 +289,13 @@ def _hold(gen, k, c):
     return int(4.6e18 if x >= 4.6e18 else math.floor(x) + 1.0)
 
 
-def _first_passage(gen, k, c):
-    """(hold, code) of the first departure from k: the hold, then the full
-    landing draw; certain death draws nothing."""
-    if c >= 1.0:
-        return 1, kernels.FINITE if k == 1 else kernels.JUMPED_OVER
-    return _hold(gen, k, c), kernels.FINITE if _landing(gen, k, c) == 1 else kernels.JUMPED_OVER
+def _first_passage(gen, k, c, m):
+    """(hold, code) of the first departure from k for m samples, as one
+    round of the extinction walk: every hold in order, then every full
+    landing draw in order."""
+    holds = [_hold(gen, k, c) for _ in range(m)]
+    codes = [kernels.FINITE if _landing(gen, k, c) == 1 else kernels.JUMPED_OVER for _ in range(m)]
+    return list(zip(holds, codes))
 
 
 def _single_drops(gen, cs, n, m):
@@ -361,7 +361,7 @@ def test_passage_levels_cover_every_landing_draw():
 def test_first_passage_batch_draws_what_the_full_landing_draw_draws(k, c):
     m = 2000
     ref = make_stream(SEED, 800).generator
-    expected = [_first_passage(ref, k, c) for _ in range(m)]
+    expected = _first_passage(ref, k, c, m)
     for kernel in _entry_points("first_passage_batch"):
         gen = make_stream(SEED, 800).generator
         out_j, out_code = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)

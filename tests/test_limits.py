@@ -41,9 +41,9 @@ def test_scaling_constant():
 
 def test_scaled_passage_from_one_is_always_finite():
     batch = scaled_passage_batch(1, 10**4, InitialPower(1.0, 1.0), 10**4, make_stream(20, 0), lam=1.0)
-    low, high = wilson_interval(round(batch.finite_fraction * 10**4), 10**4, 0.99)
+    low, high = wilson_interval(batch.finite_count, 10**4, 0.99)
     assert low <= 1.0 <= high
-    assert batch.finite_fraction == 1.0
+    assert batch.finite_count == 10**4
     assert batch.scaled_times.size == 10**4
     assert np.all(batch.scaled_times > 0)
 
@@ -159,7 +159,7 @@ def test_sweep_levels_out_of_order_or_range_are_rejected(levels):
 def test_batches_are_deterministic_and_worker_invariant():
     a = scaled_passage_batch(3, 100, JointPower(1.0, 3.0), 5000, make_stream(24, 0), workers=1)
     b = scaled_passage_batch(3, 100, JointPower(1.0, 3.0), 5000, make_stream(24, 0), workers=4)
-    assert a.finite_fraction == b.finite_fraction
+    assert a.finite_count == b.finite_count
     assert np.array_equal(a.scaled_times, b.scaled_times)
     ta, ma = implosion_batch(1.0, 200, 10**5, make_stream(24, 1), workers=1, levels=[10, 200])
     tb, mb = implosion_batch(1.0, 200, 10**5, make_stream(24, 1), workers=8, levels=[10, 200])

@@ -307,8 +307,7 @@ def test_array_walk_matches_the_scalar_walk_at_ties():
     # targets equal to each running sum of the walk, and one ulp above
     # it, where a sum off in its last bit moves the landing by one death
     for k, c in WALK_LEVELS:
-        _, _, mass = kernels._level_constants(k, c)
-        ratio = c / (1.0 - c)
+        _, _, mass, ratio, _ = kernels._level_constants(k, c)
         sums, term, acc = [mass], mass, mass
         for b in range(1, k):
             term *= ratio * (k - b) / (b + 1.0)
@@ -357,7 +356,7 @@ def test_single_drop_entry_matches_its_source_at_ties(k, c):
     # run 2j+1 the double above it, and both meet u = 0 at every other
     # level; so run 2j passes every level and run 2j+1 fails at level j
     levels = range(k, 1, -1)
-    ties = [_boundary(*kernels._level_constants(level, c)[1:]) for level in levels]
+    ties = [_boundary(*kernels._level_constants(level, c)[1:3]) for level in levels]
     values = []
     for j, tie in enumerate(ties):
         for run in range(2 * len(ties)):
