@@ -38,6 +38,8 @@ def _check_prob_open(c: float, name: str = "c") -> float:
 
 
 def _check_count(k: int, name: str, minimum: int = 1) -> int:
+    if type(k) is int and k >= minimum:
+        return k
     # int() of infinity or nan raises, but not this module's domain error
     if k != k or k in (math.inf, -math.inf) or k != int(k) or k < minimum:
         raise AnalyticsError(f"{name} must be an integer >= {minimum}, got {k}")

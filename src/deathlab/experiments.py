@@ -317,7 +317,10 @@ def build_path_report(
     # anything is drawn
     sweep = check_sweep_levels(sweep or ())
     sweep_rows = [(m, path_prob_lower_bound_joint(m, regime.alpha, regime.beta)) for m in sweep]
-    closed = [single_drop_prob(k, c_k) for k, c_k in enumerate(mortalities, 1)]
+    # certain death (c_k = 1) at k >= 2 kills all k at once: never a single drop
+    closed = [
+        single_drop_prob(k, c_k) if k == 1 or c_k < 1.0 else 0.0 for k, c_k in enumerate(mortalities, 1)
+    ]
     oracles = [float(exact_jump_law(k, c_k)[0]) for k, c_k in enumerate(mortalities[:MAX_STATE], 1)]
     for idx, k in enumerate(range(1, n + 1)):
         orac = oracles[idx] if k <= MAX_STATE else None
@@ -547,26 +550,30 @@ def build_verify_report(
     tol = tolerance
 
     # --- identities -------------------------------------------------------
+    # one DP per mortality: from every start at once, on the largest start's
+    # kernel, whose rows do not depend on n under constant mortality
     def extinction_points():
+        starts = range(1, 16)
         for c in (0.05, 0.3, 0.9):
-            for n in range(1, 16):
-                dp = exact_extinction_curve(n, Constant(c), 50)
+            history = state_distribution_history(starts[-1], Constant(c), 50, starts=starts)
+            for i, n in enumerate(starts):
                 for t in range(51):
-                    yield extinction_cdf(n, c, t), dp[t], f"n={n}, c={c}, t={t}"
+                    yield extinction_cdf(n, c, t), history[t, i, 0], f"n={n}, c={c}, t={t}"
 
     report.add(_grid_row("extinction CDF vs DP", extinction_points(), tol))
 
     def thinned_binomial_points():
         # constant mortality thins each individual independently, so the
         # whole DP state law must equal Binomial(n, (1-c)^t)
+        starts = (4, 11, 20)
         for c in (0.1, 0.5):
-            for n in (4, 11, 20):
-                history = state_distribution_history(n, Constant(c), 40)
+            history = state_distribution_history(starts[-1], Constant(c), 40, starts=starts)
+            for i, n in enumerate(starts):
                 for t in (1, 3, 10, 40):
                     p_alive = (1.0 - c) ** t
                     for x in range(n + 1):
                         pmf = math.comb(n, x) * p_alive**x * (1 - p_alive) ** (n - x)
-                        yield float(history[t][x]), pmf, f"n={n}, c={c}, t={t}"
+                        yield float(history[t, i, x]), pmf, f"n={n}, c={c}, t={t}"
 
     report.add(_grid_row("DP state law vs thinned binomial", thinned_binomial_points(), tol))
 

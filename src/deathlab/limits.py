@@ -86,6 +86,11 @@ def scaled_passage_batch(
     return ScaledPassageBatch(k, n, a_n, num_samples, int(np.count_nonzero(finite)), scaled)
 
 
+# doubles per exponential block: 8 stages of verify's 2000 runs, 1 of a
+# full 16384-run chunk, so a block is never larger than one stage of a chunk
+STAGE_BLOCK = 2**14
+
+
 def _stage_rates(alpha: float, K: int) -> np.ndarray:
     if alpha <= 0:
         raise AnalyticsError(f"implosion needs alpha > 0, got {alpha}")
@@ -146,7 +151,10 @@ def implosion_batch(
     """Total implosion times for many runs (stage-vectorized), and the
     moments of the sweep ``levels`` read off the same runs.
 
-    Each chunk draws one exponential array per stage, level K first.  The
+    Each chunk draws its stages level K first, in blocks of up to
+    ``STAGE_BLOCK`` doubles (several stages per call when the chunk is
+    small), and adds them to the totals one stage at a time; a block never
+    crosses a sweep level, and the draws equal one call per stage.  The
     moments are ``(level, gap)``: ``level[i]`` those of the runs' totals
     over the stages k <= ``levels[i]``, ``gap[i]`` those of the paired
     difference ``level[i + 1]`` minus ``level[i]``, the stages in
@@ -162,10 +170,13 @@ def implosion_batch(
     def task(stream: RngStream, m: int):
         totals = np.zeros(m, dtype=np.float64)
         above = []  # per level, highest first: the stages above it (0.0 above K)
+        rows = max(1, STAGE_BLOCK // m)
         start = 0
         for cut in cuts + [K]:
-            for rate in rates[start:cut]:
-                totals += sample_exponential_batch(stream, float(rate), m)
+            for first in range(start, cut, rows):
+                block = rates[first : min(first + rows, cut)]
+                for draws in sample_exponential_batch(stream, block, m).reshape(-1, m):
+                    totals += draws
             if cut < K:
                 above.append(totals.copy() if cut else 0.0)
             start = cut

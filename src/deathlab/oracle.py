@@ -13,6 +13,7 @@ tolerances.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -50,18 +51,33 @@ def _transition_matrix(n: int, regime: MortalityRegime) -> np.ndarray:
     return kernel
 
 
-def state_distribution_history(n: int, regime: MortalityRegime, t_max: int) -> np.ndarray:
-    """Exact state laws for t = 0..t_max as a (t_max+1, n+1) array."""
+def state_distribution_history(
+    n: int, regime: MortalityRegime, t_max: int, starts: Sequence[int] | None = None
+) -> np.ndarray:
+    """Exact state laws for t = 0..t_max from D_0 = n, as a (t_max+1, n+1)
+    array.
+
+    Given ``starts``, the laws from each start on the same kernel (mortality
+    ``mortality(regime, k, n)`` at state k), as a (t_max+1, len(starts), n+1)
+    array from one dynamic program on a mass matrix.  numpy's longdouble
+    matmul adds each entry in the same order for a matrix as for a vector,
+    and the zero terms above a start come last, so where mortality does not
+    depend on n (``Constant``, ``StatePower``) the row of start s equals the
+    history from s alone bit for bit, padded with zeros.
+    """
     n, t_max = _check_caps(n, t_max)
+    rows = [n] if starts is None else list(starts)
+    if not all(0 <= s <= n for s in rows):
+        raise OracleError(f"starts must lie in [0, n={n}], got {rows}")
     kernel = _transition_matrix(n, regime)
-    mass = np.zeros(n + 1, dtype=np.longdouble)
-    mass[n] = 1.0
-    history = np.empty((t_max + 1, n + 1), dtype=np.float64)
-    history[0] = mass.astype(np.float64)
+    mass = np.zeros((len(rows), n + 1), dtype=np.longdouble)
+    mass[np.arange(len(rows)), rows] = 1.0
+    history = np.empty((t_max + 1, len(rows), n + 1), dtype=np.float64)
+    history[0] = mass
     for t in range(1, t_max + 1):
         mass = mass @ kernel
-        history[t] = mass.astype(np.float64)
-    return history
+        history[t] = mass
+    return history[:, 0] if starts is None else history
 
 
 def exact_extinction_curve(n: int, regime: MortalityRegime, t_max: int) -> np.ndarray:
@@ -74,14 +90,12 @@ def exact_jump_law(k: int, c: float) -> np.ndarray:
 
     Entry b-1 is the chance that the step leaving k removes b individuals,
     i.e. the binomial pmf over 1..k deaths renormalized by its own sum
-    (independent of any closed-form denominator).
+    (independent of any closed-form denominator).  At c = 1 all k die.
     """
     if not 1 <= k <= MAX_STATE:
         raise OracleError(f"oracle handles 1 <= k <= {MAX_STATE}, got k={k}")
-    if k == 1 and c == 1.0:
-        return np.array([1.0])  # a lone individual can only land at 0
-    if not 0 < c < 1:
-        raise OracleError(f"jump law needs c in (0,1), got {c}")
+    if not 0 < c <= 1:
+        raise OracleError(f"jump law needs c in (0,1], got {c}")
     cl = np.longdouble(c)
     q = np.longdouble(1.0) - cl
     masses = np.array(
@@ -101,7 +115,10 @@ def exact_single_drop_path_prob(n: int, regime: MortalityRegime) -> float:
         raise OracleError(f"oracle handles 0 <= n <= {MAX_STATE}, got n={n}")
     log_total = 0.0
     for k in range(1, n + 1):
-        log_total += math.log(exact_jump_law(k, mortality(regime, k, n))[0])
+        single = exact_jump_law(k, mortality(regime, k, n))[0]
+        if single == 0.0:
+            return 0.0  # certain death at k >= 2
+        log_total += math.log(single)
     return math.exp(log_total)
 
 

@@ -3,8 +3,11 @@
 Each sampler validates its parameters and fills an array of ``size``
 independent draws, taking them in order from the stream: the geometric
 and max-of-geometrics batches run the kernels of :mod:`deathlab.kernels`,
-the exponential batch inverts numpy uniforms.  ``process.step`` checks
-its mortality with this module's ``_check_prob``.
+the exponential batch inverts numpy uniforms.  Given an array of rates,
+it draws ``size`` per rate, rate by rate, with one ``gen.random`` call
+transformed in place, so a block of stages costs one call, not one per
+rate.  ``process.step`` checks its mortality with this module's
+``_check_prob``.
 """
 
 from __future__ import annotations
@@ -66,9 +69,16 @@ def sample_max_geometric_batch(rng: RngStream, n: int, c: float, size: int) -> n
     return out
 
 
-def sample_exponential_batch(rng: RngStream, rate: float, size: int) -> np.ndarray:
-    """Exponential(rate) draws by inversion."""
-    rate = float(rate)
-    if not rate > 0.0:
-        raise SamplerError(f"rate must be positive, got {rate}")
-    return -np.log1p(-rng.generator.random(size)) / rate
+def sample_exponential_batch(rng: RngStream, rate: float | np.ndarray, size: int) -> np.ndarray:
+    """Exponential(rate) draws by inversion, ``size`` per rate: for an array
+    of rates, one flat array holding each rate's draws in rate order.  The
+    draws equal one call per rate, in that order, bit for bit."""
+    rates = np.asarray(rate, dtype=np.float64).reshape(-1)
+    if not (rates > 0.0).all():
+        raise SamplerError(f"rate must be positive, got {rates.min()}")
+    draws = rng.generator.random((rates.size, size))
+    np.negative(draws, out=draws)
+    np.log1p(draws, out=draws)
+    # log1p(-u) / -rate is -log1p(-u) / rate to the bit: rounding is sign-symmetric
+    draws /= -rates[:, None]
+    return draws.reshape(-1)

@@ -204,8 +204,6 @@ def no_streams(monkeypatch):
         (["passage", "--k", "1", "--n", "1", "--regime", "joint_power:1,1"],
          "passage law needs c in (0,1), got 1.0"),
         (["passage", "--k", "40", "--n", "40", "--regime", "joint_power:1,1"], "c must lie in (0,1), got 1.0"),
-        (["path", "--n", "6", "--regime", json.dumps(CERTAIN_AT_3)], "c must lie in (0,1), got 1.0"),
-        (["path", "--n", "2", "--regime", "joint_power:1,1"], "c must lie in (0,1), got 1.0"),
         # scaling limits beyond the largest double
         (["passage", "--k", "2", "--regime", "joint_power:1,100", "--limit-n", "10000000"],
          "n^beta overflows a double"),
@@ -236,7 +234,7 @@ def no_streams(monkeypatch):
          "passage_limit_without_scaling", "passage_limit_without_lam", "passage_limit_certain_death",
          "passage_limit_below_k",
          "extinct_ratio_n_1", "extinct_ratio_c_above_1", "passage_certain_death_oracle",
-         "passage_certain_death_closed_form", "path_certain_death_at_3", "path_certain_death_at_top",
+         "passage_certain_death_closed_form",
          "passage_scaling_constant_overflow", "passage_limit_rate_overflow",
          "passage_initial_power_scaling_overflow", "passage_initial_power_rate_overflow",
          "simulate_capped_holds", "simulate_recording_too_long", "extinct_capped_holds",
@@ -249,6 +247,25 @@ def test_out_of_range_parameter_exits_2_before_any_stream(runner, no_streams, ar
     assert isinstance(result.exception, SystemExit)
     assert says in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "n, regime, level",
+    [(6, json.dumps(CERTAIN_AT_3), 3), (2, "joint_power:1,1", 2)],
+    ids=["table_certain_death_at_3", "joint_power_certain_death_at_top"],
+)
+def test_path_accepts_certain_death_above_one(runner, tmp_path, n, regime, level):
+    # c_k = 1 at k >= 2 kills all k at once: the level's single drop and the
+    # all-single path have probability 0, in the closed form, the oracle and
+    # the draws alike
+    result = invoke(runner, ["path", "--n", str(n), "--regime", regime, "--samples", "500",
+                             "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    rows = {r["label"].split(" [")[0]: r for r in json.loads((tmp_path / "path_report.json").read_text())["rows"]}
+    for label in (f"P(single drop from k={level})", f"P(all drops single, n={n})"):
+        row = rows[label]
+        assert row["closed_form"] == row["oracle"] == row["monte_carlo"]["estimate"] == 0.0
+        assert row["pass"]
 
 
 @pytest.mark.parametrize(

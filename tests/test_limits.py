@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from deathlab import (
     wilson_interval,
 )
 from deathlab._parallel import CHUNK_SIZE, chunk_sizes
+from deathlab.limits import STAGE_BLOCK, _merge, _moments
 from deathlab.samplers import sample_exponential_batch
 from deathlab.stats import SampleSummary
 
@@ -143,6 +145,39 @@ def test_level_and_gap_moments_match_a_reference_loop():
         assert count == runs
         assert mean == pytest.approx(values.mean(), rel=1e-12)
         assert m2 / (count - 1) == pytest.approx(values.var(ddof=1), rel=1e-12)
+
+
+def _stage_by_stage(alpha, K, runs, root, levels):
+    """Reference for implosion_batch: one exponential call per stage, level K
+    first, a copy of the running totals before each sweep level's stage,
+    and the chunks' moments merged in chunk order."""
+    rates = np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.0)
+    parts = []
+    for i, m in enumerate(chunk_sizes(runs)):
+        stream = root.substream(i)
+        totals = np.zeros(m)
+        above = {}  # level -> the stages above it
+        for j, rate in enumerate(rates):  # stage j is level K - j
+            if K - j in levels:
+                above[K - j] = totals.copy() if j else 0.0
+            totals += sample_exponential_batch(stream, float(rate), m)
+        level = [_moments(totals - above[L]) for L in levels]
+        gap = [_moments(above[low] - above[high]) for low, high in zip(levels, levels[1:])]
+        parts.append((totals, level, gap))
+    merged = [[functools.reduce(_merge, chunks) for chunks in zip(*(p[j] for p in parts))] for j in (1, 2)]
+    return np.concatenate([p[0] for p in parts]), tuple(merged)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blocked_stages_equal_one_call_per_stage(workers):
+    # the short last chunk draws 16384 // 3000 = 5 stages per call, and the
+    # cuts before stages 23 (level 20) and 40 (level 3) fall inside a block
+    alpha, K, levels, runs = 1.0, 43, [1, 3, 20, 43], CHUNK_SIZE + 3000
+    assert STAGE_BLOCK // 3000 == 5
+    totals, moments = implosion_batch(alpha, K, runs, make_stream(25, 4), workers=workers, levels=levels)
+    ref_totals, ref_moments = _stage_by_stage(alpha, K, runs, make_stream(25, 4), levels)
+    assert np.array_equal(totals, ref_totals)
+    assert moments == ref_moments
 
 
 def test_sweep_rows_do_not_depend_on_workers():

@@ -95,6 +95,27 @@ def test_dp_matches_thinned_binomial_law():
                 assert np.max(np.abs(history[t] - pmf)) < 1e-12, (n, c, t)
 
 
+@pytest.mark.parametrize(
+    "regime", [Constant(0.05), Constant(0.3), Constant(0.5), Constant(0.9), Constant(0.999), StatePower(0.5, 1.0)]
+)
+def test_one_dp_from_many_starts_equals_each_start_alone(regime):
+    # mortality that does not depend on n gives every start the same kernel
+    # rows, so each start's laws are those of its own DP, bit for bit
+    starts = range(1, 16)
+    history = state_distribution_history(15, regime, 50, starts=starts)
+    assert history.shape == (51, 15, 16)
+    for i, n in enumerate(starts):
+        assert np.array_equal(history[:, i, : n + 1], state_distribution_history(n, regime, 50))
+        assert not history[:, i, n + 1 :].any()
+
+
+def test_starts_must_lie_in_the_chain():
+    assert np.array_equal(state_distribution_history(3, Constant(0.5), 4, starts=[0])[:, 0, 0], np.ones(5))
+    for starts in ([4], [-1], [2, 5]):
+        with pytest.raises(OracleError):
+            state_distribution_history(3, Constant(0.5), 4, starts=starts)
+
+
 def test_dp_matches_monte_carlo_for_state_dependent_regime():
     # no closed form here: cross-check the DP against simulation
     regime = JointPower(1.0, 2.0)
@@ -120,6 +141,11 @@ def test_caps_enforced():
 def test_jump_law_values():
     law = exact_jump_law(2, 0.5)
     assert law == pytest.approx([2 / 3, 1 / 3], abs=1e-15)  # entry 0 = one death
+    for k in (1, 2, 30):  # certain death: all k die at once
+        assert np.array_equal(exact_jump_law(k, 1.0), np.eye(k)[-1])
+    for c in (0.0, 1.5, math.nan):
+        with pytest.raises(OracleError):
+            exact_jump_law(3, c)
     for k in (1, 3, 10, 30):
         for c in (0.05, 0.5, 0.9):
             law = exact_jump_law(k, c)

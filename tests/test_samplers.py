@@ -198,6 +198,22 @@ def test_exponential_mean_and_survival():
     assert low <= math.exp(-1) <= high
 
 
+@pytest.mark.parametrize("size", [1, 7, 2000])
+def test_exponential_rates_in_one_call_equal_one_call_per_rate(size):
+    rates = np.arange(9, 0, -1, dtype=np.float64) ** 2.0
+    rates[3] = np.inf  # a stage of zero duration
+    blocked = sample_exponential_batch(make_stream(8, 2), rates, size)
+    stream = make_stream(8, 2)
+    per_rate = np.concatenate([sample_exponential_batch(stream, float(r), size) for r in rates])
+    assert blocked.shape == (rates.size * size,)
+    assert np.array_equal(blocked, per_rate)
+    # and both are the textbook inversion -log1p(-u) / rate, to the bit
+    uniforms = make_stream(8, 2).generator.random((rates.size, size))
+    assert np.array_equal(blocked, (-np.log1p(-uniforms) / rates[:, None]).reshape(-1))
+    with pytest.raises(SamplerError):
+        sample_exponential_batch(make_stream(8, 2), np.array([1.0, np.nan]), size)
+
+
 def test_exponential_reproducible_and_positive():
     a = sample_exponential_batch(make_stream(8, 0), 1.0, 3)
     b = sample_exponential_batch(make_stream(8, 0), 1.0, 3)
