@@ -22,6 +22,7 @@ from .analytics import (
     path_prob_lower_bound_constant,
     path_prob_lower_bound_joint,
     path_prob_lower_bound_state,
+    scaling_constant,
     single_drop_path_prob,
     single_drop_prob,
     typical_extinction_time,
@@ -33,7 +34,6 @@ from .limits import (
     implosion_batch,
     implosion_truncation_sweep,
     scaled_passage_batch,
-    scaling_constant,
 )
 from .oracle import (
     OracleError,

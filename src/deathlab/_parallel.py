@@ -14,6 +14,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
+from .regimes import check_count
 from .rng import RngStream
 
 T = TypeVar("T")
@@ -21,10 +22,10 @@ T = TypeVar("T")
 CHUNK_SIZE = 16384
 
 
-def chunk_sizes(total: int) -> list[int]:
-    """Split ``total`` items into fixed chunks (worker-count independent)."""
-    if total < 0:
-        raise ValueError(f"total must be nonnegative, got {total}")
+def chunk_sizes(total: int, error: type[ValueError] = ValueError) -> list[int]:
+    """Split ``total`` items, a count, into fixed chunks (worker-count
+    independent); a ``total`` that is not raises ``error``."""
+    total = check_count(total, "batch size", 0, error)
     full, rest = divmod(total, CHUNK_SIZE)
     return [CHUNK_SIZE] * full + ([rest] if rest else [])
 
@@ -33,12 +34,16 @@ def run_chunked(
     root: RngStream,
     total: int,
     task: Callable[[RngStream, int], T],
-    workers: int = 1,
+    workers: int,
+    error: type[ValueError],
 ) -> list[T]:
-    """Run ``task(substream, chunk_len)`` per chunk; results in chunk order."""
-    sizes = chunk_sizes(total)
+    """Run ``task(substream, chunk_len)`` per chunk; results in chunk order.
+    The batch size ``total`` and ``workers`` are counts, checked before any
+    stream is made; the caller's ``error`` says where one is not."""
+    sizes = chunk_sizes(total, error)
+    workers = check_count(workers, "workers", 1, error)
     streams = [root.substream(i) for i in range(len(sizes))]
-    if workers <= 1 or len(sizes) <= 1:
+    if workers == 1 or len(sizes) <= 1:
         return [task(s, m) for s, m in zip(streams, sizes)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, streams, sizes))

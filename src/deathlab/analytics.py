@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .regimes import InitialPower, JointPower, MortalityRegime
+from .regimes import InitialPower, JointPower, MortalityRegime, check_count, check_probability, mortality
 
 # expected_extinction_time stops once its remaining tail is below this
 MEAN_TAIL_TOL = 1e-10
@@ -28,22 +28,6 @@ SUM_BLOCK = 1 << 16
 
 class AnalyticsError(ValueError):
     """Argument outside a formula's domain."""
-
-
-def _check_prob_open(c: float, name: str = "c") -> float:
-    c = float(c)
-    if not 0.0 < c < 1.0:
-        raise AnalyticsError(f"{name} must lie in (0,1), got {c}")
-    return c
-
-
-def _check_count(k: int, name: str, minimum: int = 1) -> int:
-    if type(k) is int and k >= minimum:
-        return k
-    # int() of infinity or nan raises, but not this module's domain error
-    if k != k or k in (math.inf, -math.inf) or k != int(k) or k < minimum:
-        raise AnalyticsError(f"{name} must be an integer >= {minimum}, got {k}")
-    return int(k)
 
 
 def block_sum(terms: Callable[[np.ndarray], np.ndarray], start: int, stop: int) -> float:
@@ -61,9 +45,9 @@ def block_sum(terms: Callable[[np.ndarray], np.ndarray], start: int, stop: int) 
 
 def extinction_cdf(n: int, c: float, t: int) -> float:
     """P(extinct by time t from n) = (1 - (1-c)^t)^n."""
-    n = _check_count(n, "n")
-    c = _check_prob_open(c)
-    t = _check_count(t, "t", minimum=0)
+    n = check_count(n, "n", 1, AnalyticsError)
+    c = check_probability(c, "(0,1)", AnalyticsError)
+    t = check_count(t, "t", 0, AnalyticsError)
     if t == 0:
         return 0.0
     survive_log = t * math.log1p(-c)  # log (1-c)^t
@@ -72,16 +56,16 @@ def extinction_cdf(n: int, c: float, t: int) -> float:
 
 def typical_extinction_time(n: int, c: float) -> float:
     """The deterministic scale d_n = -ln n / ln(1-c) of the extinction time."""
-    n = _check_count(n, "n", minimum=2)
-    c = _check_prob_open(c)
+    n = check_count(n, "n", 2, AnalyticsError)
+    c = check_probability(c, "(0,1)", AnalyticsError)
     return -math.log(n) / math.log1p(-c)
 
 
 def expected_extinction_terms(n: int, c: float) -> int:
     """The number of terms ``expected_extinction_time`` sums: about
     ln(n / (MEAN_TAIL_TOL c)) / c."""
-    n = _check_count(n, "n")
-    c = _check_prob_open(c)
+    n = check_count(n, "n", 1, AnalyticsError)
+    c = check_probability(c, "(0,1)", AnalyticsError)
     # tail after T: sum_t n q^t = n q^T / c
     return max(1, math.ceil((math.log(MEAN_TAIL_TOL * c) - math.log(n)) / math.log1p(-c)))
 
@@ -101,18 +85,32 @@ def expected_extinction_time(n: int, c: float) -> float:
 def single_drop_prob(k: int, c: float) -> float:
     """Chance the first departure from k is a drop of exactly one:
     k (1-c)^(k-1) c / (1 - (1-c)^k)."""
-    k = _check_count(k, "k")
+    k = check_count(k, "k", 1, AnalyticsError)
+    # at k=1 the formula is c/c: certain for every c in (0,1], including
+    # the c=1 corner the joint-power family reaches at k=n=1
+    c = check_probability(c, "(0,1]" if k == 1 else "(0,1)", AnalyticsError)
     if k == 1:
-        # the formula is c/c: certain for every c in (0,1], including the
-        # c=1 corner the joint-power family reaches at k=n=1
-        if not 0.0 < float(c) <= 1.0:
-            raise AnalyticsError(f"c must lie in (0,1], got {c}")
         return 1.0
-    c = _check_prob_open(c)
     lnq = math.log1p(-c)
     log_num = math.log(k) + (k - 1) * lnq + math.log(c)
     log_den = math.log(-math.expm1(k * lnq))
     return math.exp(log_num - log_den)
+
+
+def _path_levels(n: int, mortalities: Sequence[float]):
+    """(k, c_k) for k = 2..n, with every c_k checked to lie in (0,1] as the
+    walk reaches it (entry k-1 gives c_k).  Level 1 is checked and left
+    out: a lone individual can only drop by one, whatever c_1."""
+    n = check_count(n, "n", 0, AnalyticsError)
+    if len(mortalities) < n:
+        raise AnalyticsError(f"need {n} mortalities, got {len(mortalities)}")
+    for k, c in enumerate(mortalities[:n], 1):
+        try:
+            c = check_probability(c, "(0,1]", AnalyticsError)
+        except AnalyticsError as exc:  # the level is named on failure only, not formatted per call
+            raise AnalyticsError(f"at level k={k}: {exc}") from None
+        if k > 1:
+            yield k, c
 
 
 def single_drop_path_prob(n: int, mortalities: Sequence[float]) -> float:
@@ -122,18 +120,8 @@ def single_drop_path_prob(n: int, mortalities: Sequence[float]) -> float:
     The k=1 factor is 1 for every c_1 in (0,1], so sequences like c_k=k^-3
     that touch 1 at k=1 are accepted.
     """
-    n = _check_count(n, "n", minimum=0)
-    if n == 0:
-        return 1.0
-    if len(mortalities) < n:
-        raise AnalyticsError(f"need {n} mortalities, got {len(mortalities)}")
     log_total = 0.0
-    for k in range(1, n + 1):
-        c = float(mortalities[k - 1])
-        if k == 1:
-            if not 0.0 < c <= 1.0:
-                raise AnalyticsError(f"c_1 must lie in (0,1], got {c}")
-            continue  # a lone individual can only drop by one
+    for k, c in _path_levels(n, mortalities):
         if c == 1.0:
             return 0.0  # everyone dies at once from k >= 2
         log_total += math.log(single_drop_prob(k, c))
@@ -150,8 +138,8 @@ def _pairs(n: int) -> float:
 
 def path_prob_lower_bound_constant(n: int, c: float) -> float:
     """Lower bound (1-c)^(n(n-1)/2) on the single-drop path probability."""
-    n = _check_count(n, "n", minimum=0)
-    c = _check_prob_open(c)
+    n = check_count(n, "n", 0, AnalyticsError)
+    c = check_probability(c, "(0,1)", AnalyticsError)
     return math.exp(_pairs(n) * math.log1p(-c))
 
 
@@ -160,16 +148,8 @@ def path_prob_lower_bound_state(n: int, mortalities: Sequence[float]) -> float:
 
     The k=1 factor has exponent 0 and always contributes 1, whatever c_1.
     """
-    n = _check_count(n, "n", minimum=0)
-    if len(mortalities) < n:
-        raise AnalyticsError(f"need {n} mortalities, got {len(mortalities)}")
     log_total = 0.0
-    for k in range(1, n + 1):
-        c = float(mortalities[k - 1])
-        if not 0.0 < c <= 1.0:
-            raise AnalyticsError(f"c_{k} must lie in (0,1], got {c}")
-        if k == 1:
-            continue
+    for k, c in _path_levels(n, mortalities):
         if c == 1.0:
             return 0.0
         log_total += (k - 1) * math.log1p(-c)
@@ -179,7 +159,7 @@ def path_prob_lower_bound_state(n: int, mortalities: Sequence[float]) -> float:
 def path_prob_lower_bound_joint(n: int, alpha: float, beta: float) -> float:
     """Lower bound (1 - 1/n^(beta-alpha))^(n(n-1)/2) for the joint-power
     regime; approaches 1 when beta - alpha > 2."""
-    n = _check_count(n, "n")
+    n = check_count(n, "n", 1, AnalyticsError)
     if alpha <= 0 or beta < alpha:
         raise AnalyticsError(f"need 0 < alpha <= beta, got alpha={alpha}, beta={beta}")
     if n == 1:
@@ -193,17 +173,17 @@ def path_prob_lower_bound_joint(n: int, alpha: float, beta: float) -> float:
 def passage_pmf(k: int, c: float, j: int) -> float:
     """Defective pmf of the passage time from k to k-1:
     P(T_k = j) = ((1-c)^k)^(j-1) k (1-c)^(k-1) c."""
-    k = _check_count(k, "k")
-    c = _check_prob_open(c)
-    j = _check_count(j, "j")
+    k = check_count(k, "k", 1, AnalyticsError)
+    c = check_probability(c, "(0,1)", AnalyticsError)
+    j = check_count(j, "j", 1, AnalyticsError)
     lnq = math.log1p(-c)
     return math.exp((j - 1) * k * lnq + math.log(k) + (k - 1) * lnq + math.log(c))
 
 
 def passage_mgf_domain(k: int, c: float) -> float:
     """Supremum of the arguments where the passage MGF converges."""
-    k = _check_count(k, "k")
-    c = _check_prob_open(c)
+    k = check_count(k, "k", 1, AnalyticsError)
+    c = check_probability(c, "(0,1)", AnalyticsError)
     return -k * math.log1p(-c)
 
 
@@ -213,8 +193,8 @@ def passage_mgf(k: int, c: float, s: float) -> float:
     Defined for s < -k ln(1-c) (the geometric series converges there); at
     s = 0 it returns the total finite mass, i.e. ``single_drop_prob``.
     """
-    k = _check_count(k, "k")
-    c = _check_prob_open(c)
+    k = check_count(k, "k", 1, AnalyticsError)
+    c = check_probability(c, "(0,1)", AnalyticsError)
     s = float(s)
     s_max = -k * math.log1p(-c)
     if not s < s_max:
@@ -226,28 +206,43 @@ def passage_mgf(k: int, c: float, s: float) -> float:
     return num / den
 
 
-def limit_passage_rate(regime: MortalityRegime, k: int, lam: float | None = None) -> float:
-    """Rate of the limiting exponential for scaled passage times from k.
+def _scaling_limit(regime: MortalityRegime, k: int, n: int | None, lam: float | None) -> float:
+    """The one dispatch over the scaling families: the scale a_n at start
+    n, or without n the rate of the limiting exponential.  Initial-state
+    scaling takes a_n = lam/c_n, so a_n c_n = lam exactly, and rate k*lam;
+    the joint-power family takes a_n = n^beta and rate k^(alpha+1)."""
+    k = check_count(k, "k", 1, AnalyticsError)
+    n = None if n is None else check_count(n, "n", 1, AnalyticsError)
+    try:
+        if isinstance(regime, InitialPower):
+            if lam is None or not lam > 0:
+                raise AnalyticsError("initial-state scaling needs lam > 0")
+            form = "limiting rate k*lam" if n is None else "scaling constant lam/c"
+            value = k * float(lam) if n is None else lam / mortality(regime, k, n)
+        elif isinstance(regime, JointPower):
+            form = "limiting rate k^(alpha+1)" if n is None else "scaling constant n^beta"
+            value = float(k) ** (regime.alpha + 1.0) if n is None else float(n) ** regime.beta
+        else:
+            raise AnalyticsError(f"no scaling limit implemented for {type(regime).__name__}")
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        where = f"k={k}" if n is None else f"k={k}, n={n}"
+        raise AnalyticsError(f"{form} overflows a double at {where} under {regime}")
+    return value
 
-    Initial-state scaling with a_n c_n -> lam gives rate k*lam; the
-    joint-power family with a_n = n^beta gives rate k^(alpha+1).
-    """
-    k = _check_count(k, "k")
-    if isinstance(regime, InitialPower):
-        if lam is None or lam <= 0:
-            raise AnalyticsError("initial-state scaling needs lam > 0")
-        rate = k * float(lam)
-        if rate == math.inf:
-            raise AnalyticsError(f"limiting rate k*lam overflows a double at k={k}, lam={lam:g}")
-        return rate
-    if isinstance(regime, JointPower):
-        try:
-            return float(k) ** (regime.alpha + 1.0)
-        except OverflowError:
-            raise AnalyticsError(
-                f"limiting rate k^(alpha+1) overflows a double at k={k}, alpha={regime.alpha:g}"
-            ) from None
-    raise AnalyticsError(f"no scaling limit implemented for {type(regime).__name__}")
+
+def limit_passage_rate(regime: MortalityRegime, k: int, lam: float | None = None) -> float:
+    """Rate of the limiting exponential for scaled passage times from k:
+    k*lam under initial-state scaling with a_n c_n -> lam, k^(alpha+1)
+    for the joint-power family with a_n = n^beta."""
+    return _scaling_limit(regime, k, None, lam)
+
+
+def scaling_constant(regime: MortalityRegime, k: int, n: int, lam: float | None = None) -> float:
+    """The deterministic scale a_n that renders passage times from k at
+    start n order one."""
+    return _scaling_limit(regime, k, n, lam)
 
 
 def implosion_expected_time(alpha: float, K: int) -> tuple[float, float]:
@@ -260,7 +255,7 @@ def implosion_expected_time(alpha: float, K: int) -> tuple[float, float]:
     alpha = float(alpha)
     if alpha <= 0:
         raise AnalyticsError(f"series diverges for alpha <= 0, got {alpha}")
-    K = _check_count(K, "K")
+    K = check_count(K, "K", 1, AnalyticsError)
     partial = block_sum(lambda k: k ** (-(alpha + 1.0)), 1, K + 1)
     tail = float(K) ** (-alpha) / alpha
     return partial, tail

@@ -17,7 +17,6 @@ import click
 from click.core import ParameterSource
 import numpy as np
 
-from . import kernels
 from .analytics import AnalyticsError
 from .experiments import (
     build_extinct_report,
@@ -29,9 +28,10 @@ from .experiments import (
 )
 from .limits import check_sweep_levels
 from .oracle import MAX_STATE, MAX_TIME, state_distribution_history
-from .process import TrajectoryBatch, _check_n, prepare_run, simulate_trajectory
-from .regimes import MortalityRegime, RegimeError, from_dict, from_json, parse_inline, to_json
+from .process import ProcessError, TrajectoryBatch, prepare_run, simulate_trajectory
+from .regimes import MortalityRegime, RegimeError, check_count, from_dict, from_json, parse_inline, to_json
 from .rng import make_stream
+from .samplers import MAX_EXACT_COUNT
 
 
 def _finite(value: int | float) -> bool:
@@ -255,7 +255,7 @@ def simulate(config_path, **flags):
     out_path = _check_out(params["out"], ["trajectories.csv", "summary.json"])
     try:
         # the process layer's checks, before any stream is made
-        n = _check_n(params["n"])
+        n = check_count(params["n"], "population", 1, ProcessError, MAX_EXACT_COUNT)
         prepare_run(regime, n, params["t_max"], record=True)
         root = make_stream(params["seed"], 0)
         batch = simulate_trajectory(n, regime, root, params["t_max"], runs=params["samples"])
@@ -459,7 +459,6 @@ def verify(config_path, **flags):
     rows pass."""
     params = _params(config_path, flags, {"seed": 0, "workers": 1, "samples": 2})
     out = None if params["out"] is None else Path(params["out"])  # the report's own file
-    kernels.warmup()
     _run(
         lambda: (
             build_verify_report(

@@ -37,6 +37,7 @@ from .analytics import (
     path_prob_lower_bound_constant,
     path_prob_lower_bound_joint,
     path_prob_lower_bound_state,
+    scaling_constant,
     single_drop_path_prob,
     single_drop_prob,
     typical_extinction_time,
@@ -46,7 +47,6 @@ from .limits import (
     implosion_batch,
     implosion_truncation_sweep,
     scaled_passage_batch,
-    scaling_constant,
 )
 from .oracle import (
     MAX_SERIES_TERMS,
@@ -88,6 +88,11 @@ KS_LEVEL = 0.0005
 
 # the ratio experiment counts runs with |tau/d_n - 1| above this
 RATIO_EPS = 0.1
+
+# fewest finite passages a limit check must expect: from 10 on, its KS row
+# meets an empty sample with chance at most e^-10 = 4.5e-5, a tenth of the
+# KS_LEVEL at which the row fails anyway
+MIN_FINITE_PASSAGES = 10
 
 # (fraction of the MGF domain, tolerance factor) of each MGF-vs-series row;
 # the series converges slowly near the boundary, so that row is relaxed
@@ -425,8 +430,14 @@ def build_passage_report(
         rate = limit_passage_rate(regime, k, lam)
         scaling_constant(regime, k, limit_n, lam)  # raises where no a_n exists
         c_limit = mortality(regime, k, limit_n)
-        single_drop_prob(k, c_limit)  # the finite mass; raises at c = 1, where no passage is finite
+        mass = single_drop_prob(k, c_limit)  # raises at c = 1, where no passage is finite
         check_departure(k, c_limit)
+        expected = (limit_samples or samples) * mass
+        if expected < MIN_FINITE_PASSAGES:
+            raise ValueError(
+                f"limit check expects {expected:.2g} finite passages from k={k} at n={limit_n}, "
+                f"below {MIN_FINITE_PASSAGES}: raise limit_samples"
+            )
     report = AnalyticReport(meta=report_meta("passage", config, seed))
     c = mortality(regime, k, n_ctx)
     tag = f"k={k}, c={c:g}"
@@ -755,12 +766,13 @@ def build_verify_report(
         _ks_row("stepped holding at k=3 vs geometric draws [c=0.3]", dist, two_sample_critical)
     )
 
+    initial, joint = InitialPower(1.0, 1.0), JointPower(1.0, 3.0)
     _scaled_passage_rows(
-        report, 3, 10**4, InitialPower(1.0, 1.0), samples, make_stream(seed, 19), 3.0,
+        report, 3, 10**4, initial, samples, make_stream(seed, 19), limit_passage_rate(initial, 3, 1.0),
         "k=3, lam=1, n=10^4", lam=1.0, workers=workers,
     )
     _scaled_passage_rows(
-        report, 2, 10**3, JointPower(1.0, 3.0), samples, make_stream(seed, 20), 4.0,
+        report, 2, 10**3, joint, samples, make_stream(seed, 20), limit_passage_rate(joint, 2),
         "k=2, alpha=1, beta=3, n=10^3", "P(T finite) at scale n=10^3 [k=2, alpha=1, beta=3]", workers=workers,
     )
 

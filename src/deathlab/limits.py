@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_chunked
-# single_drop_prob stays importable here: perfbench/spans.py wraps it by this name
-from .analytics import AnalyticsError, implosion_expected_time, single_drop_prob  # noqa: F401
+# single_drop_prob and mortality stay importable here: perfbench/spans.py
+# wraps them by these names
+from .analytics import AnalyticsError, implosion_expected_time, scaling_constant, single_drop_prob  # noqa: F401
 from .process import first_passage_batch
-from .regimes import InitialPower, JointPower, MortalityRegime, mortality
+from .regimes import MortalityRegime, check_count, mortality  # noqa: F401
 from .rng import RngStream
 from .samplers import sample_exponential_batch
 from . import kernels
@@ -48,25 +49,6 @@ class ScaledPassageBatch:
     num_samples: int
     finite_count: int
     scaled_times: np.ndarray
-
-
-def scaling_constant(regime: MortalityRegime, k: int, n: int, lam: float | None = None) -> float:
-    """The deterministic scale a_n that renders passage times order one."""
-    if isinstance(regime, InitialPower):
-        if lam is None or lam <= 0:
-            raise AnalyticsError("initial-state scaling needs lam > 0")
-        a_n = lam / mortality(regime, k, n)
-        if a_n == math.inf:
-            raise AnalyticsError(f"scaling constant lam/c overflows a double at n={n}, lam={lam:g}")
-        return a_n
-    if isinstance(regime, JointPower):
-        try:
-            return float(n) ** regime.beta
-        except OverflowError:
-            raise AnalyticsError(
-                f"scaling constant n^beta overflows a double at n={n}, beta={regime.beta:g}"
-            ) from None
-    raise AnalyticsError(f"no scaling limit implemented for {type(regime).__name__}")
 
 
 def scaled_passage_batch(
@@ -94,8 +76,6 @@ STAGE_BLOCK = 2**14
 def _stage_rates(alpha: float, K: int) -> np.ndarray:
     if alpha <= 0:
         raise AnalyticsError(f"implosion needs alpha > 0, got {alpha}")
-    if K < 1:
-        raise AnalyticsError(f"truncation level must be >= 1, got {K}")
     # traversal order: level K first, then down to 1.  A rate that
     # overflows to inf is a stage of zero duration, the float limit of
     # its mean k^-(alpha+1), so the overflow is not worth a warning.
@@ -104,12 +84,11 @@ def _stage_rates(alpha: float, K: int) -> np.ndarray:
 
 
 def check_sweep_levels(levels: Sequence[int], K: int | None = None) -> list[int]:
-    """Sweep levels as a list: integers >= 1, strictly increasing, and at
+    """Sweep levels as a list: counts >= 1, strictly increasing, and at
     most K where K is given."""
-    levels = list(levels)
-    if levels and (levels[0] < 1 or K is not None and levels[-1] > K):
-        bounds = "be >= 1" if K is None else f"lie in [1, K={K}]"
-        raise AnalyticsError(f"sweep levels must {bounds}, got {levels}")
+    levels = [check_count(level, "sweep level", 1, AnalyticsError) for level in levels]
+    if levels and K is not None and levels[-1] > K:
+        raise AnalyticsError(f"sweep levels must lie in [1, K={K}], got {levels}")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise AnalyticsError(f"sweep levels must be strictly increasing, got {levels}")
     return levels
@@ -162,6 +141,7 @@ def implosion_batch(
     the running totals when the loop reaches it.  Chunks are merged in
     chunk order, so the moments do not depend on ``workers``.
     """
+    K = check_count(K, "K", 1, AnalyticsError)
     rates = _stage_rates(alpha, K)
     levels = check_sweep_levels(levels, K)
     # stage i is level K - i: the totals before stage K - L are the stages above L
@@ -191,7 +171,7 @@ def implosion_batch(
             gap.append(_moments(scratch))
         return totals, level, gap
 
-    parts = run_chunked(rng, runs, task, workers)
+    parts = run_chunked(rng, runs, task, workers, AnalyticsError)
     totals = np.concatenate([part[0] for part in parts]) if parts else np.empty(0)
 
     def merged(j: int) -> list[Moments]:

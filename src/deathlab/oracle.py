@@ -18,7 +18,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .analytics import block_sum
-from .regimes import MortalityRegime, mortality
+from .regimes import MortalityRegime, check_count, check_probability, mortality
 
 MAX_STATE = 30
 MAX_TIME = 200
@@ -28,14 +28,6 @@ MAX_SERIES_TERMS = 10**8
 
 class OracleError(ValueError):
     """Instance outside the brute-force caps."""
-
-
-def _check_caps(n: int, t: int) -> tuple[int, int]:
-    if not 1 <= n <= MAX_STATE:
-        raise OracleError(f"oracle handles 1 <= n <= {MAX_STATE}, got n={n}")
-    if not 0 <= t <= MAX_TIME:
-        raise OracleError(f"oracle handles 0 <= t <= {MAX_TIME}, got t={t}")
-    return int(n), int(t)
 
 
 def _transition_matrix(n: int, regime: MortalityRegime) -> np.ndarray:
@@ -65,10 +57,9 @@ def state_distribution_history(
     depend on n (``Constant``, ``StatePower``) the row of start s equals the
     history from s alone bit for bit, padded with zeros.
     """
-    n, t_max = _check_caps(n, t_max)
-    rows = [n] if starts is None else list(starts)
-    if not all(0 <= s <= n for s in rows):
-        raise OracleError(f"starts must lie in [0, n={n}], got {rows}")
+    n = check_count(n, "n", 1, OracleError, MAX_STATE)
+    t_max = check_count(t_max, "t_max", 0, OracleError, MAX_TIME)
+    rows = [n] if starts is None else [check_count(s, "start", 0, OracleError, n) for s in starts]
     kernel = _transition_matrix(n, regime)
     mass = np.zeros((len(rows), n + 1), dtype=np.longdouble)
     mass[np.arange(len(rows)), rows] = 1.0
@@ -92,10 +83,8 @@ def exact_jump_law(k: int, c: float) -> np.ndarray:
     i.e. the binomial pmf over 1..k deaths renormalized by its own sum
     (independent of any closed-form denominator).  At c = 1 all k die.
     """
-    if not 1 <= k <= MAX_STATE:
-        raise OracleError(f"oracle handles 1 <= k <= {MAX_STATE}, got k={k}")
-    if not 0 < c <= 1:
-        raise OracleError(f"jump law needs c in (0,1], got {c}")
+    k = check_count(k, "k", 1, OracleError, MAX_STATE)
+    c = check_probability(c, "(0,1]", OracleError, "jump law needs c in")
     cl = np.longdouble(c)
     q = np.longdouble(1.0) - cl
     masses = np.array(
@@ -111,8 +100,7 @@ def exact_single_drop_path_prob(n: int, regime: MortalityRegime) -> float:
     Chains the single-death entry of ``exact_jump_law`` over k = n..1; an
     independent code path from the closed-form product.
     """
-    if not 0 <= n <= MAX_STATE:
-        raise OracleError(f"oracle handles 0 <= n <= {MAX_STATE}, got n={n}")
+    n = check_count(n, "n", 0, OracleError, MAX_STATE)
     log_total = 0.0
     for k in range(1, n + 1):
         single = exact_jump_law(k, mortality(regime, k, n))[0]
@@ -128,12 +116,9 @@ def exact_passage_law(k: int, c: float, j_max: int) -> tuple[np.ndarray, float]:
     The cumulative sum bracketed by the tail bound encloses the total
     finite-passage mass.
     """
-    if not 1 <= k <= MAX_STATE:
-        raise OracleError(f"oracle handles 1 <= k <= {MAX_STATE}, got k={k}")
-    if not 0 < c < 1:
-        raise OracleError(f"passage law needs c in (0,1), got {c}")
-    if j_max < 1:
-        raise OracleError(f"j_max must be >= 1, got {j_max}")
+    k = check_count(k, "k", 1, OracleError, MAX_STATE)
+    c = check_probability(c, "(0,1)", OracleError, "passage law needs c in")
+    j_max = check_count(j_max, "j_max", 1, OracleError)
     q = 1.0 - c
     ratio = q**k
     pmf = np.empty(j_max, dtype=np.float64)
@@ -148,10 +133,8 @@ def exact_passage_law(k: int, c: float, j_max: int) -> tuple[np.ndarray, float]:
 def _mgf_series(k: int, c: float, s: float, tol: float) -> tuple[int, float, float]:
     """(terms, log of the first term, log of the ratio) of the MGF series:
     the first ``terms`` of first * ratio^(j-1) leave a tail below tol."""
-    if not 1 <= k <= MAX_STATE:
-        raise OracleError(f"oracle handles 1 <= k <= {MAX_STATE}, got k={k}")
-    if not 0 < c < 1:
-        raise OracleError(f"series needs c in (0,1), got {c}")
+    k = check_count(k, "k", 1, OracleError, MAX_STATE)
+    c = check_probability(c, "(0,1)", OracleError, "series needs c in")
     if tol <= 0:
         raise OracleError(f"tol must be positive, got {tol}")
     lnq = math.log1p(-c)

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import kernels
 from ._parallel import run_chunked
-from .regimes import MortalityRegime, mortality, prepare
+from .regimes import MortalityRegime, check_count, check_probability, mortality, prepare
 from .rng import RngStream
-from .samplers import MAX_EXACT_COUNT, _check_prob
+from .samplers import MAX_EXACT_COUNT, SamplerError
 
 # simulate_trajectory records paths up to t_max; refuse absurd horizons
 MAX_RECORDED_STEPS = 10**8
@@ -72,19 +72,6 @@ class TrajectoryBatch:
             raise ProcessError("an extinct path holds one 0, at its end, and a censored one none")
 
 
-def _check_n(n: int, minimum: int = 1) -> int:
-    if isinstance(n, bool) or not (
-        isinstance(n, (int, np.integer)) or (isinstance(n, (float, np.floating)) and float(n).is_integer())
-    ):
-        raise ProcessError(f"population must be an integer, got {n}")
-    n = int(n)
-    if n < minimum:
-        raise ProcessError(f"population must be >= {minimum}, got {n}")
-    if n > MAX_EXACT_COUNT:
-        raise ProcessError(f"population above 2**53 loses exactness, got {n}")
-    return n
-
-
 def _censor_horizon(cs: np.ndarray, n: int) -> float:
     """Steps needed to push the censoring probability below CENSOR_TARGET,
     not rounded, and infinite where the mortality underflows the bound.
@@ -122,16 +109,17 @@ def _run_batch(rng: RngStream, samples: int, dtypes, kernel, workers: int = 1) -
         outs = [np.empty(m, dtype=dtype) for dtype in dtypes]
         return outs, kernel(stream.generator, *outs)
 
-    parts = run_chunked(rng, samples, task, workers)
+    parts = run_chunked(rng, samples, task, workers, ProcessError)
     joined = [np.concatenate([np.empty(0, dtype)] + [outs[i] for outs, _ in parts])
               for i, dtype in enumerate(dtypes)]
     return [*joined, [returned for _, returned in parts]]
 
 
 def step(x: int, c: float, rng: RngStream) -> int:
-    """One transition: x minus a Binomial(x, c) batch of deaths."""
-    x = _check_n(x)
-    c = _check_prob(c, allow_zero=True, allow_one=True)
+    """One transition: x minus a Binomial(x, c) batch of deaths.  A
+    mortality outside [0,1] is the sampler's domain error."""
+    x = check_count(x, "population", 1, ProcessError, MAX_EXACT_COUNT)
+    c = check_probability(c, "[0,1]", SamplerError)
     return x - int(kernels.binomial_draw(rng.generator, x, c))
 
 
@@ -148,8 +136,8 @@ def prepare_run(
     cs = prepare(regime, n)
     if t_max is None:
         t_max = _censor_horizon(cs, n)
-    elif t_max < 1:
-        raise ProcessError(f"t_max must be >= 1, got {t_max}")
+    else:
+        t_max = check_count(t_max, "t_max", 1, ProcessError)
     t_max = math.ceil(min(t_max, MAX_HORIZON))
     if t_max >= kernels.HOLD_CAP:
         levels = np.arange(1, cs.size)  # the levels above share the last entry's c and depart faster
@@ -178,7 +166,7 @@ def simulate_trajectory(
     The runs share the mortality array and the horizon, which are built
     once.
     """
-    n = _check_n(n)
+    n = check_count(n, "population", 1, ProcessError, MAX_EXACT_COUNT)
     cs, t_max = prepare_run(regime, n, t_max, record=True)
 
     times, parts = _run_batch(
@@ -192,7 +180,7 @@ def simulate_trajectory(
     run = np.concatenate([empty] + [pieces[0] + start for (_, pieces), start in zip(parts, starts)])
     state, steps = (np.concatenate([empty] + [pieces[j] for _, pieces in parts]) for j in (1, 2))
     order = np.argsort(run, kind="stable")
-    lengths = np.bincount(run, weights=steps, minlength=runs).astype(np.int64)
+    lengths = np.bincount(run, weights=steps, minlength=times.size).astype(np.int64)
     return TrajectoryBatch(n, np.repeat(state[order], steps[order]), lengths, times, t_max)
 
 
@@ -205,7 +193,7 @@ def extinction_time_batch(
     workers: int = 1,
 ) -> np.ndarray:
     """Extinction times for ``samples`` independent runs (-1 = censored)."""
-    n = _check_n(n)
+    n = check_count(n, "population", 1, ProcessError, MAX_EXACT_COUNT)
     cs, t_max = prepare_run(regime, n, t_max)
     times, _ = _run_batch(
         rng, samples, [np.int64], lambda gen, out: kernels.extinction_batch(gen, out, cs, n, t_max), workers
@@ -220,23 +208,26 @@ def single_drop_batch(
     samples: int,
     workers: int = 1,
 ) -> np.ndarray:
-    """Boolean single-drop outcomes for ``samples`` independent runs."""
-    n = _check_n(n, minimum=0)
-    if n == 0:
-        return np.ones(samples, dtype=bool)
-    cs = prepare(regime, n)
-    flags, _ = _run_batch(
-        rng, samples, [np.uint8], lambda gen, out: kernels.single_drop_batch(gen, out, cs, n), workers
-    )
+    """Boolean single-drop outcomes for ``samples`` independent runs.  From
+    n = 0 the empty path is one, and nothing is drawn."""
+    n = check_count(n, "population", 0, ProcessError, MAX_EXACT_COUNT)
+    cs = prepare(regime, n) if n else None
+
+    def kernel(gen, out) -> None:
+        if n:
+            kernels.single_drop_batch(gen, out, cs, n)
+        else:
+            out.fill(1)
+
+    flags, _ = _run_batch(rng, samples, [np.uint8], kernel, workers)
     return flags.astype(bool)
 
 
 def drop_distribution(k: int, c: float) -> np.ndarray:
     """Landing law of the first departure from k: entry j is the chance of
     landing at state j, i.e. C(k, k-j) c^(k-j) (1-c)^j / (1 - (1-c)^k)."""
-    k = _check_n(k)
-    if not 0.0 < c < 1.0:
-        raise ProcessError(f"drop distribution needs c in (0,1), got {c}")
+    k = check_count(k, "population", 1, ProcessError, MAX_EXACT_COUNT)
+    c = check_probability(c, "(0,1)", ProcessError, "drop distribution needs c in")
     lnc, lnq = math.log(c), math.log1p(-c)
     log_norm = math.log(-math.expm1(k * lnq))
     out = np.empty(k, dtype=np.float64)
@@ -268,8 +259,8 @@ def first_passage_batch(
     same law by raw stepping, the reference the tests compare against; it
     gives up with code ``CENSORED`` after ``STEPPED_T_MAX`` steps at k.
     """
-    k = _check_n(k)
-    n = k if n is None else _check_n(n)
+    k = check_count(k, "population", 1, ProcessError, MAX_EXACT_COUNT)
+    n = k if n is None else check_count(n, "population", 1, ProcessError, MAX_EXACT_COUNT)
     if not k <= n:
         raise ProcessError(f"need k <= n, got k={k}, n={n}")
     c = mortality(regime, k, n)

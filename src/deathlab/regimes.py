@@ -11,6 +11,8 @@ Four parametric families plus an explicit table:
 
 Regimes are immutable and serialize to a tagged-union JSON encoding with a
 bit-exact round-trip; ``FAMILIES`` maps each JSON type tag to its class.
+The module also states the package's count and probability rules,
+``check_count`` and ``check_probability``.
 """
 
 from __future__ import annotations
@@ -27,13 +29,47 @@ class RegimeError(ValueError):
     """Invalid regime parameters or an out-of-range evaluation."""
 
 
+# The package's two input rules.  This module imports nothing from the
+# package, so every module checks its counts and probabilities here and
+# raises its own error class.
+
+
+def check_count(value, name: str, minimum: int, error: type[ValueError], maximum: int | None = None) -> int:
+    """``value`` as an int from ``minimum`` up to ``maximum`` (no cap if
+    None), else ``error``: a Python int, a numpy integer, or a finite
+    float with an integer value, never a bool or a string."""
+    if type(value) is int and value >= minimum and (maximum is None or value <= maximum):
+        return value  # the common case, at once
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if integral or isinstance(value, (float, np.floating)) and value.is_integer():
+        if int(value) >= minimum and (maximum is None or int(value) <= maximum):
+            return int(value)
+    bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+    raise error(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def check_probability(value, interval: str, error: type[ValueError], what: str = "c must lie in") -> float:
+    """``value`` as a float in ``interval`` ("(0,1)", "(0,1]" or "[0,1]"),
+    else ``error`` saying ``what`` and the interval: a real number, never
+    a bool, a string or NaN."""
+    if type(value) is float and 0.0 < value < 1.0:
+        return value  # the common case, at once
+    if (
+        isinstance(value, (int, float, np.integer, np.floating))
+        and not isinstance(value, bool)
+        and (value > 0 or value == 0 and interval[0] == "[")
+        and (value < 1 or value == 1 and interval[-1] == "]")
+    ):
+        return float(value)
+    raise error(f"{what} {interval}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Constant:
     c: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.c < 1.0:
-            raise RegimeError(f"constant mortality must lie in (0,1), got {self.c}")
+        check_probability(self.c, "(0,1)", RegimeError, "constant mortality must lie in")
 
 
 @dataclass(frozen=True)
@@ -105,10 +141,8 @@ class Table:
             k, n = key
             if not (1 <= k <= n):
                 raise RegimeError(f"table key ({k}, {n}) violates 1 <= k <= n")
-            p = _number(p, f"table probability at ({k}, {n})")
-            if not 0.0 < p <= 1.0:
-                raise RegimeError(f"table probability at ({k}, {n}) must be in (0,1], got {p}")
-            values[key] = p
+            what = f"table probability at ({k}, {n})"
+            values[key] = check_probability(_number(p, what), "(0,1]", RegimeError, f"{what} must lie in")
         object.__setattr__(self, "values", values)
 
 

@@ -198,6 +198,9 @@ def no_streams(monkeypatch):
          "c must lie in (0,1), got 1.0"),
         (["passage", "--k", "5", "--regime", "initial_power:1,1", "--lam", "1", "--limit-n", "3"],
          "k <= limit_n"),
+        # 10 runs at a finite-passage chance of 0.0032: too few to test
+        (["passage", "--k", "5", "--n", "10", "--regime", "joint_power:1,1", "--limit-n", "6",
+          "--limit-samples", "10"], "expects 0.032 finite passages"),
         (["extinct", "--ratio-n", "1"], "--ratio-n must be 0 or an integer >= 2, got 1"),
         (["extinct", "--ratio-c", "1.5"], "--ratio-c must lie in (0,1), got 1.5"),
         # certain death where a closed form or oracle needs c < 1
@@ -232,7 +235,7 @@ def no_streams(monkeypatch):
          "path_sweep_bound_overflow", "implode_sweep_0",
          "implode_sweep_falling", "implode_sweep_repeated", "implode_sweep_above_k_max",
          "passage_limit_without_scaling", "passage_limit_without_lam", "passage_limit_certain_death",
-         "passage_limit_below_k",
+         "passage_limit_below_k", "passage_limit_too_few_finite",
          "extinct_ratio_n_1", "extinct_ratio_c_above_1", "passage_certain_death_oracle",
          "passage_certain_death_closed_form",
          "passage_scaling_constant_overflow", "passage_limit_rate_overflow",

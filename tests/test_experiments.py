@@ -77,14 +77,23 @@ def test_passage_finite_mass_above_the_oracle_cap_says_so():
     assert row.note == "no oracle"
 
 
-def test_passage_limit_without_a_finite_passage_fails_its_ks_row():
-    # at n = 6 a passage from k = 5 is finite with chance 0.0032, and none
-    # of these 10 runs makes one: the KS row has no sample to test
-    report, scaled = experiments.build_passage_report(
-        5, JointPower(1.0, 1.0), 2000, 0, n=10, limit_n=6, limit_samples=10
+def test_passage_limit_expecting_too_few_finite_passages_is_refused_before_simulating(monkeypatch):
+    # at n = 6 a passage from k = 5 is finite with chance 0.0032: 10 runs
+    # expect 0.032 finite passages, too few for the KS row to test
+    monkeypatch.setattr(experiments, "first_passage_batch", _no_simulation)
+    monkeypatch.setattr(experiments, "make_stream", _no_simulation)
+    with pytest.raises(ValueError, match="expects 0.032 finite passages"):
+        experiments.build_passage_report(5, JointPower(1.0, 1.0), 2000, 0, n=10, limit_n=6, limit_samples=10)
+
+
+def test_scaled_passage_rows_fail_their_ks_row_on_a_sample_without_a_finite_passage():
+    # verify's rows at a tiny --samples can still meet an empty sample
+    report = AnalyticReport()
+    scaled = experiments._scaled_passage_rows(
+        report, 5, 6, JointPower(1.0, 1.0), 10, experiments.make_stream(0, 1), 36.0, "k=5, n=6"
     )
-    row = next(row for row in report.rows if row.label.startswith("scaled passage"))
     assert scaled.size == 0
+    (row,) = report.rows
     assert not row.passed and row.note == "no finite passage in the sample to test"
 
 
