@@ -2,15 +2,20 @@
 
 Work is split into fixed-size chunks, each driven by its own substream
 derived from the batch's root stream, so merged results are identical for
-any worker count.  Threads scale only where the work releases the GIL: the
-numba kernels and numpy's vectorised draws do.  The pure-Python kernel
-build holds it in its scalar loops, and its array entry points release it
-only inside numpy calls, with interpreter work between them, so there
-``workers > 1`` gives little or no speed-up.
+any worker count.  A batch smaller than one chunk of implosion runs also
+splits its stages into segments (``limits.implosion_batch``); every piece
+of work runs through ``run_ordered``, the one pool.  Threads scale only
+where the work releases the GIL: the numba kernels and numpy's vectorised
+draws and reductions do.  The pure-Python kernel build holds it in its
+scalar loops, and its array entry points release it only inside numpy
+calls, with interpreter work between them, so there ``workers > 1`` gives
+little or no speed-up.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
@@ -20,6 +25,18 @@ from .rng import RngStream
 T = TypeVar("T")
 
 CHUNK_SIZE = 16384
+
+POOL_THREAD = "deathlab-pool"  # name prefix of the pool's threads
+
+
+def run_ordered(calls: list[Callable[[], T]], workers: int) -> list[T]:
+    """Call each of ``calls`` on up to ``workers`` threads, ``workers`` a
+    checked count; results in list order.  Calls made from a pool thread
+    run in that thread, in order, so pools never nest."""
+    if workers == 1 or len(calls) <= 1 or threading.current_thread().name.startswith(POOL_THREAD):
+        return [call() for call in calls]
+    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix=POOL_THREAD) as pool:
+        return list(pool.map(lambda call: call(), calls))
 
 
 def chunk_sizes(total: int, error: type[ValueError] = ValueError) -> list[int]:
@@ -43,7 +60,4 @@ def run_chunked(
     sizes = chunk_sizes(total, error)
     workers = check_count(workers, "workers", 1, error)
     streams = [root.substream(i) for i in range(len(sizes))]
-    if workers == 1 or len(sizes) <= 1:
-        return [task(s, m) for s, m in zip(streams, sizes)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, streams, sizes))
+    return run_ordered([functools.partial(task, s, m) for s, m in zip(streams, sizes)], workers)

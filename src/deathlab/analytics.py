@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .regimes import InitialPower, JointPower, MortalityRegime, check_count, check_probability, mortality
+from .regimes import InitialPower, JointPower, MortalityRegime, check_count, check_probability, is_real, mortality
 
 # expected_extinction_time stops once its remaining tail is below this
 MEAN_TAIL_TOL = 1e-10
@@ -245,16 +245,24 @@ def scaling_constant(regime: MortalityRegime, k: int, n: int, lam: float | None 
     return _scaling_limit(regime, k, n, lam)
 
 
+def check_alpha(alpha: float) -> float:
+    """The implosion exponent as a float: a finite real number > 0 (the
+    series diverges for alpha <= 0), else ``AnalyticsError``."""
+    try:
+        if is_real(alpha) and 0.0 < float(alpha) < math.inf:
+            return float(alpha)
+    except OverflowError:  # an int beyond the largest float
+        pass
+    raise AnalyticsError(f"implosion needs a finite alpha > 0, got {alpha!r}")
+
+
 def implosion_expected_time(alpha: float, K: int) -> tuple[float, float]:
     """Partial sum of sum_k k^-(alpha+1) up to K, with an integral tail bound.
 
     The full series lies in [partial_sum, partial_sum + tail_bound] with
-    tail_bound = K^-alpha / alpha; it diverges for alpha <= 0.  The
-    partial sum is a ``block_sum``.
+    tail_bound = K^-alpha / alpha.  The partial sum is a ``block_sum``.
     """
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise AnalyticsError(f"series diverges for alpha <= 0, got {alpha}")
+    alpha = check_alpha(alpha)
     K = check_count(K, "K", 1, AnalyticsError)
     partial = block_sum(lambda k: k ** (-(alpha + 1.0)), 1, K + 1)
     tail = float(K) ** (-alpha) / alpha

@@ -9,10 +9,13 @@ level-k Exponential(k^(alpha+1)) passage times crosses every level from a
 truncation K down to 0 in a time whose expectation stays bounded as K
 grows: the implosion signature.  ``scaled_passage_batch`` draws scaled
 passage times, and ``implosion_batch`` draws traversal totals of the
-limiting chain.  The truncation sweep draws nothing of its own: a run's
-total at a level L <= K is the sum of its stages k <= L, so
-``implosion_batch`` reads the moments of every sweep level, and of the gap
-between two levels, off the runs of the totals, and
+limiting chain: by chunks of runs, and a chunk smaller than a full one by
+segments of its stages too, each on the chunk's Philox stream advanced
+to the segment's first draw, so even one chunk's work splits across
+``workers`` with the same draws.  The truncation sweep draws nothing of
+its own: a run's total at a level L <= K is the sum of its stages
+k <= L, so ``implosion_batch`` reads the moments of every sweep level, and
+of the gap between two levels, off the runs of the totals, and
 ``implosion_truncation_sweep`` compares them with the certified partial
 sums.
 """
@@ -26,10 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import run_chunked
+from ._parallel import CHUNK_SIZE, run_chunked, run_ordered
 # single_drop_prob and mortality stay importable here: perfbench/spans.py
 # wraps them by these names
-from .analytics import AnalyticsError, implosion_expected_time, scaling_constant, single_drop_prob  # noqa: F401
+from .analytics import (  # noqa: F401
+    AnalyticsError, check_alpha, implosion_expected_time, scaling_constant, single_drop_prob,
+)
 from .process import first_passage_batch
 from .regimes import MortalityRegime, check_count, mortality  # noqa: F401
 from .rng import RngStream
@@ -69,18 +74,27 @@ def scaled_passage_batch(
 
 
 # doubles per exponential block: 8 stages of verify's 2000 runs, 1 of a
-# full 16384-run chunk, so a block is never larger than one stage of a chunk
+# full 16384-run chunk, so a block is never larger than one stage of a
+# chunk.  Blocks start at their segment's first stage, whatever the sweep.
 STAGE_BLOCK = 2**14
 
 
 def _stage_rates(alpha: float, K: int) -> np.ndarray:
-    if alpha <= 0:
-        raise AnalyticsError(f"implosion needs alpha > 0, got {alpha}")
     # traversal order: level K first, then down to 1.  A rate that
     # overflows to inf is a stage of zero duration, the float limit of
     # its mean k^-(alpha+1), so the overflow is not worth a warning.
     with np.errstate(over="ignore"):
-        return np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.0)
+        return np.arange(K, 0, -1, dtype=np.float64) ** (check_alpha(alpha) + 1.0)
+
+
+def _segments(K: int, m: int) -> list[tuple[int, int]]:
+    """The stage ranges ``[first, last)`` a chunk of ``m`` runs draws
+    apart: ``max(rows, ceil(K m / CHUNK_SIZE))`` stages each, ``rows`` the
+    stages of one block.  They depend on K and m only, and a full chunk is
+    one segment."""
+    rows = max(1, STAGE_BLOCK // m)
+    size = max(rows, -(-K * m // CHUNK_SIZE))
+    return [(first, min(first + size, K)) for first in range(0, K, size)]
 
 
 def check_sweep_levels(levels: Sequence[int], K: int | None = None) -> list[int]:
@@ -130,36 +144,57 @@ def implosion_batch(
     """Total implosion times for many runs (stage-vectorized), and the
     moments of the sweep ``levels`` read off the same runs.
 
-    Each chunk draws its stages level K first, in blocks of up to
-    ``STAGE_BLOCK`` doubles (several stages per call when the chunk is
-    small), and adds them to the totals one stage at a time; a block never
-    crosses a sweep level, and the draws equal one call per stage.  The
-    moments are ``(level, gap)``: ``level[i]`` those of the runs' totals
-    over the stages k <= ``levels[i]``, ``gap[i]`` those of the paired
-    difference ``level[i + 1]`` minus ``level[i]``, the stages in
-    (``levels[i]``, ``levels[i + 1]``].  A level below K costs one copy of
-    the running totals when the loop reaches it.  Chunks are merged in
-    chunk order, so the moments do not depend on ``workers``.
+    Each chunk draws its stages level K first.  A chunk smaller than
+    ``CHUNK_SIZE`` splits them into ``_segments``, each drawn on a copy of
+    the chunk's stream moved to the segment's first draw, so segments run
+    on the ``workers`` pool and the draws equal one call per stage.  A
+    segment draws blocks of up to ``STAGE_BLOCK`` doubles, adds each
+    block's stages in one reduction, and the chunk adds the segment sums
+    in stage order; a full chunk is one segment of one-stage blocks, so
+    its totals equal one call per stage bit for bit.  The moments are
+    ``(level, gap)``: ``level[i]`` those of the runs' totals over the
+    stages k <= ``levels[i]``, ``gap[i]`` those of the paired difference
+    ``level[i + 1]`` minus ``level[i]``, the stages in (``levels[i]``,
+    ``levels[i + 1]``].  A level below K costs one copy of the running
+    totals; a level inside a block adds the block's rows before it, and
+    leaves the block's own sum alone.  Chunks are merged in chunk order,
+    so neither the totals nor the moments depend on ``workers``.
     """
     K = check_count(K, "K", 1, AnalyticsError)
     rates = _stage_rates(alpha, K)
     levels = check_sweep_levels(levels, K)
+    runs = check_count(runs, "runs", 1, AnalyticsError)
+    workers = check_count(workers, "workers", 1, AnalyticsError)
     # stage i is level K - i: the totals before stage K - L are the stages above L
     cuts = [K - L for L in reversed(levels)]
 
-    def task(stream: RngStream, m: int):
-        totals = np.zeros(m, dtype=np.float64)
-        above = []  # per level, highest first: the stages above it (0.0 above K)
+    def segment(stream: RngStream, m: int, first: int, last: int):
+        # the segment's sum per run, and its partial sums at the cuts in (first, last]
+        total = np.zeros(m, dtype=np.float64)
+        partial = []
         rows = max(1, STAGE_BLOCK // m)
-        start = 0
-        for cut in cuts + [K]:
-            for first in range(start, cut, rows):
-                block = rates[first : min(first + rows, cut)]
-                for draws in sample_exponential_batch(stream, block, m).reshape(-1, m):
-                    totals += draws
-            if cut < K:
-                above.append(totals.copy() if cut else 0.0)
-            start = cut
+        for start in range(first, last, rows):
+            end = min(start + rows, last)
+            block = sample_exponential_batch(stream, rates[start:end], m).reshape(-1, m)
+            for cut in cuts:
+                if start < cut <= end:
+                    prefix = block[: cut - start].sum(axis=0)
+                    prefix += total
+                    partial.append(prefix)
+            total += block[0] if len(block) == 1 else block.sum(axis=0)
+        return total, partial
+
+    def task(stream: RngStream, m: int):
+        pieces = [functools.partial(segment, stream.advanced(first * m), m, first, last)
+                  for first, last in _segments(K, m)]
+        # the running totals and, per cut, the stages above its level, summed
+        # in place in the segments' own arrays: float addition commutes
+        totals, above = 0.0, [0.0] if cuts and cuts[0] == 0 else []
+        for total, partial in run_ordered(pieces, workers):
+            for prefix in partial:
+                prefix += totals
+            total += totals
+            totals, above = total, above + partial
         above.reverse()
         scratch = np.empty(m, dtype=np.float64)
         level, gap = [], []
@@ -172,12 +207,11 @@ def implosion_batch(
         return totals, level, gap
 
     parts = run_chunked(rng, runs, task, workers, AnalyticsError)
-    totals = np.concatenate([part[0] for part in parts]) if parts else np.empty(0)
 
     def merged(j: int) -> list[Moments]:
         return [functools.reduce(_merge, chunks) for chunks in zip(*(part[j] for part in parts))]
 
-    return totals, (merged(1), merged(2))
+    return np.concatenate([part[0] for part in parts]), (merged(1), merged(2))
 
 
 @dataclass(frozen=True)

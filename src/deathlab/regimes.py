@@ -48,6 +48,12 @@ def check_count(value, name: str, minimum: int, error: type[ValueError], maximum
     raise error(f"{name} must be an integer {bound}, got {value!r}")
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number: a Python or numpy int or float,
+    never a bool or a string.  NaN passes; a range check refuses it."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def check_probability(value, interval: str, error: type[ValueError], what: str = "c must lie in") -> float:
     """``value`` as a float in ``interval`` ("(0,1)", "(0,1]" or "[0,1]"),
     else ``error`` saying ``what`` and the interval: a real number, never
@@ -55,8 +61,7 @@ def check_probability(value, interval: str, error: type[ValueError], what: str =
     if type(value) is float and 0.0 < value < 1.0:
         return value  # the common case, at once
     if (
-        isinstance(value, (int, float, np.integer, np.floating))
-        and not isinstance(value, bool)
+        is_real(value)
         and (value > 0 or value == 0 and interval[0] == "[")
         and (value < 1 or value == 1 and interval[-1] == "]")
     ):

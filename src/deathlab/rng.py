@@ -12,6 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .regimes import check_count
+
+# 64-bit words per Philox4x64 counter step
+PHILOX_WORDS = 4
+
 
 class RngError(ValueError):
     """Invalid stream construction."""
@@ -37,19 +42,29 @@ class RngStream:
     generator: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise RngError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.stream_id < 0:
-            raise RngError(f"stream_id must be nonnegative, got {self.stream_id}")
+        self.seed = check_count(self.seed, "seed", 0, RngError, 2**64 - 1)
+        self.stream_id = check_count(self.stream_id, "stream_id", 0, RngError)
         if self.path is None:
             self.path = (self.stream_id,)
         self.generator = _make_generator(self.seed, self.path)
 
     def substream(self, index: int) -> "RngStream":
         """Derive the ``index``-th child stream; independent of this one."""
-        if index < 0:
-            raise RngError(f"substream index must be nonnegative, got {index}")
+        index = check_count(index, "substream index", 0, RngError)
         return RngStream(self.seed, self.stream_id, self.path + (index,))
+
+    def advanced(self, words: int) -> "RngStream":
+        """A fresh copy of this stream moved ``words`` 64-bit words ahead:
+        its draws are this stream's from word ``words`` of a fresh start
+        on (a double is one word).  Philox is counter-based, so this costs
+        the same for any ``words``: ``advance`` skips whole counter steps
+        of a fresh generator, whose buffer is empty, and the remainder is
+        drawn and dropped."""
+        steps, rest = divmod(check_count(words, "words", 0, RngError), PHILOX_WORDS)
+        copy = RngStream(self.seed, self.stream_id, self.path)
+        copy.generator.bit_generator.advance(steps)
+        copy.generator.bit_generator.random_raw(rest, output=False)
+        return copy
 
 
 def make_stream(seed: int, stream_id: int = 0) -> RngStream:

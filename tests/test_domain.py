@@ -4,7 +4,9 @@ input rules, stated once in ``regimes.check_count`` and
 
 A count is a Python int, a numpy integer or a finite float with an integer
 value, never a bool or a string; a probability is a real number, never a
-bool, a string or NaN, in the interval its call uses.  A value outside the
+bool, a string or NaN, in the interval its call uses.  Implosion's
+``alpha`` is a real number by the probability's test, finite and > 0
+(``analytics.check_alpha``).  A value outside the
 rule raises the module's own ``ValueError`` subclass before any draw: the
 stream's generator does not move and no substream is made.  Values
 accepted before the rules were stated once (numpy integers, ``3.0``, and
@@ -117,7 +119,7 @@ COUNTS = [
      lambda v, s: limits.scaled_passage_batch(2, 100, JointPower(1.0, 3.0), 4, s, workers=v).scaled_times, 2, 1,
      ProcessError),
     ("limits.implosion_batch.K", lambda v, s: limits.implosion_batch(1.0, v, 4, s)[0], 10, 1, AnalyticsError),
-    ("limits.implosion_batch.runs", lambda v, s: limits.implosion_batch(1.0, 10, v, s)[0], 4, 0, AnalyticsError),
+    ("limits.implosion_batch.runs", lambda v, s: limits.implosion_batch(1.0, 10, v, s)[0], 4, 1, AnalyticsError),
     ("limits.implosion_batch.workers", lambda v, s: limits.implosion_batch(1.0, 10, 4, s, workers=v)[0], 2, 1,
      AnalyticsError),
     ("limits.implosion_batch.levels", lambda v, s: limits.implosion_batch(1.0, 10, 4, s, levels=[v, 10])[0], 5, 1,
@@ -157,6 +159,16 @@ PROBABILITIES = [
     ("process.step.c", lambda v, s: process.step(3, v, s), "[0,1]", SamplerError),
     ("process.drop_distribution.c", lambda v, s: process.drop_distribution(3, v), "(0,1)", ProcessError),
 ]
+
+# (id, call(value, stream)): implosion's alpha
+ALPHAS = [
+    ("analytics.implosion_expected_time.alpha", lambda v, s: analytics.implosion_expected_time(v, 10)),
+    ("analytics.check_alpha", lambda v, s: analytics.check_alpha(v)),
+    ("limits.implosion_batch.alpha", lambda v, s: limits.implosion_batch(v, 10, 4, s)[0]),
+    ("limits.implosion_batch.alpha_swept", lambda v, s: limits.implosion_batch(v, 10, 4, s, 2, [5, 10])[1]),
+]
+BAD_ALPHAS = [True, "1.0", math.nan, math.inf, -math.inf, 0.0, -1.0, 10**400]
+BAD_ALPHA_IDS = ["bool", "string", "nan", "inf", "-inf", "zero", "below", "beyond_float"]
 
 
 def _bad_counts(minimum):
@@ -208,6 +220,12 @@ def test_a_probability_outside_the_rule_is_refused_before_any_draw(substreams, n
     _refused(call, _bad_probabilities(interval)[index], error, substreams)
 
 
+@pytest.mark.parametrize("index", range(len(BAD_ALPHA_IDS)), ids=BAD_ALPHA_IDS)
+@pytest.mark.parametrize("name, call", ALPHAS, ids=[case[0] for case in ALPHAS])
+def test_an_alpha_outside_the_rule_is_refused_before_any_draw(substreams, name, call, index):
+    _refused(call, BAD_ALPHAS[index], AnalyticsError, substreams)
+
+
 def _same(a, b) -> bool:
     if isinstance(a, tuple):
         return all(_same(x, y) for x, y in zip(a, b))
@@ -227,6 +245,13 @@ def test_a_numpy_float_and_an_int_at_a_closed_end_are_probabilities(name, call, 
     assert _same(call(np.float64(0.5), make_stream(7, 0)), expected)
     if interval[-1] == "]":
         assert _same(call(1, make_stream(7, 0)), call(1.0, make_stream(7, 0)))
+
+
+@pytest.mark.parametrize("name, call", ALPHAS, ids=[case[0] for case in ALPHAS])
+def test_an_int_and_a_numpy_number_are_alphas(name, call):
+    expected = call(1.0, make_stream(7, 0))
+    for value in (1, np.int64(1), np.float64(1.0), np.float32(1.0)):
+        assert _same(call(value, make_stream(7, 0)), expected), value
 
 
 def test_analytics_counts_have_no_cap():

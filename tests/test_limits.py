@@ -21,7 +21,7 @@ from deathlab import (
     wilson_interval,
 )
 from deathlab._parallel import CHUNK_SIZE, chunk_sizes
-from deathlab.limits import STAGE_BLOCK, _merge, _moments
+from deathlab.limits import STAGE_BLOCK, _merge, _moments, _segments
 from deathlab.samplers import sample_exponential_batch
 from deathlab.stats import SampleSummary
 
@@ -147,20 +147,34 @@ def test_level_and_gap_moments_match_a_reference_loop():
         assert m2 / (count - 1) == pytest.approx(values.var(ddof=1), rel=1e-12)
 
 
-def _stage_by_stage(alpha, K, runs, root, levels):
+def _stage_by_stage(alpha, K, runs, root, levels, segmented=True):
     """Reference for implosion_batch: one exponential call per stage, level K
-    first, a copy of the running totals before each sweep level's stage,
-    and the chunks' moments merged in chunk order."""
+    first, and the chunks' moments merged in chunk order.  The stages are
+    added as the batch groups them.  A chunk of m runs splits its K stages
+    into segments of max(rows, ceil(K m / CHUNK_SIZE)) stages, rows =
+    STAGE_BLOCK // m the stages of a block; a segment sums its blocks from
+    zero, each in one reduction, and the chunk adds the segment sums in
+    order.  A sweep level's prefix is the running sum before its stage plus
+    the rows of its block before it.  ``segmented=False`` adds the stages
+    one at a time, the sum of a batch made of full chunks."""
     rates = np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.0)
     parts = []
     for i, m in enumerate(chunk_sizes(runs)):
         stream = root.substream(i)
+        stages = [sample_exponential_batch(stream, float(rate), m) for rate in rates]
+        rows = max(1, STAGE_BLOCK // m) if segmented else 1
+        size = max(rows, math.ceil(K * m / CHUNK_SIZE)) if segmented else K
         totals = np.zeros(m)
         above = {}  # level -> the stages above it
-        for j, rate in enumerate(rates):  # stage j is level K - j
-            if K - j in levels:
-                above[K - j] = totals.copy() if j else 0.0
-            totals += sample_exponential_batch(stream, float(rate), m)
+        for first in range(0, K, size):
+            segment = np.zeros(m)
+            for start in range(first, min(first + size, K), rows):
+                block = np.array(stages[start : min(start + rows, first + size, K)])
+                for j in range(start, start + len(block)):  # stage j is level K - j
+                    if K - j in levels:
+                        above[K - j] = totals + (segment + block[: j - start].sum(axis=0)) if j else 0.0
+                segment += block.sum(axis=0)
+            totals += segment
         level = [_moments(totals - above[L]) for L in levels]
         gap = [_moments(above[low] - above[high]) for low, high in zip(levels, levels[1:])]
         parts.append((totals, level, gap))
@@ -170,14 +184,51 @@ def _stage_by_stage(alpha, K, runs, root, levels):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_blocked_stages_equal_one_call_per_stage(workers):
-    # the short last chunk draws 16384 // 3000 = 5 stages per call, and the
-    # cuts before stages 23 (level 20) and 40 (level 3) fall inside a block
+    # the short last chunk draws 16384 // 3000 = 5 stages per call in
+    # segments of ceil(43 * 3000 / 16384) = 8 stages; the cuts before
+    # stages 23 (level 20) and 42 (level 1) fall inside a block, the one
+    # before stage 40 (level 3) between two segments
     alpha, K, levels, runs = 1.0, 43, [1, 3, 20, 43], CHUNK_SIZE + 3000
     assert STAGE_BLOCK // 3000 == 5
+    assert _segments(K, 3000) == [(0, 8), (8, 16), (16, 24), (24, 32), (32, 40), (40, 43)]
     totals, moments = implosion_batch(alpha, K, runs, make_stream(25, 4), workers=workers, levels=levels)
     ref_totals, ref_moments = _stage_by_stage(alpha, K, runs, make_stream(25, 4), levels)
     assert np.array_equal(totals, ref_totals)
     assert moments == ref_moments
+
+
+def test_segments_follow_the_runs_and_stages_only():
+    # verify's implosion: 2000 runs of 2000 stages in 9 segments of 245 stages
+    assert _segments(2000, 2000) == [(i * 245, min((i + 1) * 245, 2000)) for i in range(9)]
+    assert _segments(2000, CHUNK_SIZE) == [(0, 2000)]  # a full chunk is one segment
+    assert _segments(10, 1) == [(0, 10)]  # never fewer stages than a block
+    for K, m in [(1, 1), (7, 3), (300, 4000), (2000, 2000), (5, CHUNK_SIZE - 1)]:
+        spans = _segments(K, m)
+        assert spans[0][0] == 0 and spans[-1][1] == K
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+
+@pytest.mark.parametrize("runs", [CHUNK_SIZE, 2 * CHUNK_SIZE])
+def test_full_chunks_equal_the_plain_running_sum(runs):
+    alpha, K, levels = 1.0, 37, [2, 9, 30]
+    totals, moments = implosion_batch(alpha, K, runs, make_stream(25, 5), workers=2, levels=levels)
+    ref_totals, ref_moments = _stage_by_stage(alpha, K, runs, make_stream(25, 5), levels, segmented=False)
+    assert np.array_equal(totals, ref_totals)
+    assert moments == ref_moments
+
+
+def test_a_batch_under_one_chunk_does_not_depend_on_workers():
+    # 2000 runs of 200 stages: segments of 25 stages, blocks of 8; level 190
+    # cuts inside a block and a segment, level 100 between two segments
+    alpha, K, levels, runs = 1.0, 200, [3, 100, 190, 200], 2000
+    assert _segments(K, runs)[:2] == [(0, 25), (25, 50)]
+    results = [implosion_batch(alpha, K, runs, make_stream(25, 6), workers=w, levels=levels) for w in (1, 2, 8)]
+    for totals, moments in results[1:]:
+        assert np.array_equal(totals, results[0][0])
+        assert moments == results[0][1]
+    ref_totals, ref_moments = _stage_by_stage(alpha, K, runs, make_stream(25, 6), levels)
+    assert np.array_equal(results[0][0], ref_totals)
+    assert results[0][1] == ref_moments
 
 
 def test_sweep_rows_do_not_depend_on_workers():

@@ -37,7 +37,7 @@ EXPECTED = {
     "extinct:exit": "0",
     "implode/implode_hist.csv": "943c1e46a6995e02bb95144d906557225820f0cf6243fae1c0ac9efd852dafef",
     "implode/implode_report.json": "ddba4448bd29aa8fd58be79f2e73b9afde666c46c48d1b19e21ce4007cef386b",
-    "implode/implode_sweep.csv": "b2f709dc4e2f020bc54d3eeaf9e2fc882525a918c0940bb05121106b4c3def7f",
+    "implode/implode_sweep.csv": "f884ddbe76b11bdd006632860463599a39f0d9aa276c2e588c1de41b65fa1090",
     "implode:exit": "0",
     "passage/passage_report.json": "e263c9cc343bf6fc9009caba16c6772270604fc8b408c4c4f70f70190485bc14",
     "passage/scaled_passage_times.csv": "b86591f8697b2ef4e357dc5f2e7fb93de8e3a54d4acbd325bc3852bf62a40180",
@@ -48,7 +48,7 @@ EXPECTED = {
     "simulate/summary.json": "ce9541ffe5f1d08be6f7914444a32fbb758e64887c4a28d4be72a0a1f1e98647",
     "simulate/trajectories.csv": "489268c6fa74ec084ba450e2c37cf4fa9a5d0ed1bfa0d04a290ceb44b292991e",
     "simulate:exit": "0",
-    "verify/verify.json": "666b6f290eb6adc8d305f29a78be06f997547aca1499dc279548b0c138ae1448",
+    "verify/verify.json": "8de60db0b11b8505f06eb4f25d753157fced146c65412206885c5d5b1285b9c1",
     "verify:exit": "0",
 }
 

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from deathlab import rng
 from deathlab.rng import RngError, RngStream, make_stream
 
 
@@ -42,8 +45,43 @@ def test_substream_statistical_independence():
 
 @pytest.mark.parametrize(
     "seed,stream_id",
-    [(-1, 0), (2**64, 0), (0, -1)],
+    [(-1, 0), (2**64, 0), (0, -1), (True, 0), (0, True), (2.5, 0), (0, 2.5), ("3", 0), (math.nan, 0),
+     (math.inf, 0), (0, -math.inf), (float(2**64), 0)],
 )
-def test_invalid_construction_rejected(seed, stream_id):
+def test_invalid_construction_rejected(monkeypatch, seed, stream_id):
+    # the count rule refuses the identifiers before a generator is made
+    made = []
+    monkeypatch.setattr(rng, "_make_generator", lambda *args: made.append(args))
     with pytest.raises(RngError):
         make_stream(seed, stream_id)
+    assert made == []
+
+
+@pytest.mark.parametrize("derive", ["substream", "advanced"])
+@pytest.mark.parametrize("index", [-1, True, 1.5, "1", math.nan])
+def test_invalid_derivation_rejected(monkeypatch, derive, index):
+    root = make_stream(3, 1)
+    made = []
+    monkeypatch.setattr(rng, "_make_generator", lambda *args: made.append(args))
+    with pytest.raises(RngError):
+        getattr(root, derive)(index)
+    assert made == []
+
+
+def test_identifiers_are_counts():
+    # numpy integers and integral floats name the same stream as the int
+    expected = draws(make_stream(2**64 - 1, 3).substream(4))
+    for seed, stream_id, index in [(np.uint64(2**64 - 1), np.int64(3), np.int32(4)), (2**64 - 1, 3.0, 4.0)]:
+        stream = make_stream(seed, stream_id).substream(index)
+        assert (stream.seed, stream.stream_id, stream.path) == (2**64 - 1, 3, (3, 4))
+        assert np.array_equal(draws(stream), expected)
+
+
+@pytest.mark.parametrize("words", [0, 1, 3, 4, 5, 16001, 2**20 + 3])
+def test_an_advanced_stream_continues_a_fresh_one(words):
+    # doubles w+1, w+2, ... of a fresh stream: numpy's Philox.advance moves
+    # whole counter steps of four words from an empty buffer
+    root = make_stream(11, 2).substream(5)
+    root.generator.random(7)  # the copy starts from a fresh stream whatever this one drew
+    fresh = make_stream(11, 2).substream(5).generator.random(words + 50)
+    assert np.array_equal(root.advanced(words).generator.random(50), fresh[words:])
