@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .regimes import InitialPower, JointPower, MortalityRegime, check_count, check_probability, is_real, mortality
+from .regimes import InitialPower, JointPower, MortalityRegime, check_count, check_positive, check_probability, mortality
 
 # expected_extinction_time stops once its remaining tail is below this
 MEAN_TAIL_TOL = 1e-10
@@ -160,7 +160,9 @@ def path_prob_lower_bound_joint(n: int, alpha: float, beta: float) -> float:
     """Lower bound (1 - 1/n^(beta-alpha))^(n(n-1)/2) for the joint-power
     regime; approaches 1 when beta - alpha > 2."""
     n = check_count(n, "n", 1, AnalyticsError)
-    if alpha <= 0 or beta < alpha:
+    alpha = check_positive(alpha, AnalyticsError, "the joint bound needs a finite alpha > 0")
+    beta = check_positive(beta, AnalyticsError, "the joint bound needs a finite beta > 0")
+    if beta < alpha:
         raise AnalyticsError(f"need 0 < alpha <= beta, got alpha={alpha}, beta={beta}")
     if n == 1:
         return 1.0
@@ -248,12 +250,7 @@ def scaling_constant(regime: MortalityRegime, k: int, n: int, lam: float | None 
 def check_alpha(alpha: float) -> float:
     """The implosion exponent as a float: a finite real number > 0 (the
     series diverges for alpha <= 0), else ``AnalyticsError``."""
-    try:
-        if is_real(alpha) and 0.0 < float(alpha) < math.inf:
-            return float(alpha)
-    except OverflowError:  # an int beyond the largest float
-        pass
-    raise AnalyticsError(f"implosion needs a finite alpha > 0, got {alpha!r}")
+    return check_positive(alpha, AnalyticsError, "implosion needs a finite alpha > 0")
 
 
 def implosion_expected_time(alpha: float, K: int) -> tuple[float, float]:

@@ -70,19 +70,23 @@ count and recorded path is the source's.
 
 - Five entry points are array code.  They take the uniforms of a round,
   or of the whole batch, as ``gen.random(size)`` blocks and do the
-  arithmetic in numpy with the source's own float operations; the pmf
-  walk runs on the live runs of a round together.  A logarithm or
-  ``expm1`` is ``math``'s, mapped over a list, and a level's constants
-  come from ``math`` once per level and round or batch, because numpy's
+  arithmetic in numpy with the source's own float operations.  The pmf
+  walk runs on the levels of a round: each level's running sums once,
+  and for each run the number of them its target passes.  numpy's
   ``log``, ``log1p``, ``expm1`` and ``exp`` are not libm's and differ in
-  the last bit on a few percent of inputs.  Temporaries are O(live runs)
-  or O(one block), never O(n).  Rejection landings, which take a varying
-  number of uniforms, run the scalar binomial draw on the block source
-  below.  ``single_drop_batch`` and ``first_passage_batch`` share one
-  step, the single-death outcomes of a level's landings.
-  ``extinction_batch`` joins the recorded pieces once at the end; their
-  order across runs may differ from the source's, their order within a
-  run does not.
+  the last bit on a few percent of inputs, so a level's constants come
+  from ``math`` once per level and round or batch, and
+  ``max_geometric_batch`` maps ``math``'s logarithms and ``expm1`` over
+  a list.  A hold takes numpy's ``log1p`` and recomputes with
+  ``math.log1p`` only where the floor could differ: x = log1p(-u) / lq
+  within 2^-40 relative of an integer, at least 2^40, or infinite.
+  Temporaries are O(live runs) or O(one block), never O(n).  Rejection
+  landings, which take a varying number of uniforms, run the scalar
+  binomial draw on the block source below.  ``single_drop_batch`` and
+  ``first_passage_batch`` share one step, the single-death outcomes of a
+  level's landings.  ``extinction_batch`` joins the recorded pieces once
+  at the end; their order across runs may differ from the source's, their
+  order within a run does not.
 - ``first_passage_stepped_batch`` runs the scalar source on a block
   source instead of the generator.  The source still sees
   ``gen.random()`` calls and answers with the same Philox doubles as
@@ -516,49 +520,62 @@ def _buffered(kernel):
 
 def _mapped(f, x):
     """``f`` of each entry of the float array ``x``, by ``math`` over a
-    list: numpy's ``log``, ``log1p`` and ``expm1`` are not libm's."""
+    list, for the logarithms and ``expm1`` that must be libm's."""
     return np.fromiter(map(f, x.tolist()), np.float64, x.size)
+
+
+# x (1 - 2^-40) and x (1 + 2^-40) bracket x far wider than numpy's log1p
+# strays from libm's (an ulp); from x = 2^40 up they hold an integer
+_BRACKET = np.array([[1.0 - 2.0**-40], [1.0 + 2.0**-40]])
 
 
 def _holds(u, lq):
     """``int(_hold)`` for each uniform of the array ``u``, at ``lq`` (one
-    value, or one per uniform): the logarithm is ``math.log1p``, mapped
-    over a list, and the rest exact IEEE operations in numpy."""
+    value, or one per uniform).  x = log1p(-u) / lq comes from numpy's
+    ``log1p``; where the bracket x (1 -+ 2^-40) holds no integer, libm's x
+    has the same floor.  The rest, x near an integer, at or past
+    ``HOLD_CAP`` or infinite, are recomputed with ``math.log1p``.  u = 0
+    and lq = -inf give x = +0.0 either way: a hold of 1."""
     with np.errstate(over="ignore"):  # a hold past the cap may divide to inf
-        x = _mapped(math.log1p, -u) / lq
-    return np.where(x >= HOLD_CAP, HOLD_CAP, np.floor(x) + 1.0).astype(np.int64)
+        x = np.log1p(-u) / lq
+        lo, hi = np.floor(x * _BRACKET)
+        hold = lo + 1.0
+        near = np.flatnonzero(hold <= hi)  # inf <= inf: infinite x too
+        if near.size:
+            x = _mapped(math.log1p, -u[near]) / (lq[near] if np.ndim(lq) else lq)
+            hold[near] = np.where(x >= HOLD_CAP, HOLD_CAP, np.floor(x) + 1.0)
+    return hold.astype(np.int64)
 
 
-def _walk(target, mass, ratio, k):
-    """The pmf walk of the landing draw, one per entry: the deaths b, from
-    one upward while target > acc and b < k, with the walk's own products,
-    quotients and sums.  Every walk still going stands at the same b."""
-    deaths = np.ones(k.size, dtype=np.int64)
-    at = np.arange(k.size)
+def _walk(target, at, mass, ratio, k):
+    """The pmf walk of the landing draw, run on levels: each run's target
+    and index ``at`` into the levels' ``mass``, ``ratio`` and ``k``.  Each
+    level's running sums acc_b, b = 1, 2, ..., come from the walk's own
+    products, quotients and sums.  acc never falls (it adds masses >= 0,
+    zeros past b = k), so the b where target > acc_b run from 1 up, and
+    the scalar walk's deaths are 1 plus their number, at most k."""
+    deaths = np.ones(target.size, dtype=np.int64)
     acc = mass
-    b = 1
-    on = (target > acc) & (b < k)
-    while True:
-        if not on.all():
-            at, target, acc, mass, ratio, k = at[on], target[on], acc[on], mass[on], ratio[on], k[on]
-            if not at.size:
-                return deaths
+    last = int(k.max())
+    for b in range(1, last):
+        more = target > acc[at]
+        if not more.any():
+            break
+        deaths += more
         mass = mass * (ratio * (k - b) / (b + 1.0))
-        b += 1
         acc = acc + mass
-        deaths[at] = b
-        on = (target > acc) & (b < k)
+    return np.minimum(deaths, k[at])
 
 
 def _level_table(k, cs):
     """The levels that the runs at states ``k`` stand at: each run's index
-    into them, and per level c and the constants lq, total, mass, ratio
-    and kind of ``_level_constants``."""
+    into them, and per level its state, c and the constants lq, total,
+    mass, ratio and kind of ``_level_constants``."""
     last = cs.shape[0] - 1
     levels, at = np.unique(k, return_inverse=True)
     c = [float(cs[min(j, last)]) for j in levels.tolist()]
     columns = zip(*map(_level_constants, levels.tolist(), c))
-    return (at, np.array(c), *map(np.array, columns))
+    return (at, levels, np.array(c), *map(np.array, columns))
 
 
 def _array_entries(py: SimpleNamespace) -> dict:
@@ -604,7 +621,7 @@ def _array_entries(py: SimpleNamespace) -> dict:
         empty = np.empty(0, dtype=np.int64)
         pieces = [(empty, empty, empty)]  # (run, state, steps), in time order per run
         while run.size:
-            at, c, lq, total, mass, ratio, kind = _level_table(k, cs)
+            at, levels, c, lq, total, mass, ratio, kind = _level_table(k, cs)
             # holds, then the departures that land by t_max
             hold = _holds(gen.random(run.size), lq[at])
             if record:
@@ -615,7 +632,7 @@ def _array_entries(py: SimpleNamespace) -> dict:
             walks = np.flatnonzero(kind[at] == _WALKS)
             if walks.size:
                 w = at[walks]
-                deaths[walks] = _walk(gen.random(walks.size) * total[w], mass[w], ratio[w], k[walks])
+                deaths[walks] = _walk(gen.random(walks.size) * total[w], w, mass, ratio, levels)
             rejects = np.flatnonzero(kind[at] == _REJECTS)
             if rejects.size:
                 deaths[rejects] = rejections(gen, k[rejects].tolist(), c[at[rejects]].tolist())

@@ -12,13 +12,15 @@ Four parametric families plus an explicit table:
 Regimes are immutable and serialize to a tagged-union JSON encoding with a
 bit-exact round-trip; ``FAMILIES`` maps each JSON type tag to its class.
 The module also states the package's count and probability rules,
-``check_count`` and ``check_probability``.
+``check_count`` and ``check_probability``, and ``check_positive``, the
+rule for a parameter that is a finite real number > 0.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -29,9 +31,9 @@ class RegimeError(ValueError):
     """Invalid regime parameters or an out-of-range evaluation."""
 
 
-# The package's two input rules.  This module imports nothing from the
-# package, so every module checks its counts and probabilities here and
-# raises its own error class.
+# The package's input rules.  This module imports nothing from the
+# package, so every module checks its counts, probabilities and positive
+# parameters here and raises its own error class.
 
 
 def check_count(value, name: str, minimum: int, error: type[ValueError], maximum: int | None = None) -> int:
@@ -69,6 +71,24 @@ def check_probability(value, interval: str, error: type[ValueError], what: str =
     raise error(f"{what} {interval}, got {value!r}")
 
 
+def check_positive(value, error: type[ValueError], what: str) -> float:
+    """``value`` as a float, a finite real number > 0 by the real-number
+    test of ``check_probability``, else ``error`` saying ``what``."""
+    try:
+        if is_real(value) and 0.0 < float(value) < math.inf:
+            return float(value)
+    except OverflowError:  # an int beyond the largest float
+        pass
+    raise error(f"{what}, got {value!r}")
+
+
+def _check_parameters(regime) -> None:
+    # every parameter of a power-law family is a finite real number > 0
+    for field in dataclasses.fields(regime):
+        check_positive(getattr(regime, field.name), RegimeError,
+                       f"{type(regime).__name__} needs a finite {field.name} > 0")
+
+
 @dataclass(frozen=True)
 class Constant:
     c: float
@@ -85,8 +105,7 @@ class InitialPower:
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0 or self.gamma <= 0:
-            raise RegimeError(f"InitialPower needs a > 0 and gamma > 0, got {self}")
+        _check_parameters(self)
 
 
 @dataclass(frozen=True)
@@ -103,8 +122,7 @@ class StatePower:
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0 or self.gamma <= 0:
-            raise RegimeError(f"StatePower needs a > 0 and gamma > 0, got {self}")
+        _check_parameters(self)
 
 
 @dataclass(frozen=True)
@@ -115,8 +133,7 @@ class JointPower:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0 or self.beta <= 0:
-            raise RegimeError(f"JointPower needs alpha > 0 and beta > 0, got {self}")
+        _check_parameters(self)
         if self.beta < self.alpha:
             raise RegimeError(
                 f"JointPower needs beta >= alpha so probabilities stay <= 1, got {self}"

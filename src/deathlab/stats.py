@@ -100,13 +100,14 @@ def _kolmogorov_quantile(level: float) -> float:
     if not 0.0 < level < 1.0:
         raise StatsError(f"level must lie in (0,1), got {level}")
     lo, hi = 0.05, 5.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:  # until lo and hi are adjacent doubles
         if kolmogorov_sf(mid) > level:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def ks_critical_value(count: int, level: float = 0.01) -> float:

@@ -5,8 +5,9 @@ input rules, stated once in ``regimes.check_count`` and
 A count is a Python int, a numpy integer or a finite float with an integer
 value, never a bool or a string; a probability is a real number, never a
 bool, a string or NaN, in the interval its call uses.  Implosion's
-``alpha`` is a real number by the probability's test, finite and > 0
-(``analytics.check_alpha``).  A value outside the
+``alpha``, the parameters of the power-law regimes and the exponents of
+the joint bound are real numbers by the probability's test, finite and
+> 0 (``regimes.check_positive``).  A value outside the
 rule raises the module's own ``ValueError`` subclass before any draw: the
 stream's generator does not move and no substream is made.  Values
 accepted before the rules were stated once (numpy integers, ``3.0``, and
@@ -22,7 +23,7 @@ from deathlab import analytics, limits, oracle, process, samplers
 from deathlab.analytics import AnalyticsError
 from deathlab.oracle import OracleError
 from deathlab.process import ProcessError
-from deathlab.regimes import Constant, InitialPower, JointPower
+from deathlab.regimes import Constant, InitialPower, JointPower, RegimeError, StatePower
 from deathlab.rng import RngStream, make_stream
 from deathlab.samplers import SamplerError
 
@@ -170,6 +171,20 @@ ALPHAS = [
 BAD_ALPHAS = [True, "1.0", math.nan, math.inf, -math.inf, 0.0, -1.0, 10**400]
 BAD_ALPHA_IDS = ["bool", "string", "nan", "inf", "-inf", "zero", "below", "beyond_float"]
 
+# (id, call(value), error): a positive parameter, refused as alpha is
+PARAMETERS = [
+    ("regimes.InitialPower.a", lambda v: InitialPower(v, 1.0), RegimeError),
+    ("regimes.InitialPower.gamma", lambda v: InitialPower(1.0, v), RegimeError),
+    ("regimes.StatePower.a", lambda v: StatePower(v, 1.0), RegimeError),
+    ("regimes.StatePower.gamma", lambda v: StatePower(1.0, v), RegimeError),
+    ("regimes.JointPower.alpha", lambda v: JointPower(v, 4.0), RegimeError),
+    ("regimes.JointPower.beta", lambda v: JointPower(1.0, v), RegimeError),
+    ("analytics.path_prob_lower_bound_joint.alpha", lambda v: analytics.path_prob_lower_bound_joint(3, v, 4.0),
+     AnalyticsError),
+    ("analytics.path_prob_lower_bound_joint.beta",
+     lambda v: analytics.path_prob_lower_bound_joint(3, 1.0, v), AnalyticsError),
+]
+
 
 def _bad_counts(minimum):
     return [True, "3", math.nan, math.inf, -math.inf, 2.5, minimum - 1]
@@ -224,6 +239,20 @@ def test_a_probability_outside_the_rule_is_refused_before_any_draw(substreams, n
 @pytest.mark.parametrize("name, call", ALPHAS, ids=[case[0] for case in ALPHAS])
 def test_an_alpha_outside_the_rule_is_refused_before_any_draw(substreams, name, call, index):
     _refused(call, BAD_ALPHAS[index], AnalyticsError, substreams)
+
+
+@pytest.mark.parametrize("index", range(len(BAD_ALPHA_IDS)), ids=BAD_ALPHA_IDS)
+@pytest.mark.parametrize("name, call, error", PARAMETERS, ids=[case[0] for case in PARAMETERS])
+def test_a_parameter_outside_the_rule_is_refused(name, call, error, index):
+    with pytest.raises(error):
+        call(BAD_ALPHAS[index])
+
+
+@pytest.mark.parametrize("name, call, error", PARAMETERS, ids=[case[0] for case in PARAMETERS])
+def test_an_int_and_a_numpy_number_are_parameters(name, call, error):
+    expected = call(1.0)
+    for value in (1, np.int64(1), np.float64(1.0), np.float32(1.0)):
+        assert call(value) == expected, value
 
 
 def _same(a, b) -> bool:

@@ -89,6 +89,23 @@ def test_kolmogorov_tail_values():
     assert kolmogorov_sf(0.0) == 1.0
 
 
+def _quantile_in_200_halvings(level):
+    lo, hi = 0.05, 5.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if kolmogorov_sf(mid) > level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("level", [1e-12, 1e-6, 1e-4, 0.01, 0.05, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9])
+def test_the_bisection_stops_where_200_halvings_end(level):
+    # once lo and hi are adjacent doubles, further halvings change nothing
+    assert ks_critical_value(1, level) == _quantile_in_200_halvings(level)
+
+
 def test_critical_values():
     assert ks_critical_value(10**4, 0.01) == pytest.approx(0.016276, abs=5e-5)
     assert ks_critical_value(2 * 10**4, 0.01) == pytest.approx(0.01151, abs=5e-5)

@@ -115,6 +115,10 @@ def _recording(build):
 # every extinction case again, with the paths recorded
 CASES.update({f"{case}/record": _recording(build) for case, build in list(CASES.items())
               if case.startswith("extinction_batch")})
+# the certain limit: nearly every level of 1000 visited, one death at a time,
+# and holds up to about 10^4 steps at the last levels (not recorded: 3000
+# paths of about 7000 steps as Python lists)
+CASES["extinction_batch/long_chain"] = lambda m: (_ints(m), prepare(Constant(0.001), 1000), 1000, 10**4)
 SIZES = (0, 1, 7, 40, 300, 3000)
 ARRAY_ENTRIES = {
     "extinction_batch", "single_drop_batch", "first_passage_batch", "geometric_batch",
@@ -303,6 +307,34 @@ def test_array_holds_match_the_scalar_hold_at_integer_boundaries():
         assert kernels._holds(np.array(u), lq).tolist() == [_hold(v, lq) for v in u], (k, c)
 
 
+def test_numpy_log1p_stays_inside_the_holds_guard():
+    # _holds keeps numpy's log1p where x (1 -+ 2^-40) brackets no integer,
+    # which is sound while numpy strays from libm by far less than 2^-40
+    u = np.concatenate([
+        make_stream(SEED, 0).generator.random(10**5),
+        np.linspace(0.0, 1.0, 10**4, endpoint=False),
+        np.logspace(-300, -1, 2000),
+        1.0 - np.logspace(-16, -1, 2000),
+    ])
+    libm = np.array([math.log1p(-v) for v in u.tolist()])
+    assert np.all(np.abs(np.log1p(-u) - libm) <= 2.0**-44 * np.abs(libm))
+
+
+def test_array_holds_match_the_scalar_hold_at_the_edges():
+    cap = kernels.HOLD_CAP
+    u = np.array([0.0, 2.0**-53, 1e-300, 0.3, 0.5, 0.9, 1.0 - 2.0**-53])
+    # certain death (lq = -inf) and u = 0 hold one step
+    assert kernels._holds(u, -math.inf).tolist() == [1] * u.size
+    assert kernels._holds(np.zeros(3), np.array([-0.1, -1e-300, -math.inf])).tolist() == [1, 1, 1]
+    # x near the cap, and x past a double at tiny c (lq = -1e-320)
+    near_cap = [math.log1p(-v) / (cap * f) for v in u[1:].tolist() for f in (1 - 2**-50, 1.0, 1 + 2**-50)]
+    for lq in near_cap + [-1e-320, math.log1p(-1e-19)]:
+        assert kernels._holds(u, lq).tolist() == [_hold(v, lq) for v in u.tolist()], lq
+    # one lq per uniform, mixing held, capped and certain levels
+    lq = np.array([-0.2, near_cap[4], -1e-320, -math.inf, -3.0, near_cap[-1], -1e-320])
+    assert kernels._holds(u, lq).tolist() == [_hold(v, q) for v, q in zip(u.tolist(), lq.tolist())]
+
+
 def test_array_walk_matches_the_scalar_walk_at_ties():
     # targets equal to each running sum of the walk, and one ulp above
     # it, where a sum off in its last bit moves the landing by one death
@@ -315,8 +347,8 @@ def test_array_walk_matches_the_scalar_walk_at_ties():
             sums.append(acc)
         targets = sums + [math.nextafter(s, math.inf) for s in sums]
         expected = [next((b for b, s in enumerate(sums, 1) if not t > s), k) for t in targets]
-        got = kernels._walk(np.array(targets), np.full(len(targets), mass), np.full(len(targets), ratio),
-                            np.full(len(targets), k))
+        got = kernels._walk(np.array(targets), np.zeros(len(targets), dtype=np.int64), np.array([mass]),
+                            np.array([ratio]), np.array([k]))
         assert got.tolist() == expected, (k, c)
 
 
