@@ -186,12 +186,15 @@ def _scaled_passage_rows(
     """KS row of the scaled passage times from k at scale n against
     Exponential(rate), failed where no passage was finite, and, given
     ``mass_label``, the Wilson row of their finite mass; returns the
-    scaled times."""
+    scaled times.  The times lie on the lattice j / a_n, so the KS
+    distance takes the lattice convention."""
     batch = scaled_passage_batch(k, n, regime, samples, stream, lam=lam, workers=workers)
     times = batch.scaled_times
     label = f"scaled passage vs Exponential({rate:g}) [{where}]"
     if times.size:
-        dist = ks_statistic(SampleSummary.from_samples(times), exponential_cdf_callable(rate))
+        dist = ks_statistic(
+            SampleSummary.from_samples(times), exponential_cdf_callable(rate), lattice=1.0 / batch.a_n
+        )
         report.add(_ks_row(label, dist, ks_critical_value(times.size, KS_LEVEL)))
     else:
         report.add(ReportRow(label, 0.0, None, None, False, "no finite passage in the sample to test"))

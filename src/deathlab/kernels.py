@@ -13,19 +13,20 @@ The process kernels take the mortality as an array ``cs`` prepared by
 ``regimes.prepare``: ``cs[k]`` is the per-individual death probability at
 state k, and its last entry holds for every state above it.
 
-All samplers here are exact: the binomial draw uses a Bernoulli sum for
-tiny x, CDF inversion by the pmf recurrence while x*min(c,1-c) is small,
-and the transformed-rejection method of Hormann (1993) above that.  The
-cutover points affect speed only, never the distribution.
+All samplers here are exact.  The binomial draw counts in p = min(c, 1-c)
+the way the chain moves: a departure, one uniform u below 1-(1-p)^x, and
+then the landing walk below on that same u; where x*p passes
+``_WALK_MAX`` it takes the transformed-rejection method of Hormann (1993)
+instead.  The cutover affects speed only, never the distribution.
 
 The process kernels simulate the chain one level at a time, not one time
 step at a time.  Given the state k the chain is time-homogeneous: it stays
 at k for a Geometric(1-(1-c)^k) number of steps, independent of where it
 lands, and the landing follows the departure jump law, Binomial(k, c)
 deaths conditioned on at least one.  One landing draw serves every
-kernel: it inverts the conditional pmf from one death upward while that
-walk is expected to take at most 14 steps (the inversion cutover of the
-binomial draw) and rejects zero-death binomial draws above that.  A lone
+kernel: the landing walk inverts the conditional pmf from one death
+upward while it is expected to take at most ``_WALK_MAX`` = 14 steps,
+and zero-death binomial draws are rejected above that.  A lone
 individual and certain death land at 0 without a draw; certain death
 holds one step, on a uniform of its own.  A level costs about two
 uniforms, however long the chain holds there.  These landing rules are
@@ -118,8 +119,8 @@ except ImportError:  # pragma: no cover - exercised via the env flag instead
 
 _ENV_FLAG = "DEATHLAB_NO_NUMBA"
 
-# Longest expected pmf walk of the landing draw, the cutover binomial_draw
-# also uses for inversion; longer walks give way to rejection.
+# Longest expected pmf walk of a landing, and of binomial_draw's walk;
+# longer walks give way to rejection.
 _WALK_MAX = 14.0
 
 # what a departure from a level draws for its landing
@@ -202,30 +203,6 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / 1260.0 / kp1sq) / kp1sq) / kp1
 
     @wrap
-    def _binomial_bernoulli_sum(gen, n, p):
-        # tiny n: count n individual coin flips
-        k = 0
-        for _ in range(n):
-            if gen.random() < p:
-                k += 1
-        return k
-
-    @wrap
-    def _binomial_inversion(gen, n, p):
-        # CDF inversion by the pmf recurrence; requires n*p small enough
-        # that (1-p)^n stays far from the underflow threshold.
-        s = p / (1.0 - p)
-        pmf = math.exp(n * math.log1p(-p))
-        cdf = pmf
-        u = gen.random()
-        k = 0
-        while u > cdf and k < n:
-            k += 1
-            pmf *= s * (n - k + 1) / k
-            cdf += pmf
-        return k
-
-    @wrap
     def _binomial_btrs(gen, n, p):
         # Transformed rejection with squeeze (Hormann 1993); exact for
         # p <= 0.5 and n*p >= 10.
@@ -260,28 +237,38 @@ def _build_backend(jit: bool) -> SimpleNamespace:
             if v2 <= bound:
                 return int(kf)
 
+    _level = wrap(_level_constants)
+
+    @wrap
+    def _landing(u, k, mass, ratio):
+        # the pmf walk from one death upward, with mass = P(one death) and
+        # ratio = c/(1-c): the least b with u <= P(1 <= deaths <= b), at
+        # most k
+        b = 1
+        acc = mass
+        while u > acc and b < k:
+            mass *= ratio * (k - b) / (b + 1.0)
+            b += 1
+            acc += mass
+        return b
+
     @wrap
     def binomial_draw(gen, x, c):
-        # exact Binomial(x, c) deviate for x >= 0, 0 <= c <= 1
+        # exact Binomial(x, c) deviate for x >= 0, 0 <= c <= 1, counted in
+        # p = min(c, 1-c): a departure, u < 1-(1-p)^x, then the landing
+        # walk on u while it is short, rejection beyond
         if x == 0 or c <= 0.0:
             return 0
         if c >= 1.0:
             return x
-        p = c
-        flipped = False
-        if c > 0.5:
-            p = 1.0 - c
-            flipped = True
-        if x * p <= 14.0:
-            if x <= 16:
-                k = _binomial_bernoulli_sum(gen, x, p)
-            else:
-                k = _binomial_inversion(gen, x, p)
-        else:
+        p = min(c, 1.0 - c)
+        if x * p > _WALK_MAX:
             k = _binomial_btrs(gen, x, p)
-        if flipped:
-            return x - k
-        return k
+        else:
+            _, total, mass, ratio, _ = _level(x, p)
+            u = gen.random()
+            k = 0 if u >= total else _landing(u, x, mass, ratio)
+        return x - k if c > 0.5 else k
 
     @wrap
     def _hold(gen, lq):
@@ -292,8 +279,6 @@ def _build_backend(jit: bool) -> SimpleNamespace:
             return HOLD_CAP
         return math.floor(x) + 1.0
 
-    _level = wrap(_level_constants)
-
     @wrap
     def _conditional_deaths(gen, k, c, level):
         # deaths in a departure from k by the jump law, Binomial(k, c)
@@ -302,23 +287,16 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         if kind == _NO_DRAW:
             return k
         if kind == _REJECTS:
-            # the walk below would be long: rejection on the raw binomial,
+            # the walk would be long: rejection on the raw binomial,
             # which departs with chance total, close to 1 here
             while True:
                 d = binomial_draw(gen, k, c)
                 if d >= 1:
                     return d
-        # invert the conditional pmf from one death upward; the walk takes
-        # k*c / total steps on average, and lands on one death exactly when
-        # its first test, u <= mass, holds
-        u = gen.random() * total
-        b = 1
-        acc = mass
-        while u > acc and b < k:
-            mass *= ratio * (k - b) / (b + 1.0)
-            b += 1
-            acc += mass
-        return b
+        # the landing walk on a departure's u; it takes k*c / total steps
+        # on average, and lands on one death exactly when its first test,
+        # u <= mass, holds
+        return _landing(gen.random() * total, k, mass, ratio)
 
     @wrap
     def geometric_batch(gen, c, out):

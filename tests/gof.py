@@ -3,10 +3,13 @@
 Pooled chi-square: KS on discrete laws is conservative; chi-square is the
 sharp tool there.  The p-value needs scipy, which only the tests depend
 on.  ``family_misses`` checks many binomial counts at once at a stated
-family-wise level.
+family-wise level, and ``two_proportion_p_value`` asks whether two
+binomial counts share one success probability.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import gammaincc
@@ -70,3 +73,16 @@ def family_misses(rows: dict, trials: int, level: float = 0.01) -> list[str]:
         if not agrees:
             misses.append(f"{label}: {hits / trials} vs {p}")
     return misses
+
+
+def two_proportion_p_value(hits_a: int, trials_a: int, hits_b: int, trials_b: int) -> float:
+    """Two-sided p-value of the pooled two-proportion z-test: are hits_a of
+    trials_a and hits_b of trials_b draws of one success probability?  The
+    spread of both counts enters, which a one-sample interval around either
+    count leaves out."""
+    pooled = (hits_a + hits_b) / (trials_a + trials_b)
+    spread = math.sqrt(pooled * (1.0 - pooled) * (1.0 / trials_a + 1.0 / trials_b))
+    if spread == 0.0:
+        return 1.0  # both all hits or both none
+    z = (hits_a / trials_a - hits_b / trials_b) / spread
+    return math.erfc(abs(z) / math.sqrt(2.0))

@@ -5,6 +5,14 @@ Binomial(k, c_k) batch of deaths per step with ``kernels.binomial_draw``:
 the per-step loops the extinction, trajectory and single-drop kernels ran
 before they moved to one exact core per level visited.  They are slow on
 purpose, and they share no code with those cores except the binomial draw.
+
+That draw is a departure followed by the kernels' own landing walk, so a
+fault in the walk would reach both sides of a comparison with these
+references.  What checks the walk on its own: the chi-square grid of
+``tests/test_samplers.py`` against the exact ``binomial_pmf``, the
+single-drop counts against ``oracle.exact_jump_law`` (criterion 4 of
+``tests/test_acceptance.py``), and the dynamic-programming oracle tests
+of ``tests/test_jump_chain.py``.
 """
 
 from __future__ import annotations

@@ -97,6 +97,32 @@ def test_scaled_passage_rows_fail_their_ks_row_on_a_sample_without_a_finite_pass
     assert not row.passed and row.note == "no finite passage in the sample to test"
 
 
+def _limit_ks_row(seed):
+    # passage --k 3 --regime initial_power:1,1 --lam 1 --limit-n 100 --limit-samples 20000
+    report = AnalyticReport()
+    experiments._scaled_passage_rows(
+        report, 3, 100, InitialPower(1.0, 1.0), 20000, experiments.make_stream(seed, 1), 3.0, "k=3, n=100",
+        lam=1.0,
+    )
+    return report.rows[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scaled_passage_ks_row_reads_times_on_their_lattice(monkeypatch, seed):
+    # the times j / a_n sit on a lattice; read as continuous, an atom of
+    # mass about 0.03 counted as distance and failed correct draws
+    assert _limit_ks_row(seed).passed
+    exact = limits.first_passage_batch
+
+    def faster(k, regime, rng, num_samples, n=None, workers=1):
+        # mortality, and so the departure rate, scaled by 1.1
+        regime = InitialPower(regime.a * 1.1, regime.gamma)
+        return exact(k, regime, rng, num_samples, n=n, workers=workers)
+
+    monkeypatch.setattr(limits, "first_passage_batch", faster)
+    assert not _limit_ks_row(seed).passed
+
+
 def _sweep_row_passes():
     # the benchmark's implode invocation: K=1000, 65536 runs, sweep 10,100,1000
     report, _, _ = experiments.build_implode_outputs(1.0, 1000, 65536, 0, sweep=[10, 100, 1000])

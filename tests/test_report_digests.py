@@ -39,7 +39,7 @@ EXPECTED = {
     "implode/implode_report.json": "ddba4448bd29aa8fd58be79f2e73b9afde666c46c48d1b19e21ce4007cef386b",
     "implode/implode_sweep.csv": "f884ddbe76b11bdd006632860463599a39f0d9aa276c2e588c1de41b65fa1090",
     "implode:exit": "0",
-    "passage/passage_report.json": "e263c9cc343bf6fc9009caba16c6772270604fc8b408c4c4f70f70190485bc14",
+    "passage/passage_report.json": "0670151129f5090fe62dc417293aeb2513ff15f8c14b391217a489601ffd9404",
     "passage/scaled_passage_times.csv": "b86591f8697b2ef4e357dc5f2e7fb93de8e3a54d4acbd325bc3852bf62a40180",
     "passage:exit": "0",
     "path/path_bound_sweep.csv": "16c52aa336af33db3a5c2f490951e59b640d01e13587eb45a1d469c7dc702592",
@@ -48,7 +48,7 @@ EXPECTED = {
     "simulate/summary.json": "ce9541ffe5f1d08be6f7914444a32fbb758e64887c4a28d4be72a0a1f1e98647",
     "simulate/trajectories.csv": "489268c6fa74ec084ba450e2c37cf4fa9a5d0ed1bfa0d04a290ceb44b292991e",
     "simulate:exit": "0",
-    "verify/verify.json": "8de60db0b11b8505f06eb4f25d753157fced146c65412206885c5d5b1285b9c1",
+    "verify/verify.json": "c7004544e2b0f8786b914af8dbeb95dc35b7cef2468eb4305fa613ab3ce77303",
     "verify:exit": "0",
 }
 

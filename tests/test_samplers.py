@@ -74,7 +74,7 @@ def test_binomial_mean_band():
     assert draws.min() >= 0 and draws.max() <= 10
 
 
-@pytest.mark.parametrize("x", [1, 2, 10, 16, 50])
+@pytest.mark.parametrize("x", [1, 2, 10, 16, 50, 1000])
 @pytest.mark.parametrize("c", [0.01, 0.3, 0.5, 0.9])
 def test_binomial_chi_square_grid(x, c):
     draws = binomial_draws(make_stream(3, x * 100 + int(c * 100)), x, c, 10**5)
@@ -82,6 +82,39 @@ def test_binomial_chi_square_grid(x, c):
     expected = binomial_pmf(x, c) * 10**5
     _, _, p_value = chi_square_gof(observed, expected)
     assert p_value > 0.01, f"chi-square rejected at (x={x}, c={c}): p={p_value}"
+
+
+def _count(x, c, u):
+    """The count on p = min(c, 1-c) that ``binomial_draw(x, c)`` gives when
+    its one uniform is u: its deaths, or x minus them at c > 0.5."""
+    deaths = DRAW(SimpleNamespace(random=iter([u]).__next__), x, c)
+    return x - deaths if c > 0.5 else deaths
+
+
+@pytest.mark.parametrize("c", [0.2, 0.8])
+def test_binomial_walk_lands_on_its_edges(c):
+    # a departure, u < total, then the landing walk on u: b deaths up to
+    # and including its running sum acc_b, b + 1 just above it
+    x, p = 10, min(c, 1.0 - c)
+    _, total, mass, ratio, _ = kernels._level_constants(x, p)
+    acc = [mass]  # acc_b for b = 1, ..., x, by the walk's own arithmetic
+    for b in range(1, x):
+        mass *= ratio * (x - b) / (b + 1.0)
+        acc.append(acc[-1] + mass)
+    assert _count(x, c, total) == 0
+    assert _count(x, c, 0.0) == 1
+    checked = 0
+    for b in range(1, x):
+        above = math.nextafter(acc[b - 1], 1.0)
+        if above < total and above <= acc[b]:
+            assert _count(x, c, acc[b - 1]) == b
+            assert _count(x, c, above) == b + 1
+            checked += 1
+    assert checked >= 6
+    _, total, _, _, _ = kernels._level_constants(1, p)
+    assert _count(1, c, math.nextafter(total, 0.0)) == 1
+    assert _count(1, c, 0.0) == 1
+    assert _count(1, c, total) == 0
 
 
 @pytest.mark.parametrize("x,c", [(200, 0.3), (10**4, 0.47)])
