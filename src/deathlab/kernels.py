@@ -62,49 +62,42 @@ Each build exports ``binomial_draw`` (the primitive of ``process.step``
 and of the stepping references in the tests) and the six ``*_batch``
 entry points; the draws behind the batches are private.  The numba build
 compiles the shared scalar source of every batch; where numba is not
-installed, no test checks that source's numba typing.  The Python build
-keeps each batch's source as the entry point's ``__wrapped__`` and wraps
-it in one of two ways; either way the entry point draws the same doubles
-in the same order and leaves the generator where the source's own
-``gen.random()`` calls would, so every report, stream position, uniform
-count and recorded path is the source's.
+installed, no test checks that source's numba typing.  In the Python
+build ``binomial_draw`` and ``first_passage_stepped_batch`` are their
+scalar source, called on the generator.  The other five entry points are
+array code: each keeps its source as ``__wrapped__``, draws the same
+doubles in the same order and leaves the generator where the source's
+own ``gen.random()`` calls would, so every report, stream position,
+uniform count and recorded path is the source's.
 
-- Five entry points are array code.  They take the uniforms of a round,
-  or of the whole batch, as ``gen.random(size)`` blocks and do the
-  arithmetic in numpy with the source's own float operations.  The pmf
-  walk runs on the levels of a round: each level's running sums once,
-  and for each run the number of them its target passes.  numpy's
-  ``log``, ``log1p``, ``expm1`` and ``exp`` are not libm's and differ in
-  the last bit on a few percent of inputs, so a level's constants come
-  from ``math`` once per level and round or batch, and
-  ``max_geometric_batch`` maps ``math``'s logarithms and ``expm1`` over
-  a list.  A hold takes numpy's ``log1p`` and recomputes with
-  ``math.log1p`` only where the floor could differ: x = log1p(-u) / lq
-  within 2^-40 relative of an integer, at least 2^40, or infinite.
-  Temporaries are O(live runs) or O(one block), never O(n).  Rejection
-  landings, which take a varying number of uniforms, run the scalar
-  binomial draw on the block source below.  ``single_drop_batch`` and
-  ``first_passage_batch`` share one step, the single-death outcomes of a
-  level's landings.  ``extinction_batch`` joins the recorded pieces once
-  at the end; their order across runs may differ from the source's, their
-  order within a run does not.
-- ``first_passage_stepped_batch`` runs the scalar source on a block
-  source instead of the generator.  The source still sees
-  ``gen.random()`` calls and answers with the same Philox doubles as
-  Python floats, from ``gen.random(size)`` blocks (64 long, doubling up
-  to 1024).  When the call ends, by return or by raise, the source
-  rewinds: it restores the saved generator state and skips one word per
-  double consumed (``bit_generator.random_raw(used, output=False)``).
-
-``binomial_draw``, calls from one kernel to another and the numba build
-take the generator itself.
+- They take the uniforms of a round, or of the whole batch, as
+  ``gen.random(size)`` blocks and do the arithmetic in numpy with the
+  source's own float operations.  The pmf walk runs on the levels of a
+  round: each level's running sums once, and for each run the number of
+  them its target passes.  numpy's ``log``, ``log1p``, ``expm1`` and
+  ``exp`` are not libm's and differ in the last bit on a few percent of
+  inputs, so a level's constants come from ``math`` once per level and
+  round or batch, and ``max_geometric_batch`` maps ``math``'s logarithms
+  and ``expm1`` over a list.  A hold takes numpy's ``log1p`` and
+  recomputes with ``math.log1p`` only where the floor could differ: x =
+  log1p(-u) / lq within 2^-40 relative of an integer, at least 2^40, or
+  infinite.  Temporaries are O(live runs) or O(one block), never O(n).
+- Rejection landings, which take a varying number of uniforms, run the
+  scalar binomial draw on the generator's doubles, taken in blocks of one
+  per landing still to draw.  Every landing takes at least one, the one
+  being drawn included, so no block runs past the doubles the draws
+  consume and the generator never needs rewinding.
+- ``single_drop_batch`` and ``first_passage_batch`` share one step, the
+  single-death outcomes of a level's landings.  ``extinction_batch``
+  joins the recorded pieces once at the end; their order across runs may
+  differ from the source's, their order within a run does not.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-import operator
 import os
 from types import SimpleNamespace
 
@@ -151,12 +144,6 @@ _STIRLING_TAIL = np.array(
         0.008330563433362871,
     ]
 )
-
-
-# The block source of the Python build draws blocks that start this long
-# and double up to _MAX_BLOCK.
-_FIRST_BLOCK = 64
-_MAX_BLOCK = 1024
 
 
 def _level_constants(k, c):
@@ -219,12 +206,16 @@ def _build_backend(jit: bool) -> SimpleNamespace:
             u = gen.random() - 0.5
             v = gen.random()
             us = 0.5 - abs(u)
+            if us == 0.0:
+                # u = -0.5, from a uniform of 0, lies outside the method's
+                # open domain
+                continue
             kf = math.floor((2.0 * a / us + b) * u + c)
             if kf < 0.0 or kf > nf:
                 continue
             if us >= 0.07 and v <= v_r:
                 return int(kf)
-            v2 = math.log(v * alpha / (a / (us * us) + b))
+            v2 = math.log(v * alpha / (a / (us * us) + b)) if v > 0.0 else -math.inf
             bound = (
                 (m + 0.5) * math.log((m + 1.0) / (r * (nf - m + 1.0)))
                 + (nf + 1.0) * math.log((nf - m + 1.0) / (nf - kf + 1.0))
@@ -253,6 +244,14 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         return b
 
     @wrap
+    def _thin(u, x, c, total, mass, ratio):
+        # the walk branch of binomial_draw on its one uniform u, with the
+        # constants of _level(x, p) at p = min(c, 1-c): the count in p is
+        # 0 at u >= total, else the landing walk on u; x minus it at c > 1/2
+        k = 0 if u >= total else _landing(u, x, mass, ratio)
+        return x - k if c > 0.5 else k
+
+    @wrap
     def binomial_draw(gen, x, c):
         # exact Binomial(x, c) deviate for x >= 0, 0 <= c <= 1, counted in
         # p = min(c, 1-c): a departure, u < 1-(1-p)^x, then the landing
@@ -264,11 +263,9 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         p = min(c, 1.0 - c)
         if x * p > _WALK_MAX:
             k = _binomial_btrs(gen, x, p)
-        else:
-            _, total, mass, ratio, _ = _level(x, p)
-            u = gen.random()
-            k = 0 if u >= total else _landing(u, x, mass, ratio)
-        return x - k if c > 0.5 else k
+            return x - k if c > 0.5 else k
+        _, total, mass, ratio, _ = _level(x, p)
+        return _thin(gen.random(), x, c, total, mass, ratio)
 
     @wrap
     def _hold(gen, lq):
@@ -427,13 +424,20 @@ def _build_backend(jit: bool) -> SimpleNamespace:
     @wrap
     def first_passage_stepped_batch(gen, k, c, t_max, out_j, out_code):
         # reference implementation: step the raw process until it leaves k,
-        # censored after t_max steps
+        # censored after t_max steps.  Each step is binomial_draw(gen, k, c);
+        # where that walks, the level's constants come once per batch.
+        p = min(c, 1.0 - c)
+        walks = k > 0 and 0.0 < c < 1.0 and k * p <= _WALK_MAX
+        _, total, mass, ratio, _ = _level(k, p)
         for i in range(out_j.shape[0]):
             t = 0
             code = CENSORED
             while True:
                 t += 1
-                d = binomial_draw(gen, k, c)
+                if walks:
+                    d = _thin(gen.random(), k, c, total, mass, ratio)
+                else:
+                    d = binomial_draw(gen, k, c)
                 if d >= 1:
                     code = FINITE if d == 1 else JUMPED_OVER
                     break
@@ -453,47 +457,6 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         first_passage_batch=first_passage_batch,
         first_passage_stepped_batch=first_passage_stepped_batch,
     )
-
-
-def _uniforms(gen: np.random.Generator):
-    """The doubles ``gen.random()`` would return, as Python floats, in order.
-
-    The state is saved and the doubles come from ``gen.random(size)``
-    blocks, which run ahead of what is consumed.  Closing the iterator
-    rewinds: it restores the saved state and skips one Philox word per
-    double consumed.  Either way ``gen`` ends where the same number of
-    ``gen.random()`` calls leaves it.
-    """
-    bitgen = gen.bit_generator
-    saved = bitgen.state
-    drawn = 0  # doubles taken from gen in blocks since saved
-    block = iter(())
-    size = _FIRST_BLOCK
-    try:
-        while True:
-            block = iter(gen.random(size).tolist())
-            drawn += size
-            yield from block
-            size = min(2 * size, _MAX_BLOCK)
-    finally:
-        bitgen.state = saved
-        bitgen.random_raw(drawn - operator.length_hint(block), output=False)
-
-
-def _buffered(kernel):
-    """Run ``kernel(gen, ...)`` on a block source over ``gen``; on return or
-    raise, ``gen`` stands where the kernel's own draws leave it."""
-
-    @functools.wraps(kernel)
-    def entry(gen, *args):
-        draws = _uniforms(gen)
-        try:
-            # the kernel only ever calls gen.random()
-            return kernel(SimpleNamespace(random=draws.__next__), *args)
-        finally:
-            draws.close()
-
-    return entry
 
 
 def _mapped(f, x):
@@ -564,21 +527,25 @@ def _array_entries(py: SimpleNamespace) -> dict:
     order, but takes the uniforms of a round or a batch as
     ``gen.random(size)`` blocks and does the arithmetic on arrays.  Only
     the rejection landings, a varying number of uniforms each, run the
-    scalar binomial draw on the block source.
+    scalar binomial draw, on blocks of one double per landing still to
+    draw.
     """
     draw = py.binomial_draw
 
-    def rejection_deaths(gen, ks, cs):
-        # the rejection branch of the landing draw, for each (k, c) in order
+    def rejections(gen, ks, cs):
+        # the rejection branch of the landing draw, for each (k, c) in
+        # order, on the generator's doubles in blocks of one per landing
+        # still to draw: each takes at least one, the one being drawn too,
+        # so no block runs past the last double the draws take
         out = []
+        blocks = iter(lambda: gen.random(len(ks) - len(out)).tolist(), None)
+        doubles = SimpleNamespace(random=itertools.chain.from_iterable(blocks).__next__)
         for k, c in zip(ks, cs):
-            d = draw(gen, k, c)
+            d = draw(doubles, k, c)
             while d < 1:
-                d = draw(gen, k, c)
+                d = draw(doubles, k, c)
             out.append(d)
         return out
-
-    rejections = _buffered(rejection_deaths)
 
     def single_deaths(gen, k, c, m):
         # whether each of m landing draws from k at mortality c, in order,
@@ -675,10 +642,7 @@ def get_backend(jit: bool) -> SimpleNamespace:
     if jit not in _BACKENDS:
         backend = _build_backend(jit)
         if not jit:
-            arrays = _array_entries(backend)
-            for name, kernel in list(vars(backend).items()):
-                if name.endswith("_batch"):
-                    setattr(backend, name, arrays.get(name) or _buffered(kernel))
+            vars(backend).update(_array_entries(backend))
         _BACKENDS[jit] = backend
     return _BACKENDS[jit]
 

@@ -344,8 +344,8 @@ def _extinction_walk(gen, cs, n, t_max, m):
 
 
 def _entry_points(name):
-    """The active build's batch, the Python build's block-source entry point
-    and the kernel it wraps."""
+    """The active build's batch, the Python build's array entry point and
+    the scalar source it keeps."""
     return getattr(kernels, name), getattr(PY, name), getattr(PY, name).__wrapped__
 
 

@@ -5,13 +5,20 @@ is installed; elsewhere nothing compiles them.  This test walks their
 syntax tree and holds every call to what numba's nopython mode compiles
 and the kernels already use: another kernel, a ``math`` function,
 ``gen.random``, a listed numpy constructor, or one of a few builtins.  It
-is a proxy, not a compile: it does not see types.
+also holds what the kernels of the uncompiled build read from outside
+their arguments to what numba freezes into a compiled kernel: a captured
+variable is a numpy array or another compiled kernel, a global is
+``math``, ``np``, an int or a float.  It is a proxy, not a compile: it
+does not see the types of locals.
 """
 
 import ast
+import dis
 import inspect
 import math
 import textwrap
+
+import numpy as np
 
 from deathlab import kernels
 
@@ -71,7 +78,7 @@ def disallowed_calls(found: dict) -> list[str]:
 
 def test_every_kernel_is_walked():
     exported = {name for name in vars(kernels.get_backend(False)) if name != "name"}
-    assert exported | {"_level", "_landing", "_hold", "_conditional_deaths"} <= set(compiled_kernels())
+    assert exported | {"_level", "_landing", "_thin", "_hold", "_conditional_deaths"} <= set(compiled_kernels())
 
 
 def test_kernels_call_only_what_numba_compiles():
@@ -82,4 +89,67 @@ def test_a_call_off_the_allowlist_is_named():
     tree = ast.parse("def kernel(gen, x):\n    return np.unique(x) + len(x) + gen.integers(3)\n").body[0]
     assert sorted(disallowed_calls({"kernel": tree})) == [
         "kernel: gen.integers(3)", "kernel: len(x)", "kernel: np.unique(x)"
+    ]
+
+
+def captured_kernels() -> dict:
+    """name -> function of each kernel of the uncompiled build: the
+    exported ones and, through their closures, every function they
+    capture, under the name they capture it by."""
+    found = {}
+    todo = [(name, f) for name, f in vars(kernels._build_backend(False)).items() if callable(f)]
+    while todo:
+        name, f = todo.pop()
+        if name not in found:
+            found[name] = f
+            todo += [(var, value) for var, value in _captures(f) if inspect.isfunction(value)]
+    return found
+
+
+def _captures(f):
+    return [(var, cell.cell_contents) for var, cell in zip(f.__code__.co_freevars, f.__closure__ or ())]
+
+
+def _global_ok(value) -> bool:
+    return value is math or value is np or type(value) in (int, float)
+
+
+def capture_faults(functions: dict, kernel_names) -> list[str]:
+    """Each captured variable that is neither a numpy array nor a kernel
+    named in ``kernel_names``, and each global read that is not ``math``,
+    ``np``, an int or a float, as "kernel: what"."""
+    faults = []
+    for name, f in functions.items():
+        for var, value in _captures(f):
+            if not (isinstance(value, np.ndarray) or (var in kernel_names and inspect.isfunction(value))):
+                faults.append(f"{name}: captures {var} ({type(value).__name__})")
+        for ins in dis.get_instructions(f):
+            if ins.opname == "LOAD_GLOBAL" and ins.argval in f.__globals__:
+                if not _global_ok(f.__globals__[ins.argval]):
+                    faults.append(f"{name}: reads {ins.argval} ({type(f.__globals__[ins.argval]).__name__})")
+    return faults
+
+
+def test_every_compiled_kernel_is_reached_through_the_closures():
+    assert set(captured_kernels()) == set(compiled_kernels())
+
+
+def test_kernels_capture_only_arrays_kernels_and_numbers():
+    assert capture_faults(captured_kernels(), compiled_kernels()) == []
+
+
+LISTED = [1.0]
+
+
+def test_a_capture_off_the_rule_is_named():
+    table, helper = [1.0], abs
+
+    def kernel(x):
+        return table[0] + helper(x) + LISTED[0] + math.floor(x) + np.int64(x) + kernels.HOLD_CAP
+
+    assert capture_faults({"kernel": kernel}, set()) == [
+        "kernel: captures helper (builtin_function_or_method)",
+        "kernel: captures table (list)",
+        "kernel: reads LISTED (list)",
+        "kernel: reads kernels (module)",
     ]

@@ -2,19 +2,16 @@
 
 Five entry points of the Python build, ``extinction_batch``,
 ``single_drop_batch``, ``first_passage_batch``, ``geometric_batch`` and
-``max_geometric_batch``, are array code.
-``first_passage_stepped_batch`` runs the shared scalar source on a block
-source that hands out, in order, the doubles ``gen.random()`` would, and
-leaves the generator where those calls would leave it, also when the
-kernel raises.  Either way the entry point must draw what its scalar
-source (``__wrapped__``) draws.
-Every case here calls both on equal streams and compares outputs and
-``bit_generator.state``; the extinction cases run again with the paths
-recorded, compared once laid end to end.  The sizes span part of the
-first block, the switch from one block to the next and blocks of the
-largest size; the cases span k = 1, certain death at a level, censoring,
-and levels whose landing walks the pmf or rejects, at the top of a chain
-or below it.
+``max_geometric_batch``, are array code and must draw what their scalar
+source (``__wrapped__``) draws.  Every case here calls both on equal
+streams and compares outputs and ``bit_generator.state``; the extinction
+cases run again with the paths recorded, compared once laid end to end.
+The sizes span one run, a few, and batches long enough that the
+rejection landings take their doubles in several blocks, each one per
+landing still to draw; the cases span k = 1, certain death at a level,
+censoring, and levels whose landing walks the pmf or rejects, at the top
+of a chain or below it.  ``first_passage_stepped_batch`` is its scalar
+source; it is checked against one ``binomial_draw`` per step.
 """
 
 import gc
@@ -38,11 +35,18 @@ BATCHES = {
 }
 
 
-def test_every_exported_batch_and_nothing_else_is_buffered():
+ARRAY_ENTRIES = BATCHES - {"first_passage_stepped_batch"}
+
+
+def test_five_entry_points_are_array_code_and_the_rest_are_their_source():
     named = {name: kernel for name, kernel in vars(PY).items() if callable(kernel)}
     assert set(named) == BATCHES | {"binomial_draw"}
-    for name, kernel in named.items():
-        assert hasattr(kernel, "__wrapped__") == (name in BATCHES), name
+    source = kernels._build_backend(False)
+    for name, entry in named.items():
+        if name in ARRAY_ENTRIES:
+            assert entry.__code__ is not entry.__wrapped__.__code__, name
+            entry = entry.__wrapped__
+        assert entry.__code__ is getattr(source, name).__code__, name
 
 
 def _state(gen):
@@ -104,7 +108,6 @@ CASES = {
     "first_passage_batch/lone": lambda m: (1, 0.3, _ints(m), _ints(m)),
     "first_passage_batch/certain_death": lambda m: (3, 1.0, _ints(m), _ints(m)),
     "first_passage_batch/rejection": lambda m: (1000, 0.05, _ints(m), _ints(m)),
-    "first_passage_stepped_batch": lambda m: (5, 0.05, 30, _ints(m), _ints(m)),
 }
 
 
@@ -120,17 +123,6 @@ CASES.update({f"{case}/record": _recording(build) for case, build in list(CASES.
 # paths of about 7000 steps as Python lists)
 CASES["extinction_batch/long_chain"] = lambda m: (_ints(m), prepare(Constant(0.001), 1000), 1000, 10**4)
 SIZES = (0, 1, 7, 40, 300, 3000)
-ARRAY_ENTRIES = {
-    "extinction_batch", "single_drop_batch", "first_passage_batch", "geometric_batch",
-    "max_geometric_batch",
-}
-
-
-def test_five_entry_points_are_array_code_and_one_uses_the_block_source():
-    for name in BATCHES:
-        entry = getattr(PY, name)
-        assert entry is not entry.__wrapped__
-        assert (entry.__code__ is kernels._buffered(entry.__wrapped__).__code__) == (name not in ARRAY_ENTRIES)
 
 
 def _expand(pieces, m):
@@ -162,21 +154,6 @@ def test_entry_point_matches_its_kernel(case, m):
     # the stream goes on where the kernel's own draws left it
     assert PY.binomial_draw(g1, 30, 0.3) == PY.binomial_draw(g2, 30, 0.3)
     assert g1.random(5).tolist() == g2.random(5).tolist()
-    assert _state(g1) == _state(g2)
-
-
-def _record(gen, m, seen):
-    # a kernel that keeps every uniform it draws
-    for _ in range(m):
-        seen.append(gen.random())
-
-
-@pytest.mark.parametrize("m", [0, 1, 64, 65, 192, 193, 5000])
-def test_the_source_hands_out_the_generator_doubles(m):
-    g1, g2 = make_stream(SEED, 2).generator, make_stream(SEED, 2).generator
-    seen = []
-    kernels._buffered(_record)(g1, m, seen)
-    assert seen == [g2.random() for _ in range(m)]
     assert _state(g1) == _state(g2)
 
 
@@ -239,17 +216,54 @@ def test_zero_length_outputs_draw_nothing(case):
         assert _state(gen) == before
 
 
-@pytest.mark.parametrize("fail_at", [2, 40, 700])
-def test_a_kernel_that_raises_leaves_the_stream_where_its_draws_did(fail_at):
-    # out_code is shorter than out_j, so the kernel raises on writing
-    # sample fail_at, in the first block or after it
+def _stepping(gen, k, c, t_max, out_j, out_code):
+    """The stepped reference by its definition: one ``binomial_draw`` per
+    step until the sample leaves k, censored after t_max steps."""
+    for i in range(out_j.shape[0]):
+        t = 0
+        while True:
+            t += 1
+            d = PY.binomial_draw(gen, k, c)
+            if d >= 1 or t == t_max:
+                break
+        out_j[i] = t
+        out_code[i] = kernels.CENSORED if d < 1 else kernels.FINITE if d == 1 else kernels.JUMPED_OVER
+
+
+# (k, c, t_max): walks at c below and above 1/2, certain death (no
+# uniform), transformed rejection below and above 1/2, censoring, and a
+# lone individual
+STEPPED_CASES = [
+    (3, 0.3, 10**6), (5, 0.8, 10**6), (4, 1.0, 10**6), (100, 0.3, 10**6), (40, 0.9, 10**6),
+    (200, 0.9, 10**6), (3, 1e-12, 10), (1, 0.3, 10**6), (5, 0.05, 30),
+]
+
+
+@pytest.mark.parametrize("k, c, t_max", STEPPED_CASES)
+@pytest.mark.parametrize("m", SIZES)
+def test_stepped_entry_steps_one_binomial_draw_at_a_time(k, c, t_max, m):
     seen = []
-    for kernel in (PY.first_passage_stepped_batch, PY.first_passage_stepped_batch.__wrapped__):
+    for kernel in (PY.first_passage_stepped_batch, _stepping):
+        gen, out_j, out_code = make_stream(SEED, m).generator, _ints(m), _ints(m)
+        kernel(gen, k, c, t_max, out_j, out_code)
+        seen.append((out_j.tolist(), out_code.tolist(), _state(gen)))
+    assert seen[0] == seen[1]
+    if c == 1.0:
+        assert seen[0][:2] == ([1] * m, [kernels.JUMPED_OVER] * m)
+    if t_max == 10:
+        assert seen[0][:2] == ([10] * m, [kernels.CENSORED] * m)
+
+
+@pytest.mark.parametrize("fail_at", [2, 40, 700])
+def test_a_stepped_batch_that_raises_leaves_the_stream_where_its_draws_did(fail_at):
+    # out_code is shorter than out_j, so the batch raises on writing
+    # sample fail_at
+    seen = []
+    for kernel in (PY.first_passage_stepped_batch, _stepping):
         gen = make_stream(SEED, 7).generator
         out_j, out_code = _ints(1000), _ints(fail_at)
         with pytest.raises(IndexError) as raised:
             kernel(gen, 5, 0.05, 30, out_j, out_code)
-        # read while the traceback, and every frame on it, is alive
         seen.append((out_j.tolist(), out_code.tolist(), _state(gen), raised.type))
     assert seen[0] == seen[1]
 
@@ -257,7 +271,7 @@ def test_a_kernel_that_raises_leaves_the_stream_where_its_draws_did(fail_at):
 def test_the_source_leaves_no_cycles():
     # blocks held by a reference cycle would outlive the call until the
     # collector ran, and raise peak memory; the rejection landings of this
-    # chain run on the block source
+    # chain take their doubles in blocks
     cs = prepare(Constant(0.7), 30)
     gen = make_stream(SEED, 8).generator
     gc.collect()
@@ -269,7 +283,7 @@ def test_the_source_leaves_no_cycles():
         gc.enable()
 
 
-@pytest.mark.skipif(kernels.BACKEND != "python", reason="the block source wraps the Python build")
+@pytest.mark.skipif(kernels.BACKEND != "python", reason="the array entry points are the Python build's")
 def test_worker_counts_and_the_raw_kernels_agree_through_process(monkeypatch):
     samples = 2 * CHUNK_SIZE + 5  # three chunks, so two workers share them
     regime = Constant(0.5)
@@ -425,3 +439,34 @@ def test_geometric_entries_match_their_source_at_every_branch(m, name, args):
         kernel(gen, *args, out)
         seen.append((out.tolist(), gen.at))
     assert seen[0] == seen[1]
+
+
+# Transformed rejection at k = 40, c = 0.4 (a level whose landing
+# rejects): a first uniform in [0.01128, 0.01225] and a tiny second one
+# accept 0 deaths; a first uniform of 0 (u = -1/2, outside the method's
+# open domain) rejects the attempt; a second uniform of 0 accepts.
+NO_DEATH = [0.0117, 1e-12]
+OFF_DOMAIN = [0.0, 0.3]
+ZERO_V = [0.0117, 0.0]
+
+
+def test_transformed_rejection_takes_uniforms_of_zero():
+    for script, deaths in ((NO_DEATH, 0), (ZERO_V, 0), (OFF_DOMAIN + NO_DEATH, 0)):
+        gen = _Listed(script)
+        assert PY.binomial_draw(gen, 40, 0.4) == deaths
+        assert gen.at == len(script)
+
+
+@pytest.mark.parametrize("m", [1, 3, 7])
+def test_a_landing_that_draws_no_death_draws_again(m):
+    # the first landing draws 0 deaths twice, with an attempt off the
+    # domain between, before the stream's own doubles
+    stream = make_stream(SEED, 14).generator.random(m + 200).tolist()
+    values = stream[:m] + NO_DEATH + OFF_DOMAIN + ZERO_V + stream[m:]
+    seen = []
+    for kernel in (PY.first_passage_batch, PY.first_passage_batch.__wrapped__):
+        gen, out_j, out_code = _Listed(values), _ints(m), _ints(m)
+        kernel(gen, 40, 0.4, out_j, out_code)
+        seen.append((out_j.tolist(), out_code.tolist(), gen.at))
+    assert seen[0] == seen[1]
+    assert seen[0][2] > m + 6
