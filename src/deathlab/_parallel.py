@@ -6,10 +6,12 @@ any worker count.  A batch smaller than one chunk of implosion runs also
 splits its stages into segments (``limits.implosion_batch``); every piece
 of work runs through ``run_ordered``, the one pool.  Threads scale only
 where the work releases the GIL: the numba kernels and numpy's vectorised
-draws and reductions do.  The pure-Python kernel build holds it in its
-scalar loops, and its array entry points release it only inside numpy
-calls, with interpreter work between them, so there ``workers > 1`` gives
-little or no speed-up.
+draws and reductions do.  Between numpy calls the interpreter holds it,
+so work scales the better the more each call does: an implosion segment
+draws several stages per call, 4 of a full chunk, into one block.  The
+pure-Python kernel build holds the GIL in its scalar loops, and its array
+entry points release it only inside numpy calls, with interpreter work
+between them, so there ``workers > 1`` gives little or no speed-up.
 """
 
 from __future__ import annotations

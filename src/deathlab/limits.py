@@ -12,12 +12,14 @@ passage times, and ``implosion_batch`` draws traversal totals of the
 limiting chain: by chunks of runs, and a chunk smaller than a full one by
 segments of its stages too, each on the chunk's Philox stream advanced
 to the segment's first draw, so even one chunk's work splits across
-``workers`` with the same draws.  The truncation sweep draws nothing of
-its own: a run's total at a level L <= K is the sum of its stages
-k <= L, so ``implosion_batch`` reads the moments of every sweep level, and
-of the gap between two levels, off the runs of the totals, and
-``implosion_truncation_sweep`` compares them with the certified partial
-sums.
+``workers`` with the same draws.  A segment draws several stages per
+call into one block it reuses, and adds them to its running sum one
+stage at a time, so the totals do not depend on the block size.  The
+truncation sweep draws nothing of its own: a run's total at a level
+L <= K is the sum of its stages k <= L, so ``implosion_batch`` reads the
+moments of every sweep level, and of the gap between two levels, off the
+runs of the totals, and ``implosion_truncation_sweep`` compares them with
+the certified partial sums.
 """
 
 from __future__ import annotations
@@ -73,9 +75,11 @@ def scaled_passage_batch(
     return ScaledPassageBatch(k, n, a_n, num_samples, int(np.count_nonzero(finite)), scaled)
 
 
-# doubles per exponential block: 8 stages of verify's 2000 runs, 1 of a
-# full 16384-run chunk, so a block is never larger than one stage of a
-# chunk.  Blocks start at their segment's first stage, whatever the sweep.
+# doubles per exponential block where that makes 4 stages or more (8 of
+# verify's 2000 runs); a larger chunk draws 4 stages per block, so no
+# block holds more than 4 * CHUNK_SIZE doubles.  Blocks start at their
+# segment's first stage, whatever the sweep, and the totals do not
+# depend on them.
 STAGE_BLOCK = 2**14
 
 
@@ -87,11 +91,22 @@ def _stage_rates(alpha: float, K: int) -> np.ndarray:
         return np.arange(K, 0, -1, dtype=np.float64) ** (check_alpha(alpha) + 1.0)
 
 
+def _add_rows(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sum of ``block``'s rows, added one row at a time in order.  numpy's
+    axis-0 sum adds whole rows so, but sums a single column pairwise; there
+    the last running sum is the total."""
+    if block.shape[1] > 1:
+        return np.add.reduce(block, axis=0, out=out)
+    out = np.empty(1, dtype=np.float64) if out is None else out
+    out[0] = np.cumsum(block)[-1]
+    return out
+
+
 def _segments(K: int, m: int) -> list[tuple[int, int]]:
     """The stage ranges ``[first, last)`` a chunk of ``m`` runs draws
-    apart: ``max(rows, ceil(K m / CHUNK_SIZE))`` stages each, ``rows`` the
-    stages of one block.  They depend on K and m only, and a full chunk is
-    one segment."""
+    apart: ``max(rows, ceil(K m / CHUNK_SIZE))`` stages each, ``rows =
+    STAGE_BLOCK // m`` but at least 1.  They depend on K and m only, and a
+    full chunk is one segment."""
     rows = max(1, STAGE_BLOCK // m)
     size = max(rows, -(-K * m // CHUNK_SIZE))
     return [(first, min(first + size, K)) for first in range(0, K, size)]
@@ -148,17 +163,20 @@ def implosion_batch(
     ``CHUNK_SIZE`` splits them into ``_segments``, each drawn on a copy of
     the chunk's stream moved to the segment's first draw, so segments run
     on the ``workers`` pool and the draws equal one call per stage.  A
-    segment draws blocks of up to ``STAGE_BLOCK`` doubles, adds each
-    block's stages in one reduction, and the chunk adds the segment sums
-    in stage order; a full chunk is one segment of one-stage blocks, so
-    its totals equal one call per stage bit for bit.  The moments are
-    ``(level, gap)``: ``level[i]`` those of the runs' totals over the
+    segment allocates one block of ``max(4, STAGE_BLOCK // m)`` stages for
+    its ``m`` runs and fills it with one sampler call per block: 4 stages
+    of a full chunk, 8 of 2000 runs.  The running sum goes into the
+    block's first row and the block's rows are then added in order, so a
+    segment adds its stages one at a time from zero, whatever the block
+    size, and the chunk adds the segment sums in stage order; a full chunk
+    is one segment, so its totals are the plain running sum.  The moments
+    are ``(level, gap)``: ``level[i]`` those of the runs' totals over the
     stages k <= ``levels[i]``, ``gap[i]`` those of the paired difference
     ``level[i + 1]`` minus ``level[i]``, the stages in (``levels[i]``,
     ``levels[i + 1]``].  A level below K costs one copy of the running
-    totals; a level inside a block adds the block's rows before it, and
-    leaves the block's own sum alone.  Chunks are merged in chunk order,
-    so neither the totals nor the moments depend on ``workers``.
+    totals: the sum of its block's rows before it.  Chunks are merged in
+    chunk order, so neither the totals nor the moments depend on
+    ``workers``.
     """
     K = check_count(K, "K", 1, AnalyticsError)
     rates = _stage_rates(alpha, K)
@@ -172,16 +190,17 @@ def implosion_batch(
         # the segment's sum per run, and its partial sums at the cuts in (first, last]
         total = np.zeros(m, dtype=np.float64)
         partial = []
-        rows = max(1, STAGE_BLOCK // m)
+        rows = min(max(4, STAGE_BLOCK // m), last - first)
+        buffer = np.empty((rows, m), dtype=np.float64)
         for start in range(first, last, rows):
             end = min(start + rows, last)
-            block = sample_exponential_batch(stream, rates[start:end], m).reshape(-1, m)
+            block = buffer[: end - start]
+            sample_exponential_batch(stream, rates[start:end], m, out=block)
+            block[0] += total  # so each row adds one stage to the running sum
             for cut in cuts:
                 if start < cut <= end:
-                    prefix = block[: cut - start].sum(axis=0)
-                    prefix += total
-                    partial.append(prefix)
-            total += block[0] if len(block) == 1 else block.sum(axis=0)
+                    partial.append(_add_rows(block[: cut - start]))
+            _add_rows(block, out=total)
         return total, partial
 
     def task(stream: RngStream, m: int):

@@ -7,11 +7,13 @@ value, never a bool or a string; a probability is a real number, never a
 bool, a string or NaN, in the interval its call uses.  Implosion's
 ``alpha``, the parameters of the power-law regimes and the exponents of
 the joint bound are real numbers by the probability's test, finite and
-> 0 (``regimes.check_positive``).  A value outside the
-rule raises the module's own ``ValueError`` subclass before any draw: the
-stream's generator does not move and no substream is made.  Values
-accepted before the rules were stated once (numpy integers, ``3.0``, and
-counts above 2**53 where no cap applies) still give the same answer.
+> 0 (``regimes.check_positive``); an exponential rate is one too, or
+``+inf``, and an array of rates has an integer or float dtype.  A value
+outside the rule raises the module's own ``ValueError`` subclass before
+any draw: the stream's generator does not move and no substream is
+made.  Values accepted before the rules were stated once (numpy
+integers, ``3.0``, and counts above 2**53 where no cap applies) still give
+the same answer.
 """
 
 import math
@@ -186,6 +188,24 @@ PARAMETERS = [
 ]
 
 
+# exponential rates: real numbers > 0 by alpha's test, where +inf is a rate
+# (a stage that overflowed lasts no time), and arrays of a real dtype
+BAD_RATES = [True, "2", math.nan, -math.inf, 0.0, -1.0, 10**400, np.array([True, True]), np.array(["1", "2"]),
+             np.array([1.0, 2.0], dtype=object), np.array([1.0, math.nan]), np.array([2.0, 0.0]),
+             np.array([1.0 + 0.0j])]
+BAD_RATE_IDS = ["bool", "string", "nan", "-inf", "zero", "below", "beyond_float", "bool_array", "str_array",
+                "object_array", "nan_in_array", "zero_in_array", "complex_array"]
+# (id, out) for 2 rates of 3 draws: the wrong dtype, size, layout or access
+BAD_OUTS = [
+    ("float32", np.empty(6, dtype=np.float32)),
+    ("too_small", np.empty(5)),
+    ("too_large", np.empty((3, 3))),
+    ("strided", np.empty(12)[::2]),
+    ("fortran", np.empty((3, 2), order="F")),
+    ("list", [0.0] * 6),
+    ("read_only", np.lib.stride_tricks.as_strided(np.empty(6), writeable=False)),
+]
+
 def _bad_counts(minimum):
     return [True, "3", math.nan, math.inf, -math.inf, 2.5, minimum - 1]
 
@@ -282,6 +302,25 @@ def test_an_int_and_a_numpy_number_are_alphas(name, call):
     for value in (1, np.int64(1), np.float64(1.0), np.float32(1.0)):
         assert _same(call(value, make_stream(7, 0)), expected), value
 
+
+@pytest.mark.parametrize("rate", BAD_RATES, ids=BAD_RATE_IDS)
+def test_a_rate_outside_the_rule_is_refused_before_any_draw(substreams, rate):
+    _refused(lambda v, s: samplers.sample_exponential_batch(s, v, 2), rate, SamplerError, substreams)
+
+
+@pytest.mark.parametrize("out", [case[1] for case in BAD_OUTS], ids=[case[0] for case in BAD_OUTS])
+def test_an_exponential_out_of_the_wrong_kind_is_refused_before_any_draw(substreams, out):
+    _refused(lambda v, s: samplers.sample_exponential_batch(s, np.array([1.0, 2.0]), 3, out=v), out, SamplerError,
+             substreams)
+
+
+def test_ints_numpy_numbers_and_inf_are_rates():
+    expected = samplers.sample_exponential_batch(make_stream(7, 0), 2.0, 3)
+    for value in (2, np.int64(2), np.float32(2.0), np.array(2), np.array([2], dtype=np.uint8)):
+        assert np.array_equal(samplers.sample_exponential_batch(make_stream(7, 0), value, 3), expected), value
+    stages = samplers.sample_exponential_batch(make_stream(7, 0), np.array([2.0, math.inf]), 3)
+    assert np.array_equal(stages, np.concatenate([expected, np.zeros(3)]))
+    assert np.array_equal(samplers.sample_exponential_batch(make_stream(7, 0), math.inf, 3), np.zeros(3))
 
 def test_analytics_counts_have_no_cap():
     # the closed forms take counts above 2**53, exact ints and floats alike

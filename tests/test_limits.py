@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from deathlab import (
     scaling_constant,
     wilson_interval,
 )
+from deathlab import limits
 from deathlab._parallel import CHUNK_SIZE, chunk_sizes
 from deathlab.limits import STAGE_BLOCK, _merge, _moments, _segments
 from deathlab.samplers import sample_exponential_batch
@@ -149,31 +151,27 @@ def test_level_and_gap_moments_match_a_reference_loop():
 
 def _stage_by_stage(alpha, K, runs, root, levels, segmented=True):
     """Reference for implosion_batch: one exponential call per stage, level K
-    first, and the chunks' moments merged in chunk order.  The stages are
-    added as the batch groups them.  A chunk of m runs splits its K stages
-    into segments of max(rows, ceil(K m / CHUNK_SIZE)) stages, rows =
-    STAGE_BLOCK // m the stages of a block; a segment sums its blocks from
-    zero, each in one reduction, and the chunk adds the segment sums in
-    order.  A sweep level's prefix is the running sum before its stage plus
-    the rows of its block before it.  ``segmented=False`` adds the stages
-    one at a time, the sum of a batch made of full chunks."""
+    first, and the chunks' moments merged in chunk order.  A chunk of m runs
+    splits its K stages into segments of max(rows, ceil(K m / CHUNK_SIZE))
+    stages, rows = STAGE_BLOCK // m but at least 1; a segment adds its
+    stages one at a time from zero, and the chunk adds the segment sums in
+    order.  A sweep level's prefix is the running sum before its stage.
+    ``segmented=False`` adds every stage of a chunk one at a time, the sum
+    of a batch made of full chunks."""
     rates = np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.0)
     parts = []
     for i, m in enumerate(chunk_sizes(runs)):
         stream = root.substream(i)
         stages = [sample_exponential_batch(stream, float(rate), m) for rate in rates]
-        rows = max(1, STAGE_BLOCK // m) if segmented else 1
-        size = max(rows, math.ceil(K * m / CHUNK_SIZE)) if segmented else K
+        size = max(max(1, STAGE_BLOCK // m), math.ceil(K * m / CHUNK_SIZE)) if segmented else K
         totals = np.zeros(m)
         above = {}  # level -> the stages above it
         for first in range(0, K, size):
             segment = np.zeros(m)
-            for start in range(first, min(first + size, K), rows):
-                block = np.array(stages[start : min(start + rows, first + size, K)])
-                for j in range(start, start + len(block)):  # stage j is level K - j
-                    if K - j in levels:
-                        above[K - j] = totals + (segment + block[: j - start].sum(axis=0)) if j else 0.0
-                segment += block.sum(axis=0)
+            for j in range(first, min(first + size, K)):  # stage j is level K - j
+                if K - j in levels:
+                    above[K - j] = totals + segment if j else 0.0
+                segment += stages[j]
             totals += segment
         level = [_moments(totals - above[L]) for L in levels]
         gap = [_moments(above[low] - above[high]) for low, high in zip(levels, levels[1:])]
@@ -195,6 +193,49 @@ def test_blocked_stages_equal_one_call_per_stage(workers):
     ref_totals, ref_moments = _stage_by_stage(alpha, K, runs, make_stream(25, 4), levels)
     assert np.array_equal(totals, ref_totals)
     assert moments == ref_moments
+
+
+@pytest.mark.parametrize("m, K, levels", [
+    (1, 50, [1, 9, 40, 50]),  # one column of 50 stages, which numpy's axis-0 sum would add pairwise
+    (3, 50, [1, 9, 40, 50]),
+    (3000, 43, [1, 3, 20, 43]),
+    (CHUNK_SIZE, 37, [2, 9, 30]),  # blocks of 4 stages; levels 30 and 2 cut inside one, level 9 between two
+])
+def test_a_chunk_adds_its_stages_one_at_a_time(m, K, levels):
+    # numpy's axis-0 sum of two columns or more adds the rows in order
+    totals, moments = implosion_batch(1.0, K, m, make_stream(25, 7), levels=levels)
+    ref_totals, ref_moments = _stage_by_stage(1.0, K, m, make_stream(25, 7), levels)
+    assert np.array_equal(totals, ref_totals)
+    assert moments == ref_moments
+
+
+@pytest.mark.parametrize("K, m, levels", [(300, 2000, [1, 7, 150, 300]), (120, 3000, [2, 60, 119]),
+                                          (40, 8000, [3, 21, 40])])
+def test_the_totals_do_not_depend_on_the_block_size(monkeypatch, K, m, levels):
+    # blocks of 4, 8 and 32 stages at 2000 runs, 4, 5 and 21 at 3000, 4, 4 and 8 at 8000
+    spans, results = [], []
+    for block in (2**12, 2**14, 2**16):
+        monkeypatch.setattr(limits, "STAGE_BLOCK", block)
+        spans.append(_segments(K, m))
+        results.append(implosion_batch(1.0, K, m, make_stream(25, 8), levels=levels))
+    assert spans[0] == spans[1] == spans[2]
+    for totals, moments in results[1:]:
+        assert np.array_equal(totals, results[0][0])
+        assert moments == results[0][1]
+
+
+def test_a_full_chunk_draws_into_one_reused_block():
+    column = CHUNK_SIZE * 8  # bytes of one double per run
+    tracemalloc.start()
+    try:
+        implosion_batch(1.0, 1000, CHUNK_SIZE, make_stream(25, 9), levels=(10, 100, 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the block of 4 stages, the running sum and the stages above levels 100
+    # and 10, and less than half a column besides; a second block alive, or
+    # a larger one, goes over
+    assert peak < (4 + 3) * column + column // 2
 
 
 def test_segments_follow_the_runs_and_stages_only():

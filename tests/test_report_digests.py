@@ -37,7 +37,7 @@ EXPECTED = {
     "extinct:exit": "0",
     "implode/implode_hist.csv": "943c1e46a6995e02bb95144d906557225820f0cf6243fae1c0ac9efd852dafef",
     "implode/implode_report.json": "ddba4448bd29aa8fd58be79f2e73b9afde666c46c48d1b19e21ce4007cef386b",
-    "implode/implode_sweep.csv": "f884ddbe76b11bdd006632860463599a39f0d9aa276c2e588c1de41b65fa1090",
+    "implode/implode_sweep.csv": "b2f709dc4e2f020bc54d3eeaf9e2fc882525a918c0940bb05121106b4c3def7f",
     "implode:exit": "0",
     "passage/passage_report.json": "0670151129f5090fe62dc417293aeb2513ff15f8c14b391217a489601ffd9404",
     "passage/scaled_passage_times.csv": "b86591f8697b2ef4e357dc5f2e7fb93de8e3a54d4acbd325bc3852bf62a40180",
@@ -48,7 +48,7 @@ EXPECTED = {
     "simulate/summary.json": "ce9541ffe5f1d08be6f7914444a32fbb758e64887c4a28d4be72a0a1f1e98647",
     "simulate/trajectories.csv": "489268c6fa74ec084ba450e2c37cf4fa9a5d0ed1bfa0d04a290ceb44b292991e",
     "simulate:exit": "0",
-    "verify/verify.json": "c7004544e2b0f8786b914af8dbeb95dc35b7cef2468eb4305fa613ab3ce77303",
+    "verify/verify.json": "86c3c611b4855a4e7f52f67a3d5c57cd932a819b2cd0f83d941ba8d2afc1eacd",
     "verify:exit": "0",
 }
 

@@ -247,6 +247,23 @@ def test_exponential_rates_in_one_call_equal_one_call_per_rate(size):
         sample_exponential_batch(make_stream(8, 2), np.array([1.0, np.nan]), size)
 
 
+@pytest.mark.parametrize("size", [0, 1, 7, 2000])
+def test_exponential_draws_into_out_equal_the_allocated_draws(size):
+    rates = np.array([9.0, 4.0, np.inf, 1.0])
+    stream = make_stream(8, 3)
+    expected = sample_exponential_batch(stream, rates, size)
+    buffer = np.full((rates.size + 2, size), np.nan)
+    # a flat buffer, a block of rows and the leading rows of a larger buffer
+    for out in (np.full(rates.size * size, np.nan), np.full((rates.size, size), np.nan), buffer[: rates.size]):
+        again = make_stream(8, 3)
+        flat = sample_exponential_batch(again, rates, size, out=out)
+        assert flat.shape == (rates.size * size,)
+        assert np.array_equal(flat.view(np.uint64), expected.view(np.uint64))  # bit for bit
+        assert np.array_equal(out.reshape(-1).view(np.uint64), expected.view(np.uint64))
+        assert size == 0 or np.shares_memory(flat, out)
+        assert repr(again.generator.bit_generator.state) == repr(stream.generator.bit_generator.state)
+    assert np.isnan(buffer[rates.size :]).all()  # rows past the block are left alone
+
 def test_exponential_reproducible_and_positive():
     a = sample_exponential_batch(make_stream(8, 0), 1.0, 3)
     b = sample_exponential_batch(make_stream(8, 0), 1.0, 3)
