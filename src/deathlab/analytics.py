@@ -266,6 +266,20 @@ def implosion_expected_time(alpha: float, K: int) -> tuple[float, float]:
     return partial, tail
 
 
+def implosion_cumulants(alpha: float, K: int) -> tuple[float, float]:
+    """The variance and the fourth cumulant of T_K, a sum of independent
+    Exponential(k^(alpha+1)) stages: sum_k k^-2(alpha+1) and
+    6 sum_k k^-4(alpha+1), each a ``block_sum``.  For any finite alpha > 0:
+    where an exponent overflows a double it is -inf, and only k = 1
+    contributes."""
+    alpha = check_alpha(alpha)
+    K = check_count(K, "K", 1, AnalyticsError)
+    power = 2.0 * alpha + 2.0
+    variance = block_sum(lambda k: k ** -power, 1, K + 1)
+    kappa4 = 6.0 * block_sum(lambda k: k ** (-2.0 * power), 1, K + 1)
+    return variance, kappa4
+
+
 @dataclass
 class ReportRow:
     """One verified quantity: closed form vs optional oracle and Monte Carlo."""

@@ -25,10 +25,12 @@ from . import __version__ as _pkg_version
 from . import kernels
 from .analytics import (
     AnalyticReport,
+    AnalyticsError,
     ReportRow,
     expected_extinction_terms,
     expected_extinction_time,
     extinction_cdf,
+    implosion_cumulants,
     implosion_expected_time,
     limit_passage_rate,
     passage_mgf,
@@ -69,11 +71,13 @@ from .process import (
     single_drop_batch,
 )
 from .regimes import (
+    STATE_INDEPENDENT,
     Constant,
     InitialPower,
     JointPower,
     MortalityRegime,
     StatePower,
+    check_count,
     describe,
     mortality,
     mortality_vector,
@@ -251,7 +255,7 @@ def build_extinct_report(
         "ratio_samples": ratio_samples,
         "ratio_eps": RATIO_EPS,
     }
-    if not isinstance(regime, (Constant, InitialPower)):
+    if not isinstance(regime, STATE_INDEPENDENT):
         raise ValueError(
             "closed-form extinction CDF needs state-independent mortality; "
             f"got {type(regime).__name__}"
@@ -496,22 +500,21 @@ def build_implode_outputs(
     """Implosion totals vs the certified series, plus the truncation sweep."""
     config = {"alpha": alpha, "K": K, "runs": runs, "sweep": sweep}
     report = AnalyticReport(meta=report_meta("implode", config, seed))
-    # reject alpha and the sweep levels before any stream is made
+    # reject alpha, the runs and the sweep levels before any stream is made
     partial, tail = implosion_expected_time(alpha, K)
+    variance, kappa4 = implosion_cumulants(alpha, K)
+    runs = check_count(runs, "runs", 2, AnalyticsError)  # a sample variance needs two
     levels = check_sweep_levels(sweep or (), K)
     totals, moments = implosion_batch(alpha, K, runs, make_stream(seed, 0), workers=workers, levels=levels)
     label = f"mean implosion time [alpha={alpha:g}, K={K}]"
     report.add(_mean_row(label, partial, totals, "expected value = partial sum"))
-    mean = float(totals.mean())
-    var_expected, _ = implosion_expected_time(2 * alpha + 1, K)
-    sample_var = float(totals.var(ddof=1))
-    m4 = float(np.mean((totals - mean) ** 4))
-    var_se = math.sqrt(max(m4 - sample_var**2 * (runs - 3) / (runs - 1), 0.0) / runs)
+    # the sample variance's own variance, from the law: kappa4/n + 2 var^2/(n-1)
+    var_se = math.sqrt(kappa4 / runs + 2.0 * variance**2 / (runs - 1))
     report.add(
         ReportRow.compare(
             f"variance of implosion time [alpha={alpha:g}, K={K}]",
-            var_expected,
-            monte_carlo=(sample_var, 4 * var_se),
+            variance,
+            monte_carlo=(float(totals.var(ddof=1)), 4 * var_se),
             note="variance = sum of rate^-2",
         )
     )

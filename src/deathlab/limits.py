@@ -9,13 +9,12 @@ level-k Exponential(k^(alpha+1)) passage times crosses every level from a
 truncation K down to 0 in a time whose expectation stays bounded as K
 grows: the implosion signature.  ``scaled_passage_batch`` draws scaled
 passage times, and ``implosion_batch`` draws traversal totals of the
-limiting chain: by chunks of runs, and a chunk smaller than a full one by
-segments of its stages too, each on the chunk's Philox stream advanced
-to the segment's first draw, so even one chunk's work splits across
-``workers`` with the same draws.  A segment draws several stages per
-call into one block it reuses, and adds them to its running sum one
-stage at a time, so the totals do not depend on the block size.  The
-truncation sweep draws nothing of its own: a run's total at a level
+limiting chain by chunks of runs, each on its own substream: a quarter
+of the runs, rounded up, but at most ``CHUNK_SIZE`` (``MIN_CHUNKS``), so
+every batch has chunks for ``workers`` to share.  A chunk draws several
+stages per call into one block it reuses, and adds them to its running
+sum one stage at a time, so the totals do not depend on the block size.
+The truncation sweep draws nothing of its own: a run's total at a level
 L <= K is the sum of its stages k <= L, so ``implosion_batch`` reads the
 moments of every sweep level, and of the gap between two levels, off the
 runs of the totals, and ``implosion_truncation_sweep`` compares them with
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import CHUNK_SIZE, run_chunked, run_ordered
+from ._parallel import CHUNK_SIZE, run_chunked
 # single_drop_prob and mortality stay importable here: perfbench/spans.py
 # wraps them by these names
 from .analytics import (  # noqa: F401
@@ -75,11 +74,16 @@ def scaled_passage_batch(
     return ScaledPassageBatch(k, n, a_n, num_samples, int(np.count_nonzero(finite)), scaled)
 
 
-# doubles per exponential block where that makes 4 stages or more (8 of
-# verify's 2000 runs); a larger chunk draws 4 stages per block, so no
-# block holds more than 4 * CHUNK_SIZE doubles.  Blocks start at their
-# segment's first stage, whatever the sweep, and the totals do not
-# depend on them.
+# a batch under MIN_CHUNKS full chunks splits into chunks of
+# ceil(runs / MIN_CHUNKS) runs: at 4, two workers share every batch of
+# two runs or more, and 4 full chunks or more keep their draws
+MIN_CHUNKS = 4
+
+# doubles per exponential block where that makes 4 stages or more (32 of
+# verify's 2000 runs, chunks of 500); a full chunk draws 4 stages per
+# block, so no block holds more than 4 * CHUNK_SIZE doubles.  Blocks
+# start at the chunk's first stage, whatever the sweep, and the totals do
+# not depend on them.
 STAGE_BLOCK = 2**14
 
 
@@ -100,16 +104,6 @@ def _add_rows(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     out = np.empty(1, dtype=np.float64) if out is None else out
     out[0] = np.cumsum(block)[-1]
     return out
-
-
-def _segments(K: int, m: int) -> list[tuple[int, int]]:
-    """The stage ranges ``[first, last)`` a chunk of ``m`` runs draws
-    apart: ``max(rows, ceil(K m / CHUNK_SIZE))`` stages each, ``rows =
-    STAGE_BLOCK // m`` but at least 1.  They depend on K and m only, and a
-    full chunk is one segment."""
-    rows = max(1, STAGE_BLOCK // m)
-    size = max(rows, -(-K * m // CHUNK_SIZE))
-    return [(first, min(first + size, K)) for first in range(0, K, size)]
 
 
 def check_sweep_levels(levels: Sequence[int], K: int | None = None) -> list[int]:
@@ -159,24 +153,22 @@ def implosion_batch(
     """Total implosion times for many runs (stage-vectorized), and the
     moments of the sweep ``levels`` read off the same runs.
 
-    Each chunk draws its stages level K first.  A chunk smaller than
-    ``CHUNK_SIZE`` splits them into ``_segments``, each drawn on a copy of
-    the chunk's stream moved to the segment's first draw, so segments run
-    on the ``workers`` pool and the draws equal one call per stage.  A
-    segment allocates one block of ``max(4, STAGE_BLOCK // m)`` stages for
-    its ``m`` runs and fills it with one sampler call per block: 4 stages
-    of a full chunk, 8 of 2000 runs.  The running sum goes into the
-    block's first row and the block's rows are then added in order, so a
-    segment adds its stages one at a time from zero, whatever the block
-    size, and the chunk adds the segment sums in stage order; a full chunk
-    is one segment, so its totals are the plain running sum.  The moments
-    are ``(level, gap)``: ``level[i]`` those of the runs' totals over the
-    stages k <= ``levels[i]``, ``gap[i]`` those of the paired difference
-    ``level[i + 1]`` minus ``level[i]``, the stages in (``levels[i]``,
-    ``levels[i + 1]``].  A level below K costs one copy of the running
-    totals: the sum of its block's rows before it.  Chunks are merged in
-    chunk order, so neither the totals nor the moments depend on
-    ``workers``.
+    The runs split into chunks of ``min(CHUNK_SIZE, ceil(runs /
+    MIN_CHUNKS))``, chunk i on ``rng.substream(i)``, so the chunks depend
+    on ``runs`` alone and a small batch still splits across ``workers``.
+    Each chunk draws its stages level K first.  A chunk of ``m`` runs
+    allocates one block of ``max(4, STAGE_BLOCK // m)`` stages and fills it
+    with one sampler call per block: 4 stages of a full chunk, 32 of a
+    chunk of 500, so the draws equal one call per stage.  The running sum
+    goes into the block's first row and the block's rows are then added in
+    order, so a chunk adds its stages one at a time from zero, whatever
+    the block size.  The moments are ``(level, gap)``: ``level[i]`` those
+    of the runs' totals over the stages k <= ``levels[i]``, ``gap[i]``
+    those of the paired difference ``level[i + 1]`` minus ``level[i]``, the
+    stages in (``levels[i]``, ``levels[i + 1]``].  A level below K costs
+    one copy of the running totals: the sum of its block's rows before it.
+    Chunks are merged in chunk order, so neither the totals nor the
+    moments depend on ``workers``.
     """
     K = check_count(K, "K", 1, AnalyticsError)
     rates = _stage_rates(alpha, K)
@@ -186,36 +178,20 @@ def implosion_batch(
     # stage i is level K - i: the totals before stage K - L are the stages above L
     cuts = [K - L for L in reversed(levels)]
 
-    def segment(stream: RngStream, m: int, first: int, last: int):
-        # the segment's sum per run, and its partial sums at the cuts in (first, last]
-        total = np.zeros(m, dtype=np.float64)
-        partial = []
-        rows = min(max(4, STAGE_BLOCK // m), last - first)
+    def task(stream: RngStream, m: int):
+        totals = np.zeros(m, dtype=np.float64)
+        above = [0.0] * cuts.count(0)  # per cut, the stages above its level
+        rows = min(max(4, STAGE_BLOCK // m), K)
         buffer = np.empty((rows, m), dtype=np.float64)
-        for start in range(first, last, rows):
-            end = min(start + rows, last)
+        for start in range(0, K, rows):
+            end = min(start + rows, K)
             block = buffer[: end - start]
             sample_exponential_batch(stream, rates[start:end], m, out=block)
-            block[0] += total  # so each row adds one stage to the running sum
-            for cut in cuts:
-                if start < cut <= end:
-                    partial.append(_add_rows(block[: cut - start]))
-            _add_rows(block, out=total)
-        return total, partial
-
-    def task(stream: RngStream, m: int):
-        pieces = [functools.partial(segment, stream.advanced(first * m), m, first, last)
-                  for first, last in _segments(K, m)]
-        # the running totals and, per cut, the stages above its level, summed
-        # in place in the segments' own arrays: float addition commutes
-        totals, above = 0.0, [0.0] if cuts and cuts[0] == 0 else []
-        for total, partial in run_ordered(pieces, workers):
-            for prefix in partial:
-                prefix += totals
-            total += totals
-            totals, above = total, above + partial
+            block[0] += totals  # so each row adds one stage to the running sum
+            above += [_add_rows(block[: cut - start]) for cut in cuts if start < cut <= end]
+            _add_rows(block, out=totals)
         above.reverse()
-        scratch = np.empty(m, dtype=np.float64)
+        scratch = buffer[0]  # the block is drawn: its first row is free
         level, gap = [], []
         for prefix in above:
             np.subtract(totals, prefix, out=scratch)
@@ -225,7 +201,8 @@ def implosion_batch(
             gap.append(_moments(scratch))
         return totals, level, gap
 
-    parts = run_chunked(rng, runs, task, workers, AnalyticsError)
+    chunk = min(CHUNK_SIZE, -(-runs // MIN_CHUNKS))
+    parts = run_chunked(rng, runs, task, chunk, workers, AnalyticsError)
 
     def merged(j: int) -> list[Moments]:
         return [functools.reduce(_merge, chunks) for chunks in zip(*(part[j] for part in parts))]

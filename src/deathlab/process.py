@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import _parallel, kernels
 from ._parallel import run_chunked
 from .regimes import MortalityRegime, check_count, check_probability, mortality, prepare
 from .rng import RngStream
@@ -102,14 +102,14 @@ def _run_batch(rng: RngStream, samples: int, dtypes, kernel, workers: int = 1) -
     """Chunk i of the runs on ``rng.substream(i)``, into fresh arrays of
     ``dtypes`` filled by ``kernel(generator, *arrays)``: each array joined
     in chunk order (empty at 0 samples, nothing drawn), then what ``kernel``
-    returned per chunk.  ``run_chunked`` and ``kernels`` are looked up per
-    call, where ``perfbench/spans.py`` wraps them."""
+    returned per chunk.  ``run_chunked``, ``kernels`` and ``CHUNK_SIZE`` are
+    looked up per call, where ``perfbench/spans.py`` and tests patch them."""
 
     def task(stream: RngStream, m: int):
         outs = [np.empty(m, dtype=dtype) for dtype in dtypes]
         return outs, kernel(stream.generator, *outs)
 
-    parts = run_chunked(rng, samples, task, workers, ProcessError)
+    parts = run_chunked(rng, samples, task, _parallel.CHUNK_SIZE, workers, ProcessError)
     joined = [np.concatenate([np.empty(0, dtype)] + [outs[i] for outs, _ in parts])
               for i, dtype in enumerate(dtypes)]
     return [*joined, [returned for _, returned in parts]]

@@ -170,6 +170,9 @@ class Table:
 
 MortalityRegime = Union[Constant, InitialPower, StatePower, JointPower, Table]
 
+# the families whose mortality does not depend on the current state k
+STATE_INDEPENDENT = (Constant, InitialPower)
+
 # JSON type tag -> regime class.  A parametric family's dataclass fields are
 # its parameters: the JSON fields and, in order, the inline arguments.
 FAMILIES = {
@@ -225,7 +228,7 @@ def prepare(regime: MortalityRegime, n: int) -> np.ndarray:
     costs O(1) memory; the other regimes get n+1.  Entry 0 repeats entry
     1 (state 0 is absorbing, so no kernel reads it).
     """
-    top = 1 if isinstance(regime, (Constant, InitialPower)) else n
+    top = 1 if isinstance(regime, STATE_INDEPENDENT) else n
     values = [mortality(regime, k, n) for k in range(1, top + 1)]
     return np.array(values[:1] + values, dtype=np.float64)
 

@@ -14,9 +14,6 @@ import numpy as np
 
 from .regimes import check_count
 
-# 64-bit words per Philox4x64 counter step
-PHILOX_WORDS = 4
-
 
 class RngError(ValueError):
     """Invalid stream construction."""
@@ -52,19 +49,6 @@ class RngStream:
         """Derive the ``index``-th child stream; independent of this one."""
         index = check_count(index, "substream index", 0, RngError)
         return RngStream(self.seed, self.stream_id, self.path + (index,))
-
-    def advanced(self, words: int) -> "RngStream":
-        """A fresh copy of this stream moved ``words`` 64-bit words ahead:
-        its draws are this stream's from word ``words`` of a fresh start
-        on (a double is one word).  Philox is counter-based, so this costs
-        the same for any ``words``: ``advance`` skips whole counter steps
-        of a fresh generator, whose buffer is empty, and the remainder is
-        drawn and dropped."""
-        steps, rest = divmod(check_count(words, "words", 0, RngError), PHILOX_WORDS)
-        copy = RngStream(self.seed, self.stream_id, self.path)
-        copy.generator.bit_generator.advance(steps)
-        copy.generator.bit_generator.random_raw(rest, output=False)
-        return copy
 
 
 def make_stream(seed: int, stream_id: int = 0) -> RngStream:

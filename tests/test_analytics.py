@@ -28,7 +28,9 @@ from deathlab import (
     single_drop_prob,
     typical_extinction_time,
 )
-from deathlab.analytics import SUM_BLOCK, block_sum, expected_extinction_terms, expected_extinction_time
+from deathlab.analytics import (
+    SUM_BLOCK, block_sum, expected_extinction_terms, expected_extinction_time, implosion_cumulants,
+)
 from deathlab.oracle import exact_single_drop_path_prob
 
 ZETA_3 = 1.2020569031595943  # reference constant for sum k^-3
@@ -353,6 +355,26 @@ class TestImplosionSeries:
             implosion_expected_time(0.0, 10)
         with pytest.raises(AnalyticsError):
             implosion_expected_time(-1.0, 10)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("K", [1, 7, 2000, 2**16 + 1])
+    def test_cumulants_are_the_series_of_higher_powers(self, K, alpha):
+        # sum k^-2(alpha+1) and 6 sum k^-4(alpha+1): the mean's series at
+        # exponents 2 alpha + 1 and 4 alpha + 3
+        variance, kappa4 = implosion_cumulants(alpha, K)
+        assert variance == implosion_expected_time(2 * alpha + 1, K)[0]
+        assert kappa4 == 6 * implosion_expected_time(4 * alpha + 3, K)[0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [8e307, 1e308, np.finfo(np.float64).max])
+    def test_cumulants_of_an_overflowing_exponent_are_stage_one(self, alpha):
+        # 2 (alpha + 1), or twice it, passes the largest double: only k = 1 adds
+        assert implosion_cumulants(alpha, 10**4) == (1.0, 6.0)
+
+    @pytest.mark.parametrize("alpha, K", [(0.0, 10), (math.inf, 10), (1.0, 0)])
+    def test_cumulants_refuse_what_the_series_refuses(self, alpha, K):
+        with pytest.raises(AnalyticsError):
+            implosion_cumulants(alpha, K)
 
 
 class TestReport:

@@ -542,6 +542,19 @@ def test_implode_with_overflowing_stage_rates_is_silent(runner):
     assert result.exit_code == 0, result.output
 
 
+@pytest.mark.filterwarnings("error")
+def test_implode_accepts_the_largest_alpha(runner, tmp_path):
+    # 2 alpha + 2 overflows a double: only k = 1 adds to the variance (1)
+    # and to the fourth cumulant (6), and the half-width is 4 sqrt(6/4 + 2/3)
+    args = ["implode", "--alpha", "1e308", "--k-max", "10", "--runs", "4", "--out", str(tmp_path)]
+    result = invoke(runner, args)
+    assert result.exit_code == 0, result.output
+    rows = json.loads((tmp_path / "implode_report.json").read_text())["rows"]
+    variance = next(r for r in rows if r["label"].startswith("variance"))
+    assert variance["closed_form"] == 1.0
+    assert variance["monte_carlo"]["half_width"] == pytest.approx(4 * math.sqrt(6 / 4 + 2 / 3), rel=1e-15)
+
+
 def test_verify_passes_and_is_deterministic(runner, tmp_path):
     args = ["verify", "--samples", "4000", "--out"]
     r1 = invoke(runner, args + [str(tmp_path / "v1.json")])

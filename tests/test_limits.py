@@ -22,8 +22,8 @@ from deathlab import (
     wilson_interval,
 )
 from deathlab import limits
-from deathlab._parallel import CHUNK_SIZE, chunk_sizes
-from deathlab.limits import STAGE_BLOCK, _merge, _moments, _segments
+from deathlab._parallel import CHUNK_SIZE, chunk_sizes, run_chunked
+from deathlab.limits import _merge, _moments
 from deathlab.samplers import sample_exponential_batch
 from deathlab.stats import SampleSummary
 
@@ -136,7 +136,7 @@ def test_level_and_gap_moments_match_a_reference_loop():
     # rebuild each run's stages chunk by chunk, level K first, on the same substreams
     rates = np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.0)
     chunks = []
-    for i, m in enumerate(chunk_sizes(runs)):
+    for i, m in enumerate(_chunks(runs)):
         stream = root.substream(i)
         chunks.append(np.array([sample_exponential_batch(stream, float(rate), m) for rate in rates]))
     stages = np.concatenate(chunks, axis=1)
@@ -149,30 +149,27 @@ def test_level_and_gap_moments_match_a_reference_loop():
         assert m2 / (count - 1) == pytest.approx(values.var(ddof=1), rel=1e-12)
 
 
-def _stage_by_stage(alpha, K, runs, root, levels, segmented=True):
-    """Reference for implosion_batch: one exponential call per stage, level K
-    first, and the chunks' moments merged in chunk order.  A chunk of m runs
-    splits its K stages into segments of max(rows, ceil(K m / CHUNK_SIZE))
-    stages, rows = STAGE_BLOCK // m but at least 1; a segment adds its
-    stages one at a time from zero, and the chunk adds the segment sums in
-    order.  A sweep level's prefix is the running sum before its stage.
-    ``segmented=False`` adds every stage of a chunk one at a time, the sum
-    of a batch made of full chunks."""
+def _chunks(runs):
+    # a quarter of a batch under four full chunks, rounded up, else full chunks
+    return chunk_sizes(runs, min(CHUNK_SIZE, math.ceil(runs / 4)))
+
+
+def _stage_by_stage(alpha, K, runs, root, levels):
+    """Reference for implosion_batch: chunk i of ``_chunks(runs)`` on
+    substream i, one exponential call per stage, level K first; each chunk
+    adds its stages one at a time from zero, and the chunks' moments are
+    merged in chunk order.  A sweep level's prefix is the running sum
+    before its stage."""
     rates = np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.0)
     parts = []
-    for i, m in enumerate(chunk_sizes(runs)):
+    for i, m in enumerate(_chunks(runs)):
         stream = root.substream(i)
-        stages = [sample_exponential_batch(stream, float(rate), m) for rate in rates]
-        size = max(max(1, STAGE_BLOCK // m), math.ceil(K * m / CHUNK_SIZE)) if segmented else K
         totals = np.zeros(m)
         above = {}  # level -> the stages above it
-        for first in range(0, K, size):
-            segment = np.zeros(m)
-            for j in range(first, min(first + size, K)):  # stage j is level K - j
-                if K - j in levels:
-                    above[K - j] = totals + segment if j else 0.0
-                segment += stages[j]
-            totals += segment
+        for j, rate in enumerate(rates):  # stage j is level K - j
+            if K - j in levels:
+                above[K - j] = totals.copy()
+            totals += sample_exponential_batch(stream, float(rate), m)
         level = [_moments(totals - above[L]) for L in levels]
         gap = [_moments(above[low] - above[high]) for low, high in zip(levels, levels[1:])]
         parts.append((totals, level, gap))
@@ -180,45 +177,60 @@ def _stage_by_stage(alpha, K, runs, root, levels, segmented=True):
     return np.concatenate([p[0] for p in parts]), tuple(merged)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_blocked_stages_equal_one_call_per_stage(workers):
-    # the short last chunk draws 16384 // 3000 = 5 stages per call in
-    # segments of ceil(43 * 3000 / 16384) = 8 stages; the cuts before
-    # stages 23 (level 20) and 42 (level 1) fall inside a block, the one
-    # before stage 40 (level 3) between two segments
-    alpha, K, levels, runs = 1.0, 43, [1, 3, 20, 43], CHUNK_SIZE + 3000
-    assert STAGE_BLOCK // 3000 == 5
-    assert _segments(K, 3000) == [(0, 8), (8, 16), (16, 24), (24, 32), (32, 40), (40, 43)]
-    totals, moments = implosion_batch(alpha, K, runs, make_stream(25, 4), workers=workers, levels=levels)
-    ref_totals, ref_moments = _stage_by_stage(alpha, K, runs, make_stream(25, 4), levels)
-    assert np.array_equal(totals, ref_totals)
-    assert moments == ref_moments
-
-
-@pytest.mark.parametrize("m, K, levels", [
-    (1, 50, [1, 9, 40, 50]),  # one column of 50 stages, which numpy's axis-0 sum would add pairwise
-    (3, 50, [1, 9, 40, 50]),
-    (3000, 43, [1, 3, 20, 43]),
-    (CHUNK_SIZE, 37, [2, 9, 30]),  # blocks of 4 stages; levels 30 and 2 cut inside one, level 9 between two
+@pytest.mark.parametrize("runs, lengths", [
+    (1, [1]),
+    (3, [1, 1, 1]),
+    (2000, [500] * 4),  # verify's implosion
+    (3 * CHUNK_SIZE + 11, [12291] * 3 + [12290]),
+    (4 * CHUNK_SIZE, [CHUNK_SIZE] * 4),  # the implode benchmark: full chunks
+    (10**5, [CHUNK_SIZE] * 6 + [1696]),
 ])
-def test_a_chunk_adds_its_stages_one_at_a_time(m, K, levels):
+def test_blocked_stages_equal_one_call_per_stage(monkeypatch, runs, lengths):
+    # chunks of 500 runs draw 32 stages per block: levels 37, 20 and 3 cut
+    # inside the first two; a full chunk draws 4, and level 20 cuts between two
+    alpha, K, levels = 1.0, 40, [3, 20, 37, 40]
+    seen = []
+
+    def recorded(root, total, task, *args):
+        def chunk(stream, m):
+            seen.append((stream.path[-1], m))
+            return task(stream, m)
+        return run_chunked(root, total, chunk, *args)
+
+    monkeypatch.setattr(limits, "run_chunked", recorded)
+    assert _chunks(runs) == lengths
+    ref_totals, ref_moments = _stage_by_stage(alpha, K, runs, make_stream(25, 4), levels)
+    for workers in (1, 2, 8):
+        seen.clear()
+        totals, moments = implosion_batch(alpha, K, runs, make_stream(25, 4), workers=workers, levels=levels)
+        assert sorted(seen) == list(enumerate(lengths))
+        assert np.array_equal(totals, ref_totals)
+        assert moments == ref_moments
+
+
+@pytest.mark.parametrize("runs, K, levels", [
+    (1, 50, [1, 9, 40, 50]),  # one column of 50 stages, which numpy's axis-0 sum would add pairwise
+    (12, 50, [1, 9, 40, 50]),  # chunks of 3 runs
+    (3000, 43, [1, 3, 20, 43]),  # chunks of 750 in blocks of 21 stages
+    (CHUNK_SIZE, 37, [2, 9, 30]),  # chunks of 4096 in blocks of 4; levels 30 and 2 cut inside one, 9 between two
+])
+def test_a_chunk_adds_its_stages_one_at_a_time(runs, K, levels):
     # numpy's axis-0 sum of two columns or more adds the rows in order
-    totals, moments = implosion_batch(1.0, K, m, make_stream(25, 7), levels=levels)
-    ref_totals, ref_moments = _stage_by_stage(1.0, K, m, make_stream(25, 7), levels)
+    totals, moments = implosion_batch(1.0, K, runs, make_stream(25, 7), levels=levels)
+    ref_totals, ref_moments = _stage_by_stage(1.0, K, runs, make_stream(25, 7), levels)
     assert np.array_equal(totals, ref_totals)
     assert moments == ref_moments
 
 
-@pytest.mark.parametrize("K, m, levels", [(300, 2000, [1, 7, 150, 300]), (120, 3000, [2, 60, 119]),
-                                          (40, 8000, [3, 21, 40])])
-def test_the_totals_do_not_depend_on_the_block_size(monkeypatch, K, m, levels):
-    # blocks of 4, 8 and 32 stages at 2000 runs, 4, 5 and 21 at 3000, 4, 4 and 8 at 8000
-    spans, results = [], []
+@pytest.mark.parametrize("K, runs, levels", [(300, 2000, [1, 7, 150, 300]), (120, 3000, [2, 60, 119]),
+                                             (40, 8000, [3, 21, 40])])
+def test_the_totals_do_not_depend_on_the_block_size(monkeypatch, K, runs, levels):
+    # chunks of 500 in blocks of 8, 32 and 131 stages, of 750 in 5, 21 and 87,
+    # of 2000 in 4, 8 and 32
+    results = []
     for block in (2**12, 2**14, 2**16):
         monkeypatch.setattr(limits, "STAGE_BLOCK", block)
-        spans.append(_segments(K, m))
-        results.append(implosion_batch(1.0, K, m, make_stream(25, 8), levels=levels))
-    assert spans[0] == spans[1] == spans[2]
+        results.append(implosion_batch(1.0, K, runs, make_stream(25, 8), levels=levels))
     for totals, moments in results[1:]:
         assert np.array_equal(totals, results[0][0])
         assert moments == results[0][1]
@@ -228,48 +240,15 @@ def test_a_full_chunk_draws_into_one_reused_block():
     column = CHUNK_SIZE * 8  # bytes of one double per run
     tracemalloc.start()
     try:
-        implosion_batch(1.0, 1000, CHUNK_SIZE, make_stream(25, 9), levels=(10, 100, 1000))
+        implosion_batch(1.0, 1000, 4 * CHUNK_SIZE, make_stream(25, 9), levels=(10, 100, 1000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the block of 4 stages, the running sum and the stages above levels 100
-    # and 10, and less than half a column besides; a second block alive, or
-    # a larger one, goes over
-    assert peak < (4 + 3) * column + column // 2
-
-
-def test_segments_follow_the_runs_and_stages_only():
-    # verify's implosion: 2000 runs of 2000 stages in 9 segments of 245 stages
-    assert _segments(2000, 2000) == [(i * 245, min((i + 1) * 245, 2000)) for i in range(9)]
-    assert _segments(2000, CHUNK_SIZE) == [(0, 2000)]  # a full chunk is one segment
-    assert _segments(10, 1) == [(0, 10)]  # never fewer stages than a block
-    for K, m in [(1, 1), (7, 3), (300, 4000), (2000, 2000), (5, CHUNK_SIZE - 1)]:
-        spans = _segments(K, m)
-        assert spans[0][0] == 0 and spans[-1][1] == K
-        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-
-
-@pytest.mark.parametrize("runs", [CHUNK_SIZE, 2 * CHUNK_SIZE])
-def test_full_chunks_equal_the_plain_running_sum(runs):
-    alpha, K, levels = 1.0, 37, [2, 9, 30]
-    totals, moments = implosion_batch(alpha, K, runs, make_stream(25, 5), workers=2, levels=levels)
-    ref_totals, ref_moments = _stage_by_stage(alpha, K, runs, make_stream(25, 5), levels, segmented=False)
-    assert np.array_equal(totals, ref_totals)
-    assert moments == ref_moments
-
-
-def test_a_batch_under_one_chunk_does_not_depend_on_workers():
-    # 2000 runs of 200 stages: segments of 25 stages, blocks of 8; level 190
-    # cuts inside a block and a segment, level 100 between two segments
-    alpha, K, levels, runs = 1.0, 200, [3, 100, 190, 200], 2000
-    assert _segments(K, runs)[:2] == [(0, 25), (25, 50)]
-    results = [implosion_batch(alpha, K, runs, make_stream(25, 6), workers=w, levels=levels) for w in (1, 2, 8)]
-    for totals, moments in results[1:]:
-        assert np.array_equal(totals, results[0][0])
-        assert moments == results[0][1]
-    ref_totals, ref_moments = _stage_by_stage(alpha, K, runs, make_stream(25, 6), levels)
-    assert np.array_equal(results[0][0], ref_totals)
-    assert results[0][1] == ref_moments
+    # in the last of four full chunks: the block of 4 stages, the running
+    # sum and the stages above levels 100 and 10, the three earlier chunks'
+    # totals, and less than half a column besides; a second block alive,
+    # or a larger one, goes over
+    assert peak < (4 + 3 + 3) * column + column // 2
 
 
 def test_sweep_rows_do_not_depend_on_workers():

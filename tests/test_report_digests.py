@@ -35,9 +35,9 @@ EXPECTED = {
     "extinct/extinct_report.json": "77cb3210f1984bdc0090305653b82c1f9106139d3b0f8460c1be912f58badf5d",
     "extinct/state_distribution.csv": "87fd2b806b8b82551386135433a9dde721a8a0d91a5a9bd69519b192182891a0",
     "extinct:exit": "0",
-    "implode/implode_hist.csv": "943c1e46a6995e02bb95144d906557225820f0cf6243fae1c0ac9efd852dafef",
-    "implode/implode_report.json": "ddba4448bd29aa8fd58be79f2e73b9afde666c46c48d1b19e21ce4007cef386b",
-    "implode/implode_sweep.csv": "b2f709dc4e2f020bc54d3eeaf9e2fc882525a918c0940bb05121106b4c3def7f",
+    "implode/implode_hist.csv": "16564113c269eb0e4c39cad7ef57113d055456fe8b5d2de8963804a0295722a1",
+    "implode/implode_report.json": "4df07e7e6e0e132ff14d89f08a788e557eba6d8158273aa3530d8c9c76692c47",
+    "implode/implode_sweep.csv": "10875e56667a12cedb5e74bf50cee58658d8bbd30a273d9132d3d0532ccf08be",
     "implode:exit": "0",
     "passage/passage_report.json": "0670151129f5090fe62dc417293aeb2513ff15f8c14b391217a489601ffd9404",
     "passage/scaled_passage_times.csv": "b86591f8697b2ef4e357dc5f2e7fb93de8e3a54d4acbd325bc3852bf62a40180",
@@ -48,7 +48,7 @@ EXPECTED = {
     "simulate/summary.json": "ce9541ffe5f1d08be6f7914444a32fbb758e64887c4a28d4be72a0a1f1e98647",
     "simulate/trajectories.csv": "489268c6fa74ec084ba450e2c37cf4fa9a5d0ed1bfa0d04a290ceb44b292991e",
     "simulate:exit": "0",
-    "verify/verify.json": "86c3c611b4855a4e7f52f67a3d5c57cd932a819b2cd0f83d941ba8d2afc1eacd",
+    "verify/verify.json": "30c59f8639e1c4598810922f7d4aac75e3f1e350f75e23b03c3b6f11d8d13939",
     "verify:exit": "0",
 }
 

@@ -57,14 +57,13 @@ def test_invalid_construction_rejected(monkeypatch, seed, stream_id):
     assert made == []
 
 
-@pytest.mark.parametrize("derive", ["substream", "advanced"])
 @pytest.mark.parametrize("index", [-1, True, 1.5, "1", math.nan])
-def test_invalid_derivation_rejected(monkeypatch, derive, index):
+def test_invalid_derivation_rejected(monkeypatch, index):
     root = make_stream(3, 1)
     made = []
     monkeypatch.setattr(rng, "_make_generator", lambda *args: made.append(args))
     with pytest.raises(RngError):
-        getattr(root, derive)(index)
+        root.substream(index)
     assert made == []
 
 
@@ -76,12 +75,3 @@ def test_identifiers_are_counts():
         assert (stream.seed, stream.stream_id, stream.path) == (2**64 - 1, 3, (3, 4))
         assert np.array_equal(draws(stream), expected)
 
-
-@pytest.mark.parametrize("words", [0, 1, 3, 4, 5, 16001, 2**20 + 3])
-def test_an_advanced_stream_continues_a_fresh_one(words):
-    # doubles w+1, w+2, ... of a fresh stream: numpy's Philox.advance moves
-    # whole counter steps of four words from an empty buffer
-    root = make_stream(11, 2).substream(5)
-    root.generator.random(7)  # the copy starts from a fresh stream whatever this one drew
-    fresh = make_stream(11, 2).substream(5).generator.random(words + 50)
-    assert np.array_equal(root.advanced(words).generator.random(50), fresh[words:])
