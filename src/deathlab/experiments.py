@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -45,6 +46,9 @@ from .analytics import (
     typical_extinction_time,
 )
 from .limits import (
+    Moments,
+    _moments,
+    _stderr,
     check_sweep_levels,
     implosion_batch,
     implosion_truncation_sweep,
@@ -157,22 +161,34 @@ def _ks_row(label: str, distance: float, critical: float, note: str = "") -> Rep
     )
 
 
-def _worst(points, gap):
-    """The first of ``points`` whose ``gap`` is largest."""
-    return max(points, key=gap)
+def _point(fmt: str, **axes) -> Callable[[int], str]:
+    """The name of point i of a grid over the product of ``axes``, in
+    loop order (the last varies fastest), formatted by ``fmt``."""
+    shape = [len(axis) for axis in axes.values()]
+
+    def where(i: int) -> str:
+        at = np.unravel_index(i, shape)
+        return fmt.format(**{name: axis[j] for (name, axis), j in zip(axes.items(), at)})
+
+    return where
 
 
-def _grid_row(label: str, points, tol: float, note: str = "") -> ReportRow:
+def _grid_row(label: str, closed, oracle, where, tol: float, note: str = "") -> ReportRow:
     """Closed form vs oracle at the first grid point where they differ most;
-    ``points`` yields ``(closed, oracle, where)``."""
-    closed, oracle, where = _worst(points, lambda p: abs(p[0] - p[1]))
-    return ReportRow.compare(f"{label} (grid worst: {where})", closed, oracle=oracle, tol=tol, note=note)
+    ``closed`` and ``oracle`` hold one value per point, in the same order,
+    and ``where(i)`` names point i."""
+    closed = np.asarray(closed, dtype=np.float64).ravel()
+    oracle = np.asarray(oracle, dtype=np.float64).ravel()
+    i = int(np.argmax(np.abs(closed - oracle)))
+    return ReportRow.compare(
+        f"{label} (grid worst: {where(i)})", float(closed[i]), oracle=float(oracle[i]), tol=tol, note=note
+    )
 
 
-def _mean_row(label: str, expected: float, values: np.ndarray, note: str = "") -> ReportRow:
-    """The sample mean of ``values`` within four standard errors of ``expected``."""
-    stderr = float(values.std(ddof=1) / math.sqrt(values.size))
-    return ReportRow.compare(label, expected, monte_carlo=(float(values.mean()), 4 * stderr), note=note)
+def _mean_row(label: str, expected: float, moments: Moments, note: str = "") -> ReportRow:
+    """The sample mean of a sample's ``moments`` within four standard
+    errors of ``expected``."""
+    return ReportRow.compare(label, expected, monte_carlo=(moments[1], 4 * _stderr(moments)), note=note)
 
 
 def _finite_hits(
@@ -216,13 +232,14 @@ def _ratio_rows(
     value."""
     d = typical_extinction_time(n, c)
     ratios = sample_max_geometric_batch(stream, n, c, samples) / d
+    beyond = int(np.count_nonzero(np.abs(ratios - 1.0) > RATIO_EPS))  # before _moments overwrites ratios
     note = "exact mean by survival-function summation"
-    report.add(_mean_row(f"mean tau/d_n [{tag}]", expected_extinction_time(n, c) / d, ratios, note))
+    report.add(_mean_row(f"mean tau/d_n [{tag}]", expected_extinction_time(n, c) / d, _moments(ratios), note))
     report.add(
         ReportRow.wilson(
             f"P(|tau/d_n - 1| > {RATIO_EPS:g}) [{tag}]",
             exceedance_probability(n, c, RATIO_EPS),
-            int(np.count_nonzero(np.abs(ratios - 1.0) > RATIO_EPS)),
+            beyond,
             samples,
             MC_LEVEL,
             note="exact value from the CDF",
@@ -507,14 +524,15 @@ def build_implode_outputs(
     levels = check_sweep_levels(sweep or (), K)
     totals, moments = implosion_batch(alpha, K, runs, make_stream(seed, 0), workers=workers, levels=levels)
     label = f"mean implosion time [alpha={alpha:g}, K={K}]"
-    report.add(_mean_row(label, partial, totals, "expected value = partial sum"))
+    whole = moments[0]
+    report.add(_mean_row(label, partial, whole, "expected value = partial sum"))
     # the sample variance's own variance, from the law: kappa4/n + 2 var^2/(n-1)
     var_se = math.sqrt(kappa4 / runs + 2.0 * variance**2 / (runs - 1))
     report.add(
         ReportRow.compare(
             f"variance of implosion time [alpha={alpha:g}, K={K}]",
             variance,
-            monte_carlo=(float(totals.var(ddof=1)), 4 * var_se),
+            monte_carlo=(whole[2] / (runs - 1), 4 * var_se),
             note="variance = sum of rate^-2",
         )
     )
@@ -569,93 +587,87 @@ def build_verify_report(
     # --- identities -------------------------------------------------------
     # one DP per mortality: from every start at once, on the largest start's
     # kernel, whose rows do not depend on n under constant mortality
-    def extinction_points():
-        starts = range(1, 16)
-        for c in (0.05, 0.3, 0.9):
-            history = state_distribution_history(starts[-1], Constant(c), 50, starts=starts)
-            for i, n in enumerate(starts):
-                for t in range(51):
-                    yield extinction_cdf(n, c, t), history[t, i, 0], f"n={n}, c={c}, t={t}"
+    starts, times, mortalities = range(1, 16), range(51), (0.05, 0.3, 0.9)
+    closed = [extinction_cdf(n, c, t) for c in mortalities for n in starts for t in times]
+    oracle = [
+        state_distribution_history(starts[-1], Constant(c), times[-1], starts=starts)[:, :, 0].T
+        for c in mortalities
+    ]
+    where = _point("n={n}, c={c}, t={t}", c=mortalities, n=starts, t=times)
+    report.add(_grid_row("extinction CDF vs DP", closed, oracle, where, tol))
 
-    report.add(_grid_row("extinction CDF vs DP", extinction_points(), tol))
+    # constant mortality thins each individual independently, so the whole
+    # DP state law must equal Binomial(n, (1-c)^t)
+    starts, times, mortalities = (4, 11, 20), (1, 3, 10, 40), (0.1, 0.5)
+    laws, pmfs = [], []
+    for c in mortalities:
+        history = state_distribution_history(starts[-1], Constant(c), times[-1], starts=starts)
+        for i, n in enumerate(starts):
+            for t in times:
+                p_alive = (1.0 - c) ** t
+                laws.append(history[t, i, : n + 1])
+                pmfs += [math.comb(n, x) * p_alive**x * (1 - p_alive) ** (n - x) for x in range(n + 1)]
+    law_of = np.repeat(np.arange(len(laws)), [law.size for law in laws])  # each point's (c, n, t)
+    where = _point("n={n}, c={c}, t={t}", c=mortalities, n=starts, t=times)
+    report.add(
+        _grid_row("DP state law vs thinned binomial", np.concatenate(laws), pmfs, lambda i: where(law_of[i]), tol)
+    )
 
-    def thinned_binomial_points():
-        # constant mortality thins each individual independently, so the
-        # whole DP state law must equal Binomial(n, (1-c)^t)
-        starts = (4, 11, 20)
-        for c in (0.1, 0.5):
-            history = state_distribution_history(starts[-1], Constant(c), 40, starts=starts)
-            for i, n in enumerate(starts):
-                for t in (1, 3, 10, 40):
-                    p_alive = (1.0 - c) ** t
-                    for x in range(n + 1):
-                        pmf = math.comb(n, x) * p_alive**x * (1 - p_alive) ** (n - x)
-                        yield float(history[t, i, x]), pmf, f"n={n}, c={c}, t={t}"
-
-    report.add(_grid_row("DP state law vs thinned binomial", thinned_binomial_points(), tol))
-
-    def geometric_errors():
-        # (relative error, where) of the n=1 CDF against the geometric CDF
-        for c in (0.05, 0.3, 0.5, 0.95):
-            for t in range(1, 51):
-                geom = -math.expm1(t * math.log1p(-c))
-                yield abs(extinction_cdf(1, c, t) - geom) / geom, f"c={c}, t={t}"
-
-    worst_rel, at = _worst(geometric_errors(), lambda e: e[0])
+    # the n=1 CDF against the geometric CDF, by relative error
+    mortalities, times = (0.05, 0.3, 0.5, 0.95), range(1, 51)
+    geom = np.array([-math.expm1(t * math.log1p(-c)) for c in mortalities for t in times])
+    cdf = np.array([extinction_cdf(1, c, t) for c in mortalities for t in times])
+    rel = np.abs(cdf - geom) / geom
+    worst = int(np.argmax(rel))
+    where = _point("c={c}, t={t}", c=mortalities, t=times)
     report.add(
         ReportRow(
-            f"extinction CDF at n=1 vs geometric CDF (worst rel: {at})",
-            worst_rel,
+            f"extinction CDF at n=1 vs geometric CDF (worst rel: {where(worst)})",
+            float(rel[worst]),
             0.0,
             None,
-            worst_rel <= tol,
+            bool(rel[worst] <= tol),
             "relative error",
         )
     )
 
-    drop_grid = [(k, c) for k in (1, 2, 3, 5, 10, 20, 30) for c in (0.05, 0.1, 0.3, 0.5, 0.9)]
-    jump_points = (
-        (single_drop_prob(k, c), float(exact_jump_law(k, c)[0]), f"k={k}, c={c}")
-        for k, c in drop_grid
-    )
-    report.add(_grid_row("single-drop prob vs oracle jump law", jump_points, tol))
-    entry_points = (
-        (single_drop_prob(k, c), float(drop_distribution(k, c)[k - 1]), f"k={k}, c={c}")
-        for k, c in drop_grid
-    )
-    report.add(_grid_row("single-drop prob vs drop distribution entry", entry_points, tol))
-    path_points = (
-        (single_drop_path_prob(n, [c] * n), exact_single_drop_path_prob(n, Constant(c)), f"n={n}, c={c}")
-        for c in (0.05, 0.1, 0.3)
-        for n in range(0, 11)
-    )
-    report.add(_grid_row("single-drop path prob vs oracle", path_points, tol))
+    ks, mortalities = (1, 2, 3, 5, 10, 20, 30), (0.05, 0.1, 0.3, 0.5, 0.9)
+    drop_grid = [(k, c) for k in ks for c in mortalities]
+    where = _point("k={k}, c={c}", k=ks, c=mortalities)
+    closed = [single_drop_prob(k, c) for k, c in drop_grid]
+    jumps = [exact_jump_law(k, c)[0] for k, c in drop_grid]
+    report.add(_grid_row("single-drop prob vs oracle jump law", closed, jumps, where, tol))
+    entries = [drop_distribution(k, c)[k - 1] for k, c in drop_grid]
+    report.add(_grid_row("single-drop prob vs drop distribution entry", closed, entries, where, tol))
+    mortalities, starts = (0.05, 0.1, 0.3), range(11)
+    closed = [single_drop_path_prob(n, [c] * n) for c in mortalities for n in starts]
+    oracle = [exact_single_drop_path_prob(n, Constant(c)) for c in mortalities for n in starts]
+    where = _point("n={n}, c={c}", c=mortalities, n=starts)
+    report.add(_grid_row("single-drop path prob vs oracle", closed, oracle, where, tol))
 
-    def bound_points():
-        # (exact path prob, lower bound, where) for the three bound families
-        for c in (0.05, 0.1, 0.3, 0.5):
-            for n in range(1, 13):
-                exact = single_drop_path_prob(n, [c] * n)
-                yield exact, path_prob_lower_bound_constant(n, c), f"n={n}, c={c}"
-        state = StatePower(1.0, 3.0)
+    # (exact path prob, lower bound, where) for the three bound families
+    bounds = []
+    for c in (0.05, 0.1, 0.3, 0.5):
         for n in range(1, 13):
-            mort = mortality_vector(state, n)
-            yield single_drop_path_prob(n, mort), path_prob_lower_bound_state(n, mort), f"state n={n}"
-        joint = JointPower(1.0, 4.0)
-        for n in range(2, 11):
-            exact = single_drop_path_prob(n, mortality_vector(joint, n))
-            yield exact, path_prob_lower_bound_joint(n, joint.alpha, joint.beta), f"joint n={n}"
-
-    bounds = list(bound_points())
-    ok = all(bound <= exact + tol for exact, bound, _ in bounds)
-    exact, bound, where = _worst(bounds, lambda b: b[1] - b[0])  # the tightest
+            exact = single_drop_path_prob(n, [c] * n)
+            bounds.append((exact, path_prob_lower_bound_constant(n, c), f"n={n}, c={c}"))
+    state = StatePower(1.0, 3.0)
+    for n in range(1, 13):
+        mort = mortality_vector(state, n)
+        bounds.append((single_drop_path_prob(n, mort), path_prob_lower_bound_state(n, mort), f"state n={n}"))
+    joint = JointPower(1.0, 4.0)
+    for n in range(2, 11):
+        exact = single_drop_path_prob(n, mortality_vector(joint, n))
+        bounds.append((exact, path_prob_lower_bound_joint(n, joint.alpha, joint.beta), f"joint n={n}"))
+    exact, bound, labels = zip(*bounds)
+    tightest = int(np.argmax(np.subtract(bound, exact)))
     report.add(
         ReportRow(
-            f"lower bounds <= exact path prob (tightest: {where})",
-            exact,
-            bound,
+            f"lower bounds <= exact path prob (tightest: {labels[tightest]})",
+            exact[tightest],
+            bound[tightest],
             None,
-            ok,
+            all(b <= e + tol for e, b in zip(exact, bound)),
             "three bound families over their grids",
         )
     )
@@ -676,35 +688,36 @@ def build_verify_report(
     for k, c in ((3, 0.3), (5, 0.1), (10, 0.5)):
         law, tail = exact_passage_law(k, c, 400)
         brackets.append((single_drop_prob(k, c), float(law.sum()), tail, f"k={k}, c={c}"))
-    ok = all(cum - tol <= mass <= cum + tail + tol for mass, cum, tail, _ in brackets)
-    mass, cum, tail, where = _worst(brackets, lambda b: abs(b[0] - (b[1] + b[2] / 2)))
+    mass, cum, tail, labels = map(np.array, zip(*brackets))
+    ok = bool(np.all((cum - tol <= mass) & (mass <= cum + tail + tol)))
+    worst = int(np.argmax(np.abs(mass - (cum + tail / 2))))
     report.add(
         ReportRow(
-            f"passage pmf series brackets total mass (worst: {where})",
-            mass,
-            cum + tail / 2,
+            f"passage pmf series brackets total mass (worst: {labels[worst]})",
+            float(mass[worst]),
+            float(cum[worst] + tail[worst] / 2),
             None,
             ok,
             "oracle = bracket midpoint",
         )
     )
 
-    mgf_grid = [(k, c) for k in (1, 2, 3, 5, 10) for c in (0.1, 0.3, 0.5)]
-    mass_points = (
-        (passage_mgf(k, c, 0.0), single_drop_prob(k, c), f"k={k}, c={c}") for k, c in mgf_grid
-    )
-    report.add(_grid_row("MGF at s=0 vs single-drop prob", mass_points, tol))
-
-    def mgf_series_points(frac, series_tol):
-        for k, c in mgf_grid:
-            s = frac * passage_mgf_domain(k, c)
-            yield passage_mgf(k, c, s), mgf_by_summation(k, c, s, tol=series_tol), f"k={k}, c={c}"
-
+    ks, mortalities = (1, 2, 3, 5, 10), (0.1, 0.3, 0.5)
+    mgf_grid = [(k, c) for k in ks for c in mortalities]
+    where = _point("k={k}, c={c}", k=ks, c=mortalities)
+    closed = [passage_mgf(k, c, 0.0) for k, c in mgf_grid]
+    masses = [single_drop_prob(k, c) for k, c in mgf_grid]
+    report.add(_grid_row("MGF at s=0 vs single-drop prob", closed, masses, where, tol))
     for frac, tol_factor in MGF_FRACTIONS:
+        s = [frac * passage_mgf_domain(k, c) for k, c in mgf_grid]
+        closed = [passage_mgf(k, c, x) for (k, c), x in zip(mgf_grid, s)]
+        series = [mgf_by_summation(k, c, x, tol=tol * tol_factor / 10.0) for (k, c), x in zip(mgf_grid, s)]
         report.add(
             _grid_row(
                 f"MGF vs series at {frac:g} of domain",
-                mgf_series_points(frac, tol * tol_factor / 10.0),
+                closed,
+                series,
+                where,
                 tol * tol_factor,
                 note="" if tol_factor == 1.0 else f"relaxed x{tol_factor:g} near the boundary",
             )
@@ -782,8 +795,8 @@ def build_verify_report(
         "k=2, alpha=1, beta=3, n=10^3", "P(T finite) at scale n=10^3 [k=2, alpha=1, beta=3]", workers=workers,
     )
 
-    totals, _ = implosion_batch(1.0, 2000, samples, make_stream(seed, 21), workers=workers)
+    _, (whole, _, _) = implosion_batch(1.0, 2000, samples, make_stream(seed, 21), workers=workers)
     partial, _ = implosion_expected_time(1.0, 2000)
-    report.add(_mean_row("mean implosion time [alpha=1, K=2000]", partial, totals))
+    report.add(_mean_row("mean implosion time [alpha=1, K=2000]", partial, whole))
 
     return report

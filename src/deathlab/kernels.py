@@ -63,12 +63,12 @@ and of the stepping references in the tests) and the six ``*_batch``
 entry points; the draws behind the batches are private.  The numba build
 compiles the shared scalar source of every batch; where numba is not
 installed, no test checks that source's numba typing.  In the Python
-build ``binomial_draw`` and ``first_passage_stepped_batch`` are their
-scalar source, called on the generator.  The other five entry points are
-array code: each keeps its source as ``__wrapped__``, draws the same
-doubles in the same order and leaves the generator where the source's
-own ``gen.random()`` calls would, so every report, stream position,
-uniform count and recorded path is the source's.
+build ``binomial_draw`` is its scalar source, called on the generator.
+The six batch entry points are array code: each keeps its source as
+``__wrapped__``, draws the same doubles in the same order and leaves the
+generator where the source's own ``gen.random()`` calls would, so every
+report, stream position, uniform count and recorded path is the
+source's.
 
 - They take the uniforms of a round, or of the whole batch, as
   ``gen.random(size)`` blocks and do the arithmetic in numpy with the
@@ -77,16 +77,26 @@ uniform count and recorded path is the source's.
   them its target passes.  numpy's ``log``, ``log1p``, ``expm1`` and
   ``exp`` are not libm's and differ in the last bit on a few percent of
   inputs, so a level's constants come from ``math`` once per level and
-  round or batch, and ``max_geometric_batch`` maps ``math``'s logarithms
-  and ``expm1`` over a list.  A hold takes numpy's ``log1p`` and
-  recomputes with ``math.log1p`` only where the floor could differ: x =
-  log1p(-u) / lq within 2^-40 relative of an integer, at least 2^40, or
-  infinite.  Temporaries are O(live runs) or O(one block), never O(n).
+  batch, and ``max_geometric_batch`` maps ``math``'s logarithms and
+  ``expm1`` over a list.  ``extinction_batch`` reads them from a table of
+  every state, indexed by state, where n is at most 4 runs; from a larger
+  n it takes each round's levels with ``np.unique`` and computes theirs.
+  A hold takes numpy's ``log1p`` and recomputes with ``math.log1p`` only
+  where the floor could differ: x = log1p(-u) / lq within 2^-40 relative
+  of an integer, at least 2^40, or infinite.  Temporaries are O(live
+  runs), O(one block) or the table, so never O(n) at a huge n.
 - Rejection landings, which take a varying number of uniforms, run the
   scalar binomial draw on the generator's doubles, taken in blocks of one
   per landing still to draw.  Every landing takes at least one, the one
   being drawn included, so no block runs past the doubles the draws
   consume and the generator never needs rewinding.
+- ``first_passage_stepped_batch`` takes the same care at a level whose
+  step walks: each round draws one step per sample still to draw, counts
+  each step's deaths with the walk, and cuts the steps into samples at
+  each departure and after ``t_max`` steps without one, carrying a sample
+  under way into the next round.  A level whose step runs transformed
+  rejection, or draws nothing, calls the scalar source, and so does a
+  batch under ``_STEPPED_ARRAY_MIN`` samples.
 - ``single_drop_batch`` and ``first_passage_batch`` share one step, the
   single-death outcomes of a level's landings.  ``extinction_batch``
   joins the recorded pieces once at the end; their order across runs may
@@ -470,6 +480,12 @@ def _mapped(f, x):
 _BRACKET = np.array([[1.0 - 2.0**-40], [1.0 + 2.0**-40]])
 
 
+# fewest samples a stepped batch draws in array rounds: a round costs
+# about 60 scalar steps, and a shorter batch, which needs about as many
+# rounds as a longer one, saves less than its rounds cost
+_STEPPED_ARRAY_MIN = 512
+
+
 def _holds(u, lq):
     """``int(_hold)`` for each uniform of the array ``u``, at ``lq`` (one
     value, or one per uniform).  x = log1p(-u) / lq comes from numpy's
@@ -520,15 +536,15 @@ def _level_table(k, cs):
 
 
 def _array_entries(py: SimpleNamespace) -> dict:
-    """The Python build's array entry points: every ``*_batch`` but
-    ``first_passage_stepped_batch``.
+    """The Python build's array entry points: every ``*_batch``.
 
     Each draws what its scalar source (``__wrapped__``) draws, in the same
     order, but takes the uniforms of a round or a batch as
     ``gen.random(size)`` blocks and does the arithmetic on arrays.  Only
     the rejection landings, a varying number of uniforms each, run the
     scalar binomial draw, on blocks of one double per landing still to
-    draw.
+    draw; the stepped reference at a level that does not walk is its
+    scalar source.
     """
     draw = py.binomial_draw
 
@@ -565,8 +581,11 @@ def _array_entries(py: SimpleNamespace) -> dict:
         t = np.zeros(run.size, dtype=np.int64)
         empty = np.empty(0, dtype=np.int64)
         pieces = [(empty, empty, empty)]  # (run, state, steps), in time order per run
+        # every level's constants once per batch, indexed by state, where
+        # that table is no longer than the batch; else the round's levels
+        table = _level_table(np.arange(n + 1), cs)[1:] if run.size and n <= 4 * run.size else None
         while run.size:
-            at, levels, c, lq, total, mass, ratio, kind = _level_table(k, cs)
+            at, levels, c, lq, total, mass, ratio, kind = (k, *table) if table else _level_table(k, cs)
             # holds, then the departures that land by t_max
             hold = _holds(gen.random(run.size), lq[at])
             if record:
@@ -609,6 +628,39 @@ def _array_entries(py: SimpleNamespace) -> dict:
         out_j[:] = _holds(gen.random(m), _level_constants(k, c)[0])
         out_code[:] = np.where(single_deaths(gen, k, c, m), FINITE, JUMPED_OVER)
 
+    @functools.wraps(py.first_passage_stepped_batch)
+    def first_passage_stepped_batch(gen, k, c, t_max, out_j, out_code):
+        m, p = out_j.shape[0], min(c, 1.0 - c)
+        if m < _STEPPED_ARRAY_MIN or not (k > 0 and 0.0 < c < 1.0 and k * p <= _WALK_MAX and t_max > 0):
+            # a short batch, transformed rejection, no draw or no step: the scalar source
+            return first_passage_stepped_batch.__wrapped__(gen, k, c, t_max, out_j, out_code)
+        _, total, mass, ratio, _ = _level_constants(k, p)
+        level = (np.array([mass]), np.array([ratio]), np.array([k]))
+        done, carry = 0, 0  # carry: steps of the sample under way
+        while done < m:
+            # one step per sample still to draw: each takes one at least
+            u = gen.random(m - done)
+            count = np.zeros(u.size, dtype=np.int64)  # deaths counted in p, as _thin
+            walks = np.flatnonzero(u < total)
+            count[walks] = _walk(u[walks], np.zeros(walks.size, dtype=np.int64), *level)
+            deaths = k - count if c > 0.5 else count
+            # cut the steps into samples: at each departure, and after
+            # t_max steps without one
+            departs = np.flatnonzero(deaths >= 1)
+            idle = np.diff(departs, prepend=-1) - 1  # steps before each departure
+            idle[:1] += carry
+            tail = u.size - 1 - departs[-1] if departs.size else carry + u.size
+            censored = idle // t_max
+            ends = np.cumsum(censored + 1) - 1  # each departure's sample
+            size = (ends[-1] + 1 if ends.size else 0) + tail // t_max
+            j = np.full(size, t_max, dtype=np.int64)
+            code = np.full(size, CENSORED, dtype=np.int64)
+            j[ends] = idle % t_max + 1
+            code[ends] = np.where(deaths[departs] == 1, FINITE, JUMPED_OVER)
+            out_j[done : done + size] = j
+            out_code[done : done + size] = code
+            done, carry = done + size, tail % t_max
+
     @functools.wraps(py.geometric_batch)
     def geometric_batch(gen, c, out):
         out[:] = _holds(gen.random(out.shape[0]), _level_constants(1, c)[0])
@@ -627,6 +679,7 @@ def _array_entries(py: SimpleNamespace) -> dict:
         "extinction_batch": extinction_batch,
         "single_drop_batch": single_drop_batch,
         "first_passage_batch": first_passage_batch,
+        "first_passage_stepped_batch": first_passage_stepped_batch,
         "geometric_batch": geometric_batch,
         "max_geometric_batch": max_geometric_batch,
     }

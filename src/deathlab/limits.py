@@ -79,12 +79,14 @@ def scaled_passage_batch(
 # two runs or more, and 4 full chunks or more keep their draws
 MIN_CHUNKS = 4
 
-# doubles per exponential block where that makes 4 stages or more (32 of
+# doubles per exponential block where that makes 4 stages or more (65 of
 # verify's 2000 runs, chunks of 500); a full chunk draws 4 stages per
 # block, so no block holds more than 4 * CHUNK_SIZE doubles.  Blocks
 # start at the chunk's first stage, whatever the sweep, and the totals do
-# not depend on them.
-STAGE_BLOCK = 2**14
+# not depend on them.  2^15 halves a short chunk's sampler calls against
+# 2^14 for 256 KB of block; 2^16 would save a little more time for twice
+# the memory.
+STAGE_BLOCK = 2**15
 
 
 def _stage_rates(alpha: float, K: int) -> np.ndarray:
@@ -149,23 +151,25 @@ def implosion_batch(
     rng: RngStream,
     workers: int = 1,
     levels: Sequence[int] = (),
-) -> tuple[np.ndarray, tuple[list[Moments], list[Moments]]]:
+) -> tuple[np.ndarray, tuple[Moments, list[Moments], list[Moments]]]:
     """Total implosion times for many runs (stage-vectorized), and the
-    moments of the sweep ``levels`` read off the same runs.
+    moments of the totals and of the sweep ``levels``, read off the same
+    runs.
 
     The runs split into chunks of ``min(CHUNK_SIZE, ceil(runs /
     MIN_CHUNKS))``, chunk i on ``rng.substream(i)``, so the chunks depend
     on ``runs`` alone and a small batch still splits across ``workers``.
     Each chunk draws its stages level K first.  A chunk of ``m`` runs
     allocates one block of ``max(4, STAGE_BLOCK // m)`` stages and fills it
-    with one sampler call per block: 4 stages of a full chunk, 32 of a
+    with one sampler call per block: 4 stages of a full chunk, 65 of a
     chunk of 500, so the draws equal one call per stage.  The running sum
     goes into the block's first row and the block's rows are then added in
     order, so a chunk adds its stages one at a time from zero, whatever
-    the block size.  The moments are ``(level, gap)``: ``level[i]`` those
-    of the runs' totals over the stages k <= ``levels[i]``, ``gap[i]``
-    those of the paired difference ``level[i + 1]`` minus ``level[i]``, the
-    stages in (``levels[i]``, ``levels[i + 1]``].  A level below K costs
+    the block size.  The moments are ``(total, level, gap)``: ``total``
+    those of the totals, ``level[i]`` those of the runs' totals over the
+    stages k <= ``levels[i]``, ``gap[i]`` those of the paired difference
+    ``level[i + 1]`` minus ``level[i]``, the stages in (``levels[i]``,
+    ``levels[i + 1]``].  A level below K costs
     one copy of the running totals: the sum of its block's rows before it.
     Chunks are merged in chunk order, so neither the totals nor the
     moments depend on ``workers``.
@@ -192,14 +196,15 @@ def implosion_batch(
             _add_rows(block, out=totals)
         above.reverse()
         scratch = buffer[0]  # the block is drawn: its first row is free
-        level, gap = [], []
-        for prefix in above:
-            np.subtract(totals, prefix, out=scratch)
-            level.append(_moments(scratch))
-        for low, high in zip(above, above[1:]):
-            np.subtract(low, high, out=scratch)
-            gap.append(_moments(scratch))
-        return totals, level, gap
+
+        def moments(a, b) -> Moments:
+            np.subtract(a, b, out=scratch)
+            return _moments(scratch)
+
+        level = [moments(totals, prefix) for prefix in above]
+        gap = [moments(low, high) for low, high in zip(above, above[1:])]
+        whole = level[-1] if K in levels[-1:] else moments(totals, 0.0)  # a sweep of K reads the totals
+        return totals, whole, level, gap
 
     chunk = min(CHUNK_SIZE, -(-runs // MIN_CHUNKS))
     parts = run_chunked(rng, runs, task, chunk, workers, AnalyticsError)
@@ -207,7 +212,8 @@ def implosion_batch(
     def merged(j: int) -> list[Moments]:
         return [functools.reduce(_merge, chunks) for chunks in zip(*(part[j] for part in parts))]
 
-    return np.concatenate([part[0] for part in parts]), (merged(1), merged(2))
+    whole = functools.reduce(_merge, (part[1] for part in parts))
+    return np.concatenate([part[0] for part in parts]), (whole, merged(2), merged(3))
 
 
 @dataclass(frozen=True)
@@ -229,11 +235,11 @@ class SweepRow:
 def implosion_truncation_sweep(
     alpha: float,
     levels: list[int],
-    moments: tuple[list[Moments], list[Moments]],
+    moments: tuple[Moments, list[Moments], list[Moments]],
 ) -> list[SweepRow]:
     """The moments ``implosion_batch`` read at ``levels``, against the
     certified partial sums.  Draws nothing."""
-    level, gap = moments
+    _, level, gap = moments
     rows = []
     for K, m, g in zip(levels, level, [None] + gap):
         partial, tail = implosion_expected_time(alpha, K)

@@ -36,14 +36,22 @@ class RngStream:
     seed: int
     stream_id: int
     path: tuple[int, ...] = None  # defaults to (stream_id,)
-    generator: np.random.Generator = field(init=False, repr=False, compare=False)
+    _generator: np.random.Generator | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.seed = check_count(self.seed, "seed", 0, RngError, 2**64 - 1)
         self.stream_id = check_count(self.stream_id, "stream_id", 0, RngError)
         if self.path is None:
             self.path = (self.stream_id,)
-        self.generator = _make_generator(self.seed, self.path)
+
+    @property
+    def generator(self) -> np.random.Generator:
+        """The stream's Philox generator, built on first use: a stream that
+        only derives substreams, such as a chunked batch's root, never
+        pays for one."""
+        if self._generator is None:
+            self._generator = _make_generator(self.seed, self.path)
+        return self._generator
 
     def substream(self, index: int) -> "RngStream":
         """Derive the ``index``-th child stream; independent of this one."""

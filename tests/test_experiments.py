@@ -148,6 +148,17 @@ def test_implode_sweep_row_fails_on_wrong_rates_at_the_lowest_level(monkeypatch)
     assert not _sweep_row_passes()
 
 
+def test_implode_reads_one_mean_off_the_chunks_merged_moments():
+    # 2000 runs are four chunks; the mean row and the sweep's top level,
+    # K itself, print the same value, and the variance row reads the same
+    # moments
+    report, rows, totals = experiments.build_implode_outputs(1.0, 100, 2000, 0, sweep=[10, 100])
+    mean_row, var_row = report.rows[:2]
+    assert mean_row.monte_carlo == (rows[-1].mean, 4 * rows[-1].stderr)
+    assert mean_row.monte_carlo[0] == pytest.approx(totals.mean(), rel=1e-14)
+    assert var_row.monte_carlo[0] == pytest.approx(totals.var(ddof=1), rel=1e-12)
+
+
 def test_implode_rejects_bad_sweep_levels_before_simulating(monkeypatch):
     monkeypatch.setattr(experiments, "implosion_batch", _no_simulation)
     monkeypatch.setattr(experiments, "make_stream", _no_simulation)
@@ -157,13 +168,19 @@ def test_implode_rejects_bad_sweep_levels_before_simulating(monkeypatch):
 
 
 def test_grid_row_of_an_exactly_agreeing_grid_shows_its_first_point():
-    row = experiments._grid_row("x", [(0.5, 0.5, "a"), (0.25, 0.25, "b")], 1e-12)
+    row = experiments._grid_row("x", [0.5, 0.25], [0.5, 0.25], ["a", "b"].__getitem__, 1e-12)
     assert row.passed
     assert (row.label, row.closed_form, row.oracle) == ("x (grid worst: a)", 0.5, 0.5)
     assert json.loads(AnalyticReport(rows=[row]).to_json())["pass"] is True
 
 
 def test_grid_row_shows_the_first_worst_point():
-    points = [(1.0, 1.0, "a"), (1.0, 1.5, "b"), (2.0, 1.5, "c"), (2.0, 2.25, "d")]
-    row = experiments._grid_row("x", points, 1e-12)
+    closed, oracle = [1.0, 1.0, 2.0, 2.0], [1.0, 1.5, 1.5, 2.25]
+    row = experiments._grid_row("x", closed, oracle, "abcd".__getitem__, 1e-12)
     assert (row.label, row.closed_form, row.oracle, row.passed) == ("x (grid worst: b)", 1.0, 1.5, False)
+
+
+def test_a_grid_point_is_named_in_loop_order():
+    where = experiments._point("n={n}, c={c}, t={t}", c=(0.05, 0.3), n=range(1, 4), t=range(5))
+    names = [f"n={n}, c={c}, t={t}" for c in (0.05, 0.3) for n in range(1, 4) for t in range(5)]
+    assert [where(i) for i in range(len(names))] == names

@@ -122,7 +122,7 @@ def test_truncation_sweep_tracks_partial_sums():
 
 def test_sweep_levels_leave_the_totals_alone():
     plain, moments = implosion_batch(1.0, 300, 20000, make_stream(25, 0))
-    assert moments == ([], [])
+    assert moments[1:] == ([], [])
     swept, _ = implosion_batch(1.0, 300, 20000, make_stream(25, 0), levels=[3, 30, 300])
     assert np.array_equal(plain, swept)
     below_k, _ = implosion_batch(1.0, 300, 20000, make_stream(25, 0), levels=[1, 299])
@@ -132,7 +132,7 @@ def test_sweep_levels_leave_the_totals_alone():
 def test_level_and_gap_moments_match_a_reference_loop():
     alpha, K, levels, runs = 1.0, 40, [1, 5, 17, 40], 2 * CHUNK_SIZE + 7
     root = make_stream(25, 1)
-    totals, (level, gap) = implosion_batch(alpha, K, runs, root, workers=2, levels=levels)
+    totals, (whole, level, gap) = implosion_batch(alpha, K, runs, root, workers=2, levels=levels)
     # rebuild each run's stages chunk by chunk, level K first, on the same substreams
     rates = np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.0)
     chunks = []
@@ -143,7 +143,7 @@ def test_level_and_gap_moments_match_a_reference_loop():
     assert np.array_equal(stages.sum(axis=0), totals)
     expected = [stages[K - L :].sum(axis=0) for L in levels]  # the stages k <= L
     expected_gaps = [stages[K - high : K - low].sum(axis=0) for low, high in zip(levels, levels[1:])]
-    for (count, mean, m2), values in zip(level + gap, expected + expected_gaps):
+    for (count, mean, m2), values in zip([whole] + level + gap, [totals] + expected + expected_gaps):
         assert count == runs
         assert mean == pytest.approx(values.mean(), rel=1e-12)
         assert m2 / (count - 1) == pytest.approx(values.var(ddof=1), rel=1e-12)
@@ -158,8 +158,8 @@ def _stage_by_stage(alpha, K, runs, root, levels):
     """Reference for implosion_batch: chunk i of ``_chunks(runs)`` on
     substream i, one exponential call per stage, level K first; each chunk
     adds its stages one at a time from zero, and the chunks' moments are
-    merged in chunk order.  A sweep level's prefix is the running sum
-    before its stage."""
+    merged in chunk order: those of the totals, of each level and of each
+    gap.  A sweep level's prefix is the running sum before its stage."""
     rates = np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.0)
     parts = []
     for i, m in enumerate(_chunks(runs)):
@@ -172,9 +172,10 @@ def _stage_by_stage(alpha, K, runs, root, levels):
             totals += sample_exponential_batch(stream, float(rate), m)
         level = [_moments(totals - above[L]) for L in levels]
         gap = [_moments(above[low] - above[high]) for low, high in zip(levels, levels[1:])]
-        parts.append((totals, level, gap))
-    merged = [[functools.reduce(_merge, chunks) for chunks in zip(*(p[j] for p in parts))] for j in (1, 2)]
-    return np.concatenate([p[0] for p in parts]), tuple(merged)
+        parts.append((totals, _moments(totals.copy()), level, gap))
+    whole = functools.reduce(_merge, (p[1] for p in parts))
+    merged = [[functools.reduce(_merge, chunks) for chunks in zip(*(p[j] for p in parts))] for j in (2, 3)]
+    return np.concatenate([p[0] for p in parts]), (whole, *merged)
 
 
 @pytest.mark.parametrize("runs, lengths", [
@@ -186,8 +187,8 @@ def _stage_by_stage(alpha, K, runs, root, levels):
     (10**5, [CHUNK_SIZE] * 6 + [1696]),
 ])
 def test_blocked_stages_equal_one_call_per_stage(monkeypatch, runs, lengths):
-    # chunks of 500 runs draw 32 stages per block: levels 37, 20 and 3 cut
-    # inside the first two; a full chunk draws 4, and level 20 cuts between two
+    # chunks of 500 runs draw all 40 stages in one block, and levels 37, 20
+    # and 3 cut inside it; a full chunk draws 4, and level 20 cuts between two
     alpha, K, levels = 1.0, 40, [3, 20, 37, 40]
     seen = []
 
@@ -211,8 +212,8 @@ def test_blocked_stages_equal_one_call_per_stage(monkeypatch, runs, lengths):
 @pytest.mark.parametrize("runs, K, levels", [
     (1, 50, [1, 9, 40, 50]),  # one column of 50 stages, which numpy's axis-0 sum would add pairwise
     (12, 50, [1, 9, 40, 50]),  # chunks of 3 runs
-    (3000, 43, [1, 3, 20, 43]),  # chunks of 750 in blocks of 21 stages
-    (CHUNK_SIZE, 37, [2, 9, 30]),  # chunks of 4096 in blocks of 4; levels 30 and 2 cut inside one, 9 between two
+    (3000, 43, [1, 3, 20, 43]),  # chunks of 750 in one block of 43 stages
+    (CHUNK_SIZE, 37, [2, 9, 30]),  # chunks of 4096 in blocks of 8; levels 30, 9 and 2 cut inside one
 ])
 def test_a_chunk_adds_its_stages_one_at_a_time(runs, K, levels):
     # numpy's axis-0 sum of two columns or more adds the rows in order

@@ -1,6 +1,7 @@
 """Byte-level regression table of every report command.
 
-Six commands run in-process at small sizes and seed 0.  The test compares
+Six commands run in-process at small sizes and seed 0, at ``--workers``
+1 and again at 2 where the command takes the flag.  The test compares
 the sha256 of each report's ``rows`` (``meta`` names the numpy version and
 the kernel backend, so it is left out), of ``simulate``'s ``runs``, and of
 every side table, with the table below, taken from the code before the
@@ -36,7 +37,7 @@ EXPECTED = {
     "extinct/state_distribution.csv": "87fd2b806b8b82551386135433a9dde721a8a0d91a5a9bd69519b192182891a0",
     "extinct:exit": "0",
     "implode/implode_hist.csv": "16564113c269eb0e4c39cad7ef57113d055456fe8b5d2de8963804a0295722a1",
-    "implode/implode_report.json": "4df07e7e6e0e132ff14d89f08a788e557eba6d8158273aa3530d8c9c76692c47",
+    "implode/implode_report.json": "45dc710f7dd1bb4f6dac2aabd2dbe5739594f45c386d2b8c3f71e1698cdc01c7",
     "implode/implode_sweep.csv": "10875e56667a12cedb5e74bf50cee58658d8bbd30a273d9132d3d0532ccf08be",
     "implode:exit": "0",
     "passage/passage_report.json": "0670151129f5090fe62dc417293aeb2513ff15f8c14b391217a489601ffd9404",
@@ -48,7 +49,7 @@ EXPECTED = {
     "simulate/summary.json": "ce9541ffe5f1d08be6f7914444a32fbb758e64887c4a28d4be72a0a1f1e98647",
     "simulate/trajectories.csv": "489268c6fa74ec084ba450e2c37cf4fa9a5d0ed1bfa0d04a290ceb44b292991e",
     "simulate:exit": "0",
-    "verify/verify.json": "30c59f8639e1c4598810922f7d4aac75e3f1e350f75e23b03c3b6f11d8d13939",
+    "verify/verify.json": "c3da738c14d6628976634256da752b2a0f33e758ae7a67c91194d49b795664ce",
     "verify:exit": "0",
 }
 
@@ -57,13 +58,16 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(root: Path) -> dict[str, str]:
+def digests(root: Path, workers: int = 1) -> dict[str, str]:
     """``command:exit`` -> exit code, and ``command/file`` -> the sha256 of
-    its rows (a report), its runs (``summary.json``) or its bytes."""
+    its rows (a report), its runs (``summary.json``) or its bytes; each
+    command that takes ``--workers`` runs with ``workers``."""
     out = {}
     for command, args in COMMANDS.items():
         where = root / command
         target = ["--out", str(where / "verify.json")] if command == "verify" else ["--out", str(where)]
+        if any(param.name == "workers" for param in main.commands[command].params):
+            target += ["--workers", str(workers)]
         result = CliRunner().invoke(main, [command, *args, "--seed", "0", *target])
         assert result.exit_code in (0, 1), result.output
         out[f"{command}:exit"] = str(result.exit_code)
@@ -79,6 +83,10 @@ def digests(root: Path) -> dict[str, str]:
 
 def test_every_report_keeps_its_bytes(tmp_path):
     assert digests(tmp_path) == EXPECTED
+
+
+def test_two_workers_write_the_same_bytes(tmp_path):
+    assert digests(tmp_path, workers=2) == EXPECTED
 
 
 if __name__ == "__main__":

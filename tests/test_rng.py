@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from deathlab import rng
+from deathlab import _parallel, rng
+from deathlab.process import extinction_time_batch
+from deathlab.regimes import Constant
 from deathlab.rng import RngError, RngStream, make_stream
 
 
@@ -75,3 +77,27 @@ def test_identifiers_are_counts():
         assert (stream.seed, stream.stream_id, stream.path) == (2**64 - 1, 3, (3, 4))
         assert np.array_equal(draws(stream), expected)
 
+
+
+def _counting(monkeypatch):
+    made = []
+    build = rng._make_generator
+    monkeypatch.setattr(rng, "_make_generator", lambda *args: made.append(args) or build(*args))
+    return made
+
+
+def test_a_stream_builds_its_generator_on_first_draw(monkeypatch):
+    made = _counting(monkeypatch)
+    stream = make_stream(5, 2).substream(3)
+    assert made == []
+    first = stream.generator
+    assert stream.generator is first
+    assert made == [(5, (2, 3))]
+    assert np.array_equal(draws(stream), draws(RngStream(5, 2, (2, 3))))
+
+
+def test_a_chunked_batch_builds_no_generator_for_its_root(monkeypatch):
+    made = _counting(monkeypatch)
+    monkeypatch.setattr(_parallel, "CHUNK_SIZE", 4)
+    extinction_time_batch(5, Constant(0.5), make_stream(6, 1), 10)
+    assert made == [(6, (1, 0)), (6, (1, 1)), (6, (1, 2))]

@@ -1,21 +1,25 @@
 """The batch entry points of the Python kernel build against their source.
 
-Five entry points of the Python build, ``extinction_batch``,
-``single_drop_batch``, ``first_passage_batch``, ``geometric_batch`` and
-``max_geometric_batch``, are array code and must draw what their scalar
-source (``__wrapped__``) draws.  Every case here calls both on equal
-streams and compares outputs and ``bit_generator.state``; the extinction
-cases run again with the paths recorded, compared once laid end to end.
-The sizes span one run, a few, and batches long enough that the
-rejection landings take their doubles in several blocks, each one per
-landing still to draw; the cases span k = 1, certain death at a level,
-censoring, and levels whose landing walks the pmf or rejects, at the top
-of a chain or below it.  ``first_passage_stepped_batch`` is its scalar
-source; it is checked against one ``binomial_draw`` per step.
+Every ``*_batch`` entry point of the Python build is array code and must
+draw what its scalar source (``__wrapped__``) draws.  Every case here
+calls both on equal streams and compares outputs and
+``bit_generator.state``; the extinction cases run again with the paths
+recorded, compared once laid end to end.  The sizes span one run, a few,
+and batches long enough that the rejection landings take their doubles
+in several blocks, each one per landing still to draw, and that the
+extinction walk reads its level constants from one table per batch (n
+at most 4 runs) as well as per round; the cases span k = 1, certain
+death at a level, censoring, and levels whose landing walks the pmf or
+rejects, at the top of a chain or below it.  The stepped cases span
+walks at c below and above 1/2, censoring, and the levels that call the
+scalar source (transformed rejection, certain death); the stepped entry
+is also checked against one ``binomial_draw`` per step, in array rounds
+at every size.
 """
 
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,15 +39,12 @@ BATCHES = {
 }
 
 
-ARRAY_ENTRIES = BATCHES - {"first_passage_stepped_batch"}
-
-
-def test_five_entry_points_are_array_code_and_the_rest_are_their_source():
+def test_every_batch_is_array_code_and_binomial_draw_is_its_source():
     named = {name: kernel for name, kernel in vars(PY).items() if callable(kernel)}
     assert set(named) == BATCHES | {"binomial_draw"}
     source = kernels._build_backend(False)
     for name, entry in named.items():
-        if name in ARRAY_ENTRIES:
+        if name in BATCHES:
             assert entry.__code__ is not entry.__wrapped__.__code__, name
             entry = entry.__wrapped__
         assert entry.__code__ is getattr(source, name).__code__, name
@@ -73,6 +74,14 @@ def _flags(m):
 CERTAIN_AT_3 = Table({(k, 6): 1.0 if k == 3 else 0.1 for k in range(1, 7)})
 # levels 30 to 21 walk the pmf, level 20 rejects (20 c > 14), the rest walk
 REJECTS_AT_20 = Table({(k, 30): 0.9 if k == 20 else 0.01 for k in range(1, 31)})
+
+# (k, c, t_max) of the stepped reference: walks at c below and above 1/2,
+# certain death (no uniform), transformed rejection below and above 1/2,
+# censoring, a lone individual, and a walk above 1/2 that often stays
+STEPPED_CASES = [
+    (3, 0.3, 10**6), (5, 0.8, 10**6), (4, 1.0, 10**6), (100, 0.3, 10**6), (40, 0.9, 10**6),
+    (200, 0.9, 10**6), (3, 1e-12, 10), (1, 0.3, 10**6), (5, 0.05, 30), (2, 0.6, 3),
+]
 
 # entry point -> builder of its arguments after the generator, for m samples
 CASES = {
@@ -109,6 +118,13 @@ CASES = {
     "first_passage_batch/certain_death": lambda m: (3, 1.0, _ints(m), _ints(m)),
     "first_passage_batch/rejection": lambda m: (1000, 0.05, _ints(m), _ints(m)),
 }
+
+
+CASES.update({
+    f"first_passage_stepped_batch/k={k},c={c:g},t_max={t_max}":
+        lambda m, k=k, c=c, t_max=t_max: (k, c, t_max, _ints(m), _ints(m))
+    for k, c, t_max in STEPPED_CASES
+})
 
 
 def _recording(build):
@@ -230,18 +246,11 @@ def _stepping(gen, k, c, t_max, out_j, out_code):
         out_code[i] = kernels.CENSORED if d < 1 else kernels.FINITE if d == 1 else kernels.JUMPED_OVER
 
 
-# (k, c, t_max): walks at c below and above 1/2, certain death (no
-# uniform), transformed rejection below and above 1/2, censoring, and a
-# lone individual
-STEPPED_CASES = [
-    (3, 0.3, 10**6), (5, 0.8, 10**6), (4, 1.0, 10**6), (100, 0.3, 10**6), (40, 0.9, 10**6),
-    (200, 0.9, 10**6), (3, 1e-12, 10), (1, 0.3, 10**6), (5, 0.05, 30),
-]
-
-
 @pytest.mark.parametrize("k, c, t_max", STEPPED_CASES)
 @pytest.mark.parametrize("m", SIZES)
-def test_stepped_entry_steps_one_binomial_draw_at_a_time(k, c, t_max, m):
+def test_stepped_entry_steps_one_binomial_draw_at_a_time(monkeypatch, k, c, t_max, m):
+    # array rounds at every size, not only from _STEPPED_ARRAY_MIN samples
+    monkeypatch.setattr(kernels, "_STEPPED_ARRAY_MIN", 0)
     seen = []
     for kernel in (PY.first_passage_stepped_batch, _stepping):
         gen, out_j, out_code = make_stream(SEED, m).generator, _ints(m), _ints(m)
@@ -256,16 +265,31 @@ def test_stepped_entry_steps_one_binomial_draw_at_a_time(k, c, t_max, m):
 
 @pytest.mark.parametrize("fail_at", [2, 40, 700])
 def test_a_stepped_batch_that_raises_leaves_the_stream_where_its_draws_did(fail_at):
-    # out_code is shorter than out_j, so the batch raises on writing
-    # sample fail_at
+    # out_code is shorter than out_j, so the scalar source raises on
+    # writing sample fail_at
     seen = []
-    for kernel in (PY.first_passage_stepped_batch, _stepping):
+    for kernel in (PY.first_passage_stepped_batch.__wrapped__, _stepping):
         gen = make_stream(SEED, 7).generator
         out_j, out_code = _ints(1000), _ints(fail_at)
         with pytest.raises(IndexError) as raised:
             kernel(gen, 5, 0.05, 30, out_j, out_code)
         seen.append((out_j.tolist(), out_code.tolist(), _state(gen), raised.type))
     assert seen[0] == seen[1]
+
+
+def test_a_huge_start_allocates_no_array_of_its_size():
+    # 3 runs from n: the walk takes each round's levels, never a table of
+    # every state.  n = 10^6 comes first: an O(n) table shows there as 8 MB,
+    # before it could reach 8 GB at 10^9
+    process.extinction_time_batch(50, Constant(0.3), make_stream(SEED, 15), 3)  # one-off set-up
+    for n in (10**6, 10**9):
+        tracemalloc.start()
+        try:
+            process.extinction_time_batch(n, Constant(0.3), make_stream(SEED, 15), 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18, n
 
 
 def test_the_source_leaves_no_cycles():
