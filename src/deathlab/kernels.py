@@ -65,10 +65,13 @@ compiles the shared scalar source of every batch; where numba is not
 installed, no test checks that source's numba typing.  In the Python
 build ``binomial_draw`` is its scalar source, called on the generator.
 The six batch entry points are array code: each keeps its source as
-``__wrapped__``, draws the same doubles in the same order and leaves the
-generator where the source's own ``gen.random()`` calls would, so every
-report, stream position, uniform count and recorded path is the
-source's.
+``__wrapped__``, draws the same doubles in the same order and, on a call
+that completes, leaves the generator where the source's own
+``gen.random()`` calls would, so every report, stream position, uniform
+count and recorded path is the source's.  A call that raises may stop
+elsewhere: ``first_passage_stepped_batch`` writes a round's samples as
+one slice, so where the source fails mid-round the array entry has drawn
+the whole round.
 
 - They take the uniforms of a round, or of the whole batch, as
   ``gen.random(size)`` blocks and do the arithmetic in numpy with the
@@ -95,8 +98,7 @@ source's.
   each step's deaths with the walk, and cuts the steps into samples at
   each departure and after ``t_max`` steps without one, carrying a sample
   under way into the next round.  A level whose step runs transformed
-  rejection, or draws nothing, calls the scalar source, and so does a
-  batch under ``_STEPPED_ARRAY_MIN`` samples.
+  rejection, draws nothing or takes no step calls the scalar source.
 - ``single_drop_batch`` and ``first_passage_batch`` share one step, the
   single-death outcomes of a level's landings.  ``extinction_batch``
   joins the recorded pieces once at the end; their order across runs may
@@ -480,12 +482,6 @@ def _mapped(f, x):
 _BRACKET = np.array([[1.0 - 2.0**-40], [1.0 + 2.0**-40]])
 
 
-# fewest samples a stepped batch draws in array rounds: a round costs
-# about 60 scalar steps, and a shorter batch, which needs about as many
-# rounds as a longer one, saves less than its rounds cost
-_STEPPED_ARRAY_MIN = 512
-
-
 def _holds(u, lq):
     """``int(_hold)`` for each uniform of the array ``u``, at ``lq`` (one
     value, or one per uniform).  x = log1p(-u) / lq comes from numpy's
@@ -631,8 +627,8 @@ def _array_entries(py: SimpleNamespace) -> dict:
     @functools.wraps(py.first_passage_stepped_batch)
     def first_passage_stepped_batch(gen, k, c, t_max, out_j, out_code):
         m, p = out_j.shape[0], min(c, 1.0 - c)
-        if m < _STEPPED_ARRAY_MIN or not (k > 0 and 0.0 < c < 1.0 and k * p <= _WALK_MAX and t_max > 0):
-            # a short batch, transformed rejection, no draw or no step: the scalar source
+        if not (k > 0 and 0.0 < c < 1.0 and k * p <= _WALK_MAX and t_max > 0):
+            # transformed rejection, no draw or no step: the scalar source
             return first_passage_stepped_batch.__wrapped__(gen, k, c, t_max, out_j, out_code)
         _, total, mass, ratio, _ = _level_constants(k, p)
         level = (np.array([mass]), np.array([ratio]), np.array([k]))

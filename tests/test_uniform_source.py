@@ -13,8 +13,7 @@ death at a level, censoring, and levels whose landing walks the pmf or
 rejects, at the top of a chain or below it.  The stepped cases span
 walks at c below and above 1/2, censoring, and the levels that call the
 scalar source (transformed rejection, certain death); the stepped entry
-is also checked against one ``binomial_draw`` per step, in array rounds
-at every size.
+is also checked against one ``binomial_draw`` per step.
 """
 
 import gc
@@ -248,9 +247,7 @@ def _stepping(gen, k, c, t_max, out_j, out_code):
 
 @pytest.mark.parametrize("k, c, t_max", STEPPED_CASES)
 @pytest.mark.parametrize("m", SIZES)
-def test_stepped_entry_steps_one_binomial_draw_at_a_time(monkeypatch, k, c, t_max, m):
-    # array rounds at every size, not only from _STEPPED_ARRAY_MIN samples
-    monkeypatch.setattr(kernels, "_STEPPED_ARRAY_MIN", 0)
+def test_stepped_entry_steps_one_binomial_draw_at_a_time(k, c, t_max, m):
     seen = []
     for kernel in (PY.first_passage_stepped_batch, _stepping):
         gen, out_j, out_code = make_stream(SEED, m).generator, _ints(m), _ints(m)
@@ -274,6 +271,20 @@ def test_a_stepped_batch_that_raises_leaves_the_stream_where_its_draws_did(fail_
         with pytest.raises(IndexError) as raised:
             kernel(gen, 5, 0.05, 30, out_j, out_code)
         seen.append((out_j.tolist(), out_code.tolist(), _state(gen), raised.type))
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("fail_at", [2, 40, 700])
+def test_a_stepped_array_batch_that_raises_writes_the_sources_times_first(fail_at):
+    # the array entry writes a round's times, then fails on its codes: it
+    # raises too, with the source's times up to sample fail_at in place
+    seen = []
+    for kernel, error in ((PY.first_passage_stepped_batch, ValueError),
+                          (PY.first_passage_stepped_batch.__wrapped__, IndexError)):
+        out_j = _ints(1000)
+        with pytest.raises(error):
+            kernel(make_stream(SEED, 7).generator, 5, 0.05, 30, out_j, _ints(fail_at))
+        seen.append(out_j[: fail_at + 1].tolist())
     assert seen[0] == seen[1]
 
 
