@@ -170,40 +170,76 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-# trajectories.csv is joined in pieces of whole runs, about this many rows
-# each unless one run is longer
+# trajectories.csv is written in pieces of whole runs, about this many
+# rows each unless one run is longer
 _PIECE_ROWS = 1 << 15
+
+
+def _cells(values: np.ndarray, tail: bytes) -> np.ndarray:
+    """One fixed-width byte string per value (an integer >= 0): its decimal
+    digits right-aligned behind NULs, then ``tail``."""
+    width = len(str(int(values.max(initial=0))))
+    cells = np.empty((values.size, width + len(tail)), dtype=np.uint8)
+    cells[:, width:] = np.frombuffer(tail, dtype=np.uint8)
+    rest = values
+    for j in range(width - 1, -1, -1):
+        high = rest // 10
+        digit = rest - high * 10 + ord("0")
+        cells[:, j] = digit if j == width - 1 else digit * (rest > 0)  # NUL left of the leading digit
+        rest = high
+    return cells.view(f"S{cells.shape[1]}").ravel()
 
 
 def _write_trajectories(path: Path, batch: TrajectoryBatch) -> None:
     """trajectories.csv, byte for byte what ``_write_csv`` writes for the
     rows ``(run_id, t, state)`` of each run in turn, one per time step,
     with run ids 0, 1, ..., without a Python step per row.  A piece of
-    whole runs is one table of strings, each formatted and followed by its
-    delimiter (``"<run_id>,"``, ``"<t>,"``, and ``"<state>\\r\\n"`` for
-    each distinct state), indexed by one int64 array of cells and joined."""
+    whole runs is one record per row of three NUL-padded cells,
+    ``"<run_id>,"``, ``"<t>,"`` and ``"<state>\\r\\n"``, taken from tables
+    of the batch's run ids and steps and of the states the piece holds;
+    its bytes are written with the NULs dropped."""
     ends = np.cumsum(batch.lengths)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("run_id,t,state\r\n")
+    run_ids = _cells(np.arange(ends.size), b",")
+    steps = _cells(np.arange(batch.lengths.max(initial=0)), b",")
+    with path.open("wb") as fh:
+        fh.write(b"run_id,t,state\r\n")
         stop = 0
         while stop < ends.size:
             start = stop
             first = int(ends[start - 1]) if start else 0
             stop = max(start + 1, int(np.searchsorted(ends, first + _PIECE_ROWS, side="right")))
             lengths = batch.lengths[start:stop]
-            runs, steps, rows = stop - start, int(lengths.max()), int(ends[stop - 1]) - first
-            values, at = np.unique(batch.states[first : first + rows], return_inverse=True)
-            table = np.array(
-                [f"{i}," for i in range(start, stop)]
-                + [f"{t}," for t in range(steps)]
-                + [f"{s}\r\n" for s in values.tolist()],
-                dtype=object,
-            )
-            cells = np.empty((rows, 3), dtype=np.int64)
-            cells[:, 0] = np.repeat(np.arange(runs), lengths)
-            cells[:, 1] = np.arange(rows) - np.repeat(np.cumsum(lengths) - lengths - runs, lengths)
-            cells[:, 2] = at + (runs + steps)
-            fh.write("".join(table[cells.ravel()].tolist()))
+            states = batch.states[first : ends[stop - 1]]
+            rows = states.size
+            holds = np.flatnonzero(np.r_[True, states[1:] != states[:-1]])  # where the state changes
+            values = _cells(states[holds], b"\r\n")
+            table = np.empty(rows, [("run", run_ids.dtype), ("t", steps.dtype), ("state", values.dtype)])
+            table["run"] = np.repeat(run_ids[start:stop], lengths)
+            table["t"] = steps[np.arange(rows) - np.repeat(ends[start:stop] - lengths - first, lengths)]
+            table["state"] = np.repeat(values, np.diff(holds, append=rows))
+            fh.write(table.tobytes().translate(None, b"\0"))
+
+
+# one run's entry in summary.json, laid out as json.dumps(..., indent=2) lays it out
+_SUMMARY_RUN = (
+    '    {\n      "censored": %s,\n      "extinction_time": %s,\n'
+    '      "run_id": %d,\n      "steps_recorded": %d\n    }'
+)
+
+
+def _summary_json(meta: dict, batch: TrajectoryBatch) -> str:
+    """summary.json for a batch of one run or more: the text
+    ``json.dumps({"meta": meta, "runs": runs}, sort_keys=True, indent=2)``
+    and a newline, where run i's entry records its extinction time (null
+    when censored), whether it was censored, and its steps.  ``json``
+    indents through its pure-Python encoder, so only ``meta`` goes through
+    it; the runs are filled into a template."""
+    head = json.dumps({"meta": meta}, sort_keys=True, indent=2)[: -len("\n}")]
+    runs = ",\n".join([
+        _SUMMARY_RUN % ("true" if time < 0 else "false", "null" if time < 0 else time, run_id, length - 1)
+        for run_id, (time, length) in enumerate(zip(batch.extinction_times.tolist(), batch.lengths.tolist()))
+    ])
+    return f'{head},\n  "runs": [\n{runs}\n  ]\n}}\n'
 
 
 def _run(build, out: str | Path | None, names, tables) -> None:
@@ -256,39 +292,17 @@ def simulate(config_path, **flags):
     try:
         # the process layer's checks, before any stream is made
         n = check_count(params["n"], "population", 1, ProcessError, MAX_EXACT_COUNT)
-        prepare_run(regime, n, params["t_max"], record=True)
-        root = make_stream(params["seed"], 0)
-        batch = simulate_trajectory(n, regime, root, params["t_max"], runs=params["samples"])
-        runs = [
-            {
-                "run_id": run_id,
-                "extinction_time": None if time < 0 else time,
-                "censored": time < 0,
-                "steps_recorded": length - 1,
-            }
-            for run_id, (time, length) in enumerate(
-                zip(batch.extinction_times.tolist(), batch.lengths.tolist())
-            )
-        ]
+        run = prepare_run(regime, n, params["t_max"], record=True)
+        batch = simulate_trajectory(
+            n, regime, make_stream(params["seed"], 0), runs=params["samples"], prepared=run
+        )
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    summary = {
-        "meta": report_meta(
-            "simulate",
-            {
-                "n": n,
-                "regime": to_json(regime),
-                "samples": params["samples"],
-                "t_max": params["t_max"],
-            },
-            params["seed"],
-        ),
-        "runs": runs,
-    }
+    config = {"n": n, "regime": to_json(regime), "samples": params["samples"], "t_max": params["t_max"]}
     out_path.mkdir(parents=True, exist_ok=True)
     _write_trajectories(out_path / "trajectories.csv", batch)
     (out_path / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        _summary_json(report_meta("simulate", config, params["seed"]), batch), encoding="utf-8"
     )
     click.echo(f"wrote {out_path / 'trajectories.csv'} and {out_path / 'summary.json'}")
 

@@ -156,6 +156,7 @@ def simulate_trajectory(
     t_max: int | None = None,
     *,
     runs: int,
+    prepared: tuple[np.ndarray, int] | None = None,
 ) -> TrajectoryBatch:
     """Run the process from n until absorption at 0 or censoring at t_max,
     ``runs`` times: the extinction walk of ``extinction_time_batch``, with
@@ -164,10 +165,11 @@ def simulate_trajectory(
     Chunk i of the runs draws on ``rng.substream(i)``, and a run's path
     depends on the other runs of its chunk; ``rng`` itself draws nothing.
     The runs share the mortality array and the horizon, which are built
-    once.
+    once: here, or by the caller, who passes what
+    ``prepare_run(regime, n, t_max, record=True)`` returned as ``prepared``.
     """
     n = check_count(n, "population", 1, ProcessError, MAX_EXACT_COUNT)
-    cs, t_max = prepare_run(regime, n, t_max, record=True)
+    cs, t_max = prepare_run(regime, n, t_max, record=True) if prepared is None else prepared
 
     times, parts = _run_batch(
         rng, runs, [np.int64],

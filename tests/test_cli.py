@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import deathlab
-from deathlab import cli, experiments, kernels, limits
+from deathlab import cli, experiments, kernels, limits, process
 from deathlab.cli import main
 from deathlab.process import simulate_trajectory
 from deathlab.regimes import Constant, Table
@@ -54,6 +55,10 @@ TRAJECTORY_SETS = {
     "run_ids_past_100": (3, Constant(0.5), 120, None),
     "eight_digit_states": (10**7, Constant(0.9), 12, None),
     "single_run": (10, Constant(0.02), 1, None),
+    "many_short_runs": (50, Constant(0.9), 2000, None),
+    "one_long_run": (1000, Constant(0.001), 1, None),  # about 7,500 steps on average
+    # every run censored at n: each boundary joins equal states
+    "equal_states_across_runs": (30, Constant(1e-6), 5, 3),
 }
 
 
@@ -76,6 +81,47 @@ def test_trajectories_csv_is_what_csv_writer_writes(case, piece_rows, tmp_path, 
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+def test_equal_states_meet_across_a_run_boundary():
+    n, regime, runs, t_max = TRAJECTORY_SETS["equal_states_across_runs"]
+    batch = simulate_trajectory(n, regime, make_stream(11, 0), t_max, runs=runs)
+    starts = np.cumsum(batch.lengths)[:-1]
+    assert np.all(batch.states[starts - 1] == n) and np.all(batch.states[starts] == n)
+
+
+@pytest.mark.parametrize("case", TRAJECTORY_SETS)
+def test_summary_json_is_what_json_dumps_writes(case):
+    n, regime, runs, t_max = TRAJECTORY_SETS[case]
+    batch = simulate_trajectory(n, regime, make_stream(11, 0), t_max, runs=runs)
+    meta = experiments.report_meta("simulate", {"n": n, "regime": "r", "samples": runs, "t_max": t_max}, 11)
+    summary = {
+        "meta": meta,
+        "runs": [
+            {
+                "run_id": run_id,
+                "extinction_time": None if time < 0 else time,
+                "censored": time < 0,
+                "steps_recorded": length - 1,
+            }
+            for run_id, (time, length) in enumerate(zip(batch.extinction_times.tolist(), batch.lengths.tolist()))
+        ],
+    }
+    assert cli._summary_json(meta, batch) == json.dumps(summary, sort_keys=True, indent=2) + "\n"
+
+
+def test_trajectories_csv_is_written_in_memory_of_one_piece(tmp_path):
+    # about 10^6 rows; the earlier writer, a table of Python strings per
+    # piece, peaked at 2.72 MB on this batch
+    batch = simulate_trajectory(10, Constant(0.02), make_stream(11, 0), runs=6500)
+    assert batch.states.size > 900_000
+    tracemalloc.start()
+    try:
+        cli._write_trajectories(tmp_path / "trajectories.csv", batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_720_000, peak
+
+
 def test_simulate_rejects_bad_regime(runner, tmp_path):
     result = runner.invoke(
         main, ["simulate", "--regime", "constant:1.5", "--out", str(tmp_path)]
@@ -88,6 +134,24 @@ def test_simulate_rejects_zero_population(runner, tmp_path):
     result = runner.invoke(main, ["simulate", "--n", "0", "--out", str(tmp_path)])
     assert result.exit_code == 2
     assert "population" in result.output
+
+
+def test_simulate_prepares_the_mortality_array_once(runner, tmp_path, monkeypatch):
+    calls = []
+    prepare = process.prepare
+    monkeypatch.setattr(process, "prepare", lambda *args: calls.append(args) or prepare(*args))
+    result = invoke(runner, ["simulate", "--n", "50", "--regime", "state_power:0.5,0.5", "--out", str(tmp_path)])
+    assert result.exit_code == 0
+    assert len(calls) == 1
+
+
+def test_simulate_reports_a_refused_regime_before_a_refused_seed(runner, tmp_path):
+    args = ["simulate", "--n", "5", "--seed", str(2**64), "--out", str(tmp_path / "out")]
+    result = runner.invoke(main, args + ["--regime", "constant:5e-324"])
+    assert result.exit_code == 2 and "lies below 8e-18" in result.output
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2 and "seed must be an integer" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_roundtrip(runner, tmp_path):
