@@ -732,16 +732,22 @@ def build_verify_report(
         )
     )
 
-    for alpha, reference, K in ((1.0, math.pi**2 / 6.0, 10**6), (2.0, ZETA_3, 10**4)):
-        partial, tail = implosion_expected_time(alpha, K)
+    # zeta(s), s = alpha + 1, from the partial sum to K = 1000 and the
+    # Euler-Maclaurin bracket of its tail: sum_{k>K} k^-s lies between
+    # K^(1-s)/(s-1) - K^-s/2 and that plus s K^(-s-1)/12
+    K = 1000
+    for alpha, reference in ((1.0, math.pi**2 / 6.0), (2.0, ZETA_3)):
+        s = alpha + 1.0
+        low = implosion_expected_time(alpha, K)[0] + K ** (1.0 - s) / alpha - K**-s / 2.0
+        high = low + s * K ** (-s - 1.0) / 12.0
         report.add(
             ReportRow(
-                f"implosion series brackets zeta({alpha + 1:g})",
-                partial,
+                f"implosion series brackets zeta({s:g})",
                 reference,
+                (low + high) / 2.0,
                 None,
-                partial <= reference <= partial + tail + tol,
-                f"tail bound {tail:.2e}",
+                low - tol <= reference <= high + tol,
+                f"oracle = bracket midpoint, width {high - low:.2e} at K={K}",
             )
         )
 

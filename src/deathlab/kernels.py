@@ -23,10 +23,10 @@ The process kernels simulate the chain one level at a time, not one time
 step at a time.  Given the state k the chain is time-homogeneous: it stays
 at k for a Geometric(1-(1-c)^k) number of steps, independent of where it
 lands, and the landing follows the departure jump law, Binomial(k, c)
-deaths conditioned on at least one.  One landing draw serves every
-kernel: the landing walk inverts the conditional pmf from one death
-upward while it is expected to take at most ``_WALK_MAX`` = 14 steps,
-and zero-death binomial draws are rejected above that.  A lone
+deaths conditioned on at least one.  One landing draw serves the
+extinction walk: the landing walk inverts the conditional pmf from one
+death upward while it is expected to take at most ``_WALK_MAX`` = 14
+steps, and zero-death binomial draws are rejected above that.  A lone
 individual and certain death land at 0 without a draw; certain death
 holds one step, on a uniform of its own.  A level costs about two
 uniforms, however long the chain holds there.  These landing rules are
@@ -46,17 +46,20 @@ at at ``t_max``, for one step.  The scalar source writes them to an int64
 buffer that doubles when full; without ``record`` the pieces are empty.
 ``trajectory_fill``, outside both builds, is one recorded run of it.
 
-``single_drop_batch`` and ``first_passage_batch`` only ask whether the
-landing draw kills exactly one.  Where it walks the pmf, the answer is
-the walk's first test, u (1-(1-c)^k) <= k c (1-c)^(k-1).
+``single_drop_batch`` and ``first_passage_batch`` only ask whether a
+departure kills exactly one, and never draw the landing: at every level
+that draws, one uniform u answers, by the landing walk's first test,
+u (1-(1-c)^k) <= k c (1-c)^(k-1), which holds with chance P(one death |
+a departure) whether the full landing would walk or reject
+(``_single_death``).  So rejection serves ``extinction_batch`` alone.
 ``single_drop_batch`` walks the jump chain alone, level-major like
 ``extinction_batch``: at each level n, n-1, ..., 2 every run still
 dropping one at a time takes that level's test, in run order, and a run
 that fails drops out.  Certain death fails every live run without a
-draw, and no run draws at state 1.  ``first_passage_batch`` is one round
-of the extinction walk at one level, uncensored: every sample's hold in
-order, then every sample's landing in order.  The landing draw takes a
-level's constants from its caller, computed once per level or batch.
+draw, and no run draws at state 1.  ``first_passage_batch`` draws every
+sample's hold in order, then every sample's test in order: two uniforms
+a sample at a level that draws.  Both take a level's constants once per
+level or batch.
 
 Each build exports ``binomial_draw`` (the primitive of ``process.step``
 and of the stepping references in the tests) and the six ``*_batch``
@@ -100,9 +103,10 @@ the whole round.
   under way into the next round.  A level whose step runs transformed
   rejection, draws nothing or takes no step calls the scalar source.
 - ``single_drop_batch`` and ``first_passage_batch`` share one step, the
-  single-death outcomes of a level's landings.  ``extinction_batch``
-  joins the recorded pieces once at the end; their order across runs may
-  differ from the source's, their order within a run does not.
+  single-death tests of a level's departures as one block of uniforms.
+  ``extinction_batch`` joins the recorded pieces once at the end; their
+  order across runs may differ from the source's, their order within a
+  run does not.
 """
 
 from __future__ import annotations
@@ -308,6 +312,20 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         return _landing(gen.random() * total, k, mass, ratio)
 
     @wrap
+    def _single_death(gen, k, level):
+        # whether a departure from k, with level = _level(k, c), kills
+        # exactly one: certain death and a lone individual land without a
+        # draw, and elsewhere the landing walk's first test on one uniform
+        # holds with chance mass/total, P(one death | a departure), whether
+        # the full landing would walk or reject.  At a huge k, mass
+        # underflows to 0 and no test holds; the exact chance there is
+        # below 1e-300.
+        _, total, mass, _, kind = level
+        if kind == _NO_DRAW:
+            return k == 1
+        return gen.random() * total <= mass
+
+    @wrap
     def geometric_batch(gen, c, out):
         # Geometric on {1,2,...} with P(t) = (1-c)^(t-1) c, by inversion:
         # the hold of a lone individual
@@ -412,11 +430,10 @@ def _build_backend(jit: bool) -> SimpleNamespace:
         for k in range(n, 1, -1):
             if count == 0:
                 return
-            c = float(cs[min(k, last)])
-            level = _level(k, c)
+            level = _level(k, float(cs[min(k, last)]))
             kept = 0
             for j in range(count):
-                if _conditional_deaths(gen, k, c, level) == 1:
+                if _single_death(gen, k, level):
                     live[kept] = live[j]
                     kept += 1
             count = kept
@@ -424,14 +441,14 @@ def _build_backend(jit: bool) -> SimpleNamespace:
 
     @wrap
     def first_passage_batch(gen, k, c, out_j, out_code):
-        # The first departure from state k, drawn as one round of the
-        # extinction walk: every sample's hold, Geometric(1-(1-c)^k), in
-        # order, then every landing, by the jump law, in order.
+        # The first departure from state k: every sample's hold,
+        # Geometric(1-(1-c)^k), in order, then whether each departure kills
+        # exactly one, in order.
         level = _level(k, c)
         for i in range(out_j.shape[0]):
             out_j[i] = int(_hold(gen, level[0]))
         for i in range(out_j.shape[0]):
-            out_code[i] = FINITE if _conditional_deaths(gen, k, c, level) == 1 else JUMPED_OVER
+            out_code[i] = FINITE if _single_death(gen, k, level) else JUMPED_OVER
 
     @wrap
     def first_passage_stepped_batch(gen, k, c, t_max, out_j, out_code):
@@ -537,10 +554,10 @@ def _array_entries(py: SimpleNamespace) -> dict:
     Each draws what its scalar source (``__wrapped__``) draws, in the same
     order, but takes the uniforms of a round or a batch as
     ``gen.random(size)`` blocks and does the arithmetic on arrays.  Only
-    the rejection landings, a varying number of uniforms each, run the
-    scalar binomial draw, on blocks of one double per landing still to
-    draw; the stepped reference at a level that does not walk is its
-    scalar source.
+    the extinction walk's rejection landings, a varying number of uniforms
+    each, run the scalar binomial draw, on blocks of one double per
+    landing still to draw; the stepped reference at a level that does not
+    walk is its scalar source.
     """
     draw = py.binomial_draw
 
@@ -560,14 +577,12 @@ def _array_entries(py: SimpleNamespace) -> dict:
         return out
 
     def single_deaths(gen, k, c, m):
-        # whether each of m landing draws from k at mortality c, in order,
-        # kills exactly one
+        # _single_death for each of m departures from k at mortality c, in
+        # order
         _, total, mass, _, kind = _level_constants(k, c)
-        if kind == _WALKS:
-            return gen.random(m) * total <= mass
-        if kind == _REJECTS:
-            return np.equal(rejections(gen, [k] * m, [c] * m), 1)
-        return np.full(m, k == 1)
+        if kind == _NO_DRAW:
+            return np.full(m, k == 1)
+        return gen.random(m) * total <= mass
 
     @functools.wraps(py.extinction_batch)
     def extinction_batch(gen, out, cs, n, t_max, record=False):

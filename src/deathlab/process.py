@@ -255,10 +255,10 @@ def first_passage_batch(
     departure landed at k-1, after ``times`` steps) and ``JUMPED_OVER`` (it
     landed below k-1).  Each draw is exact but O(1): the holding time at k
     is Geometric with success 1-(1-c)^k, independent of the landing state,
-    which follows the departure jump law.  Each chunk is one round of the
-    extinction walk at k: every sample's hold in order, then every
-    sample's landing in order.  ``stepped=True`` realizes the
-    same law by raw stepping, the reference the tests compare against; it
+    which follows the departure jump law.  Each chunk draws every
+    sample's hold in order, then one uniform per sample, in order, for
+    whether its departure kills exactly one; no landing is drawn.
+    ``stepped=True`` realizes the same law by raw stepping, the reference the tests compare against; it
     gives up with code ``CENSORED`` after ``STEPPED_T_MAX`` steps at k.
     """
     k = check_count(k, "population", 1, ProcessError, MAX_EXACT_COUNT)

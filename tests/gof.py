@@ -3,8 +3,9 @@
 Pooled chi-square: KS on discrete laws is conservative; chi-square is the
 sharp tool there.  The p-value needs scipy, which only the tests depend
 on.  ``family_misses`` checks many binomial counts at once at a stated
-family-wise level, and ``two_proportion_p_value`` asks whether two
-binomial counts share one success probability.
+family-wise level, ``two_proportion_p_value`` asks whether two
+binomial counts share one success probability, and ``binomial_tails``
+gives both exact tails of one count.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import bdtr, bdtrc, gammaincc
 
 from deathlab.stats import StatsError, wilson_interval
 
@@ -86,3 +87,10 @@ def two_proportion_p_value(hits_a: int, trials_a: int, hits_b: int, trials_b: in
         return 1.0  # both all hits or both none
     z = (hits_a / trials_a - hits_b / trials_b) / spread
     return math.erfc(abs(z) / math.sqrt(2.0))
+
+
+def binomial_tails(hits: int, trials: int, p: float) -> tuple[float, float]:
+    """Exact P(X <= hits) and P(X >= hits) for X ~ Binomial(trials, p).  A
+    count agrees with p at level ``level`` when both tails exceed level/2,
+    which holds near 0 and 1 where a score interval cannot."""
+    return float(bdtr(hits, trials, p)), 1.0 if hits == 0 else float(bdtrc(hits - 1, trials, p))

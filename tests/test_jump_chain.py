@@ -12,10 +12,19 @@ and the single-drop oracle -- and against the per-step references in
 path, a ``Table`` entry with c = 1, and a dense regime whose landings from
 the top levels take the rejection draw.
 
+The single-death batches never draw a landing: one uniform against the
+landing walk's first test answers whether a departure kills exactly one,
+at every level that draws.  The law of that answer is checked at the
+first level whose full landing would reject, with exact binomial tails,
+and its cost is read from the Philox counter: two uniforms a first
+passage, one a live run and level of a single-drop batch.
+
 The last tests pin the draw order of the batches.  Test-side copies of
-the full landing draw, level-major for single drops and round-major for
-first passages (one round), extinction times and paths, must draw what the active build, the Python build's entry points
-and their scalar source draw, up to the generator's end position.
+the single-death test (level-major for single drops; every hold, then
+every test, for first passages) and of the full landing draw (extinction
+times and paths, round-major) must draw what the active build, the
+Python build's entry points and their scalar source draw, up to the
+generator's end position.
 
 Every statistical check runs at level 0.001, so the fifty or so of them
 together fail by chance on about one seed in twenty.
@@ -35,14 +44,16 @@ from deathlab import (
     ks_two_sample,
     ks_two_sample_critical,
     make_stream,
+    passage_pmf,
     simulate_trajectory,
     single_drop_batch,
+    single_drop_prob,
     wilson_interval,
 )
 from deathlab import kernels
 from deathlab.oracle import MAX_TIME, exact_extinction_curve, state_distribution_history
 from deathlab.regimes import mortality, prepare
-from gof import chi_square_gof
+from gof import binomial_tails, chi_square_gof
 import stepped
 
 SEED = 20261018
@@ -289,23 +300,33 @@ def _hold(gen, k, c):
     return int(4.6e18 if x >= 4.6e18 else math.floor(x) + 1.0)
 
 
+def _single_death(gen, k, c):
+    """Whether a departure from k kills exactly one: certain death and a
+    lone individual without a draw, and at every other level one uniform
+    u, by the landing walk's first test u (1-(1-c)^k) <= k c (1-c)^(k-1),
+    whether the full landing draw would walk or reject."""
+    if k == 1 or c >= 1.0:
+        return k == 1
+    lq = k * math.log1p(-c)
+    return gen.random() * -math.expm1(lq) <= k * (c / (1.0 - c)) * math.exp(lq)
+
+
 def _first_passage(gen, k, c, m):
-    """(hold, code) of the first departure from k for m samples, as one
-    round of the extinction walk: every hold in order, then every full
-    landing draw in order."""
+    """(hold, code) of the first departure from k for m samples: every
+    hold in order, then every single-death test in order."""
     holds = [_hold(gen, k, c) for _ in range(m)]
-    codes = [kernels.FINITE if _landing(gen, k, c) == 1 else kernels.JUMPED_OVER for _ in range(m)]
+    codes = [kernels.FINITE if _single_death(gen, k, c) else kernels.JUMPED_OVER for _ in range(m)]
     return list(zip(holds, codes))
 
 
 def _single_drops(gen, cs, n, m):
-    """Whether every landing from n down to 2 kills exactly one, for m runs
-    drawn level-major: at each level every run still in takes the full
-    landing draw, in run order, and stays in if it kills exactly one."""
+    """Whether every departure from n down to 2 kills exactly one, for m
+    runs drawn level-major: at each level every run still in takes the
+    single-death test, in run order, and stays in if it passes."""
     last = cs.shape[0] - 1
     live = range(m)
     for k in range(n, 1, -1):
-        live = [i for i in live if _landing(gen, k, float(cs[min(k, last)])) == 1]
+        live = [i for i in live if _single_death(gen, k, float(cs[min(k, last)]))]
     return [i in live for i in range(m)]
 
 
@@ -358,7 +379,7 @@ def test_passage_levels_cover_every_landing_draw():
 
 
 @pytest.mark.parametrize("k, c", PASSAGE_LEVELS)
-def test_first_passage_batch_draws_what_the_full_landing_draw_draws(k, c):
+def test_first_passage_batch_draws_what_the_single_death_test_draws(k, c):
     m = 2000
     ref = make_stream(SEED, 800).generator
     expected = _first_passage(ref, k, c, m)
@@ -378,9 +399,14 @@ DROP_CHAINS = {
 }
 
 
-@pytest.mark.parametrize("case", DROP_CHAINS)
-def test_single_drop_batch_draws_what_the_full_landing_draw_draws(case):
-    n, regime = DROP_CHAINS[case]
+# and a chain whose top levels would land by transformed rejection, many
+# uniforms a landing, where "dense" would land by one walk on one uniform
+TESTED_DROP_CHAINS = {**DROP_CHAINS, "transformed_rejection": (300, Constant(0.05))}
+
+
+@pytest.mark.parametrize("case", TESTED_DROP_CHAINS)
+def test_single_drop_batch_draws_what_the_single_death_test_draws(case):
+    n, regime = TESTED_DROP_CHAINS[case]
     cs, m = prepare(regime, n), 500
     ref = make_stream(SEED, 801).generator
     expected = _single_drops(ref, cs, n, m)
@@ -390,6 +416,53 @@ def test_single_drop_batch_draws_what_the_full_landing_draw_draws(case):
         kernel(gen, out, cs, n)
         assert out.astype(bool).tolist() == expected, kernel
         assert _words_drawn(gen) == _words_drawn(ref), kernel
+
+
+# (k, c, samples, stream id) at the first level, at each c, whose full
+# landing draw would reject; P(one death | a departure) is 8.53e-6 and
+# 1.06e-6 there, so each draws for about 21 to 26 expected hits
+FIRST_REJECTING = [(280, 0.05, 3 * 10**6, 900), (47, 0.3, 2 * 10**7, 901)]
+PASSAGE_CHUNK = 10**6
+
+
+@pytest.mark.parametrize("k, c, m, stream_id", FIRST_REJECTING)
+def test_first_passage_at_the_first_rejecting_level_matches_the_law(k, c, m, stream_id):
+    assert (_landing_draw(k, c), _landing_draw(k - 1, c)) == ("reject", "walk")
+    gen = make_stream(SEED, stream_id).generator
+    single = first = 0  # single deaths, and those at time 1
+    for start in range(0, m, PASSAGE_CHUNK):
+        size = min(PASSAGE_CHUNK, m - start)
+        out_j, out_code = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+        kernels.first_passage_batch(gen, k, c, out_j, out_code)
+        finite = out_code == kernels.FINITE
+        single += int(np.count_nonzero(finite))
+        first += int(np.count_nonzero(finite & (out_j == 1)))
+    for hits, p in ((single, single_drop_prob(k, c)), (first, passage_pmf(k, c, 1))):
+        assert m * p >= 20
+        below, above = binomial_tails(hits, m, p)
+        assert min(below, above) > LEVEL / 2, (k, c, hits, m * p)
+
+
+# walking levels, and rejecting ones whose full landing would take one
+# walk (30, 0.7) or transformed rejection; k = 1 and certain death draw
+# no test
+TESTED_LEVELS = [(10, 0.02), (5, 0.3), (30, 0.7), (47, 0.3), (280, 0.05), (1000, 0.05)]
+
+
+@pytest.mark.parametrize("k, c", TESTED_LEVELS)
+def test_a_single_death_question_takes_one_uniform(k, c):
+    m = 700
+    # below k every level is certain death, which draws nothing: each
+    # single-drop run takes its one test at k and no other
+    cs = np.append(np.ones(k), c)
+    for kernel in _entry_points("first_passage_batch"):
+        gen = make_stream(SEED, 803).generator
+        kernel(gen, k, c, np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64))
+        assert _words_drawn(gen) == 2 * m, kernel  # a hold and a test
+    for kernel in _entry_points("single_drop_batch"):
+        gen = make_stream(SEED, 804).generator
+        kernel(gen, np.empty(m, dtype=np.uint8), cs, k)
+        assert _words_drawn(gen) == m, kernel
 
 
 # every chain above at a horizon that censors about half of its runs, and

@@ -78,7 +78,8 @@ def disallowed_calls(found: dict) -> list[str]:
 
 def test_every_kernel_is_walked():
     exported = {name for name in vars(kernels.get_backend(False)) if name != "name"}
-    assert exported | {"_level", "_landing", "_thin", "_hold", "_conditional_deaths"} <= set(compiled_kernels())
+    helpers = {"_level", "_landing", "_thin", "_hold", "_conditional_deaths", "_single_death"}
+    assert exported | helpers <= set(compiled_kernels())
 
 
 def test_kernels_call_only_what_numba_compiles():

@@ -49,7 +49,7 @@ EXPECTED = {
     "simulate/summary.json": "ce9541ffe5f1d08be6f7914444a32fbb758e64887c4a28d4be72a0a1f1e98647",
     "simulate/trajectories.csv": "489268c6fa74ec084ba450e2c37cf4fa9a5d0ed1bfa0d04a290ceb44b292991e",
     "simulate:exit": "0",
-    "verify/verify.json": "c3da738c14d6628976634256da752b2a0f33e758ae7a67c91194d49b795664ce",
+    "verify/verify.json": "a9c818e888d5343c1af4241ddc8b99a9f966da3b96ed5089319c1a63f4cf92cd",
     "verify:exit": "0",
 }
 

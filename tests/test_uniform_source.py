@@ -494,14 +494,18 @@ def test_transformed_rejection_takes_uniforms_of_zero():
 
 @pytest.mark.parametrize("m", [1, 3, 7])
 def test_a_landing_that_draws_no_death_draws_again(m):
-    # the first landing draws 0 deaths twice, with an attempt off the
-    # domain between, before the stream's own doubles
+    # one round of the extinction walk from 40, a level that rejects, up to
+    # t_max = 1: m holds, then m landings.  The first landing draws 0
+    # deaths twice, with an attempt off the domain between, before the
+    # stream's own doubles; every attempt takes two uniforms at least
+    assert kernels._level_constants(40, 0.4)[4] == kernels._REJECTS
     stream = make_stream(SEED, 14).generator.random(m + 200).tolist()
     values = stream[:m] + NO_DEATH + OFF_DOMAIN + ZERO_V + stream[m:]
     seen = []
-    for kernel in (PY.first_passage_batch, PY.first_passage_batch.__wrapped__):
-        gen, out_j, out_code = _Listed(values), _ints(m), _ints(m)
-        kernel(gen, 40, 0.4, out_j, out_code)
-        seen.append((out_j.tolist(), out_code.tolist(), gen.at))
+    for kernel in (PY.extinction_batch, PY.extinction_batch.__wrapped__):
+        gen, out = _Listed(values), _ints(m)
+        paths = _expand(kernel(gen, out, prepare(Constant(0.4), 40), 40, 1, True), m)
+        seen.append((out.tolist(), paths, gen.at))
     assert seen[0] == seen[1]
-    assert seen[0][2] > m + 6
+    assert all(len(path) == 2 and 0 < path[1] < 40 for path in seen[0][1])
+    assert seen[0][2] >= 3 * m + 6
