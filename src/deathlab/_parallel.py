@@ -23,15 +23,6 @@ T = TypeVar("T")
 CHUNK_SIZE = 16384
 
 
-def chunk_sizes(total: int, chunk: int, error: type[ValueError] = ValueError) -> list[int]:
-    """Split ``total`` items, a count, into chunks of ``chunk`` items and a
-    shorter last one (worker-count independent); a ``total`` that is not
-    a count raises ``error``."""
-    total = check_count(total, "batch size", 0, error)
-    full, rest = divmod(total, chunk)
-    return [chunk] * full + ([rest] if rest else [])
-
-
 def run_chunked(
     root: RngStream,
     total: int,
@@ -41,11 +32,13 @@ def run_chunked(
     error: type[ValueError],
 ) -> list[T]:
     """Run ``task(substream, chunk_len)`` per chunk of ``chunk`` items, on
-    up to ``workers`` threads; results in chunk order.  The batch size
-    ``total`` and ``workers`` are counts, checked before any stream is
-    made; the caller's ``error`` says where one is not."""
-    sizes = chunk_sizes(total, chunk, error)
+    up to ``workers`` threads; results in chunk order, the last chunk short.
+    The batch size ``total`` and ``workers`` are counts, checked before any
+    stream is made; the caller's ``error`` says where one is not."""
+    total = check_count(total, "batch size", 0, error)
     workers = check_count(workers, "workers", 1, error)
+    full, rest = divmod(total, chunk)
+    sizes = [chunk] * full + ([rest] if rest else [])
     streams = [root.substream(i) for i in range(len(sizes))]
     if workers == 1 or len(sizes) <= 1:
         return [task(s, m) for s, m in zip(streams, sizes)]

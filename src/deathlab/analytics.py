@@ -22,6 +22,8 @@ from .regimes import InitialPower, JointPower, MortalityRegime, check_count, che
 
 # expected_extinction_time stops once its remaining tail is below this
 MEAN_TAIL_TOL = 1e-10
+# extinction_time_variance stops once its weighted tail is below this
+VARIANCE_TAIL_TOL = 1e-14
 
 SUM_BLOCK = 1 << 16
 
@@ -43,15 +45,28 @@ def block_sum(terms: Callable[[np.ndarray], np.ndarray], start: int, stop: int) 
     return math.fsum(sums)
 
 
-def extinction_cdf(n: int, c: float, t: int) -> float:
-    """P(extinct by time t from n) = (1 - (1-c)^t)^n."""
+def extinction_cdf(n: int, c: float, t):
+    """P(extinct by time t from n) = (1 - (1-c)^t)^n, at a count ``t`` or
+    at each count of an array ``t``.  Each point goes through libm on its
+    own, so an array's values equal the scalar's bit for bit."""
     n = check_count(n, "n", 1, AnalyticsError)
     c = check_probability(c, "(0,1)", AnalyticsError)
-    t = check_count(t, "t", 0, AnalyticsError)
-    if t == 0:
-        return 0.0
-    survive_log = t * math.log1p(-c)  # log (1-c)^t
-    return math.exp(n * math.log1p(-math.exp(survive_log)))
+    lnq = math.log1p(-c)
+    array = isinstance(t, np.ndarray)
+    times = [check_count(x, "t", 0, AnalyticsError) for x in (t.ravel().tolist() if array else [t])]
+    # (1-c)^t = e^(t ln q); at t = 0 nobody is dead yet
+    values = [math.exp(n * math.log1p(-math.exp(x * lnq))) if x else 0.0 for x in times]
+    return np.array(values).reshape(t.shape) if array else values[0]
+
+
+def exceedance_probability(n: int, c: float, eps: float) -> float:
+    """Exact P(|tau_n/d_n - 1| > eps), straight from the extinction CDF."""
+    d = typical_extinction_time(n, c)
+    left_cut = math.ceil((1.0 - eps) * d) - 1  # largest t strictly below (1-eps) d
+    right_cut = math.floor((1.0 + eps) * d)  # largest t not above (1+eps) d
+    left = extinction_cdf(n, c, left_cut) if left_cut >= 0 else 0.0
+    right = 1.0 - extinction_cdf(n, c, right_cut)
+    return left + right
 
 
 def typical_extinction_time(n: int, c: float) -> float:
@@ -80,6 +95,40 @@ def expected_extinction_time(n: int, c: float) -> float:
     lnq = math.log1p(-c)
     with np.errstate(divide="ignore"):
         return block_sum(lambda t: -np.expm1(n * np.log1p(-np.exp(t * lnq))), 0, t_stop)
+
+
+def extinction_variance_terms(n: int, c: float) -> int:
+    """The number of terms ``extinction_time_variance`` sums: the least T
+    whose weighted tail bound n q^T ((2T+1)/c + 2q/c^2), q = 1-c, lies below
+    VARIANCE_TAIL_TOL."""
+    n = check_count(n, "n", 1, AnalyticsError)
+    c = check_probability(c, "(0,1)", AnalyticsError)
+    lnq = math.log1p(-c)
+    room = math.log(VARIANCE_TAIL_TOL) - math.log(n)
+    # each pass: the least T below the bound at the last pass's weight, which
+    # grows with T, so no pass overshoots; at T = 0 the bound exceeds n/c
+    t_stop, t_next = 0, 1
+    while t_next > t_stop:
+        t_stop = t_next
+        weight = (2 * t_stop + 1) / c + 2 * (1.0 - c) / (c * c)
+        t_next = math.ceil((room - math.log(weight)) / lnq)
+    return t_stop
+
+
+def extinction_time_variance(n: int, c: float) -> float:
+    """Exact Var(extinction time from n) = E tau^2 - (E tau)^2, with
+    E tau^2 = sum_{t>=0} (2t+1) P(tau > t) and E tau = sum_{t>=0} P(tau > t)
+    summed over the first ``extinction_variance_terms`` t: past them both
+    tails lie below VARIANCE_TAIL_TOL."""
+    t_stop = extinction_variance_terms(n, c)
+    lnq = math.log1p(-c)
+
+    def survival(t: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return -np.expm1(n * np.log1p(-np.exp(t * lnq)))
+
+    mean = block_sum(survival, 0, t_stop)
+    return block_sum(lambda t: (2.0 * t + 1.0) * survival(t), 0, t_stop) - mean * mean
 
 
 def single_drop_prob(k: int, c: float) -> float:

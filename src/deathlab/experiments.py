@@ -6,7 +6,8 @@ data).  Each kind of row has one helper, shared by ``verify`` and the
 commands: ``_grid_row``, ``_ks_row``, ``_mean_row``, ``ReportRow.wilson``
 (with the oracle where one exists), ``_finite_hits``,
 ``_scaled_passage_rows`` and ``_ratio_rows``.  Statistical rows use 99.99%
-score intervals and 0.05%-level KS thresholds.  Those levels hold per row,
+score intervals and 0.05%-level KS thresholds; a mean row passes within
+4 sqrt(Var / count), Var the law's variance.  Those levels hold per row,
 not per report, and near 0 and 1 a Wilson interval can miss the exact
 value after one chance miss, so a report with many rows fails at some
 seeds; the pinned acceptance tolerances (99% / 1%) live in the acceptance
@@ -15,6 +16,7 @@ test suite.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -28,9 +30,11 @@ from .analytics import (
     AnalyticReport,
     AnalyticsError,
     ReportRow,
-    expected_extinction_terms,
+    exceedance_probability,
     expected_extinction_time,
     extinction_cdf,
+    extinction_time_variance,
+    extinction_variance_terms,
     implosion_cumulants,
     implosion_expected_time,
     limit_passage_rate,
@@ -46,9 +50,6 @@ from .analytics import (
     typical_extinction_time,
 )
 from .limits import (
-    Moments,
-    _moments,
-    _stderr,
     check_sweep_levels,
     implosion_batch,
     implosion_truncation_sweep,
@@ -127,26 +128,6 @@ def report_meta(command: str, config: dict, seed: int) -> dict:
     }
 
 
-def exceedance_probability(n: int, c: float, eps: float) -> float:
-    """Exact P(|tau_n/d_n - 1| > eps), straight from the extinction CDF."""
-    d = typical_extinction_time(n, c)
-    left_cut = math.ceil((1.0 - eps) * d) - 1  # largest t strictly below (1-eps) d
-    right_cut = math.floor((1.0 + eps) * d)  # largest t not above (1+eps) d
-    left = extinction_cdf(n, c, left_cut) if left_cut >= 0 else 0.0
-    right = 1.0 - extinction_cdf(n, c, right_cut)
-    return left + right
-
-
-def extinction_cdf_callable(n: int, c: float):
-    lnq = math.log1p(-c)
-
-    def cdf(t: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.exp(n * np.log1p(-np.exp(np.asarray(t, dtype=np.float64) * lnq)))
-
-    return cdf
-
-
 def exponential_cdf_callable(rate: float):
     def cdf(x: np.ndarray) -> np.ndarray:
         return -np.expm1(-rate * np.asarray(x, dtype=np.float64))
@@ -185,10 +166,11 @@ def _grid_row(label: str, closed, oracle, where, tol: float, note: str = "") -> 
     )
 
 
-def _mean_row(label: str, expected: float, moments: Moments, note: str = "") -> ReportRow:
-    """The sample mean of a sample's ``moments`` within four standard
-    errors of ``expected``."""
-    return ReportRow.compare(label, expected, monte_carlo=(moments[1], 4 * _stderr(moments)), note=note)
+def _mean_row(label: str, expected: float, estimate: float, variance: float, count: int, note: str = "") -> ReportRow:
+    """``estimate``, the mean of ``count`` draws from a law of mean
+    ``expected`` and variance ``variance``, within four of the law's
+    standard errors sqrt(variance / count) of ``expected``."""
+    return ReportRow.compare(label, expected, monte_carlo=(estimate, 4 * math.sqrt(variance / count)), note=note)
 
 
 def _finite_hits(
@@ -232,9 +214,10 @@ def _ratio_rows(
     value."""
     d = typical_extinction_time(n, c)
     ratios = sample_max_geometric_batch(stream, n, c, samples) / d
-    beyond = int(np.count_nonzero(np.abs(ratios - 1.0) > RATIO_EPS))  # before _moments overwrites ratios
-    note = "exact mean by survival-function summation"
-    report.add(_mean_row(f"mean tau/d_n [{tag}]", expected_extinction_time(n, c) / d, _moments(ratios), note))
+    beyond = int(np.count_nonzero(np.abs(ratios - 1.0) > RATIO_EPS))
+    expected, variance = expected_extinction_time(n, c) / d, extinction_time_variance(n, c) / (d * d)
+    note = "exact mean and variance by survival-function summation"
+    report.add(_mean_row(f"mean tau/d_n [{tag}]", expected, float(ratios.sum()) / samples, variance, samples, note))
     report.add(
         ReportRow.wilson(
             f"P(|tau/d_n - 1| > {RATIO_EPS:g}) [{tag}]",
@@ -280,10 +263,10 @@ def build_extinct_report(
     c = mortality(regime, 1, n)
     if ratio_n is not None:
         typical_extinction_time(ratio_n, ratio_c)  # rejects ratio_n and ratio_c before any draw
-        terms = expected_extinction_terms(ratio_n, ratio_c)
+        terms = extinction_variance_terms(ratio_n, ratio_c)
         if terms > MAX_SERIES_TERMS:
             raise ValueError(
-                f"the exact mean of tau sums {terms} terms at n={ratio_n}, c={ratio_c:g}; "
+                f"the exact moments of tau sum {terms} terms at n={ratio_n}, c={ratio_c:g}; "
                 f"the cap is {MAX_SERIES_TERMS}"
             )
     prepare_run(regime, n, None)  # the Monte Carlo runs' horizon and holds, before any stream
@@ -292,12 +275,12 @@ def build_extinct_report(
     oracle_curve = None
     if n <= MAX_STATE and t_max <= MAX_TIME:
         oracle_curve = exact_extinction_curve(n, regime, t_max)
+    curve = extinction_cdf(n, c, np.array(t_grid))
     times = extinction_time_batch(n, regime, make_stream(seed, 0), samples, workers=workers)
     censored = int(np.count_nonzero(times < 0))
     csv_rows = []
     tag = describe(regime)
-    for t in t_grid:
-        closed = extinction_cdf(n, c, t)
+    for t, closed in zip(t_grid, curve.tolist()):
         dp = None if oracle_curve is None else float(oracle_curve[t])
         hits = int(np.count_nonzero((times >= 0) & (times <= t)))
         label = f"P(extinct by t={t}) [n={n}, {tag}]"
@@ -522,10 +505,9 @@ def build_implode_outputs(
     variance, kappa4 = implosion_cumulants(alpha, K)
     runs = check_count(runs, "runs", 2, AnalyticsError)  # a sample variance needs two
     levels = check_sweep_levels(sweep or (), K)
-    totals, moments = implosion_batch(alpha, K, runs, make_stream(seed, 0), workers=workers, levels=levels)
+    totals, (whole, means) = implosion_batch(alpha, K, runs, make_stream(seed, 0), workers=workers, levels=levels)
     label = f"mean implosion time [alpha={alpha:g}, K={K}]"
-    whole = moments[0]
-    report.add(_mean_row(label, partial, whole, "expected value = partial sum"))
+    report.add(_mean_row(label, partial, whole[1], variance, runs, "expected value = partial sum"))
     # the sample variance's own variance, from the law: kappa4/n + 2 var^2/(n-1)
     var_se = math.sqrt(kappa4 / runs + 2.0 * variance**2 / (runs - 1))
     report.add(
@@ -548,7 +530,7 @@ def build_implode_outputs(
     )
     sweep_rows = []
     if sweep:
-        rows = implosion_truncation_sweep(alpha, levels, moments)
+        rows = implosion_truncation_sweep(alpha, levels, means, runs)
         # each partial-sum gap lies in [0, prev.tail_bound] up to rounding
         # (float partial sums stall, and pairwise sums dip by an ulp); the
         # observed means must track them within noise, pointwise and in the
@@ -587,8 +569,8 @@ def build_verify_report(
     # --- identities -------------------------------------------------------
     # one DP per mortality: from every start at once, on the largest start's
     # kernel, whose rows do not depend on n under constant mortality
-    starts, times, mortalities = range(1, 16), range(51), (0.05, 0.3, 0.9)
-    closed = [extinction_cdf(n, c, t) for c in mortalities for n in starts for t in times]
+    starts, times, mortalities = range(1, 16), np.arange(51), (0.05, 0.3, 0.9)
+    closed = [extinction_cdf(n, c, times) for c in mortalities for n in starts]
     oracle = [
         state_distribution_history(starts[-1], Constant(c), times[-1], starts=starts)[:, :, 0].T
         for c in mortalities
@@ -614,9 +596,9 @@ def build_verify_report(
     )
 
     # the n=1 CDF against the geometric CDF, by relative error
-    mortalities, times = (0.05, 0.3, 0.5, 0.95), range(1, 51)
-    geom = np.array([-math.expm1(t * math.log1p(-c)) for c in mortalities for t in times])
-    cdf = np.array([extinction_cdf(1, c, t) for c in mortalities for t in times])
+    mortalities, times = (0.05, 0.3, 0.5, 0.95), np.arange(1, 51)
+    geom = np.array([-math.expm1(t * math.log1p(-c)) for c in mortalities for t in times.tolist()])
+    cdf = np.concatenate([extinction_cdf(1, c, times) for c in mortalities])
     rel = np.abs(cdf - geom) / geom
     worst = int(np.argmax(rel))
     where = _point("c={c}, t={t}", c=mortalities, t=times)
@@ -756,7 +738,7 @@ def build_verify_report(
     ext = extinction_time_batch(50, Constant(0.2), make_stream(seed, 10), samples, workers=workers)
     dist = ks_statistic(
         SampleSummary.from_samples(ext.astype(np.float64)),
-        extinction_cdf_callable(50, 0.2),
+        functools.partial(extinction_cdf, 50, 0.2),
         lattice=1.0,
     )
     report.add(_ks_row("extinction times vs closed CDF [n=50, c=0.2]", dist, ks_critical_value(samples, KS_LEVEL)))
@@ -801,8 +783,9 @@ def build_verify_report(
         "k=2, alpha=1, beta=3, n=10^3", "P(T finite) at scale n=10^3 [k=2, alpha=1, beta=3]", workers=workers,
     )
 
-    _, (whole, _, _) = implosion_batch(1.0, 2000, samples, make_stream(seed, 21), workers=workers)
+    _, (whole, _) = implosion_batch(1.0, 2000, samples, make_stream(seed, 21), workers=workers)
     partial, _ = implosion_expected_time(1.0, 2000)
-    report.add(_mean_row("mean implosion time [alpha=1, K=2000]", partial, whole))
+    variance, _ = implosion_cumulants(1.0, 2000)
+    report.add(_mean_row("mean implosion time [alpha=1, K=2000]", partial, whole[1], variance, samples))
 
     return report

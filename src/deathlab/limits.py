@@ -16,14 +16,14 @@ stages per call into one block it reuses, and adds them to its running
 sum one stage at a time, so the totals do not depend on the block size.
 The truncation sweep draws nothing of its own: a run's total at a level
 L <= K is the sum of its stages k <= L, so ``implosion_batch`` reads the
-moments of every sweep level, and of the gap between two levels, off the
-runs of the totals, and ``implosion_truncation_sweep`` compares them with
-the certified partial sums.
+mean of every sweep level off the runs of the totals, and
+``implosion_truncation_sweep`` compares the means, and their differences
+between levels, with the certified partial sums, each within standard
+errors from the law: a sum of stages has variance sum k^-2(alpha+1).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -34,7 +34,8 @@ from ._parallel import CHUNK_SIZE, run_chunked
 # single_drop_prob and mortality stay importable here: perfbench/spans.py
 # wraps them by these names
 from .analytics import (  # noqa: F401
-    AnalyticsError, check_alpha, implosion_expected_time, scaling_constant, single_drop_prob,
+    AnalyticsError, block_sum, check_alpha, implosion_cumulants, implosion_expected_time, scaling_constant,
+    single_drop_prob,
 )
 from .process import first_passage_batch
 from .regimes import MortalityRegime, check_count, mortality  # noqa: F401
@@ -123,27 +124,6 @@ def check_sweep_levels(levels: Sequence[int], K: int | None = None) -> list[int]
 Moments = tuple[int, float, float]
 
 
-def _moments(values: np.ndarray) -> Moments:
-    """The moments of ``values``, which this overwrites."""
-    count = values.size
-    mean = float(values.sum()) / count
-    values -= mean
-    np.square(values, out=values)
-    return count, mean, float(values.sum())
-
-
-def _merge(a: Moments, b: Moments) -> Moments:
-    # Chan, Golub & LeVeque's pairwise update
-    count = a[0] + b[0]
-    delta = b[1] - a[1]
-    return count, a[1] + delta * b[0] / count, a[2] + b[2] + delta * delta * a[0] * b[0] / count
-
-
-def _stderr(m: Moments) -> float:
-    count, _, m2 = m
-    return math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0
-
-
 def implosion_batch(
     alpha: float,
     K: int,
@@ -151,10 +131,9 @@ def implosion_batch(
     rng: RngStream,
     workers: int = 1,
     levels: Sequence[int] = (),
-) -> tuple[np.ndarray, tuple[Moments, list[Moments], list[Moments]]]:
-    """Total implosion times for many runs (stage-vectorized), and the
-    moments of the totals and of the sweep ``levels``, read off the same
-    runs.
+) -> tuple[np.ndarray, tuple[Moments, list[float]]]:
+    """Total implosion times for many runs (stage-vectorized), the moments
+    of the totals, and the runs' mean at each sweep level.
 
     The runs split into chunks of ``min(CHUNK_SIZE, ceil(runs /
     MIN_CHUNKS))``, chunk i on ``rng.substream(i)``, so the chunks depend
@@ -165,14 +144,12 @@ def implosion_batch(
     chunk of 500, so the draws equal one call per stage.  The running sum
     goes into the block's first row and the block's rows are then added in
     order, so a chunk adds its stages one at a time from zero, whatever
-    the block size.  The moments are ``(total, level, gap)``: ``total``
-    those of the totals, ``level[i]`` those of the runs' totals over the
-    stages k <= ``levels[i]``, ``gap[i]`` those of the paired difference
-    ``level[i + 1]`` minus ``level[i]``, the stages in (``levels[i]``,
-    ``levels[i + 1]``].  A level below K costs
-    one copy of the running totals: the sum of its block's rows before it.
-    Chunks are merged in chunk order, so neither the totals nor the
-    moments depend on ``workers``.
+    the block size.  ``means[i]`` is the mean of the runs' totals over the
+    stages k <= ``levels[i]``; a level below K costs one copy of the
+    running totals, the sum of its block's rows before it.  Each chunk
+    sums its runs at every level and at K; the sums are added over the
+    chunks by ``math.fsum``, and the totals' squared deviations from their
+    mean in one pass, so nothing depends on ``workers``.
     """
     K = check_count(K, "K", 1, AnalyticsError)
     rates = _stage_rates(alpha, K)
@@ -196,31 +173,24 @@ def implosion_batch(
             _add_rows(block, out=totals)
         above.reverse()
         scratch = buffer[0]  # the block is drawn: its first row is free
-
-        def moments(a, b) -> Moments:
-            np.subtract(a, b, out=scratch)
-            return _moments(scratch)
-
-        level = [moments(totals, prefix) for prefix in above]
-        gap = [moments(low, high) for low, high in zip(above, above[1:])]
-        whole = level[-1] if K in levels[-1:] else moments(totals, 0.0)  # a sweep of K reads the totals
-        return totals, whole, level, gap
+        # the sums at the levels, then at K
+        return totals, [float(np.subtract(totals, prefix, out=scratch).sum()) for prefix in above + [0.0]]
 
     chunk = min(CHUNK_SIZE, -(-runs // MIN_CHUNKS))
-    parts = run_chunked(rng, runs, task, chunk, workers, AnalyticsError)
-
-    def merged(j: int) -> list[Moments]:
-        return [functools.reduce(_merge, chunks) for chunks in zip(*(part[j] for part in parts))]
-
-    whole = functools.reduce(_merge, (part[1] for part in parts))
-    return np.concatenate([part[0] for part in parts]), (whole, merged(2), merged(3))
+    totals, sums = zip(*run_chunked(rng, runs, task, chunk, workers, AnalyticsError))
+    totals = np.concatenate(totals)  # frees the chunks' totals before the deviations are made
+    *means, mean = [math.fsum(level) / runs for level in zip(*sums)]
+    deviations = totals - mean
+    np.square(deviations, out=deviations)
+    return totals, ((runs, mean, float(deviations.sum())), means)
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One truncation level of the implosion sweep.  ``gap_mean`` and
-    ``gap_stderr`` describe the runs' paired gap from the previous level
-    (``None`` at the first level)."""
+    """One truncation level of the implosion sweep: the runs' mean over the
+    stages k <= K with the law's standard error sqrt(Var T_K / runs), and
+    ``gap_*`` the same for the stages after the previous level (``None`` at
+    the first)."""
 
     K: int
     runs: int
@@ -232,17 +202,19 @@ class SweepRow:
     gap_stderr: float | None
 
 
-def implosion_truncation_sweep(
-    alpha: float,
-    levels: list[int],
-    moments: tuple[Moments, list[Moments], list[Moments]],
-) -> list[SweepRow]:
-    """The moments ``implosion_batch`` read at ``levels``, against the
-    certified partial sums.  Draws nothing."""
-    _, level, gap = moments
+def implosion_truncation_sweep(alpha: float, levels: list[int], means: list[float], runs: int) -> list[SweepRow]:
+    """The means of ``runs`` runs that ``implosion_batch`` read at
+    ``levels``, against the certified partial sums.  A level's variance is
+    the partial sum of k^-2(alpha+1); a gap's is the same sum over its own
+    stages.  Draws nothing."""
+    power = 2.0 * check_alpha(alpha) + 2.0
     rows = []
-    for K, m, g in zip(levels, level, [None] + gap):
+    for K, mean in zip(levels, means):
         partial, tail = implosion_expected_time(alpha, K)
-        gap_mean, gap_stderr = (None, None) if g is None else (g[1], _stderr(g))
-        rows.append(SweepRow(K, m[0], m[1], _stderr(m), partial, tail, gap_mean, gap_stderr))
+        stderr = math.sqrt(implosion_cumulants(alpha, K)[0] / runs)
+        gap_mean = gap_stderr = None
+        if rows:
+            gap_mean = mean - rows[-1].mean
+            gap_stderr = math.sqrt(block_sum(lambda k: k**-power, rows[-1].K + 1, K + 1) / runs)
+        rows.append(SweepRow(K, runs, mean, stderr, partial, tail, gap_mean, gap_stderr))
     return rows

@@ -2,8 +2,8 @@
 
 Covers what the report builders need: the sorted sample a one-sample
 Kolmogorov-Smirnov statistic reads, one- and two-sample KS statistics with
-asymptotic critical values, and Wilson score intervals.  Sample means and
-their standard errors are computed where a report row needs them.  The pooled chi-square test of the
+asymptotic critical values, and Wilson score intervals.  Sample means are
+computed where a report row needs them, with standard errors from the law.  The pooled chi-square test of the
 discrete samplers lives with the tests (``tests/gof.py``), so importing
 the package does not import scipy.
 """

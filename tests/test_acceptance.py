@@ -36,7 +36,7 @@ from click.testing import CliRunner
 import deathlab as dl
 from deathlab import kernels
 from deathlab.cli import main as cli_main
-from deathlab.experiments import exceedance_probability
+from deathlab.analytics import exceedance_probability
 from gof import family_misses
 
 SEED = 20250809
@@ -239,7 +239,7 @@ def test_criterion_09_implosion_moments_and_sweep():
     with criterion(9, "implosion time moments and truncation sweep, alpha=1, K=10^4", 60):
         alpha, K, runs = 1.0, 10**4, 10**5
         levels = [10, 100, 1000, 10**4]
-        totals, moments = dl.implosion_batch(alpha, K, runs, dl.make_stream(SEED, 80), workers=4, levels=levels)
+        totals, (_, means) = dl.implosion_batch(alpha, K, runs, dl.make_stream(SEED, 80), workers=4, levels=levels)
         partial, _ = dl.implosion_expected_time(alpha, K)
         se_mean = float(totals.std(ddof=1)) / math.sqrt(runs)
         assert abs(float(totals.mean()) - partial) <= 3 * se_mean
@@ -249,10 +249,11 @@ def test_criterion_09_implosion_moments_and_sweep():
         se_var = math.sqrt(max(m4 - sample_var**2 * (runs - 3) / (runs - 1), 0.0) / runs)
         assert abs(sample_var - var_expected) <= 3 * se_var
         # the sweep levels are read off the same runs
-        sweep = dl.implosion_truncation_sweep(alpha, levels, moments)
+        sweep = dl.implosion_truncation_sweep(alpha, levels, means, runs)
         assert [row.runs for row in sweep] == [runs] * len(levels)
         # partial-sum differences sit inside the smaller level's tail bound,
-        # and the runs' paired gaps track them
+        # and the runs' paired gaps track them within the law's standard
+        # error of the stages between the two levels
         for small, big in zip(sweep, sweep[1:]):
             gap = big.partial_sum - small.partial_sum
             assert 0 < gap <= 1.0 / small.K

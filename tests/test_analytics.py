@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +31,11 @@ from deathlab import (
     typical_extinction_time,
 )
 from deathlab.analytics import (
-    SUM_BLOCK, block_sum, expected_extinction_terms, expected_extinction_time, implosion_cumulants,
+    SUM_BLOCK, block_sum, expected_extinction_terms, expected_extinction_time, extinction_time_variance,
+    extinction_variance_terms, implosion_cumulants,
 )
-from deathlab.oracle import exact_single_drop_path_prob
+from deathlab import analytics
+from deathlab.oracle import exact_extinction_curve, exact_single_drop_path_prob
 
 ZETA_3 = 1.2020569031595943  # reference constant for sum k^-3
 
@@ -73,6 +77,64 @@ class TestExtinctionCdf:
             extinction_cdf(1, 0.0, 1)
         with pytest.raises(AnalyticsError):
             extinction_cdf(1, 0.5, -1)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float64])
+    def test_an_array_of_times_equals_the_scalar_bit_for_bit(self, dtype):
+        times = np.array([[0, 1, 7], [40, 200, 3]], dtype=dtype)
+        for n, c in ((1, 0.05), (50, 0.2), (10**6, 0.1), (2**60, 0.3)):
+            values = extinction_cdf(n, c, times)
+            assert values.shape == times.shape and values.dtype == np.float64
+            assert values.tolist() == [[extinction_cdf(n, c, int(t)) for t in row] for row in times.tolist()]
+
+    @pytest.mark.parametrize("bad", [np.array([1, -1]), np.array([1.0, 2.5]), np.array([0.0, math.nan]),
+                                     np.array([True, False]), np.array(["1", "2"])],
+                             ids=["negative", "fraction", "nan", "bool", "string"])
+    def test_an_array_with_one_time_outside_the_rule_is_refused(self, bad):
+        with pytest.raises(AnalyticsError, match="t must be an integer"):
+            extinction_cdf(3, 0.3, bad)
+
+
+def _reference():
+    # the benchmark's closed forms, written without deathlab
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestExtinctionTimeVariance:
+    def test_matches_the_benchmark_reference(self):
+        # both sum E tau^2 = sum (2t+1) P(tau > t), each to its own tail
+        mean, variance = _reference().extinction_moments(10**6, 0.1)
+        assert variance == pytest.approx(148.264311055, rel=1e-11)
+        assert extinction_time_variance(10**6, 0.1) == pytest.approx(variance, rel=1e-12)
+        assert expected_extinction_time(10**6, 0.1) == pytest.approx(mean, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
+    def test_matches_the_dp_oracles_pmf(self, n, c):
+        # the DP's law of tau up to t = 200 holds all but 30 (1-c)^200 of its mass
+        cdf = exact_extinction_curve(n, Constant(c), 200)
+        assert cdf[-1] == 1.0
+        t, pmf = np.arange(1, 201), np.diff(cdf)
+        mean = math.fsum(t * pmf)
+        variance = math.fsum((t - mean) ** 2 * pmf)
+        assert extinction_time_variance(n, c) == pytest.approx(variance, rel=1e-12)
+
+    def test_the_geometric_law_at_n1(self):
+        # tau from 1 is Geometric(c): variance (1-c)/c^2
+        for c in (0.05, 0.3, 0.9):
+            assert extinction_time_variance(1, c) == pytest.approx((1 - c) / c**2, rel=1e-12)
+
+    @pytest.mark.parametrize("n, c", [(1, 0.9), (30, 0.3), (10**6, 0.1), (10**6, 1e-3), (5, 1e-9)])
+    def test_terms_stop_at_the_first_tail_bound_below_the_tolerance(self, n, c):
+        def bound(t):
+            return n * math.exp(t * math.log1p(-c)) * ((2 * t + 1) / c + 2 * (1 - c) / c**2)
+
+        t_stop = extinction_variance_terms(n, c)
+        assert bound(t_stop) < analytics.VARIANCE_TAIL_TOL <= bound(t_stop - 1)
+        assert t_stop > expected_extinction_terms(n, c)
 
 
 class TestTypicalExtinctionTime:

@@ -39,6 +39,10 @@ COUNTS = [
      AnalyticsError),
     ("analytics.expected_extinction_time.n", lambda v, s: analytics.expected_extinction_time(v, 0.3), 3, 1,
      AnalyticsError),
+    ("analytics.extinction_time_variance.n", lambda v, s: analytics.extinction_time_variance(v, 0.3), 3, 1,
+     AnalyticsError),
+    ("analytics.extinction_variance_terms.n", lambda v, s: analytics.extinction_variance_terms(v, 0.3), 3, 1,
+     AnalyticsError),
     ("analytics.single_drop_prob.k", lambda v, s: analytics.single_drop_prob(v, 0.3), 3, 1, AnalyticsError),
     ("analytics.single_drop_path_prob.n", lambda v, s: analytics.single_drop_path_prob(v, [0.3] * 3), 3, 0,
      AnalyticsError),
@@ -136,6 +140,10 @@ PROBABILITIES = [
     ("analytics.typical_extinction_time.c", lambda v, s: analytics.typical_extinction_time(3, v), "(0,1)",
      AnalyticsError),
     ("analytics.expected_extinction_time.c", lambda v, s: analytics.expected_extinction_time(3, v), "(0,1)",
+     AnalyticsError),
+    ("analytics.extinction_time_variance.c", lambda v, s: analytics.extinction_time_variance(3, v), "(0,1)",
+     AnalyticsError),
+    ("analytics.extinction_variance_terms.c", lambda v, s: analytics.extinction_variance_terms(3, v), "(0,1)",
      AnalyticsError),
     ("analytics.single_drop_prob.c", lambda v, s: analytics.single_drop_prob(3, v), "(0,1)", AnalyticsError),
     ("analytics.single_drop_prob.c_at_1", lambda v, s: analytics.single_drop_prob(1, v), "(0,1]", AnalyticsError),

@@ -1,12 +1,13 @@
 """Report builders reject inputs they cannot report on before simulating."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from deathlab import experiments, limits
-from deathlab.analytics import AnalyticReport
+from deathlab.analytics import AnalyticReport, implosion_cumulants
 from deathlab.oracle import MAX_STATE
 from deathlab.regimes import Constant, InitialPower, JointPower, StatePower, Table
 
@@ -148,13 +149,14 @@ def test_implode_sweep_row_fails_on_wrong_rates_at_the_lowest_level(monkeypatch)
     assert not _sweep_row_passes()
 
 
-def test_implode_reads_one_mean_off_the_chunks_merged_moments():
+def test_implode_reads_one_mean_off_the_chunks_sums():
     # 2000 runs are four chunks; the mean row and the sweep's top level,
-    # K itself, print the same value, and the variance row reads the same
-    # moments
+    # K itself, print the same value and the law's half-width, and the
+    # variance row reads the same totals
     report, rows, totals = experiments.build_implode_outputs(1.0, 100, 2000, 0, sweep=[10, 100])
     mean_row, var_row = report.rows[:2]
     assert mean_row.monte_carlo == (rows[-1].mean, 4 * rows[-1].stderr)
+    assert rows[-1].stderr == math.sqrt(implosion_cumulants(1.0, 100)[0] / 2000)
     assert mean_row.monte_carlo[0] == pytest.approx(totals.mean(), rel=1e-14)
     assert var_row.monte_carlo[0] == pytest.approx(totals.var(ddof=1), rel=1e-12)
 
@@ -184,3 +186,25 @@ def test_a_grid_point_is_named_in_loop_order():
     where = experiments._point("n={n}, c={c}, t={t}", c=(0.05, 0.3), n=range(1, 4), t=range(5))
     names = [f"n={n}, c={c}, t={t}" for c in (0.05, 0.3) for n in range(1, 4) for t in range(5)]
     assert [where(i) for i in range(len(names))] == names
+
+
+def _failures(reports, prefix):
+    return sum(not next(row for row in report.rows if row.label.startswith(prefix)).passed for report in reports)
+
+
+def test_mean_rows_reject_correct_draws_near_their_nominal_rate():
+    # four standard errors of a normal mean miss with chance 6e-5.  The
+    # samples' own standard error, at 2 runs or 2 ratios, failed 38 mean
+    # rows, 76 sweep rows and 36 ratio rows of these 200 seeds; the law's
+    # fails a few, from the skew of T_K at 2 runs
+    seeds = range(200)
+    implode = [experiments.build_implode_outputs(1.0, 1000, 2, seed, sweep=[10, 100, 1000])[0] for seed in seeds]
+    assert _failures(implode, "mean implosion time") <= 6
+    assert _failures(implode, "truncation sweep") <= 6
+    extinct = [
+        experiments.build_extinct_report(
+            5, Constant(0.3), [1], 10, seed, ratio_n=10**6, ratio_c=0.1, ratio_samples=2
+        )[0]
+        for seed in seeds
+    ]
+    assert _failures(extinct, "mean tau/d_n") <= 3

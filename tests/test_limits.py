@@ -1,4 +1,3 @@
-import functools
 import math
 import tracemalloc
 
@@ -22,8 +21,8 @@ from deathlab import (
     wilson_interval,
 )
 from deathlab import limits
-from deathlab._parallel import CHUNK_SIZE, chunk_sizes, run_chunked
-from deathlab.limits import _merge, _moments
+from deathlab._parallel import CHUNK_SIZE, run_chunked
+from deathlab.analytics import implosion_cumulants
 from deathlab.samplers import sample_exponential_batch
 from deathlab.stats import SampleSummary
 
@@ -79,15 +78,19 @@ def test_simulate_implosion_single_stage():
 
 
 def test_implosion_batch_moments():
+    # both standard errors from the law: Var T_K, and the sample variance's
+    # own variance kappa4/n + 2 Var^2/(n-1)
     alpha, K, runs = 1.0, 1000, 2 * 10**4
-    totals, _ = implosion_batch(alpha, K, runs, make_stream(22, 100))
+    totals, (whole, _) = implosion_batch(alpha, K, runs, make_stream(22, 100))
     partial, _ = implosion_expected_time(alpha, K)
-    se = totals.std(ddof=1) / math.sqrt(runs)
-    assert abs(totals.mean() - partial) < 4 * se
-    var_expected, _ = implosion_expected_time(2 * alpha + 1, K)  # sum of rate^-2
-    m4 = np.mean((totals - totals.mean()) ** 4)
-    var_se = math.sqrt((m4 - totals.var(ddof=1) ** 2) / runs)
-    assert abs(totals.var(ddof=1) - var_expected) < 4 * var_se
+    variance, kappa4 = implosion_cumulants(alpha, K)
+    assert variance == implosion_expected_time(2 * alpha + 1, K)[0]  # sum of rate^-2
+    assert whole[0] == runs
+    assert whole[1] == pytest.approx(totals.mean(), rel=1e-14)
+    assert whole[2] / (runs - 1) == pytest.approx(totals.var(ddof=1), rel=1e-12)
+    assert abs(whole[1] - partial) < 4 * math.sqrt(variance / runs)
+    var_se = math.sqrt(kappa4 / runs + 2 * variance**2 / (runs - 1))
+    assert abs(whole[2] / (runs - 1) - variance) < 4 * var_se
 
 
 def test_implosion_errors():
@@ -98,8 +101,8 @@ def test_implosion_errors():
 
 
 def _sweep(alpha, K, levels, runs, rng, workers=1):
-    _, moments = implosion_batch(alpha, K, runs, rng, workers, levels=levels)
-    return implosion_truncation_sweep(alpha, levels, moments)
+    _, (_, means) = implosion_batch(alpha, K, runs, rng, workers, levels=levels)
+    return implosion_truncation_sweep(alpha, levels, means, runs)
 
 
 def test_truncation_sweep_tracks_partial_sums():
@@ -108,11 +111,15 @@ def test_truncation_sweep_tracks_partial_sums():
     assert all(b > a for a, b in zip(partials, partials[1:]))
     assert [r.runs for r in rows] == [5000] * 3
     for r in rows:
+        assert r.stderr == math.sqrt(implosion_cumulants(1.0, r.K)[0] / 5000)
         assert abs(r.mean - r.partial_sum) < 4 * r.stderr
         assert r.tail_bound == pytest.approx(1.0 / r.K, rel=1e-12)
     assert rows[0].gap_mean is None and rows[0].gap_stderr is None
     for prev, r in zip(rows, rows[1:]):
-        # paired gaps: far tighter than the levels' own errors
+        # a gap's stages k in (prev.K, r.K]: far tighter than the levels' own errors
+        gap_variance = math.fsum(k**-4.0 for k in range(prev.K + 1, r.K + 1))
+        assert r.gap_stderr == pytest.approx(math.sqrt(gap_variance / 5000), rel=1e-14)
+        assert r.gap_mean == r.mean - prev.mean
         assert abs(r.gap_mean - (r.partial_sum - prev.partial_sum)) < 4 * r.gap_stderr
         assert r.gap_stderr < prev.stderr
     # faster stabilization at alpha = 2: smaller tail at equal K
@@ -122,17 +129,17 @@ def test_truncation_sweep_tracks_partial_sums():
 
 def test_sweep_levels_leave_the_totals_alone():
     plain, moments = implosion_batch(1.0, 300, 20000, make_stream(25, 0))
-    assert moments[1:] == ([], [])
+    assert moments[1] == []
     swept, _ = implosion_batch(1.0, 300, 20000, make_stream(25, 0), levels=[3, 30, 300])
     assert np.array_equal(plain, swept)
     below_k, _ = implosion_batch(1.0, 300, 20000, make_stream(25, 0), levels=[1, 299])
     assert np.array_equal(plain, below_k)
 
 
-def test_level_and_gap_moments_match_a_reference_loop():
+def test_level_means_match_a_reference_loop():
     alpha, K, levels, runs = 1.0, 40, [1, 5, 17, 40], 2 * CHUNK_SIZE + 7
     root = make_stream(25, 1)
-    totals, (whole, level, gap) = implosion_batch(alpha, K, runs, root, workers=2, levels=levels)
+    totals, (whole, means) = implosion_batch(alpha, K, runs, root, workers=2, levels=levels)
     # rebuild each run's stages chunk by chunk, level K first, on the same substreams
     rates = np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.0)
     chunks = []
@@ -141,25 +148,26 @@ def test_level_and_gap_moments_match_a_reference_loop():
         chunks.append(np.array([sample_exponential_batch(stream, float(rate), m) for rate in rates]))
     stages = np.concatenate(chunks, axis=1)
     assert np.array_equal(stages.sum(axis=0), totals)
-    expected = [stages[K - L :].sum(axis=0) for L in levels]  # the stages k <= L
-    expected_gaps = [stages[K - high : K - low].sum(axis=0) for low, high in zip(levels, levels[1:])]
-    for (count, mean, m2), values in zip([whole] + level + gap, [totals] + expected + expected_gaps):
-        assert count == runs
-        assert mean == pytest.approx(values.mean(), rel=1e-12)
-        assert m2 / (count - 1) == pytest.approx(values.var(ddof=1), rel=1e-12)
+    assert whole[0] == runs
+    assert whole[1] == pytest.approx(totals.mean(), rel=1e-12)
+    assert whole[2] / (runs - 1) == pytest.approx(totals.var(ddof=1), rel=1e-12)
+    assert means[-1] == whole[1]  # the top level is K: the same sums
+    for L, mean in zip(levels, means):
+        assert mean == pytest.approx(stages[K - L :].sum(axis=0).mean(), rel=1e-12)  # the stages k <= L
 
 
 def _chunks(runs):
     # a quarter of a batch under four full chunks, rounded up, else full chunks
-    return chunk_sizes(runs, min(CHUNK_SIZE, math.ceil(runs / 4)))
+    chunk = min(CHUNK_SIZE, math.ceil(runs / 4))
+    return [chunk] * (runs // chunk) + ([runs % chunk] if runs % chunk else [])
 
 
 def _stage_by_stage(alpha, K, runs, root, levels):
     """Reference for implosion_batch: chunk i of ``_chunks(runs)`` on
     substream i, one exponential call per stage, level K first; each chunk
-    adds its stages one at a time from zero, and the chunks' moments are
-    merged in chunk order: those of the totals, of each level and of each
-    gap.  A sweep level's prefix is the running sum before its stage."""
+    adds its stages one at a time from zero and sums its runs at each level
+    and at K, and ``math.fsum`` adds each sum over the chunks.  A sweep
+    level's prefix is the running sum before its stage."""
     rates = np.arange(K, 0, -1, dtype=np.float64) ** (alpha + 1.0)
     parts = []
     for i, m in enumerate(_chunks(runs)):
@@ -170,12 +178,10 @@ def _stage_by_stage(alpha, K, runs, root, levels):
             if K - j in levels:
                 above[K - j] = totals.copy()
             totals += sample_exponential_batch(stream, float(rate), m)
-        level = [_moments(totals - above[L]) for L in levels]
-        gap = [_moments(above[low] - above[high]) for low, high in zip(levels, levels[1:])]
-        parts.append((totals, _moments(totals.copy()), level, gap))
-    whole = functools.reduce(_merge, (p[1] for p in parts))
-    merged = [[functools.reduce(_merge, chunks) for chunks in zip(*(p[j] for p in parts))] for j in (2, 3)]
-    return np.concatenate([p[0] for p in parts]), (whole, *merged)
+        parts.append((totals, [float((totals - above[L]).sum()) for L in levels] + [float(totals.sum())]))
+    *means, mean = [math.fsum(sums) / runs for sums in zip(*(p[1] for p in parts))]
+    totals = np.concatenate([p[0] for p in parts])
+    return totals, ((runs, mean, float(((totals - mean) ** 2).sum())), means)
 
 
 @pytest.mark.parametrize("runs, lengths", [

@@ -24,8 +24,7 @@ from deathlab import (
     typical_extinction_time,
     wilson_interval,
 )
-from deathlab.experiments import exceedance_probability
-from deathlab.analytics import SUM_BLOCK
+from deathlab.analytics import SUM_BLOCK, exceedance_probability
 from deathlab.oracle import MAX_TIME, mgf_series_cost
 
 

@@ -33,12 +33,12 @@ COMMANDS = {
 
 EXPECTED = {
     "extinct/extinct_cdf.csv": "c3c9af268c446f1b1d704fdbedac0bbdf80b2221481d2ff33dfa617ce5974943",
-    "extinct/extinct_report.json": "77cb3210f1984bdc0090305653b82c1f9106139d3b0f8460c1be912f58badf5d",
+    "extinct/extinct_report.json": "7c36dd5b5bc73b1b3250095f1cb3cdecbc5e2815a1c4670874451566875445d3",
     "extinct/state_distribution.csv": "87fd2b806b8b82551386135433a9dde721a8a0d91a5a9bd69519b192182891a0",
     "extinct:exit": "0",
     "implode/implode_hist.csv": "16564113c269eb0e4c39cad7ef57113d055456fe8b5d2de8963804a0295722a1",
-    "implode/implode_report.json": "45dc710f7dd1bb4f6dac2aabd2dbe5739594f45c386d2b8c3f71e1698cdc01c7",
-    "implode/implode_sweep.csv": "10875e56667a12cedb5e74bf50cee58658d8bbd30a273d9132d3d0532ccf08be",
+    "implode/implode_report.json": "b2c227feac324fd43bdc95b2b7f259136063bc47cbd1e6a0326d2c486a782b5b",
+    "implode/implode_sweep.csv": "f271e39742b9e8db6b4a065e9c0340d0bed8969cf3ba71237c162bceed2cd8ff",
     "implode:exit": "0",
     "passage/passage_report.json": "0670151129f5090fe62dc417293aeb2513ff15f8c14b391217a489601ffd9404",
     "passage/scaled_passage_times.csv": "b86591f8697b2ef4e357dc5f2e7fb93de8e3a54d4acbd325bc3852bf62a40180",
@@ -49,7 +49,7 @@ EXPECTED = {
     "simulate/summary.json": "ce9541ffe5f1d08be6f7914444a32fbb758e64887c4a28d4be72a0a1f1e98647",
     "simulate/trajectories.csv": "489268c6fa74ec084ba450e2c37cf4fa9a5d0ed1bfa0d04a290ceb44b292991e",
     "simulate:exit": "0",
-    "verify/verify.json": "a9c818e888d5343c1af4241ddc8b99a9f966da3b96ed5089319c1a63f4cf92cd",
+    "verify/verify.json": "f5eb9af29503054348f148acd387705e1cf3e7e00fe234399c2be479c19c10dc",
     "verify:exit": "0",
 }
 
